@@ -59,10 +59,15 @@ class Tool:
 
 @dataclass
 class Catalogue:
-    """Immutable collection of tools with a name index. Safe for concurrent reads."""
+    """Immutable collection of tools with a name index. Safe for concurrent reads.
+
+    ``_indexes`` caches one retrieval index per embedder identity; retrieval
+    writes each entry once, under a lock.
+    """
 
     tools: list[Tool]
     index: dict[str, int]
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.tools)

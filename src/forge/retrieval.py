@@ -1,4 +1,4 @@
-"""Tool embedding and nearest-neighbour distractor retrieval.
+"""Tool embedding and nearest-neighbour retrieval.
 
 Two embedder backends:
 
@@ -9,18 +9,26 @@ Two embedder backends:
 * RemoteEmbedder -- OpenAI-style /embeddings endpoint, routed through the
   gateway's HTTP layer so only one module touches the network.
 
-Similarity is the inner product of L2-normalized vectors (cosine).
-Catalogues in the target size range (~5k tools) admit an exact scan, so
-there is no ANN index.
+Similarity is the inner product of L2-normalized vectors (cosine). A
+catalogue or persona store is embedded once per embedder identity into a
+float32 ``VectorIndex``. A query scores every row with one matrix product,
+shortlists the rows within a margin of the k-th score, and re-scores the
+shortlist with the float64 embedding, so rankings and score floats equal
+those of an exhaustive float64 scan. The margin: a float32 dot product of
+length d errs by at most (d + 2) * 2**-24 * |q| * |v|, so a margin of
+(d + 4) * 2**-23 * |q| * max|v| keeps every row that can reach the k-th score.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import random
 import re
 import threading
 import zlib
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -30,6 +38,8 @@ import numpy as np
 from .catalogue import Catalogue, Tool
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+EMBED_BATCH = 64  # texts per embedding request while an index is built
 
 
 class Embedder(Protocol):
@@ -79,10 +89,9 @@ class HashEmbedder:
         self.identity = f"hash-bow-{dimension}"
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in _TOKEN_RE.findall(text.lower()):
-            bucket = zlib.crc32(token.encode("utf-8")) % self.dimension
-            vec[bucket] += 1.0
+        buckets = [zlib.crc32(token.encode("utf-8")) % self.dimension
+                   for token in _TOKEN_RE.findall(text.lower())]
+        vec = np.bincount(buckets, minlength=self.dimension).astype(np.float64)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
@@ -104,22 +113,37 @@ class RemoteEmbedder:
         self.retry_limit = retry_limit
 
     def embed(self, text: str) -> np.ndarray:
+        return self._embed_batch([text])[0]
+
+    def embed_many(self, texts: list[str]) -> Iterator[np.ndarray]:
+        """Embed texts in order, EMBED_BATCH of them per request."""
+        for start in range(0, len(texts), EMBED_BATCH):
+            yield from self._embed_batch(texts[start:start + EMBED_BATCH])
+
+    def _embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         from . import gateway  # deferred: keeps all network I/O in one module
 
-        body = {"model": self.model_id, "input": [text]}
+        body = {"model": self.model_id, "input": texts}
         reply = gateway.post_json(
             self.endpoint, body, api_key_env=self.api_key_env,
             timeout=self.timeout, retry_limit=self.retry_limit,
         )
-        vec = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
-        if vec.shape != (self.dimension,):
+        data = sorted(reply["data"], key=lambda item: item["index"])
+        if [item["index"] for item in data] != list(range(len(texts))):
             raise ValueError(
-                f"embedding endpoint returned dimension {vec.shape[0]}, expected {self.dimension}"
+                f"embedding endpoint returned {len(data)} indexed vectors for {len(texts)} inputs"
             )
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
-        return vec
+        vectors = []
+        for item in data:
+            vec = np.asarray(item["embedding"], dtype=np.float64)
+            if vec.shape != (self.dimension,):
+                raise ValueError(f"embedding endpoint returned dimension {vec.shape[0]}, "
+                                 f"expected {self.dimension}")
+            norm = np.linalg.norm(vec)
+            if norm > 0:
+                vec = vec / norm
+            vectors.append(vec)
+        return vectors
 
 
 class EmbeddingCache:
@@ -171,41 +195,90 @@ class EmbeddingCache:
                 self._vectors.setdefault(k, np.asarray(v, dtype=np.float64))
 
 
+class VectorIndex:
+    """Texts embedded once into a float32 matrix, queried with exact scores.
+
+    ``top`` orders rows by their float64 score descending, then by ``keys``
+    ascending (row position when no keys are given), exactly as a full scan
+    that re-embeds every text would.
+    """
+
+    def __init__(self, texts: list[str], emb: Embedder, keys: list | None = None):
+        self.texts = texts
+        self.emb = emb
+        self.keys = range(len(texts)) if keys is None else keys
+        self.matrix = np.empty((len(texts), emb.dimension), dtype=np.float32)
+        embed_many = getattr(emb, "embed_many", None)
+        peak = 0.0
+        for row, vec in enumerate(embed_many(texts) if embed_many else map(emb.embed, texts)):
+            self.matrix[row] = vec
+            peak = max(peak, float(np.dot(vec, vec)))
+        self._max_norm = math.sqrt(peak)
+
+    def top(self, query: np.ndarray, k: int, exclude: int | None = None) -> list[tuple[int, float]]:
+        """The k best (row, score) pairs for a float64 query, ``exclude`` left out."""
+        n = len(self.texts)
+        k = min(k, n - (exclude is not None))
+        if k < 1:
+            return []
+        approx = self.matrix @ query.astype(np.float32)
+        if exclude is not None:
+            approx[exclude] = -np.inf
+        kth = float(np.partition(approx, n - k)[n - k])
+        # twice the float32 error bound on any score (module docstring)
+        margin = ((self.matrix.shape[1] + 4) * 2.0 ** -23
+                  * float(np.linalg.norm(query)) * self._max_norm)
+        scored = sorted(
+            (-float(np.dot(query, self.emb.embed(self.texts[row]))), self.keys[row], row)
+            for row in np.flatnonzero(approx >= kth - margin).tolist()
+        )
+        return [(row, -neg) for neg, _, row in scored[:k]]
+
+
+_INDEX_LOCK = threading.Lock()
+
+
+def cached_index(owner, emb: Embedder, build: Callable[[], VectorIndex]) -> VectorIndex:
+    """The owner's index for this embedder identity, built on first use.
+
+    ``owner._indexes`` is written once per identity under a lock, so
+    concurrent first queries build one index.
+    """
+    with _INDEX_LOCK:
+        index = owner._indexes.get(emb.identity)
+        if index is None:
+            index = owner._indexes[emb.identity] = build()
+    return index
+
+
+def _catalogue_index(cat: Catalogue, emb: Embedder) -> VectorIndex:
+    return cached_index(
+        cat, emb, lambda: VectorIndex([tool_text(t) for t in cat.tools], emb, cat.names()))
+
+
 def nearest_distractors(cat: Catalogue, seed: str, k: int, emb: Embedder) -> DistractorSet:
     """Top-k tools most similar to the seed, excluding the seed itself.
 
-    Exact scan over the whole catalogue; ties broken by ascending tool name.
+    Exact over the whole catalogue; ties broken by ascending tool name.
     """
     if seed not in cat:
         raise KeyError(f"unknown seed tool: {seed!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     seed_vec = emb.embed(tool_text(cat.get(seed)))
-    scored: list[tuple[float, str]] = []
-    for tool in cat.tools:
-        if tool.name == seed:
-            continue
-        score = float(np.dot(seed_vec, emb.embed(tool_text(tool))))
-        scored.append((score, tool.name))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    top = scored[: min(k, len(scored))]
-    return DistractorSet(seed=seed, members=tuple((name, score) for score, name in top))
+    top = _catalogue_index(cat, emb).top(seed_vec, k, exclude=cat.index[seed])
+    return DistractorSet(seed=seed, members=tuple((cat.tools[row].name, s) for row, s in top))
 
 
 def search_catalogue(cat: Catalogue, query: str, k: int, emb: Embedder) -> list[tuple[str, float]]:
-    """Top-k tools for a free-text query (exact scan, name tie-break).
+    """Top-k tools for a free-text query (exact, name tie-break).
 
     This is the live retriever the assistant consults during synthesis.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_vec = emb.embed(query)
-    scored = []
-    for tool in cat.tools:
-        score = float(np.dot(query_vec, emb.embed(tool_text(tool))))
-        scored.append((-score, tool.name))
-    scored.sort()
-    return [(name, -neg) for neg, name in scored[: min(k, len(scored))]]
+    top = _catalogue_index(cat, emb).top(emb.embed(query), k)
+    return [(cat.tools[row].name, s) for row, s in top]
 
 
 def candidate_pool(seed: str, dset: DistractorSet, rng_seed: int) -> list[str]:
@@ -216,8 +289,6 @@ def candidate_pool(seed: str, dset: DistractorSet, rng_seed: int) -> list[str]:
     """
     if dset.seed != seed:
         raise ValueError(f"distractor set belongs to {dset.seed!r}, not {seed!r}")
-    import random
-
     pool = [seed] + dset.names()
     random.Random(rng_seed).shuffle(pool)
     return pool

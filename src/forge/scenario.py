@@ -11,17 +11,24 @@ replay regeneration paths).
 from __future__ import annotations
 
 import json
+import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .catalogue import Catalogue, Tool, required_args
 from .gateway import BackendConfig, ChatMessage, CompletionRequest, complete
 from .prompts import get_prompt, render
-from .retrieval import DistractorSet, Embedder, candidate_pool, nearest_distractors, tool_text
+from .retrieval import (
+    DistractorSet,
+    Embedder,
+    VectorIndex,
+    cached_index,
+    candidate_pool,
+    nearest_distractors,
+    tool_text,
+)
 from .seeds import split_seed
 
 GEN_TEMPERATURE = 0.7
@@ -44,6 +51,7 @@ class SlotTypeError(ScenarioError):
 class PersonaStore:
     personas: list[str]
     embedder: Embedder
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.personas:
@@ -110,17 +118,10 @@ def sample_persona(store: PersonaStore, seed_tool: Tool, k: int, rng_seed: int) 
 
     k clamps to the store size; top-k ties break by store order.
     """
-    import random
-
-    query = store.embedder.embed(tool_text(seed_tool))
-    scored = []
-    for idx, persona in enumerate(store.personas):
-        score = float(np.dot(query, store.embedder.embed(persona)))
-        scored.append((-score, idx))
-    scored.sort()
-    top = scored[: max(1, min(k, len(scored)))]
-    choice = random.Random(rng_seed).randrange(len(top))
-    return store.personas[top[choice][1]]
+    emb = store.embedder
+    index = cached_index(store, emb, lambda: VectorIndex(store.personas, emb))
+    top = index.top(emb.embed(tool_text(seed_tool)), max(1, k))
+    return store.personas[top[random.Random(rng_seed).randrange(len(top))][0]]
 
 
 def _gen_request(prompt: str, seed: int) -> CompletionRequest:

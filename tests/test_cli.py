@@ -1,7 +1,10 @@
 import json
+import sys
+import time
 
 import pytest
 
+from forge import retrieval
 from forge.cli import load_pipeline_config, main
 
 from conftest import CATALOGUE_TOOLS, SEED_TOOL, build_replay_world
@@ -229,6 +232,37 @@ def test_generate_concurrency_matches_serial(tmp_path):
                           (out / "scenarios.jsonl").read_bytes(),
                           (out / "rejected.jsonl").read_bytes())
     assert outputs[1] == outputs[4]
+
+
+def test_generate_concurrency_builds_each_index_once(tmp_path, monkeypatch):
+    builds = []
+    build = retrieval.VectorIndex.__init__
+
+    def counting_build(self, texts, emb, keys=None):
+        builds.append(len(texts))
+        time.sleep(0.05)  # widen the window in which a second worker could start a build
+        build(self, texts, emb, keys)
+
+    monkeypatch.setattr(retrieval.VectorIndex, "__init__", counting_build)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    outputs = {}
+    try:
+        for level in (1, 8):
+            w = build_replay_world(tmp_path / f"c{level}")
+            cfg = json.loads(w.config_path.read_text(encoding="utf-8"))
+            cfg["concurrency"] = level
+            w.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+            builds.clear()
+            assert run(["generate", "--config", w.config_path]) == 0
+            # one catalogue index and one persona index, however many workers
+            assert sorted(builds) == [1, len(CATALOGUE_TOOLS)]
+            out = tmp_path / f"c{level}" / "out"
+            outputs[level] = ((out / "corpus.jsonl").read_bytes(),
+                              (out / "scenarios.jsonl").read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[1] == outputs[8]
 
 
 def test_score_with_scripted_rubric_judge(world):

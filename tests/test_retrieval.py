@@ -1,19 +1,29 @@
 import json
+import math
 import random
+import re
+import threading
+import zlib
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge.catalogue import parse_catalogue
 from forge.retrieval import (
+    EMBED_BATCH,
     DistractorSet,
     EmbeddingCache,
     HashEmbedder,
+    RemoteEmbedder,
+    VectorIndex,
     candidate_pool,
     nearest_distractors,
     search_catalogue,
     tool_text,
 )
+from forge.scenario import PersonaStore, sample_persona
 
 from conftest import SEED_TOOL
 from oracles import naive_top_k
@@ -189,3 +199,211 @@ def test_embedding_cache_concurrent_identical_keys():
     for text, vec in zip(texts, results):
         assert np.array_equal(vec, baseline[text])
     assert len(cache._vectors) == 4
+
+
+# ---------------------------------------------------------------------------
+# exactness of the index against the exhaustive float64 scan
+
+
+def loop_embed(text: str, dimension: int) -> np.ndarray:
+    """HashEmbedder as a per-token counting loop."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        vec[zlib.crc32(token.encode("utf-8")) % dimension] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+@pytest.mark.parametrize("dimension", [8, 256])
+def test_hash_embedder_bytes_equal_counting_loop(dimension):
+    rng = random.Random(dimension)
+    vocab = [f"w{i}" for i in range(300)] + ["Ship", "order-id", "naïve", "K\u212a"]
+    texts = ["", "!!!", "a a a a", "\ud800 lone surrogate"]
+    texts += [" ".join(rng.choices(vocab, k=rng.randrange(1, 40))) for _ in range(300)]
+    emb = HashEmbedder(dimension)
+    for text in texts:
+        assert emb.embed(text).tobytes() == loop_embed(text, dimension).tobytes(), text
+
+
+def scan_distractors(cat, seed, k, emb):
+    seed_vec = emb.embed(tool_text(cat.get(seed)))
+    scored = [(float(np.dot(seed_vec, emb.embed(tool_text(t)))), t.name)
+              for t in cat.tools if t.name != seed]
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [(name, score) for score, name in scored[:k]]
+
+
+def scan_search(cat, query, k, emb):
+    query_vec = emb.embed(query)
+    scored = sorted((-float(np.dot(query_vec, emb.embed(tool_text(t)))), t.name)
+                    for t in cat.tools)
+    return [(name, -neg) for neg, name in scored[:k]]
+
+
+def scan_personas(personas, query_vec, k, emb):
+    scored = sorted((-float(np.dot(query_vec, emb.embed(p))), idx)
+                    for idx, p in enumerate(personas))
+    return [(idx, -neg) for neg, idx in scored[:max(1, min(k, len(scored)))]]
+
+
+def bits(pairs):
+    return [(key, float(score).hex()) for key, score in pairs]
+
+
+_WORDS = "ship order invoice ledger node zone rate audit !!".split()
+_text = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+
+
+@st.composite
+def retrieval_case(draw):
+    descriptions = draw(st.lists(_text, min_size=1, max_size=3))
+    tools = []
+    for i in range(draw(st.integers(1, 12))):
+        # a punctuation-only name adds no token, so equal descriptions tie exactly
+        name = "-" * (i + 1) if draw(st.booleans()) else f"tool{i}"
+        tools.append({"name": name, "description": draw(st.sampled_from(descriptions)),
+                      "parameters": {}})
+    personas = draw(st.lists(st.sampled_from(descriptions + ["!!!"]).filter(bool),
+                             min_size=1, max_size=8))
+    return {
+        "dimension": draw(st.sampled_from([8, 256])),
+        "cat": parse_catalogue(json.dumps(tools)),
+        "personas": personas,
+        "seed": draw(st.sampled_from([t["name"] for t in tools])),
+        "query": draw(_text),
+        "k": draw(st.integers(1, len(tools) + 2)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(retrieval_case())
+def test_index_top_k_equals_exhaustive_scan(case):
+    emb = HashEmbedder(case["dimension"])
+    cat, seed, k = case["cat"], case["seed"], case["k"]
+    dset = nearest_distractors(cat, seed, k, emb)
+    assert bits(dset.members) == bits(scan_distractors(cat, seed, k, emb))
+    assert (bits(search_catalogue(cat, case["query"], k, emb))
+            == bits(scan_search(cat, case["query"], k, emb)))
+
+    personas = case["personas"]
+    tool = cat.get(seed)
+    query_vec = emb.embed(tool_text(tool))
+    expected = scan_personas(personas, query_vec, k, emb)
+    assert bits(VectorIndex(personas, emb).top(query_vec, max(1, k))) == bits(expected)
+    store = PersonaStore(personas=personas, embedder=emb)
+    for rng_seed in range(3):
+        pick = expected[random.Random(rng_seed).randrange(len(expected))][0]
+        assert sample_persona(store, tool, k, rng_seed) == personas[pick]
+
+
+# ---------------------------------------------------------------------------
+# the index is built once per catalogue and embedder identity
+
+
+class CountingEmbedder(HashEmbedder):
+    def __init__(self, dimension: int = 256):
+        super().__init__(dimension)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def embed(self, text):
+        with self._lock:
+            self.calls += 1
+        return super().embed(text)
+
+
+def test_queries_cost_one_build_plus_shortlists():
+    rng = random.Random(11)
+    vocab = [f"term{i}" for i in range(80)]
+    n_tools, k, m = 400, 5, 40
+    cat = make_cat([(f"tool_{i}", " ".join(rng.choices(vocab, k=10)), ["id"])
+                    for i in range(n_tools)])
+    emb = CountingEmbedder()
+    VectorIndex([tool_text(t) for t in cat.tools], emb)
+    assert emb.calls == n_tools
+
+    emb = CountingEmbedder()
+    search_catalogue(cat, "term1 term2 term3", k, emb)
+    first = emb.calls
+    assert n_tools < first <= n_tools + 1 + 3 * k
+    for i in range(m):
+        if i % 2:
+            search_catalogue(cat, " ".join(rng.choices(vocab, k=6)), k, emb)
+        else:
+            nearest_distractors(cat, f"tool_{i}", k, emb)
+    assert emb.calls - first <= m * (1 + 3 * k)
+    assert list(cat._indexes) == [emb.identity]
+
+    store = PersonaStore.bundled(emb)
+    before = emb.calls
+    for i in range(m):
+        sample_persona(store, cat.get(f"tool_{i}"), 10, i)
+    assert emb.calls - before <= len(store.personas) + m * (1 + 3 * 10)
+
+
+# ---------------------------------------------------------------------------
+# remote embedder against a local stub
+
+
+class EmbeddingHandler(BaseHTTPRequestHandler):
+    inputs: list[list[str]] = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        EmbeddingHandler.inputs.append(body["input"])
+        # unnormalized and in reverse order: the client must normalize and sort by index
+        data = [{"index": i, "embedding": (3.0 * HashEmbedder(16).embed(t)).tolist()}
+                for i, t in enumerate(body["input"])]
+        payload = json.dumps({"data": data[::-1]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def embedding_server():
+    server = HTTPServer(("127.0.0.1", 0), EmbeddingHandler)
+    EmbeddingHandler.inputs = []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_remote_embed_many_batches_in_order(embedding_server):
+    emb = RemoteEmbedder(embedding_server, "stub-embed", 16)
+    texts = [f"text {i} alpha beta" for i in range(2 * EMBED_BATCH + 5)]
+    many = list(emb.embed_many(texts))
+    assert [len(batch) for batch in EmbeddingHandler.inputs] == [EMBED_BATCH, EMBED_BATCH, 5]
+    singles = [emb.embed(t) for t in texts]
+    assert len(EmbeddingHandler.inputs) == 3 + len(texts)
+    assert [v.tobytes() for v in many] == [v.tobytes() for v in singles]
+    assert math.isclose(float(np.linalg.norm(many[0])), 1.0)
+
+
+def test_remote_embed_rejects_wrong_dimension(embedding_server):
+    emb = RemoteEmbedder(embedding_server, "stub-embed", 32)
+    with pytest.raises(ValueError, match="dimension"):
+        list(emb.embed_many(["alpha", "beta"]))
+
+
+def test_remote_index_build_is_batched(embedding_server):
+    n_tools = EMBED_BATCH + 20
+    cat = make_cat([(f"tool_{i}", f"alpha beta w{i} w{i % 7}", []) for i in range(n_tools)])
+    emb = RemoteEmbedder(embedding_server, "stub-embed", 16)
+    hits = search_catalogue(cat, "alpha w3", 3, emb)
+    sizes = [len(batch) for batch in EmbeddingHandler.inputs]
+    assert sizes[:2] == [EMBED_BATCH, 20]
+    assert set(sizes[2:]) == {1} and len(sizes) < n_tools
+    assert hits == scan_search(cat, "alpha w3", 3, emb)
