@@ -264,9 +264,11 @@ def _as_number(value: object) -> int | float | None:
         if _INT_RE.fullmatch(text):
             return int(text)
         try:
-            return float(text)
+            number = float(text)
         except ValueError:
             return None
+        # "nan" parses but never equals itself; compare it as text instead.
+        return None if number != number else number
     return None
 
 

@@ -402,3 +402,9 @@ def test_engine_config_validation():
         EngineConfig(t_max=1)
     with pytest.raises(ValueError):
         EngineConfig(regen_attempts=0)
+
+
+def test_nan_spelling_compares_as_text():
+    assert canonical_equal("NAN", "NAN")
+    assert canonical_equal(" nan", "nan ")
+    assert not canonical_equal("nan", "NaN")
