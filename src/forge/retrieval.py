@@ -28,7 +28,7 @@ import random
 import re
 import threading
 import zlib
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -38,8 +38,6 @@ import numpy as np
 from .catalogue import Catalogue, Tool
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-EMBED_BATCH = 64  # texts per embedding request while an index is built
 
 
 class Embedder(Protocol):
@@ -113,37 +111,22 @@ class RemoteEmbedder:
         self.retry_limit = retry_limit
 
     def embed(self, text: str) -> np.ndarray:
-        return self._embed_batch([text])[0]
-
-    def embed_many(self, texts: list[str]) -> Iterator[np.ndarray]:
-        """Embed texts in order, EMBED_BATCH of them per request."""
-        for start in range(0, len(texts), EMBED_BATCH):
-            yield from self._embed_batch(texts[start:start + EMBED_BATCH])
-
-    def _embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         from . import gateway  # deferred: keeps all network I/O in one module
 
-        body = {"model": self.model_id, "input": texts}
+        body = {"model": self.model_id, "input": [text]}
         reply = gateway.post_json(
             self.endpoint, body, api_key_env=self.api_key_env,
             timeout=self.timeout, retry_limit=self.retry_limit,
         )
-        data = sorted(reply["data"], key=lambda item: item["index"])
-        if [item["index"] for item in data] != list(range(len(texts))):
+        vec = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
+        if vec.shape != (self.dimension,):
             raise ValueError(
-                f"embedding endpoint returned {len(data)} indexed vectors for {len(texts)} inputs"
+                f"embedding endpoint returned dimension {vec.shape[0]}, expected {self.dimension}"
             )
-        vectors = []
-        for item in data:
-            vec = np.asarray(item["embedding"], dtype=np.float64)
-            if vec.shape != (self.dimension,):
-                raise ValueError(f"embedding endpoint returned dimension {vec.shape[0]}, "
-                                 f"expected {self.dimension}")
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
-            vectors.append(vec)
-        return vectors
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec = vec / norm
+        return vec
 
 
 class EmbeddingCache:
@@ -208,9 +191,8 @@ class VectorIndex:
         self.emb = emb
         self.keys = range(len(texts)) if keys is None else keys
         self.matrix = np.empty((len(texts), emb.dimension), dtype=np.float32)
-        embed_many = getattr(emb, "embed_many", None)
         peak = 0.0
-        for row, vec in enumerate(embed_many(texts) if embed_many else map(emb.embed, texts)):
+        for row, vec in enumerate(map(emb.embed, texts)):
             self.matrix[row] = vec
             peak = max(peak, float(np.dot(vec, vec)))
         self._max_norm = math.sqrt(peak)

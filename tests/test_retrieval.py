@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from forge.catalogue import parse_catalogue
 from forge.retrieval import (
-    EMBED_BATCH,
     DistractorSet,
     EmbeddingCache,
     HashEmbedder,
@@ -353,10 +352,10 @@ class EmbeddingHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         EmbeddingHandler.inputs.append(body["input"])
-        # unnormalized and in reverse order: the client must normalize and sort by index
+        # unnormalized: the client must normalize
         data = [{"index": i, "embedding": (3.0 * HashEmbedder(16).embed(t)).tolist()}
                 for i, t in enumerate(body["input"])]
-        payload = json.dumps({"data": data[::-1]}).encode("utf-8")
+        payload = json.dumps({"data": data}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -381,29 +380,27 @@ def embedding_server():
     assert not thread.is_alive()
 
 
-def test_remote_embed_many_batches_in_order(embedding_server):
+def test_remote_embed_normalizes_one_text_per_request(embedding_server):
     emb = RemoteEmbedder(embedding_server, "stub-embed", 16)
-    texts = [f"text {i} alpha beta" for i in range(2 * EMBED_BATCH + 5)]
-    many = list(emb.embed_many(texts))
-    assert [len(batch) for batch in EmbeddingHandler.inputs] == [EMBED_BATCH, EMBED_BATCH, 5]
-    singles = [emb.embed(t) for t in texts]
-    assert len(EmbeddingHandler.inputs) == 3 + len(texts)
-    assert [v.tobytes() for v in many] == [v.tobytes() for v in singles]
-    assert math.isclose(float(np.linalg.norm(many[0])), 1.0)
+    vec = emb.embed("alpha beta")
+    assert EmbeddingHandler.inputs == [["alpha beta"]]
+    assert np.allclose(vec, HashEmbedder(16).embed("alpha beta"))
+    assert math.isclose(float(np.linalg.norm(vec)), 1.0)
 
 
 def test_remote_embed_rejects_wrong_dimension(embedding_server):
     emb = RemoteEmbedder(embedding_server, "stub-embed", 32)
     with pytest.raises(ValueError, match="dimension"):
-        list(emb.embed_many(["alpha", "beta"]))
+        emb.embed("alpha")
 
 
-def test_remote_index_build_is_batched(embedding_server):
-    n_tools = EMBED_BATCH + 20
+def test_remote_index_build_embeds_each_tool_once(embedding_server):
+    n_tools = 40
     cat = make_cat([(f"tool_{i}", f"alpha beta w{i} w{i % 7}", []) for i in range(n_tools)])
     emb = RemoteEmbedder(embedding_server, "stub-embed", 16)
     hits = search_catalogue(cat, "alpha w3", 3, emb)
-    sizes = [len(batch) for batch in EmbeddingHandler.inputs]
-    assert sizes[:2] == [EMBED_BATCH, 20]
-    assert set(sizes[2:]) == {1} and len(sizes) < n_tools
+    build = len(EmbeddingHandler.inputs)
+    assert n_tools < build < 2 * n_tools
+    search_catalogue(cat, "beta w5", 3, emb)
+    assert len(EmbeddingHandler.inputs) - build < n_tools
     assert hits == scan_search(cat, "alpha w3", 3, emb)
