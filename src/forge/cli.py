@@ -26,11 +26,11 @@ from .engine import (
 from .export import compute_stats, export, slice_dialogue
 from .gateway import BackendConfig, GatewayError
 from .harness import EvalTask, VotingConfig, run_benchmark
-from .metrics import Reference, score_corpus
+from .metrics import Reference, format_metric, score_corpus
 from .retrieval import HashEmbedder, RemoteEmbedder, nearest_distractors
 from .scenario import PersonaStore, Scenario, ScenarioError, build_scenario
 from .seeds import split_seed
-from .validation import ValidationInfraError, run_cascade
+from .validation import JUDGES, ValidationInfraError, run_cascade
 
 
 class ConfigError(Exception):
@@ -56,39 +56,64 @@ class PipelineConfig:
             raise ConfigError(f"no backend configured for role {role!r}")
         return self.backends[role]
 
+    def judges(self) -> dict[str, BackendConfig] | None:
+        """Both validator judges, or None to run the functional stage only."""
+        if all(name in self.backends for name in JUDGES):
+            return {name: self.backends[name] for name in JUDGES}
+        return None
+
+
+def _read_config(path: str | Path, what: str) -> dict:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load {what} {path}: {exc}") from exc
+
+
+def _resolve(base: Path, path: str) -> Path:
+    """A path from a config file; relative paths are taken against ``base``,
+    the config file's directory."""
+    candidate = Path(path)
+    return candidate if candidate.is_absolute() else base / candidate
+
+
+def _backend_config(spec: dict, base: Path, where: str) -> BackendConfig:
+    """The one backend-spec loader: resolves the transcript path against
+    ``base`` and reports a bad spec as a ConfigError naming ``where``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"bad backend config {where}: expected a JSON object")
+    if spec.get("transcript"):
+        spec = {**spec, "transcript": str(_resolve(base, spec["transcript"]))}
+    try:
+        return BackendConfig.from_dict(spec)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad backend config {where}: {exc}") from exc
+
+
+def _engine_config(t_max: int, regen_attempts: int = 5) -> EngineConfig:
+    try:
+        return EngineConfig(t_max=t_max, regen_attempts=regen_attempts)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load config {path}: {exc}") from exc
+    raw = _read_config(path, "config")
     if "rng_seed" not in raw:
         raise ConfigError("config must set rng_seed (wall-clock seeding is not allowed)")
     if "catalogue" not in raw:
         raise ConfigError("config must name a catalogue file")
     base = Path(path).parent
-
-    def _resolve(p: str) -> Path:
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
-
-    catalogue = _resolve(raw["catalogue"])
+    catalogue = _resolve(base, raw["catalogue"])
     if not catalogue.exists():
         raise ConfigError(f"catalogue file does not exist: {catalogue}")
     personas = None
     if raw.get("personas"):
-        personas = _resolve(raw["personas"])
+        personas = _resolve(base, raw["personas"])
         if not personas.exists():
             raise ConfigError(f"persona file does not exist: {personas}")
-    backends = {}
-    for role, spec in raw.get("backends", {}).items():
-        try:
-            if spec.get("transcript"):
-                spec = dict(spec)
-                spec["transcript"] = str(_resolve(spec["transcript"]))
-            backends[role] = BackendConfig.from_dict(spec)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad backend config for role {role!r}: {exc}") from exc
+    backends = {role: _backend_config(spec, base, f"for role {role!r}")
+                for role, spec in raw.get("backends", {}).items()}
     return PipelineConfig(
         catalogue=catalogue,
         rng_seed=int(raw["rng_seed"]),
@@ -98,7 +123,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         t_max=raw.get("t_max", 12),
         regen_attempts=raw.get("regen_attempts", 5),
         concurrency=raw.get("concurrency", 1),
-        out_dir=_resolve(raw.get("out_dir", "out")),
+        out_dir=_resolve(base, raw.get("out_dir", "out")),
         embedder=raw.get("embedder", {"kind": "hash", "dimension": 256}),
         backends=backends,
     )
@@ -170,19 +195,16 @@ def cmd_distractors(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = load_pipeline_config(args.config)
+    ecfg = _engine_config(cfg.t_max, cfg.regen_attempts)
     cat = load_catalogue(cfg.catalogue)
     emb = build_embedder(cfg.embedder)
     store = (PersonaStore.load(cfg.personas, emb) if cfg.personas
              else PersonaStore.bundled(emb))
-    ecfg = EngineConfig(t_max=cfg.t_max, regen_attempts=cfg.regen_attempts)
     gw_goal = cfg.backend("goal")
     gw_slots = cfg.backends.get("slots", gw_goal)
     gw_user = cfg.backend("user_proxy")
     gw_asst = cfg.backend("assistant")
-    judges = None
-    if "relevancy" in cfg.backends and "critique" in cfg.backends:
-        judges = {"relevancy": cfg.backends["relevancy"],
-                  "critique": cfg.backends["critique"]}
+    judges = cfg.judges()
 
     if args.seed_tools:
         names = [n.strip() for n in args.seed_tools.split(",") if n.strip()]
@@ -257,10 +279,7 @@ def cmd_validate(args) -> int:
     cfg = load_pipeline_config(args.config)
     cat = load_catalogue(cfg.catalogue)
     scenarios = load_scenarios(args.scenarios)
-    judges = None
-    if "relevancy" in cfg.backends and "critique" in cfg.backends:
-        judges = {"relevancy": cfg.backends["relevancy"],
-                  "critique": cfg.backends["critique"]}
+    judges = cfg.judges()
     reports = []
     all_ok = True
     for trace in load_traces(args.corpus):
@@ -280,8 +299,8 @@ def cmd_validate(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = load_pipeline_config(args.config)
+    ecfg = _engine_config(cfg.t_max, cfg.regen_attempts)
     cat = load_catalogue(cfg.catalogue)
-    ecfg = EngineConfig(t_max=cfg.t_max, regen_attempts=cfg.regen_attempts)
     scenarios = load_scenarios(args.scenarios)
     samples = []
     for trace in load_traces(args.corpus):
@@ -314,21 +333,13 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _load_backend_file(path: str | Path) -> BackendConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if raw.get("transcript") and not Path(raw["transcript"]).is_absolute():
-            raw = dict(raw)
-            raw["transcript"] = str(Path(path).parent / raw["transcript"])
-        return BackendConfig.from_dict(raw)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot load backend config {path}: {exc}") from exc
-
-
 def cmd_score(args) -> int:
     scenarios = load_scenarios(args.refs)
     refs = {sid: Reference(scn.seed_tool, scn.gold_args) for sid, scn in scenarios.items()}
-    judge = _load_backend_file(args.judge) if args.judge else None
+    judge = None
+    if args.judge:
+        judge = _backend_config(_read_config(args.judge, "backend config"),
+                                Path(args.judge).parent, f"in {args.judge}")
     report = score_corpus(load_traces(args.corpus), refs, judge=judge)
     payload = json.dumps(report.to_dict(), ensure_ascii=False, indent=2)
     if args.out:
@@ -341,37 +352,22 @@ def cmd_score(args) -> int:
 
 
 def cmd_bench_run(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load bench config {args.config}: {exc}") from exc
+    raw = _read_config(args.config, "bench config")
     base = Path(args.config).parent
-
-    def _resolve(p: str) -> Path:
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
-
     for key in ("mode", "catalogue", "scenarios", "assistant", "rng_seed", "out_dir"):
         if key not in raw:
             raise ConfigError(f"bench config missing key {key!r}")
     mode = raw["mode"]
-    cat = load_catalogue(_resolve(raw["catalogue"]))
-    scenarios = load_scenarios(_resolve(raw["scenarios"]))
-
-    def _backend(key: str) -> BackendConfig:
-        spec = dict(raw[key])
-        if spec.get("transcript"):
-            spec["transcript"] = str(_resolve(spec["transcript"]))
-        return BackendConfig.from_dict(spec)
-
-    assistant = _backend("assistant")
-    judge = _backend("judge") if raw.get("judge") else None
-    ecfg = EngineConfig(t_max=raw.get("t_max", 12))
+    ecfg = _engine_config(raw.get("t_max", 12))
+    assistant = _backend_config(raw["assistant"], base, "for 'assistant'")
+    judge = _backend_config(raw["judge"], base, "for 'judge'") if raw.get("judge") else None
+    cat = load_catalogue(_resolve(base, raw["catalogue"]))
+    scenarios = load_scenarios(_resolve(base, raw["scenarios"]))
     tasks = []
     if mode == "static":
         if "gold_corpus" not in raw:
             raise ConfigError("static bench config requires gold_corpus")
-        gold = {d.scenario_ref: d for d in load_traces(_resolve(raw["gold_corpus"]))}
+        gold = {d.scenario_ref: d for d in load_traces(_resolve(base, raw["gold_corpus"]))}
         for sid, scn in scenarios.items():
             if sid not in gold:
                 raise ConfigError(f"no gold dialogue for scenario {sid!r}")
@@ -381,25 +377,29 @@ def cmd_bench_run(args) -> int:
         for key in ("user_proxy", "voter"):
             if key not in raw:
                 raise ConfigError(f"dynamic bench config requires {key!r}")
-        vcfg = VotingConfig(
-            generator=_backend("user_proxy"),
-            voter=_backend("voter"),
-            n_samples=raw.get("n_samples", 3),
-            m_voters=raw.get("m_voters", 3),
-            rng_seed=raw["rng_seed"],
-        )
+        try:
+            vcfg = VotingConfig(
+                generator=_backend_config(raw["user_proxy"], base, "for 'user_proxy'"),
+                voter=_backend_config(raw["voter"], base, "for 'voter'"),
+                n_samples=raw.get("n_samples", 3),
+                m_voters=raw.get("m_voters", 3),
+                rng_seed=raw["rng_seed"],
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         tasks = [EvalTask(scenario=scn, mode="dynamic") for scn in scenarios.values()]
     else:
         raise ConfigError(f"unknown bench mode: {mode!r}")
 
     exclusions = None
     if raw.get("exclusions"):
-        exclusions = set(json.loads(_resolve(raw["exclusions"]).read_text(encoding="utf-8")))
+        exclusions = set(json.loads(
+            _resolve(base, raw["exclusions"]).read_text(encoding="utf-8")))
     report, traces = run_benchmark(
         tasks, assistant, cat, vcfg, judge, ecfg,
-        t_max=raw.get("t_max", 12), concurrency=raw.get("concurrency", 1),
+        t_max=ecfg.t_max, concurrency=raw.get("concurrency", 1),
         exclusions=exclusions)
-    out_dir = _resolve(raw["out_dir"])
+    out_dir = _resolve(base, raw["out_dir"])
     write_jsonl(out_dir / "traces.jsonl", [d.to_dict() for d in traces])
     (out_dir / "report.json").write_text(
         json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
@@ -417,14 +417,10 @@ def cmd_bench_report(args) -> int:
     if not report_path.exists():
         raise ConfigError(f"no report.json under {args.dir}")
     report = json.loads(report_path.read_text(encoding="utf-8"))
-
-    def _fmt(v) -> str:
-        return "undefined" if v is None else f"{v:.4f}"
-
     for key in ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr", "conv_rel", "ttr"):
-        print(f"{key.upper():>8}: {_fmt(report.get(key))}")
+        print(f"{key.upper():>8}: {format_metric(report.get(key))}")
     for n, v in sorted(report.get("ngd", {}).items()):
-        print(f"   NGD_{n}: {_fmt(v)}")
+        print(f"   NGD_{n}: {format_metric(v)}")
     print(f"dialogues: {len(report.get('per_dialogue', []))}")
     return 0
 

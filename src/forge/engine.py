@@ -21,6 +21,7 @@ the dialogue.
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import dataclass, field
 
@@ -35,6 +36,10 @@ SELECT_MARKER_RE = re.compile(r"<<select:\s*([^>]+?)\s*>>")
 
 TERMINATED_TOOL_CALL = "tool_call"
 TERMINATED_TURN_CAP = "turn_cap"
+
+# sampling settings shared by the user-proxy and assistant agents
+AGENT_TEMPERATURE = 0.7
+AGENT_MAX_TOKENS = 1024
 
 
 class AssistantFormatError(ValueError):
@@ -180,12 +185,6 @@ class DialogueTrace:
 class EngineConfig:
     t_max: int = 12
     regen_attempts: int = 5
-    selection_prompt: str = "assistant_system:v1"
-    filling_prompt: str = "assistant_filling:v1"
-    user_prompt: str = "user_proxy:v1"
-    user_temperature: float = 0.7
-    assistant_temperature: float = 0.7
-    max_tokens: int = 1024
 
     def __post_init__(self):
         if self.t_max < 2:
@@ -329,7 +328,24 @@ def committed_tool(turn: AssistantTurn) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# request construction (pure; tests rebuild these to key scripted transcripts)
+# request construction (pure; tests rebuild these to key scripted transcripts).
+# Prompt assets and sampling settings are fixed; the builders keep their
+# ``cfg`` parameter so existing call sites stay valid.
+
+
+def render_history(messages: list, thoughts: bool = False) -> str:
+    """One ``User:`` / ``Assistant:`` line per message, assistant turns by
+    their public text; with ``thoughts`` a non-empty thought adds an
+    ``Assistant (thinking):`` line before its turn."""
+    lines = []
+    for m in messages:
+        if isinstance(m, UserTurn):
+            lines.append(f"User: {m.text}")
+            continue
+        if thoughts and m.thought:
+            lines.append(f"Assistant (thinking): {m.thought}")
+        lines.append(f"Assistant: {m.public_text()}")
+    return "\n".join(lines)
 
 
 def render_tools_block(cat: Catalogue, names: list[str]) -> str:
@@ -337,12 +353,12 @@ def render_tools_block(cat: Catalogue, names: list[str]) -> str:
 
 
 def selection_system_prompt(cat: Catalogue, names: list[str], cfg: EngineConfig) -> str:
-    return render(get_prompt(cfg.selection_prompt), tools=render_tools_block(cat, names))
+    return render(get_prompt("assistant_system:v1"), tools=render_tools_block(cat, names))
 
 
 def filling_system_prompt(cat: Catalogue, names: list[str], gold: str, cfg: EngineConfig) -> str:
     return render(
-        get_prompt(cfg.filling_prompt),
+        get_prompt("assistant_filling:v1"),
         gold_tool=json.dumps(cat.get(gold).to_dict(), ensure_ascii=False, indent=2),
         tools=render_tools_block(cat, names),
     )
@@ -351,7 +367,7 @@ def filling_system_prompt(cat: Catalogue, names: list[str], gold: str, cfg: Engi
 def user_system_prompt(scn: Scenario, cat: Catalogue, cfg: EngineConfig) -> str:
     persona = f"{scn.persona} Your current objective: {scn.goal}"
     return render(
-        get_prompt(cfg.user_prompt),
+        get_prompt("user_proxy:v1"),
         user_persona=persona,
         gold_tool=json.dumps(cat.get(scn.seed_tool).to_dict(), ensure_ascii=False, indent=2),
         parameter_values=json.dumps(scn.gold_args, ensure_ascii=False, indent=2),
@@ -368,8 +384,8 @@ def assistant_request(sys_prompt: str, messages: list, seed: int,
             chat.append(ChatMessage("user", m.text))
         else:
             chat.append(ChatMessage("assistant", serialize_assistant_turn(m)))
-    return CompletionRequest(messages=tuple(chat), temperature=cfg.assistant_temperature,
-                             seed=seed, max_tokens=cfg.max_tokens)
+    return CompletionRequest(messages=tuple(chat), temperature=AGENT_TEMPERATURE,
+                             seed=seed, max_tokens=AGENT_MAX_TOKENS)
 
 
 def user_request(sys_prompt: str, messages: list, seed: int,
@@ -383,14 +399,12 @@ def user_request(sys_prompt: str, messages: list, seed: int,
             chat.append(ChatMessage("assistant", m.text))
         else:
             chat.append(ChatMessage("user", m.public_text()))
-    return CompletionRequest(messages=tuple(chat), temperature=cfg.user_temperature,
-                             seed=seed, max_tokens=cfg.max_tokens)
+    return CompletionRequest(messages=tuple(chat), temperature=AGENT_TEMPERATURE,
+                             seed=seed, max_tokens=AGENT_MAX_TOKENS)
 
 
 def shuffled_candidates(names: list[str], rng_seed: int) -> list[str]:
     """Deterministic presentation order with the gold position uniform."""
-    import random
-
     out = sorted(names)
     random.Random(rng_seed).shuffle(out)
     return out

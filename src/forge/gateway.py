@@ -5,8 +5,9 @@ Two backend kinds:
 * remote -- OpenAI-style chat-completions endpoint with retry/backoff.
   Credentials come from an environment variable named in the config,
   never from config files.
-* scripted -- bit-deterministic record/replay keyed by request
-  fingerprint, so the whole pipeline runs offline in tests.
+* scripted -- bit-deterministic replay keyed by request fingerprint, so
+  the whole pipeline runs offline in tests. There is no record mode:
+  transcripts are built ahead of a run (ROADMAP.md, open item 4).
 
 All network I/O in the package goes through this module. A global
 max-in-flight semaphore applies backpressure across threads.

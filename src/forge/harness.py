@@ -11,6 +11,8 @@ malformed and scores as abstention downstream.
 from __future__ import annotations
 
 import logging
+import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,6 +27,7 @@ from .engine import (
     UserTurn,
     assistant_request,
     parse_assistant_output,
+    render_history,
     selection_system_prompt,
     user_request,
     user_system_prompt,
@@ -60,15 +63,11 @@ class VotingConfig:
     voter: BackendConfig
     n_samples: int = 3
     m_voters: int = 3
-    pool_fn: str = "mode"
     rng_seed: int = 0
-    voter_prompt: str = "voter:v1"
 
     def __post_init__(self):
         if self.n_samples < 1 or self.m_voters < 1:
             raise ValueError("n_samples and m_voters must be >= 1")
-        if self.pool_fn != "mode":
-            raise ValueError(f"unknown pooling function: {self.pool_fn!r}")
 
 
 def invert_vote(perm: list[int], position: int) -> int:
@@ -95,23 +94,11 @@ def pool_votes(votes: list[int]) -> int:
 
 def _parse_vote(reply: str, n: int) -> int | None:
     """First integer in the reply if it is a valid 1..n position."""
-    import re
-
     match = re.search(r"\d+", reply)
     if not match:
         return None
     value = int(match.group(0))
     return value if 1 <= value <= n else None
-
-
-def _render_history(messages: list) -> str:
-    lines = []
-    for m in messages:
-        if isinstance(m, UserTurn):
-            lines.append(f"User: {m.text}")
-        else:
-            lines.append(f"Assistant: {m.public_text()}")
-    return "\n".join(lines) if lines else "(conversation start)"
 
 
 def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
@@ -124,8 +111,6 @@ def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
     or unparseable votes are discarded; if every vote is discarded the
     first candidate wins with a logged warning.
     """
-    import random
-
     turn_key = len(messages)
     gen_req = user_request(
         user_system_prompt(scn, cat, ecfg), messages,
@@ -140,10 +125,10 @@ def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
         listing = "\n".join(
             f"{pos + 1}. {candidates[orig]}" for pos, orig in enumerate(perm))
         prompt = render(
-            get_prompt(vcfg.voter_prompt),
+            get_prompt("voter:v1"),
             persona=scn.persona,
             goal=scn.goal,
-            history=_render_history(messages),
+            history=render_history(messages) or "(conversation start)",
             candidates=listing,
         )
         req = CompletionRequest(

@@ -18,7 +18,7 @@ import re
 import zlib
 from dataclasses import dataclass, field
 
-from .engine import AssistantTurn, DialogueTrace, args_equal
+from .engine import AssistantTurn, DialogueTrace, args_equal, render_history
 from .gateway import BackendConfig, ChatMessage, CompletionRequest, complete
 from .prompts import get_prompt, render
 from .seeds import split_seed
@@ -122,22 +122,6 @@ def corpus_prf(pairs: list[tuple[CallRecord, Reference]]) -> tuple[
 # conversational quality
 
 
-def _visible_history(d: DialogueTrace, upto: int) -> str:
-    """User-visible rendering of the prefix preceding assistant turn
-    ``upto`` (1-based), i.e. everything through u_upto, thoughts omitted."""
-    lines = []
-    seen_assistant = 0
-    for msg in d.messages:
-        if isinstance(msg, AssistantTurn):
-            seen_assistant += 1
-            if seen_assistant >= upto:
-                break
-            lines.append(f"Assistant: {msg.public_text()}")
-        else:
-            lines.append(f"User: {msg.text}")
-    return "\n".join(lines)
-
-
 def parse_grade(reply: str) -> int:
     match = re.search(r"[123]", reply)
     if not match:
@@ -147,12 +131,13 @@ def parse_grade(reply: str) -> int:
 
 def rubric_request(d: DialogueTrace, t: int) -> CompletionRequest:
     """The exact rubric request for assistant turn t (1-based); public so
-    scripted transcripts can be keyed ahead of a replay run."""
-    turn = d.assistant_turns()[t - 1]
+    scripted transcripts can be keyed ahead of a replay run. The judge sees
+    every message before that turn, thoughts omitted."""
+    at = [i for i, m in enumerate(d.messages) if isinstance(m, AssistantTurn)][t - 1]
     prompt = render(
         get_prompt("rubric_judge:v1"),
-        history=_visible_history(d, t),
-        reply=turn.public_text(),
+        history=render_history(d.messages[:at]),
+        reply=d.messages[at].public_text(),
     )
     base = zlib.crc32(d.dialogue_id.encode("utf-8"))
     return CompletionRequest(
@@ -227,6 +212,10 @@ def lexical_metrics(corpus: list[DialogueTrace]) -> tuple[float | None, dict[int
 # report assembly
 
 
+def format_metric(v: float | None) -> str:
+    return "undefined" if v is None else f"{v:.4f}"
+
+
 @dataclass
 class MetricReport:
     acc: float
@@ -257,11 +246,8 @@ class MetricReport:
         }
 
     def to_csv_row(self) -> str:
-        def _fmt(v: float | None) -> str:
-            return "undefined" if v is None else f"{v:.4f}"
-
         header = "tcp,tcr,pkp,pkr,acc,ftr,tar,conv_rel,ttr,ngd_2,ngd_3,ngd_4"
-        row = ",".join(_fmt(v) for v in (
+        row = ",".join(format_metric(v) for v in (
             self.tcp, self.tcr, self.pkp, self.pkr, self.acc, self.ftr, self.tar,
             self.conv_rel, self.ttr, self.ngd.get(2), self.ngd.get(3), self.ngd.get(4)))
         return f"{header}\n{row}\n"

@@ -35,6 +35,7 @@ from typing import Protocol
 
 import numpy as np
 
+from . import gateway
 from .catalogue import Catalogue, Tool
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -111,8 +112,6 @@ class RemoteEmbedder:
         self.retry_limit = retry_limit
 
     def embed(self, text: str) -> np.ndarray:
-        from . import gateway  # deferred: keeps all network I/O in one module
-
         body = {"model": self.model_id, "input": [text]}
         reply = gateway.post_json(
             self.endpoint, body, api_key_env=self.api_key_env,

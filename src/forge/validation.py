@@ -19,13 +19,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
-from .engine import AssistantTurn, DialogueTrace, UserTurn, args_equal
+from .engine import AssistantTurn, DialogueTrace, UserTurn, args_equal, render_history
 from .gateway import BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete
 from .prompts import get_prompt, render
 from .scenario import Scenario
 from .seeds import split_seed
 
 JUDGE_TEMPERATURE = 0.0
+JUDGES = ("relevancy", "critique")
 
 
 class ValidationInfraError(Exception):
@@ -120,18 +121,6 @@ def validate_toolargs(d: DialogueTrace, scn: Scenario) -> tuple[bool, str | None
     return True, None
 
 
-def render_dialogue(d: DialogueTrace, include_thoughts: bool = False) -> str:
-    lines = []
-    for msg in d.messages:
-        if isinstance(msg, UserTurn):
-            lines.append(f"User: {msg.text}")
-        else:
-            if include_thoughts and msg.thought:
-                lines.append(f"Assistant (thinking): {msg.thought}")
-            lines.append(f"Assistant: {msg.public_text()}")
-    return "\n".join(lines)
-
-
 def _judge_request(prompt: str, seed: int) -> CompletionRequest:
     return CompletionRequest(
         messages=(ChatMessage("user", prompt),),
@@ -165,11 +154,11 @@ def judge_requests(d: DialogueTrace, scn: Scenario,
         "relevancy": render(
             get_prompt("relevancy_judge:v1"),
             gold_tool=gold_block,
-            dialogue=render_dialogue(d, include_thoughts=False),
+            dialogue=render_history(d.messages),
         ),
         "critique": render(
             get_prompt("critique_judge:v1"),
-            dialogue=render_dialogue(d, include_thoughts=True),
+            dialogue=render_history(d.messages, thoughts=True),
         ),
     }
     return {name: _judge_request(prompt, _judge_seed(d, name))
@@ -177,15 +166,18 @@ def judge_requests(d: DialogueTrace, scn: Scenario,
 
 
 def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
-                 judges: dict[str, BackendConfig]) -> list[tuple[str, str]]:
+                 judges: dict[str, BackendConfig],
+                 timings: dict[str, float] | None = None) -> list[tuple[str, str]]:
     """Run the relevancy and critique judges concurrently.
 
     Returns the list of judge failures (empty = pass). GatewayErrors are
-    retried once per judge, then raised as ValidationInfraError.
+    retried once per judge, then raised as ValidationInfraError. Each
+    judge's own wall time, retry included, is stored in ``timings``.
     """
     requests_by_judge = judge_requests(d, scn, cat)
 
-    def _run(name: str) -> tuple[bool, str | None]:
+    def _run(name: str) -> tuple[bool, str | None, float]:
+        start = time.perf_counter()
         req = requests_by_judge[name]
         try:
             reply = complete(judges[name], req)
@@ -194,13 +186,15 @@ def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
                 reply = complete(judges[name], req)
             except GatewayError as exc:
                 raise ValidationInfraError(f"{name} judge failed twice: {exc}") from exc
-        return _parse_verdict(reply)
+        return (*_parse_verdict(reply), time.perf_counter() - start)
 
     failures = []
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = {name: pool.submit(_run, name) for name in ("relevancy", "critique")}
-        for name in ("relevancy", "critique"):
-            ok, reason = results[name].result()
+    with ThreadPoolExecutor(max_workers=len(JUDGES)) as pool:
+        results = {name: pool.submit(_run, name) for name in JUDGES}
+        for name in JUDGES:
+            ok, reason, elapsed = results[name].result()
+            if timings is not None:
+                timings[name] = elapsed
             if not ok:
                 failures.append((name, reason))
     return failures
@@ -227,11 +221,7 @@ def run_cascade(d: DialogueTrace, scn: Scenario, cat: Catalogue,
             report.failures.append((name, reason))
             return report
     if judges is not None:
-        start = time.perf_counter()
-        judge_failures = validate_llm(d, scn, cat, judges)
-        elapsed = time.perf_counter() - start
-        report.stage_timings["relevancy"] = elapsed
-        report.stage_timings["critique"] = elapsed
+        judge_failures = validate_llm(d, scn, cat, judges, report.stage_timings)
         if judge_failures:
             report.verdict = "reject"
             report.failures.extend(judge_failures)

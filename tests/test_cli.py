@@ -346,6 +346,46 @@ def test_bench_missing_key_is_config_error(tmp_path, capsys):
     assert "missing key" in capsys.readouterr().err
 
 
+def _bench_config(world, **overrides):
+    """A dynamic bench config over the generated scenarios, with overrides."""
+    run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
+    scripted = {"kind": "scripted", "model_id": "m-x", "transcript": "transcripts.json"}
+    cfg = {"mode": "dynamic", "catalogue": "catalogue.json",
+           "scenarios": "out/scenarios.jsonl", "assistant": scripted,
+           "user_proxy": scripted, "voter": scripted, "rng_seed": 1,
+           "out_dir": "bench_out", **overrides}
+    path = world.tmp_path / "bench.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def test_bench_unknown_backend_kind_is_config_error(world, capsys):
+    path = _bench_config(world, assistant={"kind": "bogus", "model_id": "m"})
+    assert run(["bench", "run", path]) == 2
+    assert "unknown backend kind" in capsys.readouterr().err
+
+
+def test_generate_non_object_backend_is_config_error(world, capsys):
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    cfg["backends"]["assistant"] = "m-asst"
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["generate", "--config", world.config_path]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_bench_zero_samples_is_config_error(world, capsys):
+    path = _bench_config(world, n_samples=0)
+    assert run(["bench", "run", path]) == 2
+    assert "n_samples" in capsys.readouterr().err
+
+
+def test_generate_turn_cap_below_two_is_config_error(world, capsys):
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    world.config_path.write_text(json.dumps({**cfg, "t_max": 1}), encoding="utf-8")
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 2
+    assert "t_max" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config loader details
 

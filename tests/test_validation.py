@@ -272,6 +272,23 @@ def test_accepted_dialogue_satisfies_stopping_criterion(world):
     assert check_stopping(final, world.scenario) == "success"
 
 
+def test_each_judge_is_timed_separately(world, monkeypatch):
+    import forge.validation
+
+    judges = passing_judges(world, world.expected_trace)
+    replay = forge.validation.complete
+
+    def slow_critique(cfg, req):
+        if cfg.model_id == "m-crit":
+            time.sleep(0.2)
+        return replay(cfg, req)
+
+    monkeypatch.setattr(forge.validation, "complete", slow_critique)
+    report = run_cascade(world.expected_trace, world.scenario, world.cat, judges)
+    assert report.accepted
+    assert report.stage_timings["critique"] >= 0.2 > report.stage_timings["relevancy"]
+
+
 def test_report_disk_format_omits_timings(world):
     t = simple_trace(calls=[(SEED_TOOL, {"nodeId": 437292})])
     report = run_cascade(t, world.scenario, world.cat, None)
