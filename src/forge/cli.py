@@ -1,6 +1,7 @@
 """Command-line entry point: generate, validate, export, stats, score, bench.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure or errored dialogues,
+2 configuration error.
 All randomness flows from the config's rng_seed through derived per-dialogue
 seeds, so reruns with the same config and transcripts are reproducible.
 """
@@ -58,8 +59,12 @@ class PipelineConfig:
 
     def judges(self) -> dict[str, BackendConfig] | None:
         """Both validator judges, or None to run the functional stage only."""
-        if all(name in self.backends for name in JUDGES):
+        missing = [name for name in JUDGES if name not in self.backends]
+        if not missing:
             return {name: self.backends[name] for name in JUDGES}
+        if len(missing) < len(JUDGES):
+            raise ConfigError(f"configure both judges {JUDGES} or neither; "
+                              f"no backend for {missing[0]!r}")
         return None
 
 
@@ -114,6 +119,9 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"persona file does not exist: {personas}")
     backends = {role: _backend_config(spec, base, f"for role {role!r}")
                 for role, spec in raw.get("backends", {}).items()}
+    for key in ("k", "persona_k"):
+        if raw.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be >= 1")
     return PipelineConfig(
         catalogue=catalogue,
         rng_seed=int(raw["rng_seed"]),
@@ -131,15 +139,20 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
 def build_embedder(spec: dict):
     kind = spec.get("kind", "hash")
-    if kind == "hash":
-        return HashEmbedder(dimension=spec.get("dimension", 256))
-    if kind == "remote":
-        return RemoteEmbedder(
-            endpoint=spec["endpoint"],
-            model_id=spec.get("model_id", ""),
-            dimension=spec["dimension"],
-            api_key_env=spec.get("api_key_env"),
-        )
+    try:
+        if kind == "hash":
+            return HashEmbedder(dimension=spec.get("dimension", 256))
+        if kind == "remote":
+            return RemoteEmbedder(
+                endpoint=spec["endpoint"],
+                model_id=spec.get("model_id", ""),
+                dimension=spec["dimension"],
+                api_key_env=spec.get("api_key_env"),
+            )
+    except KeyError as exc:
+        raise ConfigError(f"{kind} embedder requires {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad embedder config: {exc}") from exc
     raise ConfigError(f"unknown embedder kind: {kind!r}")
 
 
@@ -186,8 +199,10 @@ def cmd_catalogue_lint(args) -> int:
 
 def cmd_distractors(args) -> int:
     cat = load_catalogue(args.catalogue)
-    emb = HashEmbedder(dimension=args.dim)
-    dset = nearest_distractors(cat, args.seed, args.k, emb)
+    try:
+        dset = nearest_distractors(cat, args.seed, args.k, HashEmbedder(dimension=args.dim))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(exc.args[0]) from exc
     for name, score in dset.members:
         print(f"{name}\t{score:.6f}")
     return 0
@@ -272,7 +287,7 @@ def cmd_generate(args) -> int:
     write_jsonl(out / "scenarios.jsonl", scenarios)
     print(f"accepted={len(accepted)} rejected={len(rejected)} errors={len(errors)} "
           f"-> {out}")
-    return 0
+    return 1 if errors else 0
 
 
 def cmd_validate(args) -> int:
@@ -397,8 +412,7 @@ def cmd_bench_run(args) -> int:
             _resolve(base, raw["exclusions"]).read_text(encoding="utf-8")))
     report, traces = run_benchmark(
         tasks, assistant, cat, vcfg, judge, ecfg,
-        t_max=ecfg.t_max, concurrency=raw.get("concurrency", 1),
-        exclusions=exclusions)
+        concurrency=raw.get("concurrency", 1), exclusions=exclusions)
     out_dir = _resolve(base, raw["out_dir"])
     write_jsonl(out_dir / "traces.jsonl", [d.to_dict() for d in traces])
     (out_dir / "report.json").write_text(

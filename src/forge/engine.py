@@ -139,9 +139,6 @@ class DialogueTrace:
     phase_boundary: int | None = None
     terminated_by: str = TERMINATED_TURN_CAP
 
-    def user_turns(self) -> list[UserTurn]:
-        return [m for m in self.messages if isinstance(m, UserTurn)]
-
     def assistant_turns(self) -> list[AssistantTurn]:
         return [m for m in self.messages if isinstance(m, AssistantTurn)]
 

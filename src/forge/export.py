@@ -16,8 +16,6 @@ from pathlib import Path
 
 from .engine import DialogueTrace, serialize_assistant_turn
 
-EXPORT_FORMATS = ("chat-jsonl",)
-
 # Reference fine-tuning settings shipped in the manifest for documentation.
 # The exporter never trains anything.
 REFERENCE_TRAINING_SETTINGS = {
@@ -48,11 +46,6 @@ class SftSample:
             "messages": self.messages,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SftSample":
-        return cls(dialogue_id=d["dialogue_id"], turn_index=d["turn_index"],
-                   messages=list(d["messages"]))
-
 
 def slice_dialogue(d: DialogueTrace, sys_prompt: str) -> list[SftSample]:
     """Expand a T-assistant-turn dialogue into exactly T samples."""
@@ -72,20 +65,18 @@ def slice_dialogue(d: DialogueTrace, sys_prompt: str) -> list[SftSample]:
     return samples
 
 
-def export(samples: list[SftSample], path: str | Path, format: str = "chat-jsonl") -> dict:
+def export(samples: list[SftSample], path: str | Path) -> dict:
     """Write samples to disk and return the export manifest.
 
     Deterministic: the same samples always produce the same bytes, so the
     manifest hash doubles as a corpus identity.
     """
-    if format not in EXPORT_FORMATS:
-        raise ValueError(f"unknown export format {format!r}; supported: {EXPORT_FORMATS}")
     path = Path(path)
     lines = [json.dumps(s.to_dict(), ensure_ascii=False) for s in samples]
     payload = "\n".join(lines) + ("\n" if lines else "")
     path.write_text(payload, encoding="utf-8")
     return {
-        "format": format,
+        "format": "chat-jsonl",
         "path": str(path),
         "sample_count": len(samples),
         "dialogue_count": len({s.dialogue_id for s in samples}),
@@ -93,15 +84,6 @@ def export(samples: list[SftSample], path: str | Path, format: str = "chat-jsonl
         "reference_training_settings": dict(REFERENCE_TRAINING_SETTINGS),
         "training_executed": False,
     }
-
-
-def load_samples(path: str | Path) -> list[SftSample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(SftSample.from_dict(json.loads(line)))
-    return out
 
 
 @dataclass

@@ -25,9 +25,9 @@ from pathlib import Path
 
 import requests
 
-DEFAULT_MAX_IN_FLIGHT = 8
+MAX_IN_FLIGHT = 8
 
-_in_flight = threading.BoundedSemaphore(DEFAULT_MAX_IN_FLIGHT)
+_in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
@@ -46,14 +46,6 @@ class RetryExhaustedError(GatewayError):
 
 class TranscriptMissError(GatewayError):
     """No scripted reply is registered for this request fingerprint."""
-
-
-def set_max_in_flight(limit: int) -> None:
-    """Resize the global in-flight limit (applies to new acquisitions)."""
-    global _in_flight
-    if limit < 1:
-        raise ValueError("max in-flight limit must be >= 1")
-    _in_flight = threading.BoundedSemaphore(limit)
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,7 @@ def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
 
 def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogue,
                   vcfg: VotingConfig | None, judge: BackendConfig | None,
-                  ecfg: EngineConfig, t_max: int = 12, concurrency: int = 1,
+                  ecfg: EngineConfig, concurrency: int = 1,
                   exclusions: set[str] | None = None) -> tuple[MetricReport, list[DialogueTrace]]:
     """Run every task, score the traces, return (report, traces).
 
@@ -228,7 +228,7 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
     def _run(task: EvalTask) -> DialogueTrace:
         if task.mode == MODE_STATIC:
             return eval_static(task, assistant, cat, ecfg)
-        return eval_dynamic(task.scenario, assistant, cat, vcfg, t_max, ecfg)
+        return eval_dynamic(task.scenario, assistant, cat, vcfg, ecfg.t_max, ecfg)
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:

@@ -21,8 +21,6 @@ length d errs by at most (d + 2) * 2**-24 * |q| * |v|, so a margin of
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import random
 import re
@@ -30,7 +28,6 @@ import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
@@ -84,6 +81,8 @@ class HashEmbedder:
     """Deterministic bag-of-words embedder over hashed token buckets."""
 
     def __init__(self, dimension: int = 256):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.identity = f"hash-bow-{dimension}"
 
@@ -103,6 +102,8 @@ class RemoteEmbedder:
     def __init__(self, endpoint: str, model_id: str, dimension: int,
                  api_key_env: str | None = None, timeout: float = 30.0,
                  retry_limit: int = 3):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
         self.endpoint = endpoint
         self.model_id = model_id
         self.dimension = dimension
@@ -126,55 +127,6 @@ class RemoteEmbedder:
         if norm > 0:
             vec = vec / norm
         return vec
-
-
-class EmbeddingCache:
-    """Optional text-hash -> vector cache, versioned by embedder identity.
-
-    Concurrent inserts of identical keys are idempotent.
-    """
-
-    def __init__(self, embedder: Embedder):
-        self.embedder = embedder
-        self.dimension = embedder.dimension
-        self.identity = embedder.identity
-        self._vectors: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(text: str) -> str:
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def embed(self, text: str) -> np.ndarray:
-        key = self._key(text)
-        with self._lock:
-            hit = self._vectors.get(key)
-        if hit is not None:
-            return hit
-        vec = self.embedder.embed(text)
-        with self._lock:
-            self._vectors.setdefault(key, vec)
-        return vec
-
-    def save(self, path: str | Path) -> None:
-        with self._lock:
-            payload = {
-                "embedder": self.identity,
-                "dimension": self.dimension,
-                "vectors": {k: v.tolist() for k, v in self._vectors.items()},
-            }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-    def load(self, path: str | Path) -> None:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("embedder") != self.identity:
-            raise ValueError(
-                f"cache was built by embedder {payload.get('embedder')!r}, "
-                f"this cache serves {self.identity!r}"
-            )
-        with self._lock:
-            for k, v in payload["vectors"].items():
-                self._vectors.setdefault(k, np.asarray(v, dtype=np.float64))
 
 
 class VectorIndex:

@@ -51,14 +51,6 @@ class ValidationReport:
             "failures": [[name, reason] for name, reason in self.failures],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ValidationReport":
-        return cls(
-            dialogue_id=d["dialogue_id"],
-            verdict=d["verdict"],
-            failures=[(n, r) for n, r in d.get("failures", [])],
-        )
-
 
 def validate_format(d: DialogueTrace) -> tuple[bool, str | None]:
     """Structural checks: strict user/assistant alternation, non-empty

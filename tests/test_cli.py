@@ -386,6 +386,46 @@ def test_generate_turn_cap_below_two_is_config_error(world, capsys):
     assert "t_max" in capsys.readouterr().err
 
 
+def test_generate_one_judge_only_is_config_error(world, capsys):
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    del cfg["backends"]["critique"]
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 2
+    assert "'critique'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("generate", {"embedder": {"kind": "remote"}}, "endpoint"),
+    ("generate", {"embedder": {"kind": "hash", "dimension": 0}}, "dimension"),
+    ("generate", {"k": 0}, "k must be"),
+    ("generate", {"persona_k": 0}, "persona_k must be"),
+    ("distractors", [SEED_TOOL, "--dim", "0"], "dimension"),
+    ("distractors", [SEED_TOOL, "--k", "0"], "k must be"),
+    ("distractors", ["no_such_tool"], "no_such_tool"),
+], ids=["remote-embedder-no-endpoint", "embedder-dimension-0", "k-0", "persona-k-0",
+        "distractors-dim-0", "distractors-k-0", "distractors-unknown-seed"])
+def test_bad_input_is_config_error(world, capsys, command, change, message):
+    if command == "generate":
+        cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+        world.config_path.write_text(json.dumps({**cfg, **change}), encoding="utf-8")
+        argv = ["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]
+    else:
+        argv = ["distractors", world.tmp_path / "catalogue.json", *change]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_generate_errored_dialogue_exits_1(world, capsys):
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    cfg["backends"]["goal"]["model_id"] = "m-unscripted"
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 1
+    assert "errors=1" in capsys.readouterr().out
+    for name in ("corpus.jsonl", "rejected.jsonl", "scenarios.jsonl"):
+        assert (world.tmp_path / "out" / name).exists()
+
+
 # ---------------------------------------------------------------------------
 # config loader details
 

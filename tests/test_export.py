@@ -5,7 +5,7 @@ import random
 import pytest
 
 from forge.engine import parse_assistant_output, serialize_assistant_turn
-from forge.export import compute_stats, export, load_samples, slice_dialogue
+from forge.export import compute_stats, export, slice_dialogue
 
 from conftest import build_replay_world, simple_trace
 
@@ -117,13 +117,8 @@ def test_export_round_trip_parses_back(tmp_path):
     trace = simple_trace(pairs=3, calls=[("t", {"a": "b"})])
     samples = slice_dialogue(trace, SYS)
     export(samples, tmp_path / "samples.jsonl")
-    loaded = load_samples(tmp_path / "samples.jsonl")
-    assert [s.to_dict() for s in loaded] == [s.to_dict() for s in samples]
-
-
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError, match="unknown export format"):
-        export([], tmp_path / "x.parquet", format="parquet")
+    lines = (tmp_path / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [s.to_dict() for s in samples]
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def remote_cfg(endpoint, **kw):
@@ -217,15 +218,3 @@ def test_remote_sample_n_issues_distinct_calls(stub_server):
     seeds = [b["seed"] for b in StubHandler.bodies]
     assert seeds == [10, 11, 12]
 
-
-def test_in_flight_limit_configurable(stub_server):
-    from forge.gateway import DEFAULT_MAX_IN_FLIGHT, set_max_in_flight
-
-    with pytest.raises(ValueError):
-        set_max_in_flight(0)
-    try:
-        set_max_in_flight(1)
-        StubHandler.script = [(200, "serial", 0)]
-        assert complete(remote_cfg(stub_server), req()) == "serial"
-    finally:
-        set_max_in_flight(DEFAULT_MAX_IN_FLIGHT)

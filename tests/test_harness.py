@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from forge.engine import (
     AssistantTurn,
+    EngineConfig,
     UserTurn,
     assistant_request,
     selection_system_prompt,
@@ -335,6 +336,15 @@ def test_dynamic_never_calling_assistant_hits_cap(world):
     trace = eval_dynamic(scn, cand, world.cat, vcfg, 3, world.ecfg)
     assert trace.pair_count() == 3
     assert trace.terminated_by == "turn_cap"
+
+
+def test_benchmark_dynamic_turn_cap_is_engine_t_max(world):
+    steps = [(f"utterance {i}", ASKING) for i in range(2)]
+    scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=891)
+    _, traces = run_benchmark([EvalTask(scenario=scn, mode="dynamic")], cand, world.cat,
+                              vcfg, None, EngineConfig(t_max=2))
+    assert traces[0].pair_count() == 2
+    assert traces[0].terminated_by == "turn_cap"
 
 
 def test_dynamic_is_deterministic(world):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from forge.catalogue import parse_catalogue
 from forge.retrieval import (
     DistractorSet,
-    EmbeddingCache,
     HashEmbedder,
     RemoteEmbedder,
     VectorIndex,
@@ -167,37 +166,6 @@ def test_search_catalogue_orders_by_query_similarity(cat, emb):
     hits = search_catalogue(cat, "review actions during transport requests", 3, emb)
     assert len(hits) == 3
     assert hits[0][0] == SEED_TOOL
-
-
-def test_embedding_cache_round_trip(tmp_path):
-    emb = HashEmbedder()
-    cache = EmbeddingCache(emb)
-    v1 = cache.embed("alpha beta")
-    cache.save(tmp_path / "cache.json")
-    fresh = EmbeddingCache(HashEmbedder())
-    fresh.load(tmp_path / "cache.json")
-    assert np.allclose(fresh.embed("alpha beta"), v1)
-
-
-def test_embedding_cache_rejects_other_embedder(tmp_path):
-    cache = EmbeddingCache(HashEmbedder(dimension=256))
-    cache.save(tmp_path / "cache.json")
-    other = EmbeddingCache(HashEmbedder(dimension=64))
-    with pytest.raises(ValueError, match="embedder"):
-        other.load(tmp_path / "cache.json")
-
-
-def test_embedding_cache_concurrent_identical_keys():
-    from concurrent.futures import ThreadPoolExecutor
-
-    cache = EmbeddingCache(HashEmbedder())
-    texts = [f"text {i % 4}" for i in range(64)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(cache.embed, texts))
-    baseline = {t: HashEmbedder().embed(t) for t in set(texts)}
-    for text, vec in zip(texts, results):
-        assert np.array_equal(vec, baseline[text])
-    assert len(cache._vectors) == 4
 
 
 # ---------------------------------------------------------------------------
