@@ -1,7 +1,8 @@
 """Command-line entry point: generate, validate, export, stats, score, bench.
 
 Exit codes: 0 success, 1 validation failure or errored dialogues,
-2 configuration error.
+2 configuration error, including a missing or unparseable input file.
+Every input file is read here, before the first LLM call.
 All randomness flows from the config's rng_seed through derived per-dialogue
 seeds, so reruns with the same config and transcripts are reproducible.
 """
@@ -25,7 +26,7 @@ from .engine import (
     synthesize_dialogue,
 )
 from .export import compute_stats, export, slice_dialogue
-from .gateway import BackendConfig, GatewayError
+from .gateway import BackendConfig, GatewayError, Transcript
 from .harness import EvalTask, VotingConfig, run_benchmark
 from .metrics import Reference, format_metric, score_corpus
 from .retrieval import HashEmbedder, RemoteEmbedder, nearest_distractors
@@ -82,15 +83,23 @@ def _resolve(base: Path, path: str) -> Path:
     return candidate if candidate.is_absolute() else base / candidate
 
 
-def _backend_config(spec: dict, base: Path, where: str) -> BackendConfig:
+def _backend_config(spec: dict, base: Path, where: str,
+                    transcripts: dict[str, Transcript]) -> BackendConfig:
     """The one backend-spec loader: resolves the transcript path against
-    ``base`` and reports a bad spec as a ConfigError naming ``where``."""
+    ``base``, loads each file once into ``transcripts`` (roles naming one file
+    share its Transcript) and reports a bad spec as a ConfigError."""
     if not isinstance(spec, dict):
         raise ConfigError(f"bad backend config {where}: expected a JSON object")
-    if spec.get("transcript"):
-        spec = {**spec, "transcript": str(_resolve(base, spec["transcript"]))}
+    path = spec.get("transcript")
+    if path:
+        path = str(_resolve(base, path))
+        if spec.get("kind") == "scripted" and path not in transcripts:
+            try:
+                transcripts[path] = Transcript.load(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot load transcript {path}: {exc}") from exc
     try:
-        return BackendConfig.from_dict(spec)
+        return BackendConfig.from_dict({**spec, "transcript": path}, transcripts.get(path))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad backend config {where}: {exc}") from exc
 
@@ -112,14 +121,11 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     catalogue = _resolve(base, raw["catalogue"])
     if not catalogue.exists():
         raise ConfigError(f"catalogue file does not exist: {catalogue}")
-    personas = None
-    if raw.get("personas"):
-        personas = _resolve(base, raw["personas"])
-        if not personas.exists():
-            raise ConfigError(f"persona file does not exist: {personas}")
-    backends = {role: _backend_config(spec, base, f"for role {role!r}")
+    personas = _resolve(base, raw["personas"]) if raw.get("personas") else None
+    transcripts: dict[str, Transcript] = {}
+    backends = {role: _backend_config(spec, base, f"for role {role!r}", transcripts)
                 for role, spec in raw.get("backends", {}).items()}
-    for key in ("k", "persona_k"):
+    for key in ("k", "persona_k", "concurrency"):
         if raw.get(key, 1) < 1:
             raise ConfigError(f"{key} must be >= 1")
     return PipelineConfig(
@@ -163,13 +169,21 @@ def write_jsonl(path: Path, records: list[dict]) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def write_json(path: str | Path | None, obj) -> None:
+    """Pretty-printed JSON to ``path``, or to stdout when ``path`` is None."""
+    text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def load_scenarios(path: str | Path) -> dict[str, Scenario]:
@@ -181,6 +195,26 @@ def load_scenarios(path: str | Path) -> dict[str, Scenario]:
 
 def load_traces(path: str | Path) -> list[DialogueTrace]:
     return [DialogueTrace.from_dict(d) for d in read_jsonl(path)]
+
+
+def _join_scenarios(corpus: str, scenarios_path: str) -> list[tuple[DialogueTrace, Scenario]]:
+    """Each corpus trace paired with the scenario it references."""
+    scenarios = load_scenarios(scenarios_path)
+    pairs = []
+    for trace in load_traces(corpus):
+        scn = scenarios.get(trace.scenario_ref)
+        if scn is None:
+            raise ConfigError(f"corpus references unknown scenario {trace.scenario_ref!r}")
+        pairs.append((trace, scn))
+    return pairs
+
+
+def _write_report(args, payload: dict, to_csv) -> int:
+    """JSON to ``--out`` or stdout, and ``to_csv()`` to ``--csv`` when given."""
+    write_json(args.out, payload)
+    if args.csv:
+        Path(args.csv).write_text(to_csv(), encoding="utf-8")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +247,11 @@ def cmd_generate(args) -> int:
     ecfg = _engine_config(cfg.t_max, cfg.regen_attempts)
     cat = load_catalogue(cfg.catalogue)
     emb = build_embedder(cfg.embedder)
-    store = (PersonaStore.load(cfg.personas, emb) if cfg.personas
-             else PersonaStore.bundled(emb))
+    try:
+        store = (PersonaStore.load(cfg.personas, emb) if cfg.personas
+                 else PersonaStore.bundled(emb))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load persona file {cfg.personas}: {exc}") from exc
     gw_goal = cfg.backend("goal")
     gw_slots = cfg.backends.get("slots", gw_goal)
     gw_user = cfg.backend("user_proxy")
@@ -229,32 +266,24 @@ def cmd_generate(args) -> int:
     else:
         names = cat.names()
 
-    def _one(name: str) -> dict:
+    def _one(name: str) -> tuple[dict | None, str, dict | str]:
         seed = split_seed(cfg.rng_seed, f"dialogue:{name}")
-        result: dict = {"seed_tool": name}
         try:
             scn = build_scenario(cat, store, gw_goal, name, cfg.k, seed,
                                  persona_k=cfg.persona_k, slot_gw=gw_slots)
         except (ScenarioError, GatewayError) as exc:
-            result["status"] = "error"
-            result["reason"] = str(exc)
-            return result
-        result["scenario"] = scn
+            return None, "error", f"error on {name}: {exc}"
         try:
             trace = synthesize_dialogue(scn, cat, emb, gw_user, gw_asst, ecfg)
             report = run_cascade(trace, scn, cat, judges)
         except SynthesisRejected as exc:
-            result["status"] = "rejected_synthesis"
-            result["reason"] = str(exc)
-            return result
+            return scn.to_dict(), "rejected", {"seed_tool": name, "reason": str(exc)}
         except (GatewayError, AssistantFormatError, ValidationInfraError) as exc:
-            result["status"] = "error"
-            result["reason"] = str(exc)
-            return result
-        result["trace"] = trace
-        result["report"] = report
-        result["status"] = "accepted" if report.accepted else "rejected_validation"
-        return result
+            return scn.to_dict(), "error", f"error on {name}: {exc}"
+        if report.accepted:
+            return scn.to_dict(), "accepted", trace.to_dict()
+        return (scn.to_dict(), "rejected",
+                {"dialogue": trace.to_dict(), "report": report.to_dict()})
 
     if cfg.concurrency > 1:
         with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
@@ -263,44 +292,30 @@ def cmd_generate(args) -> int:
         results = [_one(n) for n in names]
 
     out = cfg.out_dir
-    accepted, rejected, scenarios, errors = [], [], [], []
-    for res in results:
-        if "scenario" in res:
-            scenarios.append(res["scenario"].to_dict())
-        if res["status"] == "accepted":
-            accepted.append(res["trace"].to_dict())
-        elif res["status"] == "rejected_validation":
-            rejected.append({
-                "dialogue": res["trace"].to_dict(),
-                "report": res["report"].to_dict(),
-            })
-        elif res["status"] == "rejected_synthesis":
-            rejected.append({
-                "seed_tool": res["seed_tool"],
-                "reason": res["reason"],
-            })
-        else:
-            errors.append(res)
-            print(f"error on {res['seed_tool']}: {res['reason']}", file=sys.stderr)
-    write_jsonl(out / "corpus.jsonl", accepted)
-    write_jsonl(out / "rejected.jsonl", rejected)
+    records: dict[str, list] = {"accepted": [], "rejected": [], "error": []}
+    scenarios = []
+    for scenario, outcome, record in results:
+        if scenario is not None:
+            scenarios.append(scenario)
+        records[outcome].append(record)
+    for text in records["error"]:
+        print(text, file=sys.stderr)
+    write_jsonl(out / "corpus.jsonl", records["accepted"])
+    write_jsonl(out / "rejected.jsonl", records["rejected"])
     write_jsonl(out / "scenarios.jsonl", scenarios)
-    print(f"accepted={len(accepted)} rejected={len(rejected)} errors={len(errors)} "
-          f"-> {out}")
-    return 1 if errors else 0
+    print(f"accepted={len(records['accepted'])} rejected={len(records['rejected'])} "
+          f"errors={len(records['error'])} -> {out}")
+    return 1 if records["error"] else 0
 
 
 def cmd_validate(args) -> int:
     cfg = load_pipeline_config(args.config)
     cat = load_catalogue(cfg.catalogue)
-    scenarios = load_scenarios(args.scenarios)
+    pairs = _join_scenarios(args.corpus, args.scenarios)
     judges = cfg.judges()
     reports = []
     all_ok = True
-    for trace in load_traces(args.corpus):
-        scn = scenarios.get(trace.scenario_ref)
-        if scn is None:
-            raise ConfigError(f"corpus references unknown scenario {trace.scenario_ref!r}")
+    for trace, scn in pairs:
         report = run_cascade(trace, scn, cat, judges)
         reports.append(report.to_dict())
         if not report.accepted:
@@ -316,19 +331,14 @@ def cmd_export(args) -> int:
     cfg = load_pipeline_config(args.config)
     ecfg = _engine_config(cfg.t_max, cfg.regen_attempts)
     cat = load_catalogue(cfg.catalogue)
-    scenarios = load_scenarios(args.scenarios)
     samples = []
-    for trace in load_traces(args.corpus):
-        scn = scenarios.get(trace.scenario_ref)
-        if scn is None:
-            raise ConfigError(f"corpus references unknown scenario {trace.scenario_ref!r}")
+    for trace, scn in _join_scenarios(args.corpus, args.scenarios):
         sys_prompt = selection_system_prompt(cat, scn.pool, ecfg)
         samples.extend(slice_dialogue(trace, sys_prompt))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = export(samples, out_dir / "samples.jsonl")
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    write_json(out_dir / "manifest.json", manifest)
     print(f"exported {manifest['sample_count']} samples from "
           f"{manifest['dialogue_count']} dialogues -> {out_dir}")
     return 0
@@ -338,14 +348,7 @@ def cmd_stats(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     counts = {sid: len(scn.gold_args) for sid, scn in scenarios.items()}
     stats = compute_stats(load_traces(args.corpus), counts)
-    payload = json.dumps(stats.to_dict(), ensure_ascii=False, indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
-    if args.csv:
-        Path(args.csv).write_text(stats.to_csv(), encoding="utf-8")
-    return 0
+    return _write_report(args, stats.to_dict(), stats.to_csv)
 
 
 def cmd_score(args) -> int:
@@ -354,16 +357,9 @@ def cmd_score(args) -> int:
     judge = None
     if args.judge:
         judge = _backend_config(_read_config(args.judge, "backend config"),
-                                Path(args.judge).parent, f"in {args.judge}")
+                                Path(args.judge).parent, f"in {args.judge}", {})
     report = score_corpus(load_traces(args.corpus), refs, judge=judge)
-    payload = json.dumps(report.to_dict(), ensure_ascii=False, indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
-    if args.csv:
-        Path(args.csv).write_text(report.to_csv_row(), encoding="utf-8")
-    return 0
+    return _write_report(args, report.to_dict(), report.to_csv_row)
 
 
 def cmd_bench_run(args) -> int:
@@ -372,10 +368,14 @@ def cmd_bench_run(args) -> int:
     for key in ("mode", "catalogue", "scenarios", "assistant", "rng_seed", "out_dir"):
         if key not in raw:
             raise ConfigError(f"bench config missing key {key!r}")
+    if raw.get("concurrency", 1) < 1:
+        raise ConfigError("concurrency must be >= 1")
     mode = raw["mode"]
     ecfg = _engine_config(raw.get("t_max", 12))
-    assistant = _backend_config(raw["assistant"], base, "for 'assistant'")
-    judge = _backend_config(raw["judge"], base, "for 'judge'") if raw.get("judge") else None
+    transcripts: dict[str, Transcript] = {}
+    assistant = _backend_config(raw["assistant"], base, "for 'assistant'", transcripts)
+    judge = (_backend_config(raw["judge"], base, "for 'judge'", transcripts)
+             if raw.get("judge") else None)
     cat = load_catalogue(_resolve(base, raw["catalogue"]))
     scenarios = load_scenarios(_resolve(base, raw["scenarios"]))
     tasks = []
@@ -394,8 +394,9 @@ def cmd_bench_run(args) -> int:
                 raise ConfigError(f"dynamic bench config requires {key!r}")
         try:
             vcfg = VotingConfig(
-                generator=_backend_config(raw["user_proxy"], base, "for 'user_proxy'"),
-                voter=_backend_config(raw["voter"], base, "for 'voter'"),
+                generator=_backend_config(raw["user_proxy"], base, "for 'user_proxy'",
+                                          transcripts),
+                voter=_backend_config(raw["voter"], base, "for 'voter'", transcripts),
                 n_samples=raw.get("n_samples", 3),
                 m_voters=raw.get("m_voters", 3),
                 rng_seed=raw["rng_seed"],
@@ -408,29 +409,24 @@ def cmd_bench_run(args) -> int:
 
     exclusions = None
     if raw.get("exclusions"):
-        exclusions = set(json.loads(
-            _resolve(base, raw["exclusions"]).read_text(encoding="utf-8")))
+        exclusions = set(_read_config(_resolve(base, raw["exclusions"]), "exclusions file"))
     report, traces = run_benchmark(
         tasks, assistant, cat, vcfg, judge, ecfg,
         concurrency=raw.get("concurrency", 1), exclusions=exclusions)
     out_dir = _resolve(base, raw["out_dir"])
-    write_jsonl(out_dir / "traces.jsonl", [d.to_dict() for d in traces])
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    records = [d.to_dict() for d in traces]
+    write_jsonl(out_dir / "traces.jsonl", records)
+    write_json(out_dir / "report.json", report.to_dict())
     audit = out_dir / "audit"
     audit.mkdir(parents=True, exist_ok=True)
-    for d in traces:
-        (audit / f"{d.dialogue_id.replace('/', '_')}.json").write_text(
-            json.dumps(d.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    for record in records:
+        write_json(audit / f"{record['dialogue_id'].replace('/', '_')}.json", record)
     print(f"bench complete: {len(traces)} tasks -> {out_dir}")
     return 0
 
 
 def cmd_bench_report(args) -> int:
-    report_path = Path(args.dir) / "report.json"
-    if not report_path.exists():
-        raise ConfigError(f"no report.json under {args.dir}")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    report = _read_config(Path(args.dir) / "report.json", "bench report")
     for key in ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr", "conv_rel", "ttr"):
         print(f"{key.upper():>8}: {format_metric(report.get(key))}")
     for n, v in sorted(report.get("ngd", {}).items()):

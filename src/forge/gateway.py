@@ -97,9 +97,13 @@ class BackendConfig:
             raise ValueError("remote backend requires an endpoint")
         if self.retry_limit > 10:
             raise ValueError("retry_limit must be <= 10")
+        if self.kind == "scripted" and self.transcript is None:
+            if not self.transcript_path:
+                raise ValueError("scripted backend requires a transcript")
+            self.transcript = Transcript.load(self.transcript_path)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BackendConfig":
+    def from_dict(cls, d: dict, transcript: "Transcript | None" = None) -> "BackendConfig":
         return cls(
             kind=d["kind"],
             model_id=d.get("model_id", ""),
@@ -108,6 +112,7 @@ class BackendConfig:
             retry_limit=d.get("retry_limit", 3),
             timeout=d.get("timeout", 60.0),
             transcript_path=d.get("transcript"),
+            transcript=transcript,
         )
 
 
@@ -167,16 +172,10 @@ class Transcript:
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError("transcript must be a JSON object")
         replies = {k: ([v] if isinstance(v, str) else list(v)) for k, v in raw.items()}
         return cls(replies)
-
-
-def _transcript_for(cfg: BackendConfig) -> Transcript:
-    if cfg.transcript is None:
-        if not cfg.transcript_path:
-            raise GatewayError("scripted backend requires a transcript")
-        cfg.transcript = Transcript.load(cfg.transcript_path)
-    return cfg.transcript
 
 
 def _auth_headers(api_key_env: str | None) -> dict[str, str]:
@@ -247,7 +246,7 @@ def complete(cfg: BackendConfig, req: CompletionRequest) -> str:
     """One completion from the configured backend."""
     if cfg.kind == "scripted":
         fp = fingerprint(cfg.model_id, req)
-        return _transcript_for(cfg).lookup(fp, 1)[0]
+        return cfg.transcript.lookup(fp, 1)[0]
     return _remote_complete(cfg, req)
 
 
@@ -262,7 +261,7 @@ def sample_n(cfg: BackendConfig, req: CompletionRequest, n: int) -> list[str]:
         raise ValueError("n must be >= 1")
     if cfg.kind == "scripted":
         fp = fingerprint(cfg.model_id, req)
-        return _transcript_for(cfg).lookup(fp, n)
+        return cfg.transcript.lookup(fp, n)
     out = []
     for i in range(n):
         sub = req if req.seed is None else CompletionRequest(

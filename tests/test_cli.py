@@ -6,6 +6,7 @@ import pytest
 
 from forge import retrieval
 from forge.cli import load_pipeline_config, main
+from forge.gateway import Transcript
 
 from conftest import CATALOGUE_TOOLS, SEED_TOOL, build_replay_world
 
@@ -399,21 +400,90 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("generate", {"embedder": {"kind": "hash", "dimension": 0}}, "dimension"),
     ("generate", {"k": 0}, "k must be"),
     ("generate", {"persona_k": 0}, "persona_k must be"),
+    ("generate", {"concurrency": 0}, "concurrency must be"),
+    ("bench", {"concurrency": -3}, "concurrency must be"),
     ("distractors", [SEED_TOOL, "--dim", "0"], "dimension"),
     ("distractors", [SEED_TOOL, "--k", "0"], "k must be"),
     ("distractors", ["no_such_tool"], "no_such_tool"),
 ], ids=["remote-embedder-no-endpoint", "embedder-dimension-0", "k-0", "persona-k-0",
+        "concurrency-0", "bench-concurrency-negative",
         "distractors-dim-0", "distractors-k-0", "distractors-unknown-seed"])
 def test_bad_input_is_config_error(world, capsys, command, change, message):
     if command == "generate":
         cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
         world.config_path.write_text(json.dumps({**cfg, **change}), encoding="utf-8")
         argv = ["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]
+    elif command == "bench":
+        argv = ["bench", "run", _bench_config(world, **change)]
     else:
         argv = ["distractors", world.tmp_path / "catalogue.json", *change]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+def _unreadable_input(world, case: str):
+    """(argv, the path the error must name) for one unreadable input."""
+    tmp, config = world.tmp_path, world.config_path
+    missing, empty = tmp / "missing.jsonl", tmp / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    generate = ["generate", "--config", config]
+    if case == "critique-transcript-missing":
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg["concurrency"] = 4
+        cfg["backends"]["critique"]["transcript"] = missing.name
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        return generate, missing
+    if case in ("transcript-not-json", "transcript-not-object"):
+        text = "not json" if case == "transcript-not-json" else "[]"
+        (tmp / "transcripts.json").write_text(text, encoding="utf-8")
+        return generate, tmp / "transcripts.json"
+    if case == "personas-not-array":
+        (tmp / "personas.json").write_text('{"persona": "a trader"}', encoding="utf-8")
+        return generate, tmp / "personas.json"
+    if case == "bench-exclusions-missing":
+        return ["bench", "run", _bench_config(world, exclusions=missing.name)], missing
+    if case == "bench-gold-missing":
+        return ["bench", "run", _bench_config(world, mode="static",
+                                               gold_corpus=missing.name)], missing
+    return {
+        "validate-corpus-missing": ["validate", missing, "--config", config,
+                                    "--scenarios", empty],
+        "export-corpus-missing": ["export", missing, "--config", config,
+                                  "--scenarios", empty, "--out-dir", tmp / "sft"],
+        "stats-corpus-missing": ["stats", missing, "--scenarios", empty],
+        "score-refs-missing": ["score", empty, "--refs", missing],
+    }[case], missing
+
+
+@pytest.mark.parametrize("case", [
+    "critique-transcript-missing", "transcript-not-json", "transcript-not-object",
+    "personas-not-array",
+    "validate-corpus-missing", "export-corpus-missing", "stats-corpus-missing",
+    "score-refs-missing", "bench-exclusions-missing", "bench-gold-missing"])
+def test_unreadable_input_is_config_error(world, capsys, case):
+    argv, path = _unreadable_input(world, case)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+    if case == "critique-transcript-missing":
+        assert not (world.tmp_path / "out").exists()
+
+
+def test_roles_share_one_transcript(world, monkeypatch):
+    cfg = load_pipeline_config(world.config_path)
+    assert cfg.backends["goal"].transcript is cfg.backends["critique"].transcript
+    reads = []
+    load = Transcript.load.__func__
+
+    def counting_load(cls, path):
+        reads.append(path)
+        return load(cls, path)
+
+    monkeypatch.setattr(Transcript, "load", classmethod(counting_load))
+    assert run(["generate", "--config", world.config_path]) == 0
+    assert len(reads) == 1
 
 
 def test_generate_errored_dialogue_exits_1(world, capsys):

@@ -222,6 +222,7 @@ def test_judge_timeout_retried_once_then_passes(world):
         assert all(count == 2 for count in FlakyJudgeHandler.seen.values())
     finally:
         server.shutdown()
+        server.server_close()
 
 
 # ---------------------------------------------------------------------------
