@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,13 +25,13 @@ from .engine import (
     synthesize_dialogue,
 )
 from .export import compute_stats, export, slice_dialogue
-from .gateway import BackendConfig, GatewayError, Transcript
+from .gateway import BackendConfig, GatewayError, Transcript, fan_out
 from .harness import EvalTask, VotingConfig, run_benchmark
 from .metrics import Reference, format_metric, score_corpus
 from .retrieval import HashEmbedder, RemoteEmbedder, nearest_distractors
 from .scenario import PersonaStore, Scenario, ScenarioError, build_scenario
 from .seeds import split_seed
-from .validation import JUDGES, ValidationInfraError, run_cascade
+from .validation import JUDGES, ValidationInfraError, ValidationReport, run_cascade
 
 
 class ConfigError(Exception):
@@ -99,7 +98,7 @@ def _backend_config(spec: dict, base: Path, where: str,
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot load transcript {path}: {exc}") from exc
     try:
-        return BackendConfig.from_dict({**spec, "transcript": path}, transcripts.get(path))
+        return BackendConfig.from_dict(spec, transcripts.get(path))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad backend config {where}: {exc}") from exc
 
@@ -285,16 +284,10 @@ def cmd_generate(args) -> int:
         return (scn.to_dict(), "rejected",
                 {"dialogue": trace.to_dict(), "report": report.to_dict()})
 
-    if cfg.concurrency > 1:
-        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-            results = list(pool.map(_one, names))
-    else:
-        results = [_one(n) for n in names]
-
     out = cfg.out_dir
     records: dict[str, list] = {"accepted": [], "rejected": [], "error": []}
     scenarios = []
-    for scenario, outcome, record in results:
+    for scenario, outcome, record in fan_out(_one, names, cfg.concurrency):
         if scenario is not None:
             scenarios.append(scenario)
         records[outcome].append(record)
@@ -314,17 +307,18 @@ def cmd_validate(args) -> int:
     pairs = _join_scenarios(args.corpus, args.scenarios)
     judges = cfg.judges()
     reports = []
-    all_ok = True
     for trace, scn in pairs:
-        report = run_cascade(trace, scn, cat, judges)
+        try:
+            report = run_cascade(trace, scn, cat, judges)
+        except ValidationInfraError as exc:
+            print(f"error on {trace.dialogue_id}: {exc}", file=sys.stderr)
+            report = ValidationReport(trace.dialogue_id, "error", [("judges", str(exc))])
         reports.append(report.to_dict())
-        if not report.accepted:
-            all_ok = False
     if args.out:
         write_jsonl(Path(args.out), reports)
     print(f"validated {len(reports)} dialogues; "
           f"rejected {sum(1 for r in reports if r['verdict'] == 'reject')}")
-    return 0 if all_ok else 1
+    return 0 if all(r["verdict"] == "accept" for r in reports) else 1
 
 
 def cmd_export(args) -> int:

@@ -294,25 +294,6 @@ def args_equal(args: dict, gold: dict) -> bool:
     return set(args) == set(gold) and all(canonical_equal(args[k], gold[k]) for k in gold)
 
 
-STOP_CONTINUE = "continue"
-STOP_SUCCESS = "success"
-STOP_CAP_PENDING = "cap_pending"
-
-
-def check_stopping(turn: AssistantTurn, scn: Scenario, at_cap: bool = False) -> str:
-    """Classify a parsed assistant turn against the stopping criteria.
-
-    Success requires a single call to the seed tool whose argument map
-    equals the gold map exactly: no missing or superfluous keys, values
-    canonically equal.
-    """
-    if turn.tool_calls and len(turn.tool_calls) == 1:
-        call = turn.tool_calls[0]
-        if call.name == scn.seed_tool and args_equal(call.args, scn.gold_args):
-            return STOP_SUCCESS
-    return STOP_CAP_PENDING if at_cap else STOP_CONTINUE
-
-
 def committed_tool(turn: AssistantTurn) -> str | None:
     """Selection-stage commitment signal, if any (see module docstring)."""
     if turn.tool_calls:
@@ -327,7 +308,9 @@ def committed_tool(turn: AssistantTurn) -> str | None:
 # ---------------------------------------------------------------------------
 # request construction (pure; tests rebuild these to key scripted transcripts).
 # Prompt assets and sampling settings are fixed; the builders keep their
-# ``cfg`` parameter so existing call sites stay valid.
+# ``cfg`` parameter so existing call sites stay valid. ``assistant_context``
+# is the one owner of the assistant's context: ``assistant_request`` sends it
+# and ``export.slice_dialogue`` trains on it.
 
 
 def render_history(messages: list, thoughts: bool = False) -> str:
@@ -372,16 +355,24 @@ def user_system_prompt(scn: Scenario, cat: Catalogue, cfg: EngineConfig) -> str:
     )
 
 
-def assistant_request(sys_prompt: str, messages: list, seed: int,
-                      cfg: EngineConfig) -> CompletionRequest:
-    """Context h^a_t: full history with prior thoughts, ending on a user turn."""
-    chat = [ChatMessage("system", sys_prompt)]
+def assistant_context(sys_prompt: str, messages: list) -> list[tuple[str, str]]:
+    """Context h^a_t as (role, content) pairs: the system prompt, then the
+    full history with assistant turns in their wire format, thoughts kept."""
+    context = [("system", sys_prompt)]
     for m in messages:
         if isinstance(m, UserTurn):
-            chat.append(ChatMessage("user", m.text))
+            context.append(("user", m.text))
         else:
-            chat.append(ChatMessage("assistant", serialize_assistant_turn(m)))
-    return CompletionRequest(messages=tuple(chat), temperature=AGENT_TEMPERATURE,
+            context.append(("assistant", serialize_assistant_turn(m)))
+    return context
+
+
+def assistant_request(sys_prompt: str, messages: list, seed: int,
+                      cfg: EngineConfig) -> CompletionRequest:
+    """The assistant's request for context h^a_t, ending on a user turn."""
+    chat = tuple(ChatMessage(role, content)
+                 for role, content in assistant_context(sys_prompt, messages))
+    return CompletionRequest(messages=chat, temperature=AGENT_TEMPERATURE,
                              seed=seed, max_tokens=AGENT_MAX_TOKENS)
 
 

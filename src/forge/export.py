@@ -3,8 +3,10 @@
 A dialogue with T assistant turns becomes T completion samples: sample t
 holds the system prompt plus the full message prefix through u_t as
 context and the serialized assistant turn a_t as the single learnable
-message. Loss masks are message-granular (one learn flag per message);
-token-level masking is the trainer's job downstream.
+message. The context is ``engine.assistant_context``, the one the
+assistant's request carries, so a sample trains on what is served. Loss
+masks are message-granular (one learn flag per message); token-level
+masking is the trainer's job downstream.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import DialogueTrace, serialize_assistant_turn
+from .engine import DialogueTrace, assistant_context
 
 # Reference fine-tuning settings shipped in the manifest for documentation.
 # The exporter never trains anything.
@@ -49,20 +51,15 @@ class SftSample:
 
 def slice_dialogue(d: DialogueTrace, sys_prompt: str) -> list[SftSample]:
     """Expand a T-assistant-turn dialogue into exactly T samples."""
-    pairs = d.turns()
-    samples = []
-    for t in range(1, len(pairs) + 1):
-        messages = [{"role": "system", "content": sys_prompt, "learn": False}]
-        for u, a in pairs[: t - 1]:
-            messages.append({"role": "user", "content": u.text, "learn": False})
-            messages.append({"role": "assistant", "content": serialize_assistant_turn(a),
-                             "learn": False})
-        user_t, target = pairs[t - 1]
-        messages.append({"role": "user", "content": user_t.text, "learn": False})
-        messages.append({"role": "assistant", "content": serialize_assistant_turn(target),
-                         "learn": True})
-        samples.append(SftSample(dialogue_id=d.dialogue_id, turn_index=t, messages=messages))
-    return samples
+    turns = len(d.turns())  # raises unless the messages alternate strictly
+    # entry 2t is a_t; the entries before it are its serving context
+    context = assistant_context(sys_prompt, d.messages)
+    return [
+        SftSample(dialogue_id=d.dialogue_id, turn_index=t, messages=[
+            {"role": role, "content": content, "learn": i == 2 * t}
+            for i, (role, content) in enumerate(context[:2 * t + 1])])
+        for t in range(1, turns + 1)
+    ]
 
 
 def export(samples: list[SftSample], path: str | Path) -> dict:

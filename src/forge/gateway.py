@@ -10,7 +10,9 @@ Two backend kinds:
   transcripts are built ahead of a run (ROADMAP.md, open item 4).
 
 All network I/O in the package goes through this module. A global
-max-in-flight semaphore applies backpressure across threads.
+max-in-flight semaphore applies backpressure across threads, and
+``fan_out`` is the package's one thread pool: results come back in item
+order, so replies, not their arrival, decide every output.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,7 +90,6 @@ class BackendConfig:
     api_key_env: str | None = None
     retry_limit: int = 3
     timeout: float = 60.0
-    transcript_path: str | None = None
     transcript: "Transcript | None" = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -98,9 +100,7 @@ class BackendConfig:
         if self.retry_limit > 10:
             raise ValueError("retry_limit must be <= 10")
         if self.kind == "scripted" and self.transcript is None:
-            if not self.transcript_path:
-                raise ValueError("scripted backend requires a transcript")
-            self.transcript = Transcript.load(self.transcript_path)
+            raise ValueError("scripted backend requires a transcript")
 
     @classmethod
     def from_dict(cls, d: dict, transcript: "Transcript | None" = None) -> "BackendConfig":
@@ -111,9 +111,15 @@ class BackendConfig:
             api_key_env=d.get("api_key_env"),
             retry_limit=d.get("retry_limit", 3),
             timeout=d.get("timeout", 60.0),
-            transcript_path=d.get("transcript"),
             transcript=transcript,
         )
+
+
+def prompt_request(prompt: str, seed: int, temperature: float,
+                   max_tokens: int) -> CompletionRequest:
+    """The one-user-message request every single-prompt role sends."""
+    return CompletionRequest(messages=(ChatMessage("user", prompt),),
+                             temperature=temperature, seed=seed, max_tokens=max_tokens)
 
 
 def canonical_request(model_id: str, req: CompletionRequest) -> str:
@@ -270,3 +276,12 @@ def sample_n(cfg: BackendConfig, req: CompletionRequest, n: int) -> list[str]:
         )
         out.append(_remote_complete(cfg, sub))
     return out
+
+
+def fan_out(fn, items, workers: int) -> list:
+    """``fn`` over ``items``, results in item order; inline when
+    ``workers <= 1``, since a one-worker pool only adds a thread."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .catalogue import Catalogue
@@ -32,7 +31,14 @@ from .engine import (
     user_request,
     user_system_prompt,
 )
-from .gateway import BackendConfig, ChatMessage, CompletionRequest, complete, sample_n
+from .gateway import (
+    BackendConfig,
+    CompletionRequest,
+    complete,
+    fan_out,
+    prompt_request,
+    sample_n,
+)
 from .metrics import MetricReport, Reference, score_corpus
 from .prompts import get_prompt, render
 from .scenario import Scenario
@@ -101,6 +107,25 @@ def _parse_vote(reply: str, n: int) -> int | None:
     return value if 1 <= value <= n else None
 
 
+def voter_request(scn: Scenario, messages: list, candidates: list[str], rng_seed: int,
+                  j: int) -> tuple[list[int], CompletionRequest]:
+    """Voter j's seeded permutation and its exact request (public so
+    scripted transcripts can be keyed ahead of a replay run). perm[i] is
+    the original index of the candidate shown at position i + 1."""
+    turn_key = len(messages)
+    perm = list(range(len(candidates)))
+    random.Random(split_seed(rng_seed, f"perm:{turn_key}:{j}")).shuffle(perm)
+    listing = "\n".join(f"{pos + 1}. {candidates[orig]}" for pos, orig in enumerate(perm))
+    prompt = render(
+        get_prompt("voter:v1"),
+        persona=scn.persona,
+        goal=scn.goal,
+        history=render_history(messages) or "(conversation start)",
+        candidates=listing,
+    )
+    return perm, prompt_request(prompt, split_seed(rng_seed, f"vote:{turn_key}:{j}"), 0.0, 8)
+
+
 def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
                    vcfg: VotingConfig, ecfg: EngineConfig) -> str:
     """Produce one user utterance via sample-then-vote.
@@ -120,23 +145,7 @@ def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
         return candidates[0]
     votes = []
     for j in range(vcfg.m_voters):
-        perm = list(range(vcfg.n_samples))
-        random.Random(split_seed(vcfg.rng_seed, f"perm:{turn_key}:{j}")).shuffle(perm)
-        listing = "\n".join(
-            f"{pos + 1}. {candidates[orig]}" for pos, orig in enumerate(perm))
-        prompt = render(
-            get_prompt("voter:v1"),
-            persona=scn.persona,
-            goal=scn.goal,
-            history=render_history(messages) or "(conversation start)",
-            candidates=listing,
-        )
-        req = CompletionRequest(
-            messages=(ChatMessage("user", prompt),),
-            temperature=0.0,
-            seed=split_seed(vcfg.rng_seed, f"vote:{turn_key}:{j}"),
-            max_tokens=8,
-        )
+        perm, req = voter_request(scn, messages, candidates, vcfg.rng_seed, j)
         position = _parse_vote(complete(vcfg.voter, req), vcfg.n_samples)
         if position is None:
             continue
@@ -230,11 +239,7 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
             return eval_static(task, assistant, cat, ecfg)
         return eval_dynamic(task.scenario, assistant, cat, vcfg, ecfg.t_max, ecfg)
 
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            traces = list(pool.map(_run, tasks))
-    else:
-        traces = [_run(task) for task in tasks]
+    traces = fan_out(_run, tasks, concurrency)
     refs = {
         task.scenario.scenario_id: Reference(task.scenario.seed_tool, task.scenario.gold_args)
         for task in tasks

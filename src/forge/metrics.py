@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .engine import AssistantTurn, DialogueTrace, args_equal, render_history
-from .gateway import BackendConfig, ChatMessage, CompletionRequest, complete
+from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
 from .prompts import get_prompt, render
 from .seeds import split_seed
 
@@ -140,12 +140,7 @@ def rubric_request(d: DialogueTrace, t: int) -> CompletionRequest:
         reply=d.messages[at].public_text(),
     )
     base = zlib.crc32(d.dialogue_id.encode("utf-8"))
-    return CompletionRequest(
-        messages=(ChatMessage("user", prompt),),
-        temperature=0.0,
-        seed=split_seed(base, f"rubric:{t}"),
-        max_tokens=8,
-    )
+    return prompt_request(prompt, split_seed(base, f"rubric:{t}"), 0.0, 8)
 
 
 def conv_relevancy(d: DialogueTrace, gw_judge: BackendConfig) -> float:

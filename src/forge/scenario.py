@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .catalogue import Catalogue, Tool, required_args
-from .gateway import BackendConfig, ChatMessage, CompletionRequest, complete
+from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
 from .prompts import get_prompt, render
 from .retrieval import (
     DistractorSet,
@@ -124,20 +124,11 @@ def sample_persona(store: PersonaStore, seed_tool: Tool, k: int, rng_seed: int) 
     return store.personas[top[random.Random(rng_seed).randrange(len(top))][0]]
 
 
-def _gen_request(prompt: str, seed: int) -> CompletionRequest:
-    return CompletionRequest(
-        messages=(ChatMessage("user", prompt),),
-        temperature=GEN_TEMPERATURE,
-        seed=seed,
-        max_tokens=512,
-    )
-
-
 def goal_request(seed_tool: Tool, persona: str, rng_seed: int, attempt: int = 0) -> CompletionRequest:
     """The exact goal-generation request for a given attempt (public so
     scripted transcripts can be keyed ahead of a replay run)."""
     prompt = render(get_prompt("goal_gen:v1"), persona=persona, tool_text=tool_text(seed_tool))
-    return _gen_request(prompt, split_seed(rng_seed, f"goal:{attempt}"))
+    return prompt_request(prompt, split_seed(rng_seed, f"goal:{attempt}"), GEN_TEMPERATURE, 512)
 
 
 def slots_request(seed_tool: Tool, persona: str, rng_seed: int, attempt: int = 0) -> CompletionRequest:
@@ -152,7 +143,7 @@ def slots_request(seed_tool: Tool, persona: str, rng_seed: int, attempt: int = 0
         persona=persona,
         param_specs=json.dumps(specs, ensure_ascii=False, indent=2),
     )
-    return _gen_request(prompt, split_seed(rng_seed, f"slots:{attempt}"))
+    return prompt_request(prompt, split_seed(rng_seed, f"slots:{attempt}"), GEN_TEMPERATURE, 512)
 
 
 def _leaks_names(goal: str, tool: Tool) -> bool:

@@ -15,12 +15,18 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
 from .engine import AssistantTurn, DialogueTrace, UserTurn, args_equal, render_history
-from .gateway import BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete
+from .gateway import (
+    BackendConfig,
+    CompletionRequest,
+    GatewayError,
+    complete,
+    fan_out,
+    prompt_request,
+)
 from .prompts import get_prompt, render
 from .scenario import Scenario
 from .seeds import split_seed
@@ -36,7 +42,7 @@ class ValidationInfraError(Exception):
 @dataclass
 class ValidationReport:
     dialogue_id: str
-    verdict: str  # accept | reject
+    verdict: str  # accept | reject; `forge validate` writes error when the judges fail
     failures: list[tuple[str, str]] = field(default_factory=list)
     stage_timings: dict[str, float] = field(default_factory=dict)
 
@@ -113,15 +119,6 @@ def validate_toolargs(d: DialogueTrace, scn: Scenario) -> tuple[bool, str | None
     return True, None
 
 
-def _judge_request(prompt: str, seed: int) -> CompletionRequest:
-    return CompletionRequest(
-        messages=(ChatMessage("user", prompt),),
-        temperature=JUDGE_TEMPERATURE,
-        seed=seed,
-        max_tokens=256,
-    )
-
-
 def _parse_verdict(reply: str) -> tuple[bool, str | None]:
     text = reply.strip()
     if text.upper().startswith("PASS"):
@@ -153,7 +150,7 @@ def judge_requests(d: DialogueTrace, scn: Scenario,
             dialogue=render_history(d.messages, thoughts=True),
         ),
     }
-    return {name: _judge_request(prompt, _judge_seed(d, name))
+    return {name: prompt_request(prompt, _judge_seed(d, name), JUDGE_TEMPERATURE, 256)
             for name, prompt in prompts.items()}
 
 
@@ -181,14 +178,11 @@ def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
         return (*_parse_verdict(reply), time.perf_counter() - start)
 
     failures = []
-    with ThreadPoolExecutor(max_workers=len(JUDGES)) as pool:
-        results = {name: pool.submit(_run, name) for name in JUDGES}
-        for name in JUDGES:
-            ok, reason, elapsed = results[name].result()
-            if timings is not None:
-                timings[name] = elapsed
-            if not ok:
-                failures.append((name, reason))
+    for name, (ok, reason, elapsed) in zip(JUDGES, fan_out(_run, JUDGES, len(JUDGES))):
+        if timings is not None:
+            timings[name] = elapsed
+        if not ok:
+            failures.append((name, reason))
     return failures
 
 

@@ -1,4 +1,5 @@
 import json
+import socket
 import sys
 import time
 
@@ -109,6 +110,36 @@ def test_validate_flags_bad_dialogue(world):
                 "--config", world.config_path,
                 "--scenarios", out / "scenarios.jsonl"])
     assert code == 1
+
+
+def test_validate_unreachable_judges_report_error_per_dialogue(world, capsys):
+    run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
+    out = world.tmp_path / "out"
+    record = json.loads((out / "corpus.jsonl").read_text(encoding="utf-8"))
+    corpus = world.tmp_path / "two.jsonl"
+    corpus.write_text("".join(json.dumps({**record, "dialogue_id": d}) + "\n"
+                              for d in ("d-a", "d-b")), encoding="utf-8")
+    with socket.socket() as sock:  # bound, then closed: connections are refused
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    for name in ("relevancy", "critique"):
+        cfg["backends"][name] = {"kind": "remote", "model_id": "m-judge", "retry_limit": 0,
+                                 "endpoint": f"http://127.0.0.1:{port}/v1/chat/completions"}
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    code = run(["validate", corpus, "--config", world.config_path,
+                "--scenarios", out / "scenarios.jsonl", "--out", out / "reports.jsonl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error on d-a: " in err and "error on d-b: " in err
+    reports = [json.loads(l) for l in
+               (out / "reports.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["dialogue_id"] for r in reports] == ["d-a", "d-b"]
+    for r in reports:
+        assert r["verdict"] == "error"
+        [[stage, message]] = r["failures"]
+        assert stage == "judges" and "relevancy judge failed twice" in message
 
 
 def test_export_emits_three_masked_samples(world):
@@ -387,6 +418,14 @@ def test_generate_turn_cap_below_two_is_config_error(world, capsys):
     assert "t_max" in capsys.readouterr().err
 
 
+def test_scripted_backend_without_transcript_is_config_error(world, capsys):
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    del cfg["backends"]["assistant"]["transcript"]
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 2
+    assert "requires a transcript" in capsys.readouterr().err
+
+
 def test_generate_one_judge_only_is_config_error(world, capsys):
     cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
     del cfg["backends"]["critique"]
@@ -503,5 +542,5 @@ def test_generate_errored_dialogue_exits_1(world, capsys):
 def test_relative_paths_resolve_against_config_dir(world):
     cfg = load_pipeline_config(world.config_path)
     assert cfg.catalogue.exists()
-    assert cfg.backends["assistant"].transcript_path == str(
-        world.tmp_path / "transcripts.json")
+    loaded = Transcript.load(world.tmp_path / "transcripts.json")
+    assert cfg.backends["assistant"].transcript.replies == loaded.replies

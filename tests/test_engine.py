@@ -15,7 +15,6 @@ from forge.engine import (
     args_equal,
     assistant_request,
     canonical_equal,
-    check_stopping,
     committed_tool,
     parse_assistant_output,
     run_tool_selection,
@@ -28,6 +27,7 @@ from forge.gateway import Transcript
 from forge.retrieval import DistractorSet
 from forge.scenario import Scenario
 from forge.seeds import split_seed
+from forge.validation import validate_toolargs, validate_toolcall
 
 from conftest import (
     GOLD_ARGS,
@@ -133,44 +133,7 @@ def test_args_equal_rejects_superset_and_subset():
 
 
 # ---------------------------------------------------------------------------
-# stopping and commitment
-
-
-def scn_stub(gold_args=None):
-    return Scenario(
-        seed_tool=SEED_TOOL, persona="p", goal="g",
-        distractors=DistractorSet(seed=SEED_TOOL, members=(("other", 0.5),)),
-        pool=[SEED_TOOL, "other"], gold_args=gold_args or dict(GOLD_ARGS), rng_seed=1)
-
-
-def call_turn(name=SEED_TOOL, args=None, extra_calls=()):
-    calls = [ToolCall(name, dict(GOLD_ARGS) if args is None else args)]
-    calls.extend(ToolCall(n, a) for n, a in extra_calls)
-    return AssistantTurn(thought="t", tool_calls=calls)
-
-
-def test_stopping_success_on_exact_call():
-    assert check_stopping(call_turn(), scn_stub()) == "success"
-
-
-def test_stopping_continue_on_extra_key():
-    args = dict(GOLD_ARGS)
-    args["region"] = "emea"
-    assert check_stopping(call_turn(args=args), scn_stub()) == "continue"
-
-
-def test_stopping_success_under_canonical_numeric_comparison():
-    args = {"nodeId": "437292", "transportRequestId": 957841}
-    assert check_stopping(call_turn(args=args), scn_stub()) == "success"
-
-
-def test_stopping_continue_on_wrong_tool():
-    assert check_stopping(call_turn(name="other"), scn_stub()) == "continue"
-
-
-def test_stopping_cap_pending():
-    turn = AssistantTurn(thought="t", content="still asking")
-    assert check_stopping(turn, scn_stub(), at_cap=True) == "cap_pending"
+# commitment
 
 
 def test_commitment_via_marker():
@@ -179,7 +142,8 @@ def test_commitment_via_marker():
 
 
 def test_commitment_via_tool_call():
-    assert committed_tool(call_turn()) == SEED_TOOL
+    turn = AssistantTurn(thought="t", tool_calls=[ToolCall(SEED_TOOL, dict(GOLD_ARGS))])
+    assert committed_tool(turn) == SEED_TOOL
 
 
 def test_no_commitment_on_plain_reply():
@@ -335,7 +299,8 @@ def test_param_free_tool_calls_immediately():
     assert trace.phase_boundary == 1
     assert trace.terminated_by == "tool_call"
     assert trace.messages[-1].tool_calls == [ToolCall(tool, {})]
-    assert check_stopping(trace.messages[-1], scn) == "success"
+    assert validate_toolcall(trace, scn) == (True, None)
+    assert validate_toolargs(trace, scn) == (True, None)
 
 
 def test_turn_cap_terminates_filling():

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from forge.engine import parse_assistant_output, serialize_assistant_turn
+from forge.engine import (
+    assistant_request,
+    parse_assistant_output,
+    selection_system_prompt,
+    serialize_assistant_turn,
+)
 from forge.export import compute_stats, export, slice_dialogue
 
 from conftest import build_replay_world, simple_trace
@@ -26,6 +31,21 @@ def test_replay_sample_final_target_is_the_call():
     parsed = parse_assistant_output(target["content"])
     assert parsed.tool_calls is not None
     assert parsed.tool_calls[0].args == {"nodeId": 437292, "transportRequestId": 957841}
+
+
+def test_sample_context_is_the_served_assistant_context():
+    # train/serve parity: sample t trains on exactly the context the
+    # assistant's request carries at turn t
+    w = build_replay_world()
+    sys_prompt = selection_system_prompt(w.cat, w.scenario.pool, w.ecfg)
+    messages = w.expected_trace.messages
+    samples = slice_dialogue(w.expected_trace, sys_prompt)
+    assert len(samples) == len(messages) // 2
+    for t, sample in enumerate(samples, start=1):
+        served = assistant_request(sys_prompt, messages[:2 * t - 1], 0, w.ecfg).messages
+        assert [(m["role"], m["content"]) for m in sample.messages[:-1]] == [
+            (m.role, m.content) for m in served]
+        assert not any(m["learn"] for m in sample.messages[:-1])
 
 
 def test_sample_context_structure():

@@ -92,15 +92,6 @@ def test_transcript_file_round_trip(tmp_path):
     assert complete(cfg, req("bye")) == "single"
 
 
-def test_transcript_path_loading(tmp_path):
-    t = Transcript()
-    t.register(req(), "from file", model_id="m")
-    t.save(tmp_path / "t.json")
-    cfg = BackendConfig(kind="scripted", model_id="m",
-                        transcript_path=str(tmp_path / "t.json"))
-    assert complete(cfg, req()) == "from file"
-
-
 # ---------------------------------------------------------------------------
 # config validation
 

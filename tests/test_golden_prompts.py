@@ -1,15 +1,20 @@
-"""Byte-exact judge and rubric prompts.
+"""Byte-exact judge, rubric and voter prompts, and the sampling settings
+of every single-prompt role.
 
 The scripted transcripts elsewhere are keyed from forge's own
-``judge_requests`` / ``rubric_request``, so a drift in how a dialogue
-history is rendered would go unnoticed there. These tests pin the rendered
-prompts as literal strings.
+``judge_requests`` / ``rubric_request`` / ``voter_request``, so a drift in
+how a dialogue history is rendered would go unnoticed there. These tests
+pin the rendered prompts as literal strings. ``max_tokens`` is not part of
+the request fingerprint, so only the settings test pins it.
 """
 
 import pytest
 
 from forge.engine import AssistantTurn, DialogueTrace, ToolCall, UserTurn
+from forge.harness import voter_request
 from forge.metrics import rubric_request
+from forge.scenario import goal_request, slots_request
+from forge.seeds import split_seed
 from forge.validation import judge_requests
 
 from conftest import SEED_TOOL, build_replay_world
@@ -169,3 +174,65 @@ def test_rubric_prompt_at_third_turn():
         "\n"
         '[{"name": "fn_1126_cloud_transport_management", "args": {"nodeId": 1}}]\n'
     )
+
+
+def test_voter_prompt_lists_candidates_in_permuted_order(world):
+    messages = [UserTurn("Something is stuck in transport."),
+                AssistantTurn(thought="Need the node first.", content="Which node is it on?")]
+    candidates = ["Node 437292.", "I am not sure.", "It is node 437292, request 957841."]
+    perm, req = voter_request(world.scenario, messages, candidates, 777, 0)
+    assert perm == [2, 1, 0]
+    assert req.seed == split_seed(777, "vote:2:0")
+    assert _prompt(req) == (
+        "You pick the best next user utterance for an ongoing conversation with an "
+        "assistant.\n"
+        "\n"
+        "The user is A logistics operations manager working to reduce disruption in "
+        "regional transport flows. Their goal: Keep a reliable view of every action taken "
+        "while our transport requests move through the network.\n"
+        "\n"
+        "Given the dialogue so far and the numbered candidate utterances, choose the single "
+        "candidate that is most natural, stays in character, answers only what the "
+        "assistant asked, and does not invent details.\n"
+        "\n"
+        "Reply with the candidate number only.\n"
+        "\n"
+        "==== Dialogue so far ====\n"
+        "\n"
+        "User: Something is stuck in transport.\n"
+        "Assistant: Which node is it on?\n"
+        "\n"
+        "==== Candidates ====\n"
+        "\n"
+        "1. It is node 437292, request 957841.\n"
+        "2. I am not sure.\n"
+        "3. Node 437292.\n"
+    )
+
+
+def test_voter_prompt_at_conversation_start(world):
+    _, req = voter_request(world.scenario, [], ["a", "b"], 777, 1)
+    assert "==== Dialogue so far ====\n\n(conversation start)\n\n" in _prompt(req)
+
+
+def test_single_prompt_sampling_settings(world):
+    tool = world.cat.get(SEED_TOOL)
+    persona = world.scenario.persona
+    trace = judged_trace()
+    judges = judge_requests(trace, world.scenario, world.cat)
+    requests = {
+        "goal": goal_request(tool, persona, 1),
+        "slots": slots_request(tool, persona, 1),
+        "relevancy": judges["relevancy"],
+        "critique": judges["critique"],
+        "rubric": rubric_request(trace, 1),
+        "voter": voter_request(world.scenario, [], ["a", "b"], 1, 0)[1],
+    }
+    assert {role: (r.temperature, r.max_tokens) for role, r in requests.items()} == {
+        "goal": (0.7, 512),
+        "slots": (0.7, 512),
+        "relevancy": (0.0, 256),
+        "critique": (0.0, 256),
+        "rubric": (0.0, 8),
+        "voter": (0.0, 8),
+    }

@@ -23,6 +23,7 @@ from forge.harness import (
     pool_votes,
     run_benchmark,
     vote_utterance,
+    voter_request,
 )
 from forge.metrics import extract_call
 from forge.retrieval import DistractorSet
@@ -99,7 +100,7 @@ def test_permutation_inversion_round_trip(n, seed):
 def voting_fixture(world, candidates, desired_original=None, n=3, m=3,
                    rng_seed=777, bad_votes=None):
     """Scripted generator + voters. When desired_original is given, every
-    voter picks the позиция of that candidate in its own permutation."""
+    voter picks the position of that candidate in its own permutation."""
     scn = eval_scenario()
     ecfg = world.ecfg
     transcript = Transcript()
@@ -108,20 +109,8 @@ def voting_fixture(world, candidates, desired_original=None, n=3, m=3,
         split_seed(rng_seed, "gen:0"), ecfg)
     transcript.register(gen_req, candidates, "m-gen")
     voter_transcript = Transcript()
-    from forge.prompts import get_prompt, render
-    from forge.gateway import ChatMessage, CompletionRequest
-
     for j in range(m):
-        perm = list(range(n))
-        random.Random(split_seed(rng_seed, f"perm:0:{j}")).shuffle(perm)
-        listing = "\n".join(f"{pos + 1}. {candidates[orig]}"
-                            for pos, orig in enumerate(perm))
-        prompt = render(get_prompt("voter:v1"), persona=scn.persona, goal=scn.goal,
-                        history="(conversation start)", candidates=listing)
-        req = CompletionRequest(messages=(ChatMessage("user", prompt),),
-                                temperature=0.0,
-                                seed=split_seed(rng_seed, f"vote:0:{j}"),
-                                max_tokens=8)
+        perm, req = voter_request(scn, [], candidates, rng_seed, j)
         if bad_votes is not None:
             reply = bad_votes[j]
         else:
@@ -167,20 +156,10 @@ def test_partial_votes_still_pool(world):
     candidates = ["first option", "second option", "third option"]
     # voters 0 and 2 invalid, voter 1 picks original candidate 2
     scn, vcfg = voting_fixture(world, candidates, bad_votes=["99", "placeholder", "oops"])
-    perm1 = list(range(3))
-    random.Random(split_seed(777, "perm:0:1")).shuffle(perm1)
-    vcfg_fixed = vcfg
     # rebuild voter 1's reply to point at candidate index 2
-    from forge.prompts import get_prompt, render
-    from forge.gateway import ChatMessage, CompletionRequest
-
-    listing = "\n".join(f"{pos + 1}. {candidates[orig]}" for pos, orig in enumerate(perm1))
-    prompt = render(get_prompt("voter:v1"), persona=scn.persona, goal=scn.goal,
-                    history="(conversation start)", candidates=listing)
-    req = CompletionRequest(messages=(ChatMessage("user", prompt),), temperature=0.0,
-                            seed=split_seed(777, "vote:0:1"), max_tokens=8)
-    vcfg_fixed.voter.transcript.register(req, str(perm1.index(2) + 1), "m-voter")
-    assert vote_utterance(scn, world.cat, [], vcfg_fixed, world.ecfg) == "third option"
+    perm1, req = voter_request(scn, [], candidates, 777, 1)
+    vcfg.voter.transcript.register(req, str(perm1.index(2) + 1), "m-voter")
+    assert vote_utterance(scn, world.cat, [], vcfg, world.ecfg) == "third option"
 
 
 def test_voting_matches_naive_enumerator_bulk():

@@ -264,13 +264,11 @@ def test_all_pass_accepts(world):
 
 
 def test_accepted_dialogue_satisfies_stopping_criterion(world):
-    from forge.engine import check_stopping
-
     judges = passing_judges(world, world.expected_trace)
     report = run_cascade(world.expected_trace, world.scenario, world.cat, judges)
     assert report.accepted
-    final = world.expected_trace.messages[-1]
-    assert check_stopping(final, world.scenario) == "success"
+    assert validate_toolcall(world.expected_trace, world.scenario) == (True, None)
+    assert validate_toolargs(world.expected_trace, world.scenario) == (True, None)
 
 
 def test_each_judge_is_timed_separately(world, monkeypatch):
