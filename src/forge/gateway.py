@@ -10,9 +10,18 @@ Two backend kinds:
   transcripts are built ahead of a run (ROADMAP.md, open item 4).
 
 All network I/O in the package goes through this module. A global
-max-in-flight semaphore applies backpressure across threads, and
+max-in-flight semaphore applies backpressure across threads and is held
+only around one HTTP round trip, so nested pools cannot deadlock on it.
+Inside it, each call borrows a ``requests.Session`` from a LIFO pool and
+returns it afterwards: a session is used by one thread at a time, the
+pool never holds more than ``MAX_IN_FLIGHT`` of them, and connections
+are reused across calls and across short-lived worker threads.
+
 ``fan_out`` is the package's one thread pool: results come back in item
-order, so replies, not their arrival, decide every output.
+order, so replies, not their arrival, decide every output. Independent
+calls to one backend overlap only when it is remote (``call_width``); a
+scripted lookup is CPU-bound under the interpreter lock, so it stays
+inline.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import requests
@@ -33,6 +42,12 @@ MAX_IN_FLIGHT = 8
 _in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+_RETRY_AFTER_STATUS = {429, 503}
+_MAX_BACKOFF_S = 5.0
+
+# idle sessions, taken and returned under _in_flight; last in, first out, so
+# the sessions with warm connections are the ones reused
+_sessions: list[requests.Session] = []
 
 
 class GatewayError(Exception):
@@ -193,21 +208,42 @@ def _auth_headers(api_key_env: str | None) -> dict[str, str]:
     return headers
 
 
+def _retry_delay(retry_after: str | None, backoff: float) -> float:
+    """Seconds to wait before the next attempt: a delta-seconds
+    ``Retry-After`` capped at the backoff cap, else the exponential
+    backoff (a missing, negative or HTTP-date value)."""
+    try:
+        seconds = float(retry_after)
+    except (TypeError, ValueError):
+        return backoff
+    return min(seconds, _MAX_BACKOFF_S) if seconds >= 0 else backoff
+
+
 def post_json(url: str, body: dict, api_key_env: str | None = None,
               timeout: float = 60.0, retry_limit: int = 3) -> dict:
     """POST a JSON body with exponential backoff on transient failures.
 
     Shared by chat completion and embedding calls; honours the global
-    in-flight limit.
+    in-flight limit, reuses pooled connections, and waits as long as a
+    429 or 503 reply's ``Retry-After`` asks, up to the backoff cap.
     """
     last_error: Exception | None = None
+    delay = 0.0
     for attempt in range(retry_limit + 1):
         if attempt > 0:
-            time.sleep(min(0.1 * (2 ** (attempt - 1)), 5.0))
+            time.sleep(delay)
+        delay = min(0.1 * (2 ** attempt), _MAX_BACKOFF_S)
         try:
             with _in_flight:
-                resp = requests.post(url, json=body, headers=_auth_headers(api_key_env),
-                                     timeout=timeout)
+                try:
+                    session = _sessions.pop()
+                except IndexError:
+                    session = requests.Session()
+                try:
+                    resp = session.post(url, json=body, headers=_auth_headers(api_key_env),
+                                        timeout=timeout)
+                finally:
+                    _sessions.append(session)
         except requests.Timeout as exc:
             last_error = GatewayTimeout(f"request to {url} timed out after {timeout}s")
             last_error.__cause__ = exc
@@ -217,6 +253,8 @@ def post_json(url: str, body: dict, api_key_env: str | None = None,
             continue
         if resp.status_code in _RETRYABLE_STATUS:
             last_error = GatewayError(f"{url} returned HTTP {resp.status_code}")
+            if resp.status_code in _RETRY_AFTER_STATUS:
+                delay = _retry_delay(resp.headers.get("Retry-After"), delay)
             continue
         if resp.status_code != 200:
             raise GatewayError(f"{url} returned HTTP {resp.status_code}: {resp.text[:200]}")
@@ -257,25 +295,27 @@ def complete(cfg: BackendConfig, req: CompletionRequest) -> str:
 
 
 def sample_n(cfg: BackendConfig, req: CompletionRequest, n: int) -> list[str]:
-    """n independent completions for the same request.
+    """n independent completions for the same request, in sample order.
 
     Scripted backends supply the first n replies registered for the
-    fingerprint; remote backends issue n calls, varying the seed when one
-    is set so the samples are not forced identical.
+    fingerprint. Remote backends issue n calls at once through
+    ``fan_out``; when a seed is set, sample i is sent with seed + i so the
+    samples are not forced identical, and it stays in position i whatever
+    order the replies arrive in.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if cfg.kind == "scripted":
         fp = fingerprint(cfg.model_id, req)
         return cfg.transcript.lookup(fp, n)
-    out = []
-    for i in range(n):
-        sub = req if req.seed is None else CompletionRequest(
-            messages=req.messages, temperature=req.temperature,
-            seed=req.seed + i, max_tokens=req.max_tokens,
-        )
-        out.append(_remote_complete(cfg, sub))
-    return out
+    subs = [req if req.seed is None else replace(req, seed=req.seed + i) for i in range(n)]
+    return fan_out(lambda sub: _remote_complete(cfg, sub), subs, n)
+
+
+def call_width(cfg: BackendConfig, width: int) -> int:
+    """Workers for ``width`` independent calls to one backend: all of them
+    at once when it is remote, inline when it is scripted."""
+    return width if cfg.kind == "remote" else 1
 
 
 def fan_out(fn, items, workers: int) -> list:

@@ -34,6 +34,7 @@ from .engine import (
 from .gateway import (
     BackendConfig,
     CompletionRequest,
+    call_width,
     complete,
     fan_out,
     prompt_request,
@@ -135,6 +136,10 @@ def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
     original indices and pooled by mode (lowest index on ties). Out-of-range
     or unparseable votes are discarded; if every vote is discarded the
     first candidate wins with a logged warning.
+
+    A remote generator's n samples and a remote voter's m calls are each
+    issued at once; votes are parsed and pooled in voter order, so the
+    result does not depend on which reply arrives first.
     """
     turn_key = len(messages)
     gen_req = user_request(
@@ -143,13 +148,15 @@ def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
     candidates = [c.strip() for c in sample_n(vcfg.generator, gen_req, vcfg.n_samples)]
     if vcfg.n_samples == 1:
         return candidates[0]
+    ballots = [voter_request(scn, messages, candidates, vcfg.rng_seed, j)
+               for j in range(vcfg.m_voters)]
+    replies = fan_out(lambda ballot: complete(vcfg.voter, ballot[1]), ballots,
+                      call_width(vcfg.voter, vcfg.m_voters))
     votes = []
-    for j in range(vcfg.m_voters):
-        perm, req = voter_request(scn, messages, candidates, vcfg.rng_seed, j)
-        position = _parse_vote(complete(vcfg.voter, req), vcfg.n_samples)
-        if position is None:
-            continue
-        votes.append(invert_vote(perm, position))
+    for (perm, _), reply in zip(ballots, replies):
+        position = _parse_vote(reply, vcfg.n_samples)
+        if position is not None:
+            votes.append(invert_vote(perm, position))
     if not votes:
         logger.warning("all votes discarded at turn %s of %s; falling back to candidate 1",
                        turn_key, scn.scenario_id)

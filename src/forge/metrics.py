@@ -19,7 +19,15 @@ import zlib
 from dataclasses import dataclass, field
 
 from .engine import AssistantTurn, DialogueTrace, args_equal, render_history
-from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
+from .gateway import (
+    MAX_IN_FLIGHT,
+    BackendConfig,
+    CompletionRequest,
+    call_width,
+    complete,
+    fan_out,
+    prompt_request,
+)
 from .prompts import get_prompt, render
 from .seeds import split_seed
 
@@ -254,6 +262,8 @@ def score_corpus(traces: list[DialogueTrace], refs: dict[str, Reference],
 
     refs maps scenario ids to references; every trace must have one.
     conv_rel is computed only when a rubric judge backend is supplied.
+    With a remote judge, up to ``MAX_IN_FLIGHT`` dialogues are graded at
+    once; each dialogue still sums its grades in turn order.
     """
     if not traces:
         raise ValueError("cannot score an empty corpus")
@@ -281,7 +291,8 @@ def score_corpus(traces: list[DialogueTrace], refs: dict[str, Reference],
     ttr, ngd = lexical_metrics(traces)
     conv = None
     if judge is not None:
-        values = [conv_relevancy(d, judge) for d in traces]
+        values = fan_out(lambda d: conv_relevancy(d, judge), traces,
+                         call_width(judge, MAX_IN_FLIGHT))
         conv = sum(values) / len(values)
         for row, value in zip(rows, values):
             row["conv_rel"] = value

@@ -6,14 +6,19 @@ Asset ids look like "assistant_system:v1". Slots use {{name}} markers.
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
 _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 
 
+@functools.cache
 def get_prompt(asset_id: str) -> str:
-    """Load a prompt asset by id, e.g. ``get_prompt("user_proxy:v1")``."""
+    """Load a prompt asset by id, e.g. ``get_prompt("user_proxy:v1")``.
+
+    Each asset is read once per process; an unknown id raises ``KeyError``
+    every time, since exceptions are not cached."""
     name, _, version = asset_id.partition(":")
     if not version:
         version = "v1"

@@ -1,9 +1,13 @@
 """Shared fixtures: a small logistics catalogue, a fully scripted replay
-world for the end-to-end sample dialogue, and corpus factories."""
+world for the end-to-end sample dialogue, corpus factories, and a loopback
+chat-completions server for remote backends."""
 
 from __future__ import annotations
 
 import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,7 +28,8 @@ from forge.engine import (
     user_request,
     user_system_prompt,
 )
-from forge.gateway import BackendConfig, Transcript, fingerprint
+from forge import gateway
+from forge.gateway import BackendConfig, ChatMessage, CompletionRequest, Transcript, fingerprint
 from forge.retrieval import HashEmbedder, candidate_pool, nearest_distractors, search_catalogue
 from forge.scenario import PersonaStore, Scenario, goal_request, sample_persona, slots_request
 from forge.seeds import split_seed
@@ -158,6 +163,80 @@ def emb() -> HashEmbedder:
 
 def scripted_backend(model_id: str, transcript: Transcript) -> BackendConfig:
     return BackendConfig(kind="scripted", model_id=model_id, transcript=transcript)
+
+
+def remote_backend(model_id: str, endpoint: str) -> BackendConfig:
+    return BackendConfig(kind="remote", model_id=model_id, endpoint=endpoint, retry_limit=0)
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive, so connection reuse is visible
+
+    def do_POST(self):
+        raw = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.ports.append(self.client_address[1])
+        req = CompletionRequest(
+            messages=tuple(ChatMessage(m["role"], m["content"]) for m in raw["messages"]),
+            temperature=raw["temperature"], seed=raw.get("seed"),
+            max_tokens=raw["max_tokens"])
+        reply, delay = self.server.respond(raw["model"], req)
+        time.sleep(delay)
+        body = json.dumps({"choices": [{"message": {"content": reply}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    """``loopback(respond)`` starts a threaded keep-alive chat-completions
+    server and returns ``(endpoint, server)``. ``respond(model_id, request)``
+    gives the reply text and the seconds to wait before sending it;
+    ``server.ports`` lists the client port of every request received."""
+    servers = []
+
+    def start(respond):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+        server.respond, server.ports = respond, []
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", server
+
+    yield start
+    # pooled sessions keep their connections open; close them so no socket
+    # outlives the server and its handler threads see end of stream
+    while gateway._sessions:
+        gateway._sessions.pop().close()
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def no_thread_pool(monkeypatch):
+    """Fail the test if any code starts a ``gateway.fan_out`` thread pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("scripted calls must run inline")
+
+    monkeypatch.setattr(gateway, "ThreadPoolExecutor", refuse)
+
+
+def transcript_responder(transcript: Transcript, delays: dict[str, float]):
+    """A ``loopback`` responder that replays ``transcript`` and waits
+    ``delays[fingerprint]`` seconds (0 when absent) before each reply."""
+    def respond(model_id: str, req: CompletionRequest) -> tuple[str, float]:
+        fp = fingerprint(model_id, req)
+        return transcript.lookup(fp, 1)[0], delays.get(fp, 0.0)
+    return respond
 
 
 GENERIC_GOAL = "Handle the day to day workload smoothly and keep everything tidy."

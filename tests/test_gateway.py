@@ -1,11 +1,14 @@
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from forge import gateway
 from forge.gateway import (
+    MAX_IN_FLIGHT,
     BackendConfig,
     ChatMessage,
     CompletionRequest,
@@ -14,6 +17,7 @@ from forge.gateway import (
     Transcript,
     TranscriptMissError,
     complete,
+    fan_out,
     fingerprint,
     sample_n,
 )
@@ -129,6 +133,7 @@ def test_system_message_must_lead():
 
 class StubHandler(BaseHTTPRequestHandler):
     script = []  # list of (status, reply_text, delay)
+    retry_after = None  # Retry-After header sent with every non-200 reply
     calls = 0
     bodies = []
 
@@ -143,6 +148,8 @@ class StubHandler(BaseHTTPRequestHandler):
         body = json.dumps(
             {"choices": [{"message": {"content": text}}]}).encode("utf-8")
         self.send_response(status)
+        if status != 200 and StubHandler.retry_after is not None:
+            self.send_header("Retry-After", StubHandler.retry_after)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -157,7 +164,9 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
     StubHandler.calls = 0
     StubHandler.bodies = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    StubHandler.retry_after = None
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
@@ -207,5 +216,54 @@ def test_remote_sample_n_issues_distinct_calls(stub_server):
     assert len(out) == 3
     assert StubHandler.calls == 3
     seeds = [b["seed"] for b in StubHandler.bodies]
-    assert seeds == [10, 11, 12]
+    assert sorted(seeds) == [10, 11, 12]  # the calls overlap, so arrival order is free
+
+
+@pytest.mark.parametrize("status,retry_after,slept", [
+    (429, "0.5", 0.5),
+    (503, "3600", 5.0),  # capped at the backoff cap
+    (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.1),  # HTTP-date: the first backoff
+    (429, "-1", 0.1),
+    (429, None, 0.1),
+    (500, "0.5", 0.1),  # only 429 and 503 carry a meaningful Retry-After
+])
+def test_retry_after_sets_the_wait(stub_server, monkeypatch, status, retry_after, slept):
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    StubHandler.script = [(status, "busy", 0), (200, "done", 0)]
+    StubHandler.retry_after = retry_after
+    assert complete(remote_cfg(stub_server), req()) == "done"
+    assert sleeps == [slept]
+
+
+def test_remote_sample_n_overlaps_and_keeps_sample_order(loopback):
+    latency = {10: 0.4, 11: 0.3, 12: 0.2}  # the first sample is answered last
+    endpoint, _ = loopback(lambda model_id, r: (f"seed {r.seed}", latency[r.seed]))
+    start = time.perf_counter()
+    out = sample_n(remote_cfg(endpoint), req(seed=10), 3)
+    elapsed = time.perf_counter() - start
+    assert out == ["seed 10", "seed 11", "seed 12"]
+    assert elapsed < 2 * max(latency.values())
+
+
+def test_remote_calls_reuse_one_connection(loopback):
+    endpoint, server = loopback(lambda model_id, r: ("pong", 0.0))
+    cfg = remote_cfg(endpoint)
+    assert [complete(cfg, req()) for _ in range(5)] == ["pong"] * 5
+    assert len(server.ports) == 5
+    assert len(set(server.ports)) == 1
+
+
+def test_session_pool_stays_bounded_under_contention(loopback):
+    endpoint, server = loopback(lambda model_id, r: (str(r.seed), 0.005))
+    cfg = remote_cfg(endpoint)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = fan_out(lambda i: complete(cfg, req(seed=i)), range(64), 2 * MAX_IN_FLIGHT)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [str(i) for i in range(64)]
+    assert len(gateway._sessions) <= MAX_IN_FLIGHT
+    assert len(set(server.ports)) <= MAX_IN_FLIGHT
 

@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from forge.engine import (
     user_request,
     user_system_prompt,
 )
-from forge.gateway import Transcript
+from forge.gateway import Transcript, fingerprint
 from forge.harness import (
     EvalTask,
     VotingConfig,
@@ -36,7 +38,9 @@ from conftest import (
     RAW_A3_CALL,
     SEED_TOOL,
     build_replay_world,
+    remote_backend,
     scripted_backend,
+    transcript_responder,
 )
 
 
@@ -159,6 +163,25 @@ def test_partial_votes_still_pool(world):
     # rebuild voter 1's reply to point at candidate index 2
     perm1, req = voter_request(scn, [], candidates, 777, 1)
     vcfg.voter.transcript.register(req, str(perm1.index(2) + 1), "m-voter")
+    assert vote_utterance(scn, world.cat, [], vcfg, world.ecfg) == "third option"
+
+
+def test_remote_voters_overlap_and_pool_in_voter_order(world, loopback):
+    candidates = ["first option", "second option", "third option"]
+    scn, vcfg = voting_fixture(world, candidates, bad_votes=["1", "2", "3"])
+    expected = vote_utterance(scn, world.cat, [], vcfg, world.ecfg)
+    delays = {fingerprint("m-voter", voter_request(scn, [], candidates, 777, j)[1]):
+              0.4 - 0.1 * j for j in range(3)}  # voter 0 is answered last
+    endpoint, _ = loopback(transcript_responder(vcfg.voter.transcript, delays))
+    remote = dataclasses.replace(vcfg, voter=remote_backend("m-voter", endpoint))
+    start = time.perf_counter()
+    assert vote_utterance(scn, world.cat, [], remote, world.ecfg) == expected
+    assert time.perf_counter() - start < 2 * max(delays.values())
+
+
+def test_scripted_voting_starts_no_thread(world, no_thread_pool):
+    candidates = ["first option", "second option", "third option"]
+    scn, vcfg = voting_fixture(world, candidates, desired_original=2)
     assert vote_utterance(scn, world.cat, [], vcfg, world.ecfg) == "third option"
 
 

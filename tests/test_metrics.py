@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forge.engine import AssistantTurn, DialogueTrace, ToolCall, UserTurn
-from forge.gateway import Transcript
+from forge.gateway import Transcript, fingerprint
 from forge.metrics import (
     CallRecord,
     Reference,
@@ -18,7 +19,7 @@ from forge.metrics import (
     tokenize,
 )
 
-from conftest import scripted_backend, simple_trace
+from conftest import remote_backend, scripted_backend, simple_trace, transcript_responder
 from oracles import naive_metrics, random_corpus
 
 REF = Reference(gold_tool="gold", gold_args={"a": 1, "b": 2})
@@ -236,6 +237,31 @@ def test_conv_rel_all_bottom_grades():
     trace = simple_trace(pairs=3)
     judge = grades_backend(trace, [1, 1, 1])
     assert conv_relevancy(trace, judge) == 0.0
+
+
+def test_remote_rubric_grades_overlap_and_keep_dialogue_order(loopback):
+    traces = [simple_trace(dialogue_id=f"d{i}", scenario_ref=f"s{i}", pairs=1)
+              for i in range(3)]
+    refs = {f"s{i}": REF for i in range(3)}
+    transcript, delays = Transcript(), {}
+    for i, trace in enumerate(traces):
+        req = rubric_request(trace, 1)
+        transcript.register(req, str(i + 1), "m-rubric")
+        delays[fingerprint("m-rubric", req)] = 0.4 - 0.1 * i  # d0 is graded last
+    endpoint, _ = loopback(transcript_responder(transcript, delays))
+    start = time.perf_counter()
+    report = score_corpus(traces, refs, judge=remote_backend("m-rubric", endpoint))
+    elapsed = time.perf_counter() - start
+    assert [row["conv_rel"] for row in report.per_dialogue] == [0.0, 0.5, 1.0]
+    scripted = score_corpus(traces, refs, judge=scripted_backend("m-rubric", transcript))
+    assert report.to_dict() == scripted.to_dict()
+    assert elapsed < 2 * max(delays.values())
+
+
+def test_scripted_rubric_grading_starts_no_thread(no_thread_pool):
+    trace = simple_trace(pairs=2)
+    judge = grades_backend(trace, [3, 2])
+    assert score_corpus([trace], {"s1": REF}, judge=judge).conv_rel == 0.75
 
 
 def test_rubric_prompt_excludes_thoughts():
