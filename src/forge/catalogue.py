@@ -8,12 +8,18 @@ On-disk format is a JSON array of tool objects:
 Unknown extra fields on tools and parameters are preserved for round-trips
 but otherwise ignored. Parameter order is preserved from the file so that
 prompt rendering stays byte-reproducible.
+
+``Catalogue.render`` owns the JSON that prompts show for tools. Each tool
+is encoded once (``Tool.json_text``); a list is spliced from those strings
+and is byte-equal to ``json.dumps([t.to_dict() ...], ensure_ascii=False,
+indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 TYPE_TAGS = ("string", "integer", "number", "boolean", "array", "object")
@@ -56,6 +62,13 @@ class Tool:
         d.update(self.extra)
         return d
 
+    @cached_property
+    def json_text(self) -> str:
+        """``to_dict()`` as indented JSON, encoded once per tool (the
+        cache writes the instance ``__dict__``, which a frozen dataclass
+        allows)."""
+        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
+
 
 @dataclass
 class Catalogue:
@@ -83,8 +96,17 @@ class Catalogue:
     def names(self) -> list[str]:
         return [t.name for t in self.tools]
 
-    def to_json(self) -> str:
-        return json.dumps([t.to_dict() for t in self.tools], ensure_ascii=False, indent=2)
+    def render(self, names: list[str]) -> str:
+        """The named tools, in order, as an indented JSON array.
+
+        Splices the cached per-tool strings, indented one more level; this
+        is byte-equal to encoding the list whole, because a JSON string
+        never holds a raw newline.
+        """
+        if not names:
+            return "[]"
+        return "[\n  " + ",\n  ".join(
+            self.get(n).json_text.replace("\n", "\n  ") for n in names) + "\n]"
 
 
 def _parse_param(tool_name: str, pname: str, raw: object) -> ParamSpec:

@@ -308,9 +308,11 @@ def committed_tool(turn: AssistantTurn) -> str | None:
 # ---------------------------------------------------------------------------
 # request construction (pure; tests rebuild these to key scripted transcripts).
 # Prompt assets and sampling settings are fixed; the builders keep their
-# ``cfg`` parameter so existing call sites stay valid. ``assistant_context``
-# is the one owner of the assistant's context: ``assistant_request`` sends it
-# and ``export.slice_dialogue`` trains on it.
+# ``cfg`` parameter so existing call sites stay valid. Tool JSON comes from
+# the catalogue (``Tool.json_text``, ``Catalogue.render``), encoded once per
+# tool however many prompts show it. ``assistant_context`` is the one owner
+# of the assistant's context: ``assistant_request`` sends it and
+# ``export.slice_dialogue`` trains on it.
 
 
 def render_history(messages: list, thoughts: bool = False) -> str:
@@ -328,19 +330,15 @@ def render_history(messages: list, thoughts: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_tools_block(cat: Catalogue, names: list[str]) -> str:
-    return json.dumps([cat.get(n).to_dict() for n in names], ensure_ascii=False, indent=2)
-
-
 def selection_system_prompt(cat: Catalogue, names: list[str], cfg: EngineConfig) -> str:
-    return render(get_prompt("assistant_system:v1"), tools=render_tools_block(cat, names))
+    return render(get_prompt("assistant_system:v1"), tools=cat.render(names))
 
 
 def filling_system_prompt(cat: Catalogue, names: list[str], gold: str, cfg: EngineConfig) -> str:
     return render(
         get_prompt("assistant_filling:v1"),
-        gold_tool=json.dumps(cat.get(gold).to_dict(), ensure_ascii=False, indent=2),
-        tools=render_tools_block(cat, names),
+        gold_tool=cat.get(gold).json_text,
+        tools=cat.render(names),
     )
 
 
@@ -349,9 +347,9 @@ def user_system_prompt(scn: Scenario, cat: Catalogue, cfg: EngineConfig) -> str:
     return render(
         get_prompt("user_proxy:v1"),
         user_persona=persona,
-        gold_tool=json.dumps(cat.get(scn.seed_tool).to_dict(), ensure_ascii=False, indent=2),
+        gold_tool=cat.get(scn.seed_tool).json_text,
         parameter_values=json.dumps(scn.gold_args, ensure_ascii=False, indent=2),
-        distractor_tools=render_tools_block(cat, scn.distractors.names()),
+        distractor_tools=cat.render(scn.distractors.names()),
     )
 
 

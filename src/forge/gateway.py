@@ -9,6 +9,12 @@ Two backend kinds:
   the whole pipeline runs offline in tests. There is no record mode:
   transcripts are built ahead of a run (ROADMAP.md, open item 4).
 
+A fingerprint is the sha256 of ``canonical_request``'s bytes, which stay
+the reference. ``fingerprint`` streams the same bytes into the hash in
+pieces: each message's fragment comes from a bounded LRU cache, so the
+system prompt and history a dialogue re-sends every turn are encoded once
+while they stay recent, and memory does not grow with run length.
+
 All network I/O in the package goes through this module. A global
 max-in-flight semaphore applies backpressure across threads and is held
 only around one HTTP round trip, so nested pools cannot deadlock on it.
@@ -26,6 +32,7 @@ inline.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,6 +51,11 @@ _in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _RETRY_AFTER_STATUS = {429, 503}
 _MAX_BACKOFF_S = 5.0
+
+# distinct (role, content) fragments ``fingerprint`` keeps encoded: room for
+# the whole context (2 * t_max + 1 = 25 messages at the default t_max) of 8
+# dialogues synthesized at once
+FRAGMENT_CACHE_SIZE = 256
 
 # idle sessions, taken and returned under _in_flight; last in, first out, so
 # the sessions with warm connections are the ones reused
@@ -138,7 +150,8 @@ def prompt_request(prompt: str, seed: int, temperature: float,
 
 
 def canonical_request(model_id: str, req: CompletionRequest) -> str:
-    """Canonical JSON serialization used for fingerprinting."""
+    """Canonical JSON serialization of a request: the reference for the
+    bytes a fingerprint hashes (``fingerprint`` streams them instead)."""
     payload = {
         "model": model_id,
         "messages": [{"role": m.role, "content": m.content} for m in req.messages],
@@ -148,8 +161,25 @@ def canonical_request(model_id: str, req: CompletionRequest) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
+# the encoder settings of ``canonical_request``, built once
+_canonical = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+
+
+@functools.lru_cache(maxsize=FRAGMENT_CACHE_SIZE)
+def _message_fragment(role: str, content: str) -> bytes:
+    return _canonical({"role": role, "content": content}).encode("utf-8")
+
+
 def fingerprint(model_id: str, req: CompletionRequest) -> str:
-    return hashlib.sha256(canonical_request(model_id, req).encode("utf-8")).hexdigest()
+    """sha256 hex digest of ``canonical_request(model_id, req)``'s UTF-8
+    bytes, fed in pieces: ``{"messages":[``, the cached message fragments
+    joined by ``,``, then the sorted ``model`` / ``seed`` / ``temperature``
+    tail. Only the tail is encoded on every call."""
+    digest = hashlib.sha256(b'{"messages":[')
+    digest.update(b",".join([_message_fragment(m.role, m.content) for m in req.messages]))
+    tail = _canonical({"model": model_id, "seed": req.seed, "temperature": req.temperature})
+    digest.update(b"]," + tail[1:].encode("utf-8"))
+    return digest.hexdigest()
 
 
 class Transcript:

@@ -1,10 +1,11 @@
 """Dialogue validation: functional validators in fixed order, then
-concurrent LLM judges. Any failure rejects the dialogue.
+the LLM judges. Any failure rejects the dialogue.
 
 Functional order is Format -> Toolcall -> Toolargs with short-circuit:
 later validators assume the structure the earlier ones established.
-LLM judges (relevancy, critique) run concurrently and are equally
-authoritative. Gateway failures during the judge stage are infrastructure
+LLM judges (relevancy, critique) are equally authoritative; they run
+concurrently when any of them is remote and inline when all are
+scripted. Gateway failures during the judge stage are infrastructure
 errors, not verdicts; the stage is retried once before giving up.
 
 Stage timings are in-memory diagnostics only; the on-disk report format
@@ -23,6 +24,7 @@ from .gateway import (
     BackendConfig,
     CompletionRequest,
     GatewayError,
+    call_width,
     complete,
     fan_out,
     prompt_request,
@@ -157,7 +159,8 @@ def judge_requests(d: DialogueTrace, scn: Scenario,
 def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
                  judges: dict[str, BackendConfig],
                  timings: dict[str, float] | None = None) -> list[tuple[str, str]]:
-    """Run the relevancy and critique judges concurrently.
+    """Run the relevancy and critique judges, concurrently when any of them
+    is remote (``call_width``) and inline otherwise.
 
     Returns the list of judge failures (empty = pass). GatewayErrors are
     retried once per judge, then raised as ValidationInfraError. Each
@@ -177,8 +180,9 @@ def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
                 raise ValidationInfraError(f"{name} judge failed twice: {exc}") from exc
         return (*_parse_verdict(reply), time.perf_counter() - start)
 
+    workers = max(call_width(judges[name], len(JUDGES)) for name in JUDGES)
     failures = []
-    for name, (ok, reason, elapsed) in zip(JUDGES, fan_out(_run, JUDGES, len(JUDGES))):
+    for name, (ok, reason, elapsed) in zip(JUDGES, fan_out(_run, JUDGES, workers)):
         if timings is not None:
             timings[name] = elapsed
         if not ok:

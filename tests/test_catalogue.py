@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from forge.catalogue import CatalogueError, load_catalogue, parse_catalogue, required_args
+from forge.catalogue import (TYPE_TAGS, CatalogueError, load_catalogue, parse_catalogue,
+                             required_args)
 
 from conftest import CATALOGUE_TOOLS, SEED_TOOL
 
@@ -11,6 +13,10 @@ def write_catalogue(tmp_path, tools):
     path = tmp_path / "catalogue.json"
     path.write_text(json.dumps(tools), encoding="utf-8")
     return path
+
+
+def render_all(cat):
+    return cat.render(cat.names())
 
 
 def test_load_sample_catalogue(tmp_path):
@@ -92,14 +98,14 @@ def test_required_args_subset_of_params(cat):
 
 def test_load_is_pure_function_of_bytes(tmp_path):
     p1 = write_catalogue(tmp_path, CATALOGUE_TOOLS)
-    assert load_catalogue(p1).to_json() == load_catalogue(p1).to_json()
+    assert render_all(load_catalogue(p1)) == render_all(load_catalogue(p1))
 
 
 def test_round_trip_preserves_catalogue(tmp_path):
     path = write_catalogue(tmp_path, CATALOGUE_TOOLS)
     cat = load_catalogue(path)
-    again = parse_catalogue(cat.to_json())
-    assert again.to_json() == cat.to_json()
+    again = parse_catalogue(render_all(cat))
+    assert render_all(again) == render_all(cat)
     assert [t.name for t in again.tools] == [t.name for t in cat.tools]
 
 
@@ -107,4 +113,59 @@ def test_extra_fields_preserved_on_round_trip():
     tools = [dict(CATALOGUE_TOOLS[0])]
     tools[0] = {**tools[0], "x-vendor": {"team": "scm"}}
     cat = parse_catalogue(json.dumps(tools))
-    assert json.loads(cat.to_json())[0]["x-vendor"] == {"team": "scm"}
+    assert json.loads(render_all(cat))[0]["x-vendor"] == {"team": "scm"}
+
+
+# ---------------------------------------------------------------------------
+# rendering: the spliced per-tool strings against one whole-list encoding
+
+_text = st.text(alphabet=st.characters(codec="utf-8"), max_size=12)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=6)
+_param = st.fixed_dictionaries(
+    {"type": st.sampled_from(TYPE_TAGS), "description": _text.filter(bool),
+     "required": st.booleans()},
+    optional={"x-extra": _json, "enum": st.lists(_text, max_size=3)})
+
+
+@st.composite
+def catalogues_and_names(draw):
+    names = draw(st.lists(_text.filter(bool), min_size=1, max_size=5, unique=True))
+    tools = [draw(st.fixed_dictionaries(
+        {"name": st.just(n), "description": _text,
+         "parameters": st.dictionaries(_text, _param, max_size=3)},
+        optional={"x-vendor": _json, "tags": st.lists(_text, max_size=2)}))
+        for n in names]
+    picked = draw(st.lists(st.sampled_from(names), max_size=6))
+    return parse_catalogue(json.dumps(tools)), picked
+
+
+@settings(deadline=None)
+@given(catalogues_and_names())
+def test_render_matches_whole_list_encoding(drawn):
+    cat, names = drawn
+    expected = json.dumps([cat.get(n).to_dict() for n in names], ensure_ascii=False, indent=2)
+    assert cat.render(names) == expected
+    assert render_all(cat) == json.dumps([t.to_dict() for t in cat.tools],
+                                         ensure_ascii=False, indent=2)
+    for n in names:
+        assert cat.get(n).json_text == json.dumps(cat.get(n).to_dict(),
+                                                  ensure_ascii=False, indent=2)
+
+
+def test_render_edge_cases():
+    cat = parse_catalogue(json.dumps([
+        {"name": "bare", "description": "", "parameters": {}},
+        {"name": "n\u00e9st\"ed\\", "description": "line 1\nline 2\t\u2603",
+         "parameters": {"p": {"type": "object", "description": "d", "required": False,
+                              "schema": {"a": [1, {"b": None}], "c": {}}}},
+         "x-vendor": {"team": ["scm", {"lead": "\u00e9"}], "empty": []}},
+    ]))
+    assert cat.render([]) == "[]" == json.dumps([], indent=2)
+    for names in (["bare"], ["bare", "bare"], ["n\u00e9st\"ed\\", "bare"]):
+        assert cat.render(names) == json.dumps([cat.get(n).to_dict() for n in names],
+                                               ensure_ascii=False, indent=2)
+    with pytest.raises(KeyError):
+        cat.render(["missing"])

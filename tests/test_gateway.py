@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -5,9 +6,11 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge import gateway
 from forge.gateway import (
+    FRAGMENT_CACHE_SIZE,
     MAX_IN_FLIGHT,
     BackendConfig,
     ChatMessage,
@@ -16,6 +19,7 @@ from forge.gateway import (
     RetryExhaustedError,
     Transcript,
     TranscriptMissError,
+    canonical_request,
     complete,
     fan_out,
     fingerprint,
@@ -76,13 +80,55 @@ def test_sample_n_insufficient_replies():
 
 
 def test_fingerprint_stable_across_processes():
-    # frozen value: catches accidental fingerprint scheme changes, which
+    # frozen values: catch accidental fingerprint scheme changes, which
     # would invalidate every recorded transcript
     fp = fingerprint("m", req())
+    assert fp == "527095fd99fee7dbc4692e25972b433402b807fdf10ab7e7c939617407900c1f"
+    escapes = CompletionRequest((ChatMessage("system", 'S\u00e9 "quoted"\\ path\nline 2 \u2603'),
+                                 ChatMessage("user", "hi"), ChatMessage("assistant", "")),
+                                temperature=0.7, seed=None)
+    assert fingerprint("m-\u00e9", escapes) == (
+        "8840049caf2bf5678dd2c819407b258086ccb22f03c6de3737c45fdea374f758")
     assert fp == fingerprint("m", req())
     assert fp != fingerprint("other", req())
     assert fp != fingerprint("m", req(seed=2))
     assert len(fp) == 64
+
+
+_content = st.text(st.characters(codec="utf-8")
+                   | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\u00e9\u2603\U0001f600'),
+                   max_size=20)
+
+
+@st.composite
+def chat_requests(draw):
+    pool = draw(st.lists(_content.filter(bool), min_size=1, max_size=3))
+    body = st.sampled_from(pool) | _content.filter(bool)
+    messages = [ChatMessage("system", draw(body))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 5))):
+        messages.append(ChatMessage("user", draw(body)))
+        messages.append(ChatMessage("assistant", draw(st.just("") | body)))
+    if draw(st.booleans()):
+        messages.pop()
+    temperature = draw(st.integers(0, 3) | st.floats(0, 2, allow_nan=False))
+    seed = draw(st.none() | st.integers(-2**63, 2**63))
+    return CompletionRequest(tuple(messages), temperature=temperature, seed=seed)
+
+
+@settings(deadline=None)
+@given(_content, chat_requests())
+def test_fingerprint_hashes_the_canonical_request(model_id, request):
+    reference = hashlib.sha256(canonical_request(model_id, request).encode("utf-8"))
+    assert fingerprint(model_id, request) == reference.hexdigest()
+
+
+def test_fingerprint_cache_stays_bounded():
+    first = req("message 0")
+    expected = hashlib.sha256(canonical_request("m", first).encode("utf-8")).hexdigest()
+    for i in range(2 * FRAGMENT_CACHE_SIZE):
+        fingerprint("m", req(f"message {i}"))
+        assert gateway._message_fragment.cache_info().currsize <= FRAGMENT_CACHE_SIZE
+    assert fingerprint("m", first) == expected  # evicted, then encoded again
 
 
 def test_transcript_file_round_trip(tmp_path):

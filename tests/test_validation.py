@@ -288,6 +288,31 @@ def test_each_judge_is_timed_separately(world, monkeypatch):
     assert report.stage_timings["critique"] >= 0.2 > report.stage_timings["relevancy"]
 
 
+def test_scripted_judges_run_inline(world, no_thread_pool):
+    judges = passing_judges(world, world.expected_trace)
+    report = run_cascade(world.expected_trace, world.scenario, world.cat, judges)
+    assert report.accepted
+
+
+def test_one_remote_judge_runs_both_concurrently(world, monkeypatch):
+    import forge.validation
+
+    widths = []
+
+    def record_width(fn, items, workers):
+        widths.append(workers)
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(forge.validation, "fan_out", record_width)
+    judges = passing_judges(world, world.expected_trace)
+    validate_llm(world.expected_trace, world.scenario, world.cat, judges)
+    remote = BackendConfig(kind="remote", model_id="m", endpoint="http://127.0.0.1:9/")
+    monkeypatch.setattr(forge.validation, "complete", lambda cfg, req: "PASS")
+    validate_llm(world.expected_trace, world.scenario, world.cat,
+                 {**judges, "critique": remote})
+    assert widths == [1, 2]
+
+
 def test_report_disk_format_omits_timings(world):
     t = simple_trace(calls=[(SEED_TOOL, {"nodeId": 437292})])
     report = run_cascade(t, world.scenario, world.cat, None)
