@@ -45,8 +45,7 @@ class PipelineConfig:
     personas: Path | None = None
     k: int = 5
     persona_k: int = 10
-    t_max: int = 12
-    regen_attempts: int = 5
+    engine: EngineConfig = field(default_factory=EngineConfig)
     concurrency: int = 1
     out_dir: Path = Path("out")
     embedder: dict = field(default_factory=lambda: {"kind": "hash", "dimension": 256})
@@ -103,9 +102,24 @@ def _backend_config(spec: dict, base: Path, where: str,
         raise ConfigError(f"bad backend config {where}: {exc}") from exc
 
 
-def _engine_config(t_max: int, regen_attempts: int = 5) -> EngineConfig:
+def _integers(raw: dict, floors: dict[str, int | None]) -> dict[str, int]:
+    """The keys of ``floors`` that ``raw`` sets. Each must be a JSON integer
+    no smaller than its floor; a floor of None leaves the range check to the
+    config class that takes the value."""
+    found = {key: raw[key] for key in floors if key in raw}
+    for key, value in found.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if floors[key] is not None and value < floors[key]:
+            raise ConfigError(f"{key} must be >= {floors[key]}")
+    return found
+
+
+def _engine_config(raw: dict, keys: tuple[str, ...]) -> EngineConfig:
+    """The engine settings among ``keys`` that ``raw`` sets; EngineConfig
+    supplies the defaults and the range checks."""
     try:
-        return EngineConfig(t_max=t_max, regen_attempts=regen_attempts)
+        return EngineConfig(**_integers(raw, dict.fromkeys(keys)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -124,21 +138,19 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     transcripts: dict[str, Transcript] = {}
     backends = {role: _backend_config(spec, base, f"for role {role!r}", transcripts)
                 for role, spec in raw.get("backends", {}).items()}
-    for key in ("k", "persona_k", "concurrency"):
-        if raw.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be >= 1")
+    try:
+        rng_seed = int(raw["rng_seed"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"rng_seed must be an integer: {exc}") from exc
     return PipelineConfig(
         catalogue=catalogue,
-        rng_seed=int(raw["rng_seed"]),
+        rng_seed=rng_seed,
         personas=personas,
-        k=raw.get("k", 5),
-        persona_k=raw.get("persona_k", 10),
-        t_max=raw.get("t_max", 12),
-        regen_attempts=raw.get("regen_attempts", 5),
-        concurrency=raw.get("concurrency", 1),
+        engine=_engine_config(raw, ("t_max", "regen_attempts")),
         out_dir=_resolve(base, raw.get("out_dir", "out")),
         embedder=raw.get("embedder", {"kind": "hash", "dimension": 256}),
         backends=backends,
+        **_integers(raw, {"k": 1, "persona_k": 1, "concurrency": 1}),
     )
 
 
@@ -243,7 +255,6 @@ def cmd_distractors(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = load_pipeline_config(args.config)
-    ecfg = _engine_config(cfg.t_max, cfg.regen_attempts)
     cat = load_catalogue(cfg.catalogue)
     emb = build_embedder(cfg.embedder)
     try:
@@ -273,7 +284,7 @@ def cmd_generate(args) -> int:
         except (ScenarioError, GatewayError) as exc:
             return None, "error", f"error on {name}: {exc}"
         try:
-            trace = synthesize_dialogue(scn, cat, emb, gw_user, gw_asst, ecfg)
+            trace = synthesize_dialogue(scn, cat, emb, gw_user, gw_asst, cfg.engine)
             report = run_cascade(trace, scn, cat, judges)
         except SynthesisRejected as exc:
             return scn.to_dict(), "rejected", {"seed_tool": name, "reason": str(exc)}
@@ -323,11 +334,10 @@ def cmd_validate(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = load_pipeline_config(args.config)
-    ecfg = _engine_config(cfg.t_max, cfg.regen_attempts)
     cat = load_catalogue(cfg.catalogue)
     samples = []
     for trace, scn in _join_scenarios(args.corpus, args.scenarios):
-        sys_prompt = selection_system_prompt(cat, scn.pool, ecfg)
+        sys_prompt = selection_system_prompt(cat, scn.pool)
         samples.extend(slice_dialogue(trace, sys_prompt))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,10 +372,9 @@ def cmd_bench_run(args) -> int:
     for key in ("mode", "catalogue", "scenarios", "assistant", "rng_seed", "out_dir"):
         if key not in raw:
             raise ConfigError(f"bench config missing key {key!r}")
-    if raw.get("concurrency", 1) < 1:
-        raise ConfigError("concurrency must be >= 1")
+    concurrency = _integers(raw, {"concurrency": 1}).get("concurrency", 1)
     mode = raw["mode"]
-    ecfg = _engine_config(raw.get("t_max", 12))
+    ecfg = _engine_config(raw, ("t_max",))
     transcripts: dict[str, Transcript] = {}
     assistant = _backend_config(raw["assistant"], base, "for 'assistant'", transcripts)
     judge = (_backend_config(raw["judge"], base, "for 'judge'", transcripts)
@@ -380,7 +389,7 @@ def cmd_bench_run(args) -> int:
         for sid, scn in scenarios.items():
             if sid not in gold:
                 raise ConfigError(f"no gold dialogue for scenario {sid!r}")
-            tasks.append(EvalTask(scenario=scn, mode="static", gold_dialogue=gold[sid]))
+            tasks.append(EvalTask(scenario=scn, gold_dialogue=gold[sid]))
         vcfg = None
     elif mode == "dynamic":
         for key in ("user_proxy", "voter"):
@@ -391,13 +400,12 @@ def cmd_bench_run(args) -> int:
                 generator=_backend_config(raw["user_proxy"], base, "for 'user_proxy'",
                                           transcripts),
                 voter=_backend_config(raw["voter"], base, "for 'voter'", transcripts),
-                n_samples=raw.get("n_samples", 3),
-                m_voters=raw.get("m_voters", 3),
                 rng_seed=raw["rng_seed"],
+                **_integers(raw, {"n_samples": None, "m_voters": None}),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        tasks = [EvalTask(scenario=scn, mode="dynamic") for scn in scenarios.values()]
+        tasks = [EvalTask(scenario=scn) for scn in scenarios.values()]
     else:
         raise ConfigError(f"unknown bench mode: {mode!r}")
 
@@ -406,7 +414,7 @@ def cmd_bench_run(args) -> int:
         exclusions = set(_read_config(_resolve(base, raw["exclusions"]), "exclusions file"))
     report, traces = run_benchmark(
         tasks, assistant, cat, vcfg, judge, ecfg,
-        concurrency=raw.get("concurrency", 1), exclusions=exclusions)
+        concurrency=concurrency, exclusions=exclusions)
     out_dir = _resolve(base, raw["out_dir"])
     records = [d.to_dict() for d in traces]
     write_jsonl(out_dir / "traces.jsonl", records)

@@ -307,8 +307,9 @@ def committed_tool(turn: AssistantTurn) -> str | None:
 
 # ---------------------------------------------------------------------------
 # request construction (pure; tests rebuild these to key scripted transcripts).
-# Prompt assets and sampling settings are fixed; the builders keep their
-# ``cfg`` parameter so existing call sites stay valid. Tool JSON comes from
+# Prompt assets and sampling settings are fixed; the trailing ``cfg`` is
+# unread and stays only while the benchmark's input generator still passes
+# an EngineConfig positionally. Tool JSON comes from
 # the catalogue (``Tool.json_text``, ``Catalogue.render``), encoded once per
 # tool however many prompts show it. ``assistant_context`` is the one owner
 # of the assistant's context: ``assistant_request`` sends it and
@@ -330,11 +331,11 @@ def render_history(messages: list, thoughts: bool = False) -> str:
     return "\n".join(lines)
 
 
-def selection_system_prompt(cat: Catalogue, names: list[str], cfg: EngineConfig) -> str:
+def selection_system_prompt(cat: Catalogue, names: list[str], cfg=None) -> str:
     return render(get_prompt("assistant_system:v1"), tools=cat.render(names))
 
 
-def filling_system_prompt(cat: Catalogue, names: list[str], gold: str, cfg: EngineConfig) -> str:
+def filling_system_prompt(cat: Catalogue, names: list[str], gold: str, cfg=None) -> str:
     return render(
         get_prompt("assistant_filling:v1"),
         gold_tool=cat.get(gold).json_text,
@@ -342,7 +343,7 @@ def filling_system_prompt(cat: Catalogue, names: list[str], gold: str, cfg: Engi
     )
 
 
-def user_system_prompt(scn: Scenario, cat: Catalogue, cfg: EngineConfig) -> str:
+def user_system_prompt(scn: Scenario, cat: Catalogue, cfg=None) -> str:
     persona = f"{scn.persona} Your current objective: {scn.goal}"
     return render(
         get_prompt("user_proxy:v1"),
@@ -366,7 +367,7 @@ def assistant_context(sys_prompt: str, messages: list) -> list[tuple[str, str]]:
 
 
 def assistant_request(sys_prompt: str, messages: list, seed: int,
-                      cfg: EngineConfig) -> CompletionRequest:
+                      cfg=None) -> CompletionRequest:
     """The assistant's request for context h^a_t, ending on a user turn."""
     chat = tuple(ChatMessage(role, content)
                  for role, content in assistant_context(sys_prompt, messages))
@@ -375,7 +376,7 @@ def assistant_request(sys_prompt: str, messages: list, seed: int,
 
 
 def user_request(sys_prompt: str, messages: list, seed: int,
-                 cfg: EngineConfig) -> CompletionRequest:
+                 cfg=None) -> CompletionRequest:
     """Context h^u_t from the proxy's perspective: its own utterances appear
     as assistant turns, the assistant's public replies as user turns;
     thoughts stay hidden."""
@@ -410,6 +411,30 @@ class SelectionOutcome:
     capped: bool = False
 
 
+def _user_utterance(scn: Scenario, label: str, sys_u: str, messages: list,
+                    gw_user: BackendConfig) -> str:
+    return complete(gw_user, user_request(
+        sys_u, messages, split_seed(scn.rng_seed, f"{label}:user:{len(messages)}"))).strip()
+
+
+def _converse(scn: Scenario, label: str, sys_a: str, sys_u: str, messages: list,
+              gw_user: BackendConfig, gw_asst: BackendConfig, t_max: int,
+              ends_stage) -> AssistantTurn | None:
+    """Alternate assistant and user turns on ``messages``, which ends on a
+    user turn. Returns the first assistant turn for which ``ends_stage``
+    holds, without appending it, or None once ``t_max`` pairs are reached."""
+    while True:
+        raw = complete(gw_asst, assistant_request(
+            sys_a, messages, split_seed(scn.rng_seed, f"{label}:asst:{len(messages)}")))
+        turn = parse_assistant_output(raw)
+        if ends_stage(turn):
+            return turn
+        messages.append(turn)
+        if len(messages) // 2 >= t_max:
+            return None
+        messages.append(UserTurn(_user_utterance(scn, label, sys_u, messages, gw_user)))
+
+
 def run_tool_selection(scn: Scenario, cat: Catalogue, emb: Embedder,
                        gw_user: BackendConfig, gw_asst: BackendConfig,
                        cfg: EngineConfig) -> SelectionOutcome:
@@ -420,35 +445,27 @@ def run_tool_selection(scn: Scenario, cat: Catalogue, emb: Embedder,
     Raises WrongToolError if the assistant commits to a distractor and
     RetrieverMissError when every attempt misses.
     """
-    sys_u = user_system_prompt(scn, cat, cfg)
+    sys_u = user_system_prompt(scn, cat)
     for attempt in range(cfg.regen_attempts):
         label = f"sel:{attempt}"
-        messages: list = []
-        opening = complete(gw_user, user_request(
-            sys_u, messages, split_seed(scn.rng_seed, f"{label}:user:0"), cfg)).strip()
+        opening = _user_utterance(scn, label, sys_u, [], gw_user)
         retrieved = [name for name, _ in search_catalogue(cat, opening, len(scn.pool), emb)]
         if scn.seed_tool not in retrieved:
             continue
         presented = shuffled_candidates(retrieved, split_seed(scn.rng_seed, f"{label}:present"))
-        sys_a = selection_system_prompt(cat, presented, cfg)
-        messages.append(UserTurn(opening))
-        while True:
-            raw = complete(gw_asst, assistant_request(
-                sys_a, messages, split_seed(scn.rng_seed, f"{label}:asst:{len(messages)}"), cfg))
-            turn = parse_assistant_output(raw)
-            chosen = committed_tool(turn)
-            if chosen is not None:
-                if chosen != scn.seed_tool:
-                    raise WrongToolError(
-                        f"assistant committed to {chosen!r}, expected {scn.seed_tool!r}")
-                # correct commitment: drop the committing message, keep the prefix
-                return SelectionOutcome(messages=messages, presented=presented)
-            messages.append(turn)
-            if len(messages) // 2 >= cfg.t_max:
-                return SelectionOutcome(messages=messages, presented=presented, capped=True)
-            nxt = complete(gw_user, user_request(
-                sys_u, messages, split_seed(scn.rng_seed, f"{label}:user:{len(messages)}"), cfg)).strip()
-            messages.append(UserTurn(nxt))
+        messages: list = [UserTurn(opening)]
+        # a tool call named "" is still a commitment, so test for None
+        commit = _converse(scn, label, selection_system_prompt(cat, presented), sys_u,
+                           messages, gw_user, gw_asst, cfg.t_max,
+                           lambda turn: committed_tool(turn) is not None)
+        if commit is None:
+            return SelectionOutcome(messages=messages, presented=presented, capped=True)
+        chosen = committed_tool(commit)
+        if chosen != scn.seed_tool:
+            raise WrongToolError(
+                f"assistant committed to {chosen!r}, expected {scn.seed_tool!r}")
+        # correct commitment: the committing message is dropped, the prefix kept
+        return SelectionOutcome(messages=messages, presented=presented)
     raise RetrieverMissError(
         f"seed tool {scn.seed_tool!r} absent from retrieval in "
         f"{cfg.regen_attempts} attempts")
@@ -462,32 +479,23 @@ def run_param_filling(prefix: SelectionOutcome, scn: Scenario, cat: Catalogue,
     The assistant now has the seed tool confirmed in its context and asks
     for missing values; the proxy discloses them. Terminates on any
     tool_calls emission or at the turn cap. Param-free tools produce an
-    immediate call without further user input.
+    immediate call without further user input. A capped selection prefix
+    has no turns left and comes back as the capped trace.
     """
     messages = list(prefix.messages)
     boundary = sum(1 for m in messages if isinstance(m, UserTurn))
-    sys_a = filling_system_prompt(cat, prefix.presented, scn.seed_tool, cfg)
-    sys_u = user_system_prompt(scn, cat, cfg)
-    terminated = TERMINATED_TURN_CAP
-    while True:
-        raw = complete(gw_asst, assistant_request(
-            sys_a, messages, split_seed(scn.rng_seed, f"fill:asst:{len(messages)}"), cfg))
-        turn = parse_assistant_output(raw)
-        messages.append(turn)
-        if turn.tool_calls:
-            terminated = TERMINATED_TOOL_CALL
-            break
-        if len(messages) // 2 >= cfg.t_max:
-            break
-        nxt = complete(gw_user, user_request(
-            sys_u, messages, split_seed(scn.rng_seed, f"fill:user:{len(messages)}"), cfg)).strip()
-        messages.append(UserTurn(nxt))
+    call = None if prefix.capped else _converse(
+        scn, "fill", filling_system_prompt(cat, prefix.presented, scn.seed_tool),
+        user_system_prompt(scn, cat), messages, gw_user, gw_asst, cfg.t_max,
+        lambda turn: bool(turn.tool_calls))
+    if call is not None:
+        messages.append(call)
     return DialogueTrace(
         dialogue_id=scn.scenario_id,
         scenario_ref=scn.scenario_id,
         messages=messages,
         phase_boundary=boundary,
-        terminated_by=terminated,
+        terminated_by=TERMINATED_TURN_CAP if call is None else TERMINATED_TOOL_CALL,
     )
 
 
@@ -496,13 +504,4 @@ def synthesize_dialogue(scn: Scenario, cat: Catalogue, emb: Embedder,
                         cfg: EngineConfig) -> DialogueTrace:
     """Full two-phase synthesis for one scenario."""
     prefix = run_tool_selection(scn, cat, emb, gw_user, gw_asst, cfg)
-    if prefix.capped:
-        boundary = sum(1 for m in prefix.messages if isinstance(m, UserTurn))
-        return DialogueTrace(
-            dialogue_id=scn.scenario_id,
-            scenario_ref=scn.scenario_id,
-            messages=prefix.messages,
-            phase_boundary=boundary,
-            terminated_by=TERMINATED_TURN_CAP,
-        )
     return run_param_filling(prefix, scn, cat, gw_user, gw_asst, cfg)

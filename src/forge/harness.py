@@ -47,21 +47,14 @@ from .seeds import split_seed
 
 logger = logging.getLogger(__name__)
 
-MODE_STATIC = "static"
-MODE_DYNAMIC = "dynamic"
-
 
 @dataclass
 class EvalTask:
-    scenario: Scenario
-    mode: str
-    gold_dialogue: DialogueTrace | None = None
+    """One benchmark task: static when it has a gold dialogue to re-decode
+    against, dynamic (a voting rollout) when it has none."""
 
-    def __post_init__(self):
-        if self.mode not in (MODE_STATIC, MODE_DYNAMIC):
-            raise ValueError(f"unknown eval mode: {self.mode!r}")
-        if self.mode == MODE_STATIC and self.gold_dialogue is None:
-            raise ValueError("static tasks require a gold dialogue")
+    scenario: Scenario
+    gold_dialogue: DialogueTrace | None = None
 
 
 @dataclass
@@ -128,7 +121,7 @@ def voter_request(scn: Scenario, messages: list, candidates: list[str], rng_seed
 
 
 def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
-                   vcfg: VotingConfig, ecfg: EngineConfig) -> str:
+                   vcfg: VotingConfig) -> str:
     """Produce one user utterance via sample-then-vote.
 
     n candidates come from the generator; each of m voters sees them in its
@@ -143,8 +136,7 @@ def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
     """
     turn_key = len(messages)
     gen_req = user_request(
-        user_system_prompt(scn, cat, ecfg), messages,
-        split_seed(vcfg.rng_seed, f"gen:{turn_key}"), ecfg)
+        user_system_prompt(scn, cat), messages, split_seed(vcfg.rng_seed, f"gen:{turn_key}"))
     candidates = [c.strip() for c in sample_n(vcfg.generator, gen_req, vcfg.n_samples)]
     if vcfg.n_samples == 1:
         return candidates[0]
@@ -165,16 +157,15 @@ def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
 
 
 def _decode_assistant(assistant: BackendConfig, sys_prompt: str, messages: list,
-                      seed: int, ecfg: EngineConfig) -> AssistantTurn:
-    raw = complete(assistant, assistant_request(sys_prompt, messages, seed, ecfg))
+                      seed: int) -> AssistantTurn:
+    raw = complete(assistant, assistant_request(sys_prompt, messages, seed))
     try:
         return parse_assistant_output(raw)
     except AssistantFormatError:
         return AssistantTurn(thought=None, raw=raw)
 
 
-def eval_static(task: EvalTask, assistant: BackendConfig, cat: Catalogue,
-                ecfg: EngineConfig) -> DialogueTrace:
+def eval_static(task: EvalTask, assistant: BackendConfig, cat: Catalogue) -> DialogueTrace:
     """Decode each assistant turn against frozen gold user utterances.
 
     Gold user turns are never mutated; the assistant conditions on them
@@ -182,12 +173,12 @@ def eval_static(task: EvalTask, assistant: BackendConfig, cat: Catalogue,
     """
     scn = task.scenario
     gold_pairs = task.gold_dialogue.turns()
-    sys_a = selection_system_prompt(cat, scn.pool, ecfg)
+    sys_a = selection_system_prompt(cat, scn.pool)
     messages: list = []
     for t, (gold_user, _) in enumerate(gold_pairs, start=1):
         messages.append(UserTurn(gold_user.text))
         turn = _decode_assistant(
-            assistant, sys_a, messages, split_seed(scn.rng_seed, f"static:asst:{t}"), ecfg)
+            assistant, sys_a, messages, split_seed(scn.rng_seed, f"static:asst:{t}"))
         messages.append(turn)
     called = any(t.tool_calls for t in messages if isinstance(t, AssistantTurn))
     return DialogueTrace(
@@ -200,19 +191,19 @@ def eval_static(task: EvalTask, assistant: BackendConfig, cat: Catalogue,
 
 
 def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
-                 vcfg: VotingConfig, t_max: int, ecfg: EngineConfig) -> DialogueTrace:
+                 vcfg: VotingConfig, t_max: int) -> DialogueTrace:
     """On-policy rollout with the frozen voting user-proxy.
 
     Terminates on any tool_calls emission or at the turn cap.
     """
     messages: list = []
     terminated = TERMINATED_TURN_CAP
-    sys_a = selection_system_prompt(cat, scn.pool, ecfg)
+    sys_a = selection_system_prompt(cat, scn.pool)
     for t in range(1, t_max + 1):
-        utterance = vote_utterance(scn, cat, messages, vcfg, ecfg)
+        utterance = vote_utterance(scn, cat, messages, vcfg)
         messages.append(UserTurn(utterance))
         turn = _decode_assistant(
-            assistant, sys_a, messages, split_seed(scn.rng_seed, f"dyn:asst:{t}"), ecfg)
+            assistant, sys_a, messages, split_seed(scn.rng_seed, f"dyn:asst:{t}"))
         messages.append(turn)
         if turn.tool_calls:
             terminated = TERMINATED_TOOL_CALL
@@ -237,14 +228,13 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
     """
     if not tasks:
         raise ValueError("benchmark requires at least one task")
-    dynamic = [t for t in tasks if t.mode == MODE_DYNAMIC]
-    if dynamic and vcfg is None:
-        raise ValueError("dynamic tasks require a voting config")
+    if vcfg is None and any(task.gold_dialogue is None for task in tasks):
+        raise ValueError("tasks without a gold dialogue require a voting config")
 
     def _run(task: EvalTask) -> DialogueTrace:
-        if task.mode == MODE_STATIC:
-            return eval_static(task, assistant, cat, ecfg)
-        return eval_dynamic(task.scenario, assistant, cat, vcfg, ecfg.t_max, ecfg)
+        if task.gold_dialogue is not None:
+            return eval_static(task, assistant, cat)
+        return eval_dynamic(task.scenario, assistant, cat, vcfg, ecfg.t_max)
 
     traces = fan_out(_run, tasks, concurrency)
     refs = {

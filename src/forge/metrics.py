@@ -204,9 +204,8 @@ def lexical_metrics(corpus: list[DialogueTrace]) -> tuple[float | None, dict[int
         seen: set[tuple[str, ...]] = set()
         count = 0
         for toks in token_lists:
-            for i in range(len(toks) - n + 1):
-                seen.add(tuple(toks[i:i + n]))
-                count += 1
+            seen.update(zip(*(toks[i:] for i in range(n))))
+            count += max(0, len(toks) - n + 1)
         ngd[n] = len(seen) / count if count else None
     return ttr, ngd
 

@@ -247,8 +247,7 @@ _SLOT_SAMPLES = {"string": "sample-value", "integer": 42, "number": 2.5,
 
 
 def script_minimal_dialogue(transcript: Transcript, catalogue, embedder, store,
-                            ecfg: EngineConfig, tool_name: str,
-                            root_seed: int = ROOT_SEED) -> DialogueTrace:
+                            tool_name: str, root_seed: int = ROOT_SEED) -> DialogueTrace:
     """Register a one-pair scripted dialogue for a seed tool: vague opening,
     immediate commitment, immediate call. Returns the expected trace."""
     from forge.catalogue import required_args
@@ -265,9 +264,9 @@ def script_minimal_dialogue(transcript: Transcript, catalogue, embedder, store,
                             json.dumps(gold_args), "m-goal")
     scn = Scenario(seed_tool=tool_name, persona=persona, goal=GENERIC_GOAL,
                    distractors=dset, pool=pool, gold_args=gold_args, rng_seed=rng_seed)
-    sys_u = user_system_prompt(scn, catalogue, ecfg)
+    sys_u = user_system_prompt(scn, catalogue)
     transcript.register(
-        user_request(sys_u, [], split_seed(rng_seed, "sel:0:user:0"), ecfg),
+        user_request(sys_u, [], split_seed(rng_seed, "sel:0:user:0")),
         GENERIC_OPENING, "m-user")
     retrieved = [n for n, _ in
                  search_catalogue(catalogue, GENERIC_OPENING, len(pool), embedder)]
@@ -275,14 +274,14 @@ def script_minimal_dialogue(transcript: Transcript, catalogue, embedder, store,
     presented = shuffled_candidates(retrieved, split_seed(rng_seed, "sel:0:present"))
     msgs = [UserTurn(GENERIC_OPENING)]
     transcript.register(
-        assistant_request(selection_system_prompt(catalogue, presented, ecfg), msgs,
-                          split_seed(rng_seed, "sel:0:asst:1"), ecfg),
+        assistant_request(selection_system_prompt(catalogue, presented), msgs,
+                          split_seed(rng_seed, "sel:0:asst:1")),
         f"<think>Clear enough. <<select: {tool_name}>></think> Working on it.", "m-asst")
     call_raw = (f"<think>All inputs known.</think> "
                 f'[{{"name": "{tool_name}", "args": {json.dumps(gold_args)}}}]')
     transcript.register(
-        assistant_request(filling_system_prompt(catalogue, presented, tool_name, ecfg),
-                          msgs, split_seed(rng_seed, "fill:asst:1"), ecfg),
+        assistant_request(filling_system_prompt(catalogue, presented, tool_name),
+                          msgs, split_seed(rng_seed, "fill:asst:1")),
         call_raw, "m-asst")
     trace = DialogueTrace(
         dialogue_id=scn.scenario_id, scenario_ref=scn.scenario_id,
@@ -306,7 +305,6 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
     catalogue = parse_catalogue(json.dumps(CATALOGUE_TOOLS))
     embedder = HashEmbedder()
     store = PersonaStore(personas=[TEST_PERSONA], embedder=embedder)
-    ecfg = EngineConfig()
     rng_seed = split_seed(ROOT_SEED, f"dialogue:{SEED_TOOL}")
     tool = catalogue.get(SEED_TOOL)
     transcript = Transcript()
@@ -330,41 +328,41 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
         transcript.register(req, reply, model_id)
         engine_requests.append(fingerprint(model_id, req))
 
-    sys_u = user_system_prompt(scn, catalogue, ecfg)
+    sys_u = user_system_prompt(scn, catalogue)
     msgs: list = []
     _register_engine(
-        user_request(sys_u, msgs, split_seed(rng_seed, "sel:0:user:0"), ecfg),
+        user_request(sys_u, msgs, split_seed(rng_seed, "sel:0:user:0")),
         RAW_U1, "m-user")
     retrieved = [n for n, _ in search_catalogue(catalogue, RAW_U1, len(pool), embedder)]
     assert SEED_TOOL in retrieved
     presented = shuffled_candidates(retrieved, split_seed(rng_seed, "sel:0:present"))
-    sys_sel = selection_system_prompt(catalogue, presented, ecfg)
+    sys_sel = selection_system_prompt(catalogue, presented)
     msgs.append(UserTurn(RAW_U1))
     _register_engine(
-        assistant_request(sys_sel, msgs, split_seed(rng_seed, "sel:0:asst:1"), ecfg),
+        assistant_request(sys_sel, msgs, split_seed(rng_seed, "sel:0:asst:1")),
         RAW_A1, "m-asst")
     msgs.append(parse_assistant_output(RAW_A1))
     _register_engine(
-        user_request(sys_u, msgs, split_seed(rng_seed, "sel:0:user:2"), ecfg),
+        user_request(sys_u, msgs, split_seed(rng_seed, "sel:0:user:2")),
         RAW_U2, "m-user")
     msgs.append(UserTurn(RAW_U2))
     _register_engine(
-        assistant_request(sys_sel, msgs, split_seed(rng_seed, "sel:0:asst:3"), ecfg),
+        assistant_request(sys_sel, msgs, split_seed(rng_seed, "sel:0:asst:3")),
         RAW_A2_COMMIT, "m-asst")
     # committing message is dropped; filling resumes from the same prefix
 
     # filling stage ---------------------------------------------------------
-    sys_fill = filling_system_prompt(catalogue, presented, SEED_TOOL, ecfg)
+    sys_fill = filling_system_prompt(catalogue, presented, SEED_TOOL)
     _register_engine(
-        assistant_request(sys_fill, msgs, split_seed(rng_seed, "fill:asst:3"), ecfg),
+        assistant_request(sys_fill, msgs, split_seed(rng_seed, "fill:asst:3")),
         RAW_A2_FILL, "m-asst")
     msgs.append(parse_assistant_output(RAW_A2_FILL))
     _register_engine(
-        user_request(sys_u, msgs, split_seed(rng_seed, "fill:user:4"), ecfg),
+        user_request(sys_u, msgs, split_seed(rng_seed, "fill:user:4")),
         RAW_U3, "m-user")
     msgs.append(UserTurn(RAW_U3))
     _register_engine(
-        assistant_request(sys_fill, msgs, split_seed(rng_seed, "fill:asst:5"), ecfg),
+        assistant_request(sys_fill, msgs, split_seed(rng_seed, "fill:asst:5")),
         RAW_A3_CALL, "m-asst")
     msgs.append(parse_assistant_output(RAW_A3_CALL))
 
@@ -383,7 +381,7 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
 
     # the request whose reply commits to a tool, for tests that override it
     commit_request = assistant_request(
-        sys_sel, msgs[:3], split_seed(rng_seed, "sel:0:asst:3"), ecfg)
+        sys_sel, msgs[:3], split_seed(rng_seed, "sel:0:asst:3"))
 
     # minimal single-pair dialogues for every other catalogue tool so CLI
     # runs over the full catalogue replay end to end
@@ -391,13 +389,13 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
     for other in catalogue.names():
         if other != SEED_TOOL:
             extra_traces[other] = script_minimal_dialogue(
-                transcript, catalogue, embedder, store, ecfg, other)
+                transcript, catalogue, embedder, store, other)
 
     world = SimpleNamespace(
         cat=catalogue,
         emb=embedder,
         store=store,
-        ecfg=ecfg,
+        ecfg=EngineConfig(),
         rng_seed=rng_seed,
         scenario=scn,
         transcript=transcript,

@@ -9,6 +9,7 @@ Operates on plain trace dicts (the JSONL shapes) only.
 from __future__ import annotations
 
 import random
+import re
 
 
 def naive_values_equal(a, b):
@@ -235,3 +236,13 @@ def naive_vote_winner(perms: list[list[int]], positions: list[int | None], n: in
             best_count = count
             winner = candidate
     return winner
+
+
+def naive_ngd(texts: list[str], n: int) -> float | None:
+    """Distinct n-grams over all n-grams of lowercased word tokens, taken
+    within each text by plain slicing; None when no text has n tokens."""
+    grams = []
+    for text in texts:
+        toks = re.findall(r"\w+", text.lower())
+        grams.extend(tuple(toks[i:i + n]) for i in range(len(toks) - n + 1))
+    return len(set(grams)) / len(grams) if grams else None

@@ -336,13 +336,13 @@ def test_bench_static_run_and_report(world, capsys):
 
     scn = world.scenario
     transcript = Transcript()
-    sys_a = selection_system_prompt(world.cat, scn.pool, world.ecfg)
+    sys_a = selection_system_prompt(world.cat, scn.pool)
     messages = []
     for t, reply in enumerate((RAW_A1, RAW_A2_FILL, RAW_A3_CALL), start=1):
         gold_user = world.expected_trace.turns()[t - 1][0]
         messages.append(UserTurn(gold_user.text))
         req = assistant_request(sys_a, messages,
-                                split_seed(scn.rng_seed, f"static:asst:{t}"), world.ecfg)
+                                split_seed(scn.rng_seed, f"static:asst:{t}"))
         transcript.register(req, reply, "m-cand")
         messages.append(parse_assistant_output(reply))
     transcript.save(world.tmp_path / "cand_transcript.json")
@@ -411,10 +411,20 @@ def test_bench_zero_samples_is_config_error(world, capsys):
     assert "n_samples" in capsys.readouterr().err
 
 
-def test_generate_turn_cap_below_two_is_config_error(world, capsys):
+@pytest.mark.parametrize("command", ["generate", "validate", "export"])
+def test_generate_turn_cap_below_two_is_config_error(world, capsys, command):
+    """Every command that reads the pipeline config checks the engine settings."""
+    out = world.tmp_path / "out"
+    corpus = [out / "corpus.jsonl", "--scenarios", out / "scenarios.jsonl"]
+    argv = {"generate": ["generate", "--seed-tools", SEED_TOOL],
+            "validate": ["validate", *corpus],
+            "export": ["export", *corpus, "--out-dir", world.tmp_path / "sft"]}[command]
+    if command != "generate":
+        assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 0
     cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
     world.config_path.write_text(json.dumps({**cfg, "t_max": 1}), encoding="utf-8")
-    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 2
+    capsys.readouterr()
+    assert run([*argv, "--config", world.config_path]) == 2
     assert "t_max" in capsys.readouterr().err
 
 
@@ -440,12 +450,19 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("generate", {"k": 0}, "k must be"),
     ("generate", {"persona_k": 0}, "persona_k must be"),
     ("generate", {"concurrency": 0}, "concurrency must be"),
+    ("generate", {"regen_attempts": 0}, "regen_attempts must be"),
+    ("generate", {"t_max": "3"}, "t_max must be an integer"),
+    ("generate", {"concurrency": "2"}, "concurrency must be an integer"),
+    ("generate", {"k": None}, "k must be an integer"),
+    ("generate", {"rng_seed": "abc"}, "rng_seed must be an integer"),
     ("bench", {"concurrency": -3}, "concurrency must be"),
+    ("bench", {"n_samples": "3"}, "n_samples must be an integer"),
     ("distractors", [SEED_TOOL, "--dim", "0"], "dimension"),
     ("distractors", [SEED_TOOL, "--k", "0"], "k must be"),
     ("distractors", ["no_such_tool"], "no_such_tool"),
 ], ids=["remote-embedder-no-endpoint", "embedder-dimension-0", "k-0", "persona-k-0",
-        "concurrency-0", "bench-concurrency-negative",
+        "concurrency-0", "regen-attempts-0", "t-max-string", "concurrency-string", "k-null",
+        "rng-seed-not-a-number", "bench-concurrency-negative", "bench-n-samples-string",
         "distractors-dim-0", "distractors-k-0", "distractors-unknown-seed"])
 def test_bad_input_is_config_error(world, capsys, command, change, message):
     if command == "generate":

@@ -18,13 +18,15 @@ from forge.engine import (
     committed_tool,
     parse_assistant_output,
     run_tool_selection,
+    selection_system_prompt,
     serialize_assistant_turn,
+    shuffled_candidates,
     synthesize_dialogue,
     user_request,
     user_system_prompt,
 )
-from forge.gateway import Transcript
-from forge.retrieval import DistractorSet
+from forge.gateway import Transcript, fingerprint
+from forge.retrieval import DistractorSet, search_catalogue
 from forge.scenario import Scenario
 from forge.seeds import split_seed
 from forge.validation import validate_toolargs, validate_toolcall
@@ -220,7 +222,7 @@ def test_wrong_tool_commitment_rejects():
 
     msgs = w.expected_trace.messages[:3]
     sys_sel_fp_req = assistant_request(
-        _selection_prompt(w), msgs[:3], split_seed(w.rng_seed, "sel:0:asst:3"), w.ecfg)
+        _selection_prompt(w), msgs[:3], split_seed(w.rng_seed, "sel:0:asst:3"))
     w.transcript.register(sys_sel_fp_req, bad_commit, "m-asst")
     with pytest.raises(WrongToolError):
         run_tool_selection(w.scenario, w.cat, w.emb,
@@ -229,7 +231,7 @@ def test_wrong_tool_commitment_rejects():
 
 def _selection_prompt(w):
     from forge.engine import selection_system_prompt
-    return selection_system_prompt(w.cat, w.presented, w.ecfg)
+    return selection_system_prompt(w.cat, w.presented)
 
 
 def test_retriever_miss_rejects_after_five_attempts():
@@ -247,14 +249,13 @@ def test_retriever_miss_rejects_after_five_attempts():
     transcript = Transcript()
     gw_user = scripted_backend("m-user", transcript)
     gw_asst = scripted_backend("m-asst", transcript)
-    sys_u = user_system_prompt(small, w.cat, w.ecfg)
+    sys_u = user_system_prompt(small, w.cat)
     # an opening about warehouses and freight rates outranks the seed tool
     misleading = ("I need to compare contracted freight rates for a shipping lane "
                   "and manage warehouse staffing resources for a warehouse zone.")
     for attempt in range(w.ecfg.regen_attempts):
         transcript.register(
-            user_request(sys_u, [], split_seed(small.rng_seed, f"sel:{attempt}:user:0"),
-                         w.ecfg),
+            user_request(sys_u, [], split_seed(small.rng_seed, f"sel:{attempt}:user:0")),
             misleading, "m-user")
     with pytest.raises(RetrieverMissError):
         run_tool_selection(small, w.cat, w.emb, gw_user, gw_asst, w.ecfg)
@@ -272,11 +273,10 @@ def test_param_free_tool_calls_immediately():
     transcript = Transcript()
     gw_user = scripted_backend("m-user", transcript)
     gw_asst = scripted_backend("m-asst", transcript)
-    ecfg = w.ecfg
-    sys_u = user_system_prompt(scn, w.cat, ecfg)
+    sys_u = user_system_prompt(scn, w.cat)
     opening = "Could you refresh the consolidated delivery schedule for today?"
     transcript.register(
-        user_request(sys_u, [], split_seed(123, "sel:0:user:0"), ecfg), opening, "m-user")
+        user_request(sys_u, [], split_seed(123, "sel:0:user:0")), opening, "m-user")
     from forge.engine import (filling_system_prompt, selection_system_prompt,
                               shuffled_candidates)
     from forge.retrieval import search_catalogue
@@ -284,17 +284,17 @@ def test_param_free_tool_calls_immediately():
     retrieved = [n for n, _ in search_catalogue(w.cat, opening, 2, w.emb)]
     assert tool in retrieved
     presented = shuffled_candidates(retrieved, split_seed(123, "sel:0:present"))
-    sys_sel = selection_system_prompt(w.cat, presented, ecfg)
+    sys_sel = selection_system_prompt(w.cat, presented)
     msgs = [UserTurn(opening)]
     transcript.register(
-        assistant_request(sys_sel, msgs, split_seed(123, "sel:0:asst:1"), ecfg),
+        assistant_request(sys_sel, msgs, split_seed(123, "sel:0:asst:1")),
         f"<think>Clear match. <<select: {tool}>></think> One moment.", "m-asst")
-    sys_fill = filling_system_prompt(w.cat, presented, tool, ecfg)
+    sys_fill = filling_system_prompt(w.cat, presented, tool)
     transcript.register(
-        assistant_request(sys_fill, msgs, split_seed(123, "fill:asst:1"), ecfg),
+        assistant_request(sys_fill, msgs, split_seed(123, "fill:asst:1")),
         f'<think>No parameters needed.</think> [{{"name": "{tool}", "args": {{}}}}]',
         "m-asst")
-    trace = synthesize_dialogue(scn, w.cat, w.emb, gw_user, gw_asst, ecfg)
+    trace = synthesize_dialogue(scn, w.cat, w.emb, gw_user, gw_asst, w.ecfg)
     assert trace.pair_count() == 1
     assert trace.phase_boundary == 1
     assert trace.terminated_by == "tool_call"
@@ -310,10 +310,10 @@ def test_turn_cap_terminates_filling():
     transcript = Transcript()
     gw_user = scripted_backend("m-user", transcript)
     gw_asst = scripted_backend("m-asst", transcript)
-    sys_u = user_system_prompt(scn, w.cat, ecfg)
+    sys_u = user_system_prompt(scn, w.cat)
     opening = "I want to keep watch over our transport activities."
     transcript.register(
-        user_request(sys_u, [], split_seed(scn.rng_seed, "sel:0:user:0"), ecfg),
+        user_request(sys_u, [], split_seed(scn.rng_seed, "sel:0:user:0")),
         opening, "m-user")
     from forge.engine import (filling_system_prompt, selection_system_prompt,
                               shuffled_candidates)
@@ -321,28 +321,64 @@ def test_turn_cap_terminates_filling():
 
     retrieved = [n for n, _ in search_catalogue(w.cat, opening, len(scn.pool), w.emb)]
     presented = shuffled_candidates(retrieved, split_seed(scn.rng_seed, "sel:0:present"))
-    sys_sel = selection_system_prompt(w.cat, presented, ecfg)
+    sys_sel = selection_system_prompt(w.cat, presented)
     msgs = [UserTurn(opening)]
     transcript.register(
-        assistant_request(sys_sel, msgs, split_seed(scn.rng_seed, "sel:0:asst:1"), ecfg),
+        assistant_request(sys_sel, msgs, split_seed(scn.rng_seed, "sel:0:asst:1")),
         f"<think>Sure. <<select: {scn.seed_tool}>></think> ok", "m-asst")
-    sys_fill = filling_system_prompt(w.cat, presented, scn.seed_tool, ecfg)
+    sys_fill = filling_system_prompt(w.cat, presented, scn.seed_tool)
     never_calls = "<think>Need more info.</think> Could you share more details?"
     transcript.register(
-        assistant_request(sys_fill, msgs, split_seed(scn.rng_seed, "fill:asst:1"), ecfg),
+        assistant_request(sys_fill, msgs, split_seed(scn.rng_seed, "fill:asst:1")),
         never_calls, "m-asst")
     msgs2 = msgs + [parse_assistant_output(never_calls)]
     follow_up = "I am not sure what you need."
     transcript.register(
-        user_request(sys_u, msgs2, split_seed(scn.rng_seed, "fill:user:2"), ecfg),
+        user_request(sys_u, msgs2, split_seed(scn.rng_seed, "fill:user:2")),
         follow_up, "m-user")
     msgs3 = msgs2 + [UserTurn(follow_up)]
     transcript.register(
-        assistant_request(sys_fill, msgs3, split_seed(scn.rng_seed, "fill:asst:3"), ecfg),
+        assistant_request(sys_fill, msgs3, split_seed(scn.rng_seed, "fill:asst:3")),
         never_calls, "m-asst")
     trace = synthesize_dialogue(scn, w.cat, w.emb, gw_user, gw_asst, ecfg)
     assert trace.terminated_by == "turn_cap"
     assert trace.pair_count() == 2
+
+
+def test_turn_cap_terminates_selection():
+    """An assistant that never commits yields the capped selection trace,
+    built from u0, a1, u2 and a3 in that order."""
+    w = build_replay_world()
+    scn = w.scenario
+    transcript = Transcript()
+    opening = "I want to keep watch over our transport activities."
+    asking = "<think>Not sure yet.</think> Could you tell me more?"
+    follow_up = "It is about the requests moving through one node."
+    retrieved = [n for n, _ in search_catalogue(w.cat, opening, len(scn.pool), w.emb)]
+    assert scn.seed_tool in retrieved
+    presented = shuffled_candidates(retrieved, split_seed(scn.rng_seed, "sel:0:present"))
+    sys_u = user_system_prompt(scn, w.cat)
+    sys_sel = selection_system_prompt(w.cat, presented)
+    msgs1 = [UserTurn(opening)]
+    msgs2 = msgs1 + [parse_assistant_output(asking)]
+    msgs3 = msgs2 + [UserTurn(follow_up)]
+    steps = [
+        (user_request(sys_u, [], split_seed(scn.rng_seed, "sel:0:user:0")), opening, "m-user"),
+        (assistant_request(sys_sel, msgs1, split_seed(scn.rng_seed, "sel:0:asst:1")),
+         asking, "m-asst"),
+        (user_request(sys_u, msgs2, split_seed(scn.rng_seed, "sel:0:user:2")),
+         follow_up, "m-user"),
+        (assistant_request(sys_sel, msgs3, split_seed(scn.rng_seed, "sel:0:asst:3")),
+         asking, "m-asst"),
+    ]
+    for req, reply, model_id in steps:
+        transcript.register(req, reply, model_id)
+    trace = synthesize_dialogue(scn, w.cat, w.emb, scripted_backend("m-user", transcript),
+                                scripted_backend("m-asst", transcript), EngineConfig(t_max=2))
+    assert len(trace.messages) == 4
+    assert trace.terminated_by == "turn_cap"
+    assert trace.phase_boundary == 2
+    assert transcript.served == [fingerprint(model_id, req) for req, _, model_id in steps]
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,12 @@ def test_sample_context_is_the_served_assistant_context():
     # train/serve parity: sample t trains on exactly the context the
     # assistant's request carries at turn t
     w = build_replay_world()
-    sys_prompt = selection_system_prompt(w.cat, w.scenario.pool, w.ecfg)
+    sys_prompt = selection_system_prompt(w.cat, w.scenario.pool)
     messages = w.expected_trace.messages
     samples = slice_dialogue(w.expected_trace, sys_prompt)
     assert len(samples) == len(messages) // 2
     for t, sample in enumerate(samples, start=1):
-        served = assistant_request(sys_prompt, messages[:2 * t - 1], 0, w.ecfg).messages
+        served = assistant_request(sys_prompt, messages[:2 * t - 1], 0).messages
         assert [(m["role"], m["content"]) for m in sample.messages[:-1]] == [
             (m.role, m.content) for m in served]
         assert not any(m["learn"] for m in sample.messages[:-1])

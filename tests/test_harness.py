@@ -106,11 +106,10 @@ def voting_fixture(world, candidates, desired_original=None, n=3, m=3,
     """Scripted generator + voters. When desired_original is given, every
     voter picks the position of that candidate in its own permutation."""
     scn = eval_scenario()
-    ecfg = world.ecfg
     transcript = Transcript()
     gen_req = user_request(
-        user_system_prompt(scn, world.cat, ecfg), [],
-        split_seed(rng_seed, "gen:0"), ecfg)
+        user_system_prompt(scn, world.cat), [],
+        split_seed(rng_seed, "gen:0"))
     transcript.register(gen_req, candidates, "m-gen")
     voter_transcript = Transcript()
     for j in range(m):
@@ -130,28 +129,28 @@ def voting_fixture(world, candidates, desired_original=None, n=3, m=3,
 def test_unanimous_voters_select_candidate_three(world):
     candidates = ["first option", "second option", "third option"]
     scn, vcfg = voting_fixture(world, candidates, desired_original=2)
-    assert vote_utterance(scn, world.cat, [], vcfg, world.ecfg) == "third option"
+    assert vote_utterance(scn, world.cat, [], vcfg) == "third option"
 
 
 def test_n_equals_one_skips_voters(world):
     scn = eval_scenario()
     transcript = Transcript()
     gen_req = user_request(
-        user_system_prompt(scn, world.cat, world.ecfg), [],
-        split_seed(9, "gen:0"), world.ecfg)
+        user_system_prompt(scn, world.cat), [],
+        split_seed(9, "gen:0"))
     transcript.register(gen_req, ["the only one"], "m-gen")
     vcfg = VotingConfig(
         generator=scripted_backend("m-gen", transcript),
         voter=scripted_backend("m-voter", Transcript()),  # would raise if used
         n_samples=1, m_voters=3, rng_seed=9)
-    assert vote_utterance(scn, world.cat, [], vcfg, world.ecfg) == "the only one"
+    assert vote_utterance(scn, world.cat, [], vcfg) == "the only one"
 
 
 def test_out_of_range_votes_discarded_with_fallback(world, caplog):
     candidates = ["first option", "second option", "third option"]
     scn, vcfg = voting_fixture(world, candidates, bad_votes=["9", "zero", ""])
     with caplog.at_level(logging.WARNING):
-        chosen = vote_utterance(scn, world.cat, [], vcfg, world.ecfg)
+        chosen = vote_utterance(scn, world.cat, [], vcfg)
     assert chosen == "first option"
     assert any("discarded" in rec.message for rec in caplog.records)
 
@@ -163,26 +162,26 @@ def test_partial_votes_still_pool(world):
     # rebuild voter 1's reply to point at candidate index 2
     perm1, req = voter_request(scn, [], candidates, 777, 1)
     vcfg.voter.transcript.register(req, str(perm1.index(2) + 1), "m-voter")
-    assert vote_utterance(scn, world.cat, [], vcfg, world.ecfg) == "third option"
+    assert vote_utterance(scn, world.cat, [], vcfg) == "third option"
 
 
 def test_remote_voters_overlap_and_pool_in_voter_order(world, loopback):
     candidates = ["first option", "second option", "third option"]
     scn, vcfg = voting_fixture(world, candidates, bad_votes=["1", "2", "3"])
-    expected = vote_utterance(scn, world.cat, [], vcfg, world.ecfg)
+    expected = vote_utterance(scn, world.cat, [], vcfg)
     delays = {fingerprint("m-voter", voter_request(scn, [], candidates, 777, j)[1]):
               0.4 - 0.1 * j for j in range(3)}  # voter 0 is answered last
     endpoint, _ = loopback(transcript_responder(vcfg.voter.transcript, delays))
     remote = dataclasses.replace(vcfg, voter=remote_backend("m-voter", endpoint))
     start = time.perf_counter()
-    assert vote_utterance(scn, world.cat, [], remote, world.ecfg) == expected
+    assert vote_utterance(scn, world.cat, [], remote) == expected
     assert time.perf_counter() - start < 2 * max(delays.values())
 
 
 def test_scripted_voting_starts_no_thread(world, no_thread_pool):
     candidates = ["first option", "second option", "third option"]
     scn, vcfg = voting_fixture(world, candidates, desired_original=2)
-    assert vote_utterance(scn, world.cat, [], vcfg, world.ecfg) == "third option"
+    assert vote_utterance(scn, world.cat, [], vcfg) == "third option"
 
 
 def test_voting_matches_naive_enumerator_bulk():
@@ -216,12 +215,12 @@ def static_candidate(world, replies, scn=None, gold=None):
     scn = scn or world.scenario
     gold = gold or world.expected_trace
     transcript = Transcript()
-    sys_a = selection_system_prompt(world.cat, scn.pool, world.ecfg)
+    sys_a = selection_system_prompt(world.cat, scn.pool)
     messages = []
     for t, (gold_user, _) in enumerate(gold.turns(), start=1):
         messages.append(UserTurn(gold_user.text))
         req = assistant_request(sys_a, messages,
-                                split_seed(scn.rng_seed, f"static:asst:{t}"), world.ecfg)
+                                split_seed(scn.rng_seed, f"static:asst:{t}"))
         transcript.register(req, replies[t - 1], "m-cand")
         from forge.engine import parse_assistant_output
         try:
@@ -234,9 +233,8 @@ def static_candidate(world, replies, scn=None, gold=None):
 def test_static_replaying_gold_reproduces_gold(world):
     replies = [RAW_A1, RAW_A2_FILL, RAW_A3_CALL]
     cand = static_candidate(world, replies)
-    task = EvalTask(scenario=world.scenario, mode="static",
-                    gold_dialogue=world.expected_trace)
-    trace = eval_static(task, cand, world.cat, world.ecfg)
+    task = EvalTask(scenario=world.scenario, gold_dialogue=world.expected_trace)
+    trace = eval_static(task, cand, world.cat)
     assert [m.to_dict() for m in trace.messages] == \
         [m.to_dict() for m in world.expected_trace.messages]
     assert trace.terminated_by == "tool_call"
@@ -246,9 +244,8 @@ def test_static_keeps_gold_user_turns_intact(world):
     bad_call = '<think>jump early</think> [{"name": "fn_2231_logistics_order_tracking", "args": {"orderId": "x"}}]'
     replies = [bad_call, bad_call, bad_call]
     cand = static_candidate(world, replies)
-    task = EvalTask(scenario=world.scenario, mode="static",
-                    gold_dialogue=world.expected_trace)
-    trace = eval_static(task, cand, world.cat, world.ecfg)
+    task = EvalTask(scenario=world.scenario, gold_dialogue=world.expected_trace)
+    trace = eval_static(task, cand, world.cat)
     gold_users = [u.text for u, _ in world.expected_trace.turns()]
     got_users = [m.text for m in trace.messages if isinstance(m, UserTurn)]
     assert got_users == gold_users
@@ -259,9 +256,8 @@ def test_static_distractor_call_scores_ftr(world):
                 '[{"name": "fn_2231_logistics_order_tracking", "args": {"orderId": "x"}}]')
     replies = [bad_call, bad_call, bad_call]
     cand = static_candidate(world, replies)
-    task = EvalTask(scenario=world.scenario, mode="static",
-                    gold_dialogue=world.expected_trace)
-    trace = eval_static(task, cand, world.cat, world.ecfg)
+    task = EvalTask(scenario=world.scenario, gold_dialogue=world.expected_trace)
+    trace = eval_static(task, cand, world.cat)
     rec = extract_call(trace)
     assert rec.t_dagger == 1
     assert rec.tnames == {"fn_2231_logistics_order_tracking"}
@@ -270,18 +266,12 @@ def test_static_distractor_call_scores_ftr(world):
 def test_static_malformed_output_marks_turn_and_continues(world):
     replies = ["no think markers at all", RAW_A2_FILL, RAW_A3_CALL]
     cand = static_candidate(world, replies)
-    task = EvalTask(scenario=world.scenario, mode="static",
-                    gold_dialogue=world.expected_trace)
-    trace = eval_static(task, cand, world.cat, world.ecfg)
+    task = EvalTask(scenario=world.scenario, gold_dialogue=world.expected_trace)
+    trace = eval_static(task, cand, world.cat)
     first = trace.messages[1]
     assert first.malformed
     assert trace.pair_count() == 3
     assert trace.messages[-1].tool_calls is not None
-
-
-def test_static_requires_gold_dialogue():
-    with pytest.raises(ValueError, match="gold"):
-        EvalTask(scenario=eval_scenario(), mode="static")
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +284,18 @@ def dynamic_fixture(world, assistant_replies, t_max=4, rng_seed=888):
     from forge.engine import parse_assistant_output
 
     scn = eval_scenario(rng_seed=rng_seed)
-    ecfg = world.ecfg
     gen_t = Transcript()
     asst_t = Transcript()
-    sys_u = user_system_prompt(scn, world.cat, ecfg)
-    sys_a = selection_system_prompt(world.cat, scn.pool, ecfg)
+    sys_u = user_system_prompt(scn, world.cat)
+    sys_a = selection_system_prompt(world.cat, scn.pool)
     messages = []
     for t, (utterance, reply) in enumerate(assistant_replies, start=1):
         gen_req = user_request(sys_u, messages,
-                               split_seed(rng_seed, f"gen:{len(messages)}"), ecfg)
+                               split_seed(rng_seed, f"gen:{len(messages)}"))
         gen_t.register(gen_req, [utterance], "m-gen")
         messages.append(UserTurn(utterance))
         asst_req = assistant_request(sys_a, messages,
-                                     split_seed(scn.rng_seed, f"dyn:asst:{t}"), ecfg)
+                                     split_seed(scn.rng_seed, f"dyn:asst:{t}"))
         asst_t.register(asst_req, reply, "m-cand")
         try:
             messages.append(parse_assistant_output(reply))
@@ -327,7 +316,7 @@ def test_dynamic_terminates_on_tool_call(world):
     steps = [("I need to check transports.", ASKING),
              ("Node 1, request 2.", GOLD_CALL)]
     scn, cand, vcfg = dynamic_fixture(world, steps)
-    trace = eval_dynamic(scn, cand, world.cat, vcfg, 4, world.ecfg)
+    trace = eval_dynamic(scn, cand, world.cat, vcfg, 4)
     assert trace.pair_count() == 2
     assert trace.terminated_by == "tool_call"
 
@@ -335,7 +324,7 @@ def test_dynamic_terminates_on_tool_call(world):
 def test_dynamic_never_calling_assistant_hits_cap(world):
     steps = [(f"utterance {i}", ASKING) for i in range(3)]
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=889)
-    trace = eval_dynamic(scn, cand, world.cat, vcfg, 3, world.ecfg)
+    trace = eval_dynamic(scn, cand, world.cat, vcfg, 3)
     assert trace.pair_count() == 3
     assert trace.terminated_by == "turn_cap"
 
@@ -343,7 +332,7 @@ def test_dynamic_never_calling_assistant_hits_cap(world):
 def test_benchmark_dynamic_turn_cap_is_engine_t_max(world):
     steps = [(f"utterance {i}", ASKING) for i in range(2)]
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=891)
-    _, traces = run_benchmark([EvalTask(scenario=scn, mode="dynamic")], cand, world.cat,
+    _, traces = run_benchmark([EvalTask(scenario=scn)], cand, world.cat,
                               vcfg, None, EngineConfig(t_max=2))
     assert traces[0].pair_count() == 2
     assert traces[0].terminated_by == "turn_cap"
@@ -353,8 +342,8 @@ def test_dynamic_is_deterministic(world):
     steps = [("I need to check transports.", ASKING),
              ("Node 1, request 2.", GOLD_CALL)]
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=890)
-    t1 = eval_dynamic(scn, cand, world.cat, vcfg, 4, world.ecfg)
-    t2 = eval_dynamic(scn, cand, world.cat, vcfg, 4, world.ecfg)
+    t1 = eval_dynamic(scn, cand, world.cat, vcfg, 4)
+    t2 = eval_dynamic(scn, cand, world.cat, vcfg, 4)
     assert t1.to_dict() == t2.to_dict()
 
 
@@ -368,7 +357,7 @@ def test_perfect_assistant_benchmark(world):
     for i in range(3):
         scn = eval_scenario(rng_seed=1000 + i)
         gold = _tiny_gold(scn)
-        tasks.append(EvalTask(scenario=scn, mode="static", gold_dialogue=gold))
+        tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
     report, traces = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
@@ -389,10 +378,10 @@ def _tiny_gold(scn):
 def _static_multi_candidate(world, scenario_golds, reply_for):
     transcript = Transcript()
     for scn, gold in scenario_golds:
-        sys_a = selection_system_prompt(world.cat, scn.pool, world.ecfg)
+        sys_a = selection_system_prompt(world.cat, scn.pool)
         messages = [UserTurn(gold.turns()[0][0].text)]
         req = assistant_request(sys_a, messages,
-                                split_seed(scn.rng_seed, "static:asst:1"), world.ecfg)
+                                split_seed(scn.rng_seed, "static:asst:1"))
         transcript.register(req, reply_for(scn), "m-cand")
     return scripted_backend("m-cand", transcript)
 
@@ -406,7 +395,7 @@ def test_mixed_benchmark_hand_computed(world):
     for i in range(3):
         scn = eval_scenario(rng_seed=1000 + i)
         gold = _tiny_gold(scn)
-        tasks.append(EvalTask(scenario=scn, mode="static", gold_dialogue=gold))
+        tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends,
                                    reply_for=lambda scn: replies[scn.rng_seed])
@@ -416,6 +405,12 @@ def test_mixed_benchmark_hand_computed(world):
     assert report.tar == pytest.approx(1 / 3)
     assert report.tcp == pytest.approx(1 / 2)  # 1 aligned name over 2 predicted
     assert report.tcr == pytest.approx(1 / 3)  # over 3 references
+
+
+def test_task_without_gold_requires_voting_config(world):
+    with pytest.raises(ValueError, match="voting config"):
+        run_benchmark([EvalTask(scenario=eval_scenario())], scripted_backend("x", Transcript()),
+                      world.cat, None, None, world.ecfg)
 
 
 def test_empty_task_list_rejected(world):
@@ -429,7 +424,7 @@ def test_exclusions_drop_from_scoring_but_not_traces(world):
     for i in range(2):
         scn = eval_scenario(rng_seed=1000 + i)
         gold = _tiny_gold(scn)
-        tasks.append(EvalTask(scenario=scn, mode="static", gold_dialogue=gold))
+        tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
     excluded_id = tasks[0].scenario.scenario_id
@@ -444,7 +439,7 @@ def test_concurrent_benchmark_matches_serial(world):
     for i in range(4):
         scn = eval_scenario(rng_seed=2000 + i)
         gold = _tiny_gold(scn)
-        tasks.append(EvalTask(scenario=scn, mode="static", gold_dialogue=gold))
+        tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
     report1, traces1 = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,

@@ -20,7 +20,7 @@ from forge.metrics import (
 )
 
 from conftest import remote_backend, scripted_backend, simple_trace, transcript_responder
-from oracles import naive_metrics, random_corpus
+from oracles import naive_metrics, naive_ngd, random_corpus
 
 REF = Reference(gold_tool="gold", gold_args={"a": 1, "b": 2})
 
@@ -323,6 +323,15 @@ def test_ngrams_do_not_span_messages():
     _, ngd = lexical_metrics([t1])
     # bigrams: (aa,bb) and (cc,dd); never (bb,cc)
     assert ngd[2] == 1.0
+
+
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "B"]), max_size=6).map(" ".join),
+                min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_ngd_matches_naive_oracle(texts):
+    """Empty prose and messages shorter than n contribute no n-grams."""
+    _, ngd = lexical_metrics([simple_trace(pairs=len(texts), contents=texts)])
+    assert ngd == {n: naive_ngd(texts, n) for n in ngd}
 
 
 # ---------------------------------------------------------------------------
