@@ -22,7 +22,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+# a tuple, not a set: membership compares with ==, so an unhashable
+# (list-valued) type is reported as unknown rather than raising TypeError
 TYPE_TAGS = ("string", "integer", "number", "boolean", "array", "object")
+_PARAM_KEYS = ("type", "description", "required")
+_TOOL_KEYS = ("name", "description", "parameters")
 
 
 class CatalogueError(ValueError):
@@ -112,7 +116,7 @@ class Catalogue:
 def _parse_param(tool_name: str, pname: str, raw: object) -> ParamSpec:
     if not isinstance(raw, dict):
         raise CatalogueError(f"tool {tool_name!r}: parameter {pname!r} must be an object")
-    for key in ("type", "description", "required"):
+    for key in _PARAM_KEYS:
         if key not in raw:
             raise CatalogueError(f"tool {tool_name!r}: parameter {pname!r} missing key {key!r}")
     type_tag = raw["type"]
@@ -126,7 +130,9 @@ def _parse_param(tool_name: str, pname: str, raw: object) -> ParamSpec:
     required = raw["required"]
     if not isinstance(required, bool):
         raise CatalogueError(f"tool {tool_name!r}: parameter {pname!r} required must be boolean")
-    extra = {k: v for k, v in raw.items() if k not in ("type", "description", "required")}
+    # every key of _PARAM_KEYS is present, so any further key is an extra
+    extra = ({k: v for k, v in raw.items() if k not in _PARAM_KEYS}
+             if len(raw) > len(_PARAM_KEYS) else {})
     return ParamSpec(type_tag=type_tag, description=description, required=required, extra=extra)
 
 
@@ -134,7 +140,7 @@ def parse_tool(raw: object) -> Tool:
     """Validate one tool object from the on-disk representation."""
     if not isinstance(raw, dict):
         raise CatalogueError("tool entry must be a JSON object")
-    for key in ("name", "description", "parameters"):
+    for key in _TOOL_KEYS:
         if key not in raw:
             raise CatalogueError(f"tool entry missing key {key!r}")
     name = raw["name"]
@@ -146,10 +152,9 @@ def parse_tool(raw: object) -> Tool:
     params_raw = raw["parameters"]
     if not isinstance(params_raw, dict):
         raise CatalogueError(f"tool {name!r}: parameters must be an object")
-    params: dict[str, ParamSpec] = {}
-    for pname, praw in params_raw.items():
-        params[pname] = _parse_param(name, pname, praw)
-    extra = {k: v for k, v in raw.items() if k not in ("name", "description", "parameters")}
+    params = {pname: _parse_param(name, pname, praw) for pname, praw in params_raw.items()}
+    extra = ({k: v for k, v in raw.items() if k not in _TOOL_KEYS}
+             if len(raw) > len(_TOOL_KEYS) else {})
     return Tool(name=name, description=description, params=params, extra=extra)
 
 

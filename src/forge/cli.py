@@ -124,6 +124,14 @@ def _engine_config(raw: dict, keys: tuple[str, ...]) -> EngineConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _rng_seed(raw: dict) -> int:
+    """The config's ``rng_seed`` as an int; the caller checked it is set."""
+    try:
+        return int(raw["rng_seed"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"rng_seed must be an integer: {exc}") from exc
+
+
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     raw = _read_config(path, "config")
     if "rng_seed" not in raw:
@@ -138,13 +146,9 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     transcripts: dict[str, Transcript] = {}
     backends = {role: _backend_config(spec, base, f"for role {role!r}", transcripts)
                 for role, spec in raw.get("backends", {}).items()}
-    try:
-        rng_seed = int(raw["rng_seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"rng_seed must be an integer: {exc}") from exc
     return PipelineConfig(
         catalogue=catalogue,
-        rng_seed=rng_seed,
+        rng_seed=_rng_seed(raw),
         personas=personas,
         engine=_engine_config(raw, ("t_max", "regen_attempts")),
         out_dir=_resolve(base, raw.get("out_dir", "out")),
@@ -400,7 +404,7 @@ def cmd_bench_run(args) -> int:
                 generator=_backend_config(raw["user_proxy"], base, "for 'user_proxy'",
                                           transcripts),
                 voter=_backend_config(raw["voter"], base, "for 'voter'", transcripts),
-                rng_seed=raw["rng_seed"],
+                rng_seed=_rng_seed(raw),
                 **_integers(raw, {"n_samples": None, "m_voters": None}),
             )
         except ValueError as exc:

@@ -404,10 +404,13 @@ def shuffled_candidates(names: list[str], rng_seed: int) -> list[str]:
 @dataclass
 class SelectionOutcome:
     """Retained prefix after a successful commitment (ends with a pending
-    user turn), or a complete capped trace when no commitment happened."""
+    user turn), or a complete capped trace when no commitment happened.
+    ``user_prompt`` is the scenario's rendered user-proxy system prompt,
+    which filling reuses."""
 
     messages: list
     presented: list[str]
+    user_prompt: str
     capped: bool = False
 
 
@@ -459,13 +462,14 @@ def run_tool_selection(scn: Scenario, cat: Catalogue, emb: Embedder,
                            messages, gw_user, gw_asst, cfg.t_max,
                            lambda turn: committed_tool(turn) is not None)
         if commit is None:
-            return SelectionOutcome(messages=messages, presented=presented, capped=True)
+            return SelectionOutcome(messages=messages, presented=presented,
+                                    user_prompt=sys_u, capped=True)
         chosen = committed_tool(commit)
         if chosen != scn.seed_tool:
             raise WrongToolError(
                 f"assistant committed to {chosen!r}, expected {scn.seed_tool!r}")
         # correct commitment: the committing message is dropped, the prefix kept
-        return SelectionOutcome(messages=messages, presented=presented)
+        return SelectionOutcome(messages=messages, presented=presented, user_prompt=sys_u)
     raise RetrieverMissError(
         f"seed tool {scn.seed_tool!r} absent from retrieval in "
         f"{cfg.regen_attempts} attempts")
@@ -486,7 +490,7 @@ def run_param_filling(prefix: SelectionOutcome, scn: Scenario, cat: Catalogue,
     boundary = sum(1 for m in messages if isinstance(m, UserTurn))
     call = None if prefix.capped else _converse(
         scn, "fill", filling_system_prompt(cat, prefix.presented, scn.seed_tool),
-        user_system_prompt(scn, cat), messages, gw_user, gw_asst, cfg.t_max,
+        prefix.user_prompt, messages, gw_user, gw_asst, cfg.t_max,
         lambda turn: bool(turn.tool_calls))
     if call is not None:
         messages.append(call)

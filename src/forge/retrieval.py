@@ -3,9 +3,10 @@
 Two embedder backends:
 
 * HashEmbedder -- deterministic token-hash bag-of-words, fully offline.
-  Lowercase, split on non-alphanumerics, hash each token into one of
+  The tokens are the maximal runs of ASCII ``a-z0-9`` in ``str.lower()``
+  of the text. Each token's UTF-8 bytes are hashed into one of
   ``dimension`` buckets (stable CRC32, not the per-process builtin hash),
-  L2-normalize.
+  and the bucket counts are L2-normalized.
 * RemoteEmbedder -- OpenAI-style /embeddings endpoint, routed through the
   gateway's HTTP layer so only one module touches the network.
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 import threading
 import zlib
 from collections.abc import Callable
@@ -35,7 +35,10 @@ import numpy as np
 from . import gateway
 from .catalogue import Catalogue, Tool
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# every byte outside ASCII a-z0-9 becomes a space; each byte of a multi-byte
+# UTF-8 sequence is >= 0x80, so the tokens are those of re "[a-z0-9]+"
+_TABLE = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
+               for b in range(256))
 
 
 class Embedder(Protocol):
@@ -87,13 +90,15 @@ class HashEmbedder:
         self.identity = f"hash-bow-{dimension}"
 
     def embed(self, text: str) -> np.ndarray:
-        buckets = [zlib.crc32(token.encode("utf-8")) % self.dimension
-                   for token in _TOKEN_RE.findall(text.lower())]
-        vec = np.bincount(buckets, minlength=self.dimension).astype(np.float64)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+        # "surrogatepass" encodes a lone surrogate as three bytes >= 0x80
+        tokens = text.lower().encode("utf-8", "surrogatepass").translate(_TABLE).split()
+        if not tokens:
+            return np.zeros(self.dimension)
+        counts = np.bincount([zlib.crc32(token) % self.dimension for token in tokens],
+                             minlength=self.dimension)
+        # the squared norm of integer counts is exact, so this equals
+        # dividing by np.linalg.norm of the float64 counts
+        return counts / math.sqrt(counts @ counts)
 
 
 class RemoteEmbedder:

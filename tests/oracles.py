@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import re
+import zlib
 
 
 def naive_values_equal(a, b):
@@ -214,6 +215,20 @@ def naive_top_k(vectors: dict[str, list[float]], seed: str, k: int):
         scored.append((name, float(np.dot(sv, np.asarray(vec)))))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
+
+
+def naive_hash_embed(text: str, dimension: int):
+    """HashEmbedder as a per-token counting loop: regex tokens of the
+    lowercased text, each hashed as its UTF-8 bytes, then L2-normalized."""
+    import numpy as np
+
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        vec[zlib.crc32(token.encode("utf-8")) % dimension] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
 
 
 def naive_vote_winner(perms: list[list[int]], positions: list[int | None], n: int):

@@ -77,6 +77,49 @@ def test_missing_tool_key():
         parse_catalogue(json.dumps([{"name": "t", "description": "d"}]))
 
 
+_PARAM = {"type": "string", "description": "x", "required": True}
+_TOOL = {"name": "t", "description": "d", "parameters": {"p": _PARAM}}
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _with_param(**change):
+    return [{**_TOOL, "parameters": {"p": {**_PARAM, **change}}}]
+
+
+@pytest.mark.parametrize("entries, message", [
+    (["t"], "tool entry must be a JSON object"),
+    ([_without(_TOOL, "name")], "tool entry missing key 'name'"),
+    ([_without(_TOOL, "description")], "tool entry missing key 'description'"),
+    ([_without(_TOOL, "parameters")], "tool entry missing key 'parameters'"),
+    ([{**_TOOL, "name": ""}], "tool name must be a non-empty string"),
+    ([{**_TOOL, "description": 3}], "tool 't': description must be a string"),
+    ([{**_TOOL, "parameters": []}], "tool 't': parameters must be an object"),
+    ([{**_TOOL, "parameters": {"p": "string"}}], "tool 't': parameter 'p' must be an object"),
+    ([{**_TOOL, "parameters": {"p": _without(_PARAM, "type")}}],
+     "tool 't': parameter 'p' missing key 'type'"),
+    ([{**_TOOL, "parameters": {"p": _without(_PARAM, "description")}}],
+     "tool 't': parameter 'p' missing key 'description'"),
+    ([{**_TOOL, "parameters": {"p": _without(_PARAM, "required")}}],
+     "tool 't': parameter 'p' missing key 'required'"),
+    (_with_param(type="float"), "tool 't': parameter 'p' has unknown type 'float'"),
+    (_with_param(type=["string"]), "tool 't': parameter 'p' has unknown type ['string']"),
+    (_with_param(description=""), "tool 't': parameter 'p' description must be non-empty"),
+    (_with_param(required="yes"), "tool 't': parameter 'p' required must be boolean"),
+    ([_TOOL, _TOOL], "duplicate tool name: 't'"),
+], ids=["entry-not-object", "missing-name", "missing-description", "missing-parameters",
+        "empty-name", "description-not-string", "parameters-not-object", "param-not-object",
+        "param-missing-type", "param-missing-description", "param-missing-required",
+        "unknown-type", "list-type", "empty-param-description", "required-not-boolean",
+        "duplicate-name"])
+def test_catalogue_error_messages(entries, message):
+    with pytest.raises(CatalogueError) as exc:
+        parse_catalogue(json.dumps(entries))
+    assert str(exc.value) == message
+
+
 def test_required_args_filters_flags(cat):
     tool = cat.get("fn_3310_warehouse_resource_management")
     assert required_args(tool) == ["warehouseId"]

@@ -457,12 +457,15 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("generate", {"rng_seed": "abc"}, "rng_seed must be an integer"),
     ("bench", {"concurrency": -3}, "concurrency must be"),
     ("bench", {"n_samples": "3"}, "n_samples must be an integer"),
+    ("bench", {"rng_seed": "abc"}, "rng_seed must be an integer"),
+    ("bench", {"rng_seed": None}, "rng_seed must be an integer"),
     ("distractors", [SEED_TOOL, "--dim", "0"], "dimension"),
     ("distractors", [SEED_TOOL, "--k", "0"], "k must be"),
     ("distractors", ["no_such_tool"], "no_such_tool"),
 ], ids=["remote-embedder-no-endpoint", "embedder-dimension-0", "k-0", "persona-k-0",
         "concurrency-0", "regen-attempts-0", "t-max-string", "concurrency-string", "k-null",
         "rng-seed-not-a-number", "bench-concurrency-negative", "bench-n-samples-string",
+        "bench-rng-seed-string", "bench-rng-seed-null",
         "distractors-dim-0", "distractors-k-0", "distractors-unknown-seed"])
 def test_bad_input_is_config_error(world, capsys, command, change, message):
     if command == "generate":

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from forge import engine
 from forge.engine import (
     AssistantFormatError,
     AssistantTurn,
@@ -199,6 +200,21 @@ def test_successful_trace_has_single_final_call_turn():
     call_turns = [i for i, m in enumerate(trace.messages)
                   if isinstance(m, AssistantTurn) and m.tool_calls]
     assert call_turns == [len(trace.messages) - 1]
+
+
+def test_user_prompt_rendered_once_per_dialogue(monkeypatch):
+    renders = []
+
+    def counting(scn, cat, cfg=None):
+        renders.append(scn.scenario_id)
+        return user_system_prompt(scn, cat)
+
+    monkeypatch.setattr(engine, "user_system_prompt", counting)
+    w = build_replay_world()
+    trace = synthesize_dialogue(w.scenario, w.cat, w.emb,
+                                w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
+    assert trace.terminated_by == "tool_call" and trace.phase_boundary == 2
+    assert renders == [w.scenario.scenario_id]
 
 
 def test_assistant_context_matches_expected_fingerprints():

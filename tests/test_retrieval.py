@@ -1,9 +1,7 @@
 import json
 import math
 import random
-import re
 import threading
-import zlib
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -24,7 +22,7 @@ from forge.retrieval import (
 from forge.scenario import PersonaStore, sample_persona
 
 from conftest import SEED_TOOL
-from oracles import naive_top_k
+from oracles import naive_hash_embed, naive_top_k
 
 
 def make_cat(entries):
@@ -172,17 +170,6 @@ def test_search_catalogue_orders_by_query_similarity(cat, emb):
 # exactness of the index against the exhaustive float64 scan
 
 
-def loop_embed(text: str, dimension: int) -> np.ndarray:
-    """HashEmbedder as a per-token counting loop."""
-    vec = np.zeros(dimension, dtype=np.float64)
-    for token in re.findall(r"[a-z0-9]+", text.lower()):
-        vec[zlib.crc32(token.encode("utf-8")) % dimension] += 1.0
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
-
-
 @pytest.mark.parametrize("dimension", [8, 256])
 def test_hash_embedder_bytes_equal_counting_loop(dimension):
     rng = random.Random(dimension)
@@ -191,7 +178,26 @@ def test_hash_embedder_bytes_equal_counting_loop(dimension):
     texts += [" ".join(rng.choices(vocab, k=rng.randrange(1, 40))) for _ in range(300)]
     emb = HashEmbedder(dimension)
     for text in texts:
-        assert emb.embed(text).tobytes() == loop_embed(text, dimension).tobytes(), text
+        assert emb.embed(text).tobytes() == naive_hash_embed(text, dimension).tobytes(), text
+
+
+# lone surrogates, characters whose lowercase is (or holds) ASCII, full-width
+# letters and digits, and punctuation around plain ASCII tokens
+_EMBED_TEXT = st.text(alphabet=st.characters() | st.sampled_from(
+    list("abcXYZ019 -_.,!?\t\n") + ["\ud800", "\udfff", "\u212a", "\u0130", "\u00df",
+                                    "\u00e9", "\uff21", "\uff41", "\uff11", "\u2603",
+                                    "\U0001f600"]), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dimension=st.sampled_from([8, 256]), texts=st.lists(_EMBED_TEXT, min_size=1, max_size=4))
+def test_hash_embedder_equals_reference_embedder(dimension, texts):
+    emb = HashEmbedder(dimension)
+    for text in texts:
+        assert emb.embed(text).tobytes() == naive_hash_embed(text, dimension).tobytes()
+    index = VectorIndex(texts, emb)
+    for row, text in enumerate(texts):
+        assert index.matrix[row].tobytes() == emb.embed(text).astype(np.float32).tobytes()
 
 
 def scan_distractors(cat, seed, k, emb):
