@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .catalogue import CatalogueError, load_catalogue
@@ -42,14 +42,14 @@ class ConfigError(Exception):
 class PipelineConfig:
     catalogue: Path
     rng_seed: int
-    personas: Path | None = None
+    personas: Path | None
+    engine: EngineConfig
+    out_dir: Path
+    embedder: dict
+    backends: dict[str, BackendConfig]
     k: int = 5
     persona_k: int = 10
-    engine: EngineConfig = field(default_factory=EngineConfig)
     concurrency: int = 1
-    out_dir: Path = Path("out")
-    embedder: dict = field(default_factory=lambda: {"kind": "hash", "dimension": 256})
-    backends: dict[str, BackendConfig] = field(default_factory=dict)
 
     def backend(self, role: str) -> BackendConfig:
         if role not in self.backends:
@@ -67,114 +67,136 @@ class PipelineConfig:
         return None
 
 
-def _read_config(path: str | Path, what: str) -> dict:
+def _load(what: str, path: str | Path, load):
+    """``load(path)``: the one way a command reads a file it names, so a
+    missing, unreadable or malformed file is a ConfigError naming the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load {what} {path}: {exc}") from exc
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"cannot load {what} {path}: {detail}") from exc
 
 
-def _resolve(base: Path, path: str) -> Path:
-    """A path from a config file; relative paths are taken against ``base``,
-    the config file's directory."""
-    candidate = Path(path)
-    return candidate if candidate.is_absolute() else base / candidate
+def _json_object(path: str | Path) -> dict:
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError("expected a JSON object")
+    return raw
 
 
-def _backend_config(spec: dict, base: Path, where: str,
-                    transcripts: dict[str, Transcript]) -> BackendConfig:
-    """The one backend-spec loader: resolves the transcript path against
-    ``base``, loads each file once into ``transcripts`` (roles naming one file
-    share its Transcript) and reports a bad spec as a ConfigError."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"bad backend config {where}: expected a JSON object")
-    path = spec.get("transcript")
-    if path:
-        path = str(_resolve(base, path))
-        if spec.get("kind") == "scripted" and path not in transcripts:
-            try:
-                transcripts[path] = Transcript.load(path)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot load transcript {path}: {exc}") from exc
-    try:
-        return BackendConfig.from_dict(spec, transcripts.get(path))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad backend config {where}: {exc}") from exc
+def _json_strings(path: str | Path) -> list[str]:
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
+        raise ValueError("expected a JSON array of strings")
+    return raw
+
+
+def _jsonl(path: str | Path, from_dict) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [from_dict(json.loads(line)) for line in fh if line.strip()]
+
+
+def load_scenarios(path: str | Path) -> dict[str, Scenario]:
+    scenarios = _load("scenario file", path, lambda p: _jsonl(p, Scenario.from_dict))
+    return {scn.scenario_id: scn for scn in scenarios}
+
+
+def load_traces(path: str | Path) -> list[DialogueTrace]:
+    return _load("trace file", path, lambda p: _jsonl(p, DialogueTrace.from_dict))
+
+
+def _require(raw: dict, what: str, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        if key not in raw:
+            raise ConfigError(f"{what} missing key {key!r}")
+
+
+def _expect(key: str, value, kind: type, noun: str):
+    """``value``, which config key ``key`` must hold as a ``kind`` (never a
+    bool, which JSON keeps apart from numbers)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    return value
 
 
 def _integers(raw: dict, floors: dict[str, int | None]) -> dict[str, int]:
     """The keys of ``floors`` that ``raw`` sets. Each must be a JSON integer
     no smaller than its floor; a floor of None leaves the range check to the
-    config class that takes the value."""
-    found = {key: raw[key] for key in floors if key in raw}
+    class that takes the value."""
+    found = {key: _expect(key, raw[key], int, "an integer") for key in floors if key in raw}
     for key, value in found.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
         if floors[key] is not None and value < floors[key]:
             raise ConfigError(f"{key} must be >= {floors[key]}")
     return found
 
 
-def _engine_config(raw: dict, keys: tuple[str, ...]) -> EngineConfig:
-    """The engine settings among ``keys`` that ``raw`` sets; EngineConfig
-    supplies the defaults and the range checks."""
+def _build(cls, raw: dict, floors: dict[str, int | None], **fixed):
+    """``cls`` given ``fixed`` and the integer settings among ``floors`` that
+    ``raw`` sets: ``cls`` supplies the defaults and the range checks."""
     try:
-        return EngineConfig(**_integers(raw, dict.fromkeys(keys)))
+        return cls(**fixed, **_integers(raw, floors))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _rng_seed(raw: dict) -> int:
-    """The config's ``rng_seed`` as an int; the caller checked it is set."""
-    try:
-        return int(raw["rng_seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"rng_seed must be an integer: {exc}") from exc
+def _path(base: Path, key: str, value) -> Path:
+    """A config path, relative to ``base``, the config file's directory
+    (pathlib keeps an absolute ``value`` as it is)."""
+    return base / _expect(key, value, str, "a path string")
+
+
+def _catalogue(base: Path, raw: dict) -> Path:
+    path = _path(base, "catalogue", raw["catalogue"])
+    if not path.exists():
+        raise ConfigError(f"catalogue file does not exist: {path}")
+    return path
+
+
+def _backends(specs: dict, base: Path) -> dict[str, BackendConfig]:
+    """The backend of each role in ``specs``. Transcript paths resolve
+    against ``base``, and each transcript file is loaded once: the scripted
+    roles that name it share its Transcript."""
+    transcripts: dict[Path, Transcript] = {}
+    backends = {}
+    for role, spec in specs.items():
+        _expect(f"backend for role {role!r}", spec, dict, "a JSON object")
+        _integers(spec, {"retry_limit": None})
+        path = _path(base, "transcript", spec["transcript"]) if spec.get("transcript") else None
+        if path and spec.get("kind") == "scripted" and path not in transcripts:
+            transcripts[path] = _load("transcript", path, Transcript.load)
+        try:
+            backends[role] = BackendConfig.from_dict(spec, transcripts.get(path))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad backend config for role {role!r}: {exc}") from exc
+    return backends
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    raw = _read_config(path, "config")
-    if "rng_seed" not in raw:
-        raise ConfigError("config must set rng_seed (wall-clock seeding is not allowed)")
-    if "catalogue" not in raw:
-        raise ConfigError("config must name a catalogue file")
+    raw = _load("config", path, _json_object)
+    _require(raw, "config", ("rng_seed", "catalogue"))
     base = Path(path).parent
-    catalogue = _resolve(base, raw["catalogue"])
-    if not catalogue.exists():
-        raise ConfigError(f"catalogue file does not exist: {catalogue}")
-    personas = _resolve(base, raw["personas"]) if raw.get("personas") else None
-    transcripts: dict[str, Transcript] = {}
-    backends = {role: _backend_config(spec, base, f"for role {role!r}", transcripts)
-                for role, spec in raw.get("backends", {}).items()}
     return PipelineConfig(
-        catalogue=catalogue,
-        rng_seed=_rng_seed(raw),
-        personas=personas,
-        engine=_engine_config(raw, ("t_max", "regen_attempts")),
-        out_dir=_resolve(base, raw.get("out_dir", "out")),
-        embedder=raw.get("embedder", {"kind": "hash", "dimension": 256}),
-        backends=backends,
-        **_integers(raw, {"k": 1, "persona_k": 1, "concurrency": 1}),
+        catalogue=_catalogue(base, raw),
+        personas=_path(base, "personas", raw["personas"]) if raw.get("personas") else None,
+        engine=_build(EngineConfig, raw, {"t_max": None, "regen_attempts": None}),
+        out_dir=_path(base, "out_dir", raw.get("out_dir", "out")),
+        embedder=raw.get("embedder", {}),
+        backends=_backends(_expect("backends", raw.get("backends", {}), dict,
+                                   "a JSON object"), base),
+        **_integers(raw, {"rng_seed": None, "k": 1, "persona_k": 1, "concurrency": 1}),
     )
 
 
-def build_embedder(spec: dict):
+def build_embedder(spec: dict) -> HashEmbedder | RemoteEmbedder:
+    _expect("embedder", spec, dict, "a JSON object")
     kind = spec.get("kind", "hash")
-    try:
-        if kind == "hash":
-            return HashEmbedder(dimension=spec.get("dimension", 256))
-        if kind == "remote":
-            return RemoteEmbedder(
-                endpoint=spec["endpoint"],
-                model_id=spec.get("model_id", ""),
-                dimension=spec["dimension"],
-                api_key_env=spec.get("api_key_env"),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{kind} embedder requires {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad embedder config: {exc}") from exc
-    raise ConfigError(f"unknown embedder kind: {kind!r}")
+    if kind == "hash":
+        return _build(HashEmbedder, spec, {"dimension": None})
+    if kind != "remote":
+        raise ConfigError(f"unknown embedder kind: {kind!r}")
+    _require(spec, "remote embedder", ("endpoint", "dimension"))
+    return _build(RemoteEmbedder, spec, {"dimension": None}, endpoint=spec["endpoint"],
+                  model_id=spec.get("model_id", ""), api_key_env=spec.get("api_key_env"))
 
 
 def write_jsonl(path: Path, records: list[dict]) -> None:
@@ -191,25 +213,6 @@ def write_json(path: str | Path | None, obj) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def read_jsonl(path: str | Path) -> list[dict]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-
-
-def load_scenarios(path: str | Path) -> dict[str, Scenario]:
-    return {
-        scn.scenario_id: scn
-        for scn in (Scenario.from_dict(d) for d in read_jsonl(path))
-    }
-
-
-def load_traces(path: str | Path) -> list[DialogueTrace]:
-    return [DialogueTrace.from_dict(d) for d in read_jsonl(path)]
 
 
 def _join_scenarios(corpus: str, scenarios_path: str) -> list[tuple[DialogueTrace, Scenario]]:
@@ -261,11 +264,8 @@ def cmd_generate(args) -> int:
     cfg = load_pipeline_config(args.config)
     cat = load_catalogue(cfg.catalogue)
     emb = build_embedder(cfg.embedder)
-    try:
-        store = (PersonaStore.load(cfg.personas, emb) if cfg.personas
-                 else PersonaStore.bundled(emb))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load persona file {cfg.personas}: {exc}") from exc
+    store = (_load("persona file", cfg.personas, lambda p: PersonaStore.load(p, emb))
+             if cfg.personas else PersonaStore.bundled(emb))
     gw_goal = cfg.backend("goal")
     gw_slots = cfg.backends.get("slots", gw_goal)
     gw_user = cfg.backend("user_proxy")
@@ -364,62 +364,51 @@ def cmd_score(args) -> int:
     refs = {sid: Reference(scn.seed_tool, scn.gold_args) for sid, scn in scenarios.items()}
     judge = None
     if args.judge:
-        judge = _backend_config(_read_config(args.judge, "backend config"),
-                                Path(args.judge).parent, f"in {args.judge}", {})
+        spec = _load("backend config", args.judge, _json_object)
+        judge = _backends({"judge": spec}, Path(args.judge).parent)["judge"]
     report = score_corpus(load_traces(args.corpus), refs, judge=judge)
     return _write_report(args, report.to_dict(), report.to_csv_row)
 
 
 def cmd_bench_run(args) -> int:
-    raw = _read_config(args.config, "bench config")
-    base = Path(args.config).parent
-    for key in ("mode", "catalogue", "scenarios", "assistant", "rng_seed", "out_dir"):
-        if key not in raw:
-            raise ConfigError(f"bench config missing key {key!r}")
-    concurrency = _integers(raw, {"concurrency": 1}).get("concurrency", 1)
-    mode = raw["mode"]
-    ecfg = _engine_config(raw, ("t_max",))
-    transcripts: dict[str, Transcript] = {}
-    assistant = _backend_config(raw["assistant"], base, "for 'assistant'", transcripts)
-    judge = (_backend_config(raw["judge"], base, "for 'judge'", transcripts)
-             if raw.get("judge") else None)
-    cat = load_catalogue(_resolve(base, raw["catalogue"]))
-    scenarios = load_scenarios(_resolve(base, raw["scenarios"]))
-    tasks = []
+    raw = _load("bench config", args.config, _json_object)
+    _require(raw, "bench config", ("mode", "catalogue", "scenarios", "assistant", "rng_seed",
+                                   "out_dir"))
+    base, mode = Path(args.config).parent, raw["mode"]
+    if mode not in ("static", "dynamic"):
+        raise ConfigError(f"unknown bench mode: {mode!r}")
+    roles = ("assistant",) if mode == "static" else ("assistant", "user_proxy", "voter")
+    _require(raw, f"{mode} bench config", ("gold_corpus",) if mode == "static" else roles)
+    settings = _integers(raw, {"rng_seed": None, "concurrency": 1})
+    ecfg = _build(EngineConfig, raw, {"t_max": None})
+    out_dir = _path(base, "out_dir", raw["out_dir"])
+    specs = {role: raw[role] for role in roles}
+    if raw.get("judge"):
+        specs["judge"] = raw["judge"]
+    backends = _backends(specs, base)
+    cat = load_catalogue(_catalogue(base, raw))
+    scenarios = load_scenarios(_path(base, "scenarios", raw["scenarios"]))
     if mode == "static":
-        if "gold_corpus" not in raw:
-            raise ConfigError("static bench config requires gold_corpus")
-        gold = {d.scenario_ref: d for d in load_traces(_resolve(base, raw["gold_corpus"]))}
+        gold = {d.scenario_ref: d
+                for d in load_traces(_path(base, "gold_corpus", raw["gold_corpus"]))}
+        tasks = []
         for sid, scn in scenarios.items():
             if sid not in gold:
                 raise ConfigError(f"no gold dialogue for scenario {sid!r}")
             tasks.append(EvalTask(scenario=scn, gold_dialogue=gold[sid]))
         vcfg = None
-    elif mode == "dynamic":
-        for key in ("user_proxy", "voter"):
-            if key not in raw:
-                raise ConfigError(f"dynamic bench config requires {key!r}")
-        try:
-            vcfg = VotingConfig(
-                generator=_backend_config(raw["user_proxy"], base, "for 'user_proxy'",
-                                          transcripts),
-                voter=_backend_config(raw["voter"], base, "for 'voter'", transcripts),
-                rng_seed=_rng_seed(raw),
-                **_integers(raw, {"n_samples": None, "m_voters": None}),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        tasks = [EvalTask(scenario=scn) for scn in scenarios.values()]
     else:
-        raise ConfigError(f"unknown bench mode: {mode!r}")
-
+        vcfg = _build(VotingConfig, raw, {"n_samples": None, "m_voters": None},
+                      generator=backends["user_proxy"], voter=backends["voter"],
+                      rng_seed=settings["rng_seed"])
+        tasks = [EvalTask(scenario=scn) for scn in scenarios.values()]
     exclusions = None
     if raw.get("exclusions"):
-        exclusions = set(_read_config(_resolve(base, raw["exclusions"]), "exclusions file"))
+        exclusions = set(_load("exclusions file", _path(base, "exclusions", raw["exclusions"]),
+                               _json_strings))
     report, traces = run_benchmark(
-        tasks, assistant, cat, vcfg, judge, ecfg,
-        concurrency=concurrency, exclusions=exclusions)
-    out_dir = _resolve(base, raw["out_dir"])
+        tasks, backends["assistant"], cat, vcfg, backends.get("judge"), ecfg,
+        concurrency=settings.get("concurrency", 1), exclusions=exclusions)
     records = [d.to_dict() for d in traces]
     write_jsonl(out_dir / "traces.jsonl", records)
     write_json(out_dir / "report.json", report.to_dict())
@@ -432,7 +421,7 @@ def cmd_bench_run(args) -> int:
 
 
 def cmd_bench_report(args) -> int:
-    report = _read_config(Path(args.dir) / "report.json", "bench report")
+    report = _load("bench report", Path(args.dir) / "report.json", _json_object)
     for key in ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr", "conv_rel", "ttr"):
         print(f"{key.upper():>8}: {format_metric(report.get(key))}")
     for n, v in sorted(report.get("ngd", {}).items()):

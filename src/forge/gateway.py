@@ -7,7 +7,7 @@ Two backend kinds:
   never from config files.
 * scripted -- bit-deterministic replay keyed by request fingerprint, so
   the whole pipeline runs offline in tests. There is no record mode:
-  transcripts are built ahead of a run (ROADMAP.md, open item 4).
+  transcripts are built ahead of a run (ROADMAP.md, open item 3).
 
 A fingerprint is the sha256 of ``canonical_request``'s bytes, which stay
 the reference. ``fingerprint`` streams the same bytes into the hash in
@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -112,7 +113,7 @@ class CompletionRequest:
 @dataclass
 class BackendConfig:
     kind: str  # remote | scripted
-    model_id: str
+    model_id: str = ""
     endpoint: str | None = None
     api_key_env: str | None = None
     retry_limit: int = 3
@@ -124,22 +125,20 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote backend requires an endpoint")
-        if self.retry_limit > 10:
-            raise ValueError("retry_limit must be <= 10")
+        if not 0 <= self.retry_limit <= 10:
+            raise ValueError(f"retry_limit must be between 0 and 10, got {self.retry_limit}")
+        if (isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float))
+                or not 0 < self.timeout < math.inf):
+            raise ValueError(f"timeout must be a positive number of seconds, "
+                             f"got {self.timeout!r}")
         if self.kind == "scripted" and self.transcript is None:
             raise ValueError("scripted backend requires a transcript")
 
     @classmethod
     def from_dict(cls, d: dict, transcript: "Transcript | None" = None) -> "BackendConfig":
-        return cls(
-            kind=d["kind"],
-            model_id=d.get("model_id", ""),
-            endpoint=d.get("endpoint"),
-            api_key_env=d.get("api_key_env"),
-            retry_limit=d.get("retry_limit", 3),
-            timeout=d.get("timeout", 60.0),
-            transcript=transcript,
-        )
+        """The backend a config spec describes; an unset key takes its default."""
+        keys = ("model_id", "endpoint", "api_key_env", "retry_limit", "timeout")
+        return cls(kind=d["kind"], transcript=transcript, **{k: d[k] for k in keys if k in d})
 
 
 def prompt_request(prompt: str, seed: int, temperature: float,
@@ -192,8 +191,6 @@ class Transcript:
 
     def __init__(self, replies: dict[str, list[str]] | None = None):
         self.replies: dict[str, list[str]] = dict(replies or {})
-        self.served: list[str] = []
-        self._lock = threading.Lock()
 
     def register(self, key: str | CompletionRequest, replies: str | list[str],
                  model_id: str = "") -> None:
@@ -205,8 +202,6 @@ class Transcript:
 
     def lookup(self, fp: str, n: int) -> list[str]:
         entry = self.replies.get(fp)
-        with self._lock:
-            self.served.append(fp)
         if entry is None:
             raise TranscriptMissError(f"no scripted reply for fingerprint {fp}")
         if len(entry) < n:

@@ -120,9 +120,10 @@ def voter_request(scn: Scenario, messages: list, candidates: list[str], rng_seed
     return perm, prompt_request(prompt, split_seed(rng_seed, f"vote:{turn_key}:{j}"), 0.0, 8)
 
 
-def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
+def vote_utterance(scn: Scenario, user_prompt: str, messages: list,
                    vcfg: VotingConfig) -> str:
-    """Produce one user utterance via sample-then-vote.
+    """Produce one user utterance via sample-then-vote; ``user_prompt`` is
+    the scenario's rendered user-proxy system prompt.
 
     n candidates come from the generator; each of m voters sees them in its
     own seeded permutation and picks one; picks are inverted back to
@@ -135,8 +136,7 @@ def vote_utterance(scn: Scenario, cat: Catalogue, messages: list,
     result does not depend on which reply arrives first.
     """
     turn_key = len(messages)
-    gen_req = user_request(
-        user_system_prompt(scn, cat), messages, split_seed(vcfg.rng_seed, f"gen:{turn_key}"))
+    gen_req = user_request(user_prompt, messages, split_seed(vcfg.rng_seed, f"gen:{turn_key}"))
     candidates = [c.strip() for c in sample_n(vcfg.generator, gen_req, vcfg.n_samples)]
     if vcfg.n_samples == 1:
         return candidates[0]
@@ -199,8 +199,9 @@ def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
     messages: list = []
     terminated = TERMINATED_TURN_CAP
     sys_a = selection_system_prompt(cat, scn.pool)
+    sys_u = user_system_prompt(scn, cat)
     for t in range(1, t_max + 1):
-        utterance = vote_utterance(scn, cat, messages, vcfg)
+        utterance = vote_utterance(scn, sys_u, messages, vcfg)
         messages.append(UserTurn(utterance))
         turn = _decode_assistant(
             assistant, sys_a, messages, split_seed(scn.rng_seed, f"dyn:asst:{t}"))

@@ -54,6 +54,9 @@ class PersonaStore:
     _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.personas, list) or not all(
+                isinstance(p, str) for p in self.personas):
+            raise ValueError("personas must be a JSON array of strings")
         if not self.personas:
             raise ValueError("persona store must contain at least one persona")
         if any(not p for p in self.personas):
@@ -61,10 +64,8 @@ class PersonaStore:
 
     @classmethod
     def load(cls, path: str | Path, embedder: Embedder) -> "PersonaStore":
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(entries, list) or not all(isinstance(p, str) for p in entries):
-            raise ValueError("persona file must be a JSON array of strings")
-        return cls(personas=entries, embedder=embedder)
+        return cls(personas=json.loads(Path(path).read_text(encoding="utf-8")),
+                   embedder=embedder)
 
     @classmethod
     def bundled(cls, embedder: Embedder) -> "PersonaStore":

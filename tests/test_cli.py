@@ -402,7 +402,7 @@ def test_generate_non_object_backend_is_config_error(world, capsys):
     cfg["backends"]["assistant"] = "m-asst"
     world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert run(["generate", "--config", world.config_path]) == 2
-    assert "expected a JSON object" in capsys.readouterr().err
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_bench_zero_samples_is_config_error(world, capsys):
@@ -455,6 +455,22 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("generate", {"concurrency": "2"}, "concurrency must be an integer"),
     ("generate", {"k": None}, "k must be an integer"),
     ("generate", {"rng_seed": "abc"}, "rng_seed must be an integer"),
+    ("generate", {"rng_seed": 1.9}, "rng_seed must be an integer"),
+    ("generate", {"rng_seed": True}, "rng_seed must be an integer"),
+    ("generate", {"rng_seed": " 12 "}, "rng_seed must be an integer"),
+    ("generate", {"embedder": "hash"}, "embedder must be a JSON object"),
+    ("generate", {"embedder": {"dimension": "256"}}, "dimension must be an integer"),
+    ("generate", {"embedder": {"dimension": 2.5}}, "dimension must be an integer"),
+    ("generate", {"embedder": {"dimension": True}}, "dimension must be an integer"),
+    ("generate", {"backends": []}, "backends must be a JSON object"),
+    ("generate", {"catalogue": 5}, "catalogue must be a path string"),
+    ("generate", {"out_dir": 5}, "out_dir must be a path string"),
+    ("generate", {"personas": 5}, "personas must be a path string"),
+    ("backend", {"transcript": 5}, "transcript must be a path string"),
+    ("backend", {"retry_limit": "3"}, "retry_limit must be an integer"),
+    ("backend", {"retry_limit": -1}, "retry_limit must be between 0 and 10"),
+    ("backend", {"timeout": "60"}, "timeout must be a positive number"),
+    ("backend", {"timeout": 0}, "timeout must be a positive number"),
     ("bench", {"concurrency": -3}, "concurrency must be"),
     ("bench", {"n_samples": "3"}, "n_samples must be an integer"),
     ("bench", {"rng_seed": "abc"}, "rng_seed must be an integer"),
@@ -464,13 +480,21 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("distractors", ["no_such_tool"], "no_such_tool"),
 ], ids=["remote-embedder-no-endpoint", "embedder-dimension-0", "k-0", "persona-k-0",
         "concurrency-0", "regen-attempts-0", "t-max-string", "concurrency-string", "k-null",
-        "rng-seed-not-a-number", "bench-concurrency-negative", "bench-n-samples-string",
+        "rng-seed-not-a-number", "rng-seed-float", "rng-seed-true", "rng-seed-padded-string",
+        "embedder-not-object", "embedder-dimension-string", "embedder-dimension-float",
+        "embedder-dimension-true", "backends-array", "catalogue-number", "out-dir-number",
+        "personas-number", "transcript-number", "retry-limit-string", "retry-limit-negative",
+        "timeout-string", "timeout-0", "bench-concurrency-negative", "bench-n-samples-string",
         "bench-rng-seed-string", "bench-rng-seed-null",
         "distractors-dim-0", "distractors-k-0", "distractors-unknown-seed"])
 def test_bad_input_is_config_error(world, capsys, command, change, message):
-    if command == "generate":
+    if command in ("generate", "backend"):
         cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
-        world.config_path.write_text(json.dumps({**cfg, **change}), encoding="utf-8")
+        if command == "backend":
+            cfg["backends"]["assistant"].update(change)
+        else:
+            cfg.update(change)
+        world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
         argv = ["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]
     elif command == "bench":
         argv = ["bench", "run", _bench_config(world, **change)]
@@ -500,8 +524,30 @@ def _unreadable_input(world, case: str):
     if case == "personas-not-array":
         (tmp / "personas.json").write_text('{"persona": "a trader"}', encoding="utf-8")
         return generate, tmp / "personas.json"
+    if case == "config-not-object":
+        config.write_text("[]", encoding="utf-8")
+        return generate, config
     if case == "bench-exclusions-missing":
         return ["bench", "run", _bench_config(world, exclusions=missing.name)], missing
+    if case == "bench-exclusions-not-array":
+        (tmp / "exclusions.json").write_text("5", encoding="utf-8")
+        return (["bench", "run", _bench_config(world, exclusions="exclusions.json")],
+                tmp / "exclusions.json")
+    if case == "bench-catalogue-missing":
+        return ["bench", "run", _bench_config(world, catalogue=missing.name)], missing
+    if case == "bench-report-not-object":
+        (tmp / "report.json").write_text("[]", encoding="utf-8")
+        return ["bench", "report", tmp], tmp / "report.json"
+    bad = tmp / "bad.jsonl"
+    if case in ("scenario-missing-seed-tool", "scenario-line-array"):
+        line = {"persona": "a trader"} if case == "scenario-missing-seed-tool" else [1, 2]
+        bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        return ["stats", empty, "--scenarios", bad], bad
+    if case == "corpus-role-tool":
+        trace = {"dialogue_id": "d", "scenario_ref": "s",
+                 "messages": [{"role": "tool", "content": "x"}]}
+        bad.write_text(json.dumps(trace) + "\n", encoding="utf-8")
+        return ["stats", bad, "--scenarios", empty], bad
     if case == "bench-gold-missing":
         return ["bench", "run", _bench_config(world, mode="static",
                                                gold_corpus=missing.name)], missing
@@ -519,7 +565,10 @@ def _unreadable_input(world, case: str):
     "critique-transcript-missing", "transcript-not-json", "transcript-not-object",
     "personas-not-array",
     "validate-corpus-missing", "export-corpus-missing", "stats-corpus-missing",
-    "score-refs-missing", "bench-exclusions-missing", "bench-gold-missing"])
+    "score-refs-missing", "bench-exclusions-missing", "bench-gold-missing",
+    "config-not-object", "bench-exclusions-not-array", "bench-catalogue-missing",
+    "bench-report-not-object", "scenario-missing-seed-tool", "scenario-line-array",
+    "corpus-role-tool"])
 def test_unreadable_input_is_config_error(world, capsys, case):
     argv, path = _unreadable_input(world, case)
     capsys.readouterr()

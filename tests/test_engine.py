@@ -217,14 +217,28 @@ def test_user_prompt_rendered_once_per_dialogue(monkeypatch):
     assert renders == [w.scenario.scenario_id]
 
 
-def test_assistant_context_matches_expected_fingerprints():
+@pytest.fixture
+def lookups(monkeypatch):
+    """Every fingerprint looked up in any scripted transcript, in order."""
+    served = []
+    lookup = Transcript.lookup
+
+    def recording(self, fp, n):
+        served.append(fp)
+        return lookup(self, fp, n)
+
+    monkeypatch.setattr(Transcript, "lookup", recording)
+    return served
+
+
+def test_assistant_context_matches_expected_fingerprints(lookups):
     """The requests the engine actually issues are exactly the h^a_t / h^u_t
     contexts the transcript was keyed with, in order: u1, a1, u2, the
     removed committing turn, then the filling turns."""
     w = build_replay_world()
     synthesize_dialogue(w.scenario, w.cat, w.emb,
                         w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
-    assert w.transcript.served == w.engine_fingerprints
+    assert lookups == w.engine_fingerprints
     assert len(w.engine_fingerprints) == 7
 
 
@@ -361,7 +375,7 @@ def test_turn_cap_terminates_filling():
     assert trace.pair_count() == 2
 
 
-def test_turn_cap_terminates_selection():
+def test_turn_cap_terminates_selection(lookups):
     """An assistant that never commits yields the capped selection trace,
     built from u0, a1, u2 and a3 in that order."""
     w = build_replay_world()
@@ -394,7 +408,7 @@ def test_turn_cap_terminates_selection():
     assert len(trace.messages) == 4
     assert trace.terminated_by == "turn_cap"
     assert trace.phase_boundary == 2
-    assert transcript.served == [fingerprint(model_id, req) for req, _, model_id in steps]
+    assert lookups == [fingerprint(model_id, req) for req, _, model_id in steps]
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,11 @@ def test_remote_requires_endpoint():
 
 
 def test_retry_limit_cap():
-    with pytest.raises(ValueError, match="retry_limit"):
-        BackendConfig(kind="remote", model_id="m", endpoint="http://x", retry_limit=11)
+    for key, value in [("retry_limit", 11), ("retry_limit", -1), ("timeout", 0),
+                       ("timeout", -1.5), ("timeout", "60"), ("timeout", True),
+                       ("timeout", float("nan")), ("timeout", float("inf"))]:
+        with pytest.raises(ValueError, match=key):
+            BackendConfig(kind="remote", model_id="m", endpoint="http://x", **{key: value})
 
 
 def test_request_validation():

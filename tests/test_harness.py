@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forge import harness
 from forge.engine import (
     AssistantTurn,
     EngineConfig,
@@ -129,7 +130,7 @@ def voting_fixture(world, candidates, desired_original=None, n=3, m=3,
 def test_unanimous_voters_select_candidate_three(world):
     candidates = ["first option", "second option", "third option"]
     scn, vcfg = voting_fixture(world, candidates, desired_original=2)
-    assert vote_utterance(scn, world.cat, [], vcfg) == "third option"
+    assert vote_utterance(scn, user_system_prompt(scn, world.cat), [], vcfg) == "third option"
 
 
 def test_n_equals_one_skips_voters(world):
@@ -143,14 +144,14 @@ def test_n_equals_one_skips_voters(world):
         generator=scripted_backend("m-gen", transcript),
         voter=scripted_backend("m-voter", Transcript()),  # would raise if used
         n_samples=1, m_voters=3, rng_seed=9)
-    assert vote_utterance(scn, world.cat, [], vcfg) == "the only one"
+    assert vote_utterance(scn, user_system_prompt(scn, world.cat), [], vcfg) == "the only one"
 
 
 def test_out_of_range_votes_discarded_with_fallback(world, caplog):
     candidates = ["first option", "second option", "third option"]
     scn, vcfg = voting_fixture(world, candidates, bad_votes=["9", "zero", ""])
     with caplog.at_level(logging.WARNING):
-        chosen = vote_utterance(scn, world.cat, [], vcfg)
+        chosen = vote_utterance(scn, user_system_prompt(scn, world.cat), [], vcfg)
     assert chosen == "first option"
     assert any("discarded" in rec.message for rec in caplog.records)
 
@@ -162,26 +163,26 @@ def test_partial_votes_still_pool(world):
     # rebuild voter 1's reply to point at candidate index 2
     perm1, req = voter_request(scn, [], candidates, 777, 1)
     vcfg.voter.transcript.register(req, str(perm1.index(2) + 1), "m-voter")
-    assert vote_utterance(scn, world.cat, [], vcfg) == "third option"
+    assert vote_utterance(scn, user_system_prompt(scn, world.cat), [], vcfg) == "third option"
 
 
 def test_remote_voters_overlap_and_pool_in_voter_order(world, loopback):
     candidates = ["first option", "second option", "third option"]
     scn, vcfg = voting_fixture(world, candidates, bad_votes=["1", "2", "3"])
-    expected = vote_utterance(scn, world.cat, [], vcfg)
+    expected = vote_utterance(scn, user_system_prompt(scn, world.cat), [], vcfg)
     delays = {fingerprint("m-voter", voter_request(scn, [], candidates, 777, j)[1]):
               0.4 - 0.1 * j for j in range(3)}  # voter 0 is answered last
     endpoint, _ = loopback(transcript_responder(vcfg.voter.transcript, delays))
     remote = dataclasses.replace(vcfg, voter=remote_backend("m-voter", endpoint))
     start = time.perf_counter()
-    assert vote_utterance(scn, world.cat, [], remote) == expected
+    assert vote_utterance(scn, user_system_prompt(scn, world.cat), [], remote) == expected
     assert time.perf_counter() - start < 2 * max(delays.values())
 
 
 def test_scripted_voting_starts_no_thread(world, no_thread_pool):
     candidates = ["first option", "second option", "third option"]
     scn, vcfg = voting_fixture(world, candidates, desired_original=2)
-    assert vote_utterance(scn, world.cat, [], vcfg) == "third option"
+    assert vote_utterance(scn, user_system_prompt(scn, world.cat), [], vcfg) == "third option"
 
 
 def test_voting_matches_naive_enumerator_bulk():
@@ -319,6 +320,21 @@ def test_dynamic_terminates_on_tool_call(world):
     trace = eval_dynamic(scn, cand, world.cat, vcfg, 4)
     assert trace.pair_count() == 2
     assert trace.terminated_by == "tool_call"
+
+
+def test_user_prompt_rendered_once_per_rollout(world, monkeypatch):
+    renders = []
+
+    def counting(scn, cat, cfg=None):
+        renders.append(scn.scenario_id)
+        return user_system_prompt(scn, cat)
+
+    steps = [(f"utterance {i}", ASKING) for i in range(3)]
+    scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=890)
+    monkeypatch.setattr(harness, "user_system_prompt", counting)
+    trace = eval_dynamic(scn, cand, world.cat, vcfg, 3)
+    assert trace.pair_count() == 3
+    assert renders == [scn.scenario_id]
 
 
 def test_dynamic_never_calling_assistant_hits_cap(world):
