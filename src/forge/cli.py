@@ -339,12 +339,12 @@ def cmd_validate(args) -> int:
 def cmd_export(args) -> int:
     cfg = load_pipeline_config(args.config)
     cat = load_catalogue(cfg.catalogue)
-    samples = []
-    for trace, scn in _join_scenarios(args.corpus, args.scenarios):
-        sys_prompt = selection_system_prompt(cat, scn.pool)
-        samples.extend(slice_dialogue(trace, sys_prompt))
+    pairs = _join_scenarios(args.corpus, args.scenarios)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # sliced lazily: export writes each sample as it comes
+    samples = (sample for trace, scn in pairs
+               for sample in slice_dialogue(trace, selection_system_prompt(cat, scn.pool)))
     manifest = export(samples, out_dir / "samples.jsonl")
     write_json(out_dir / "manifest.json", manifest)
     print(f"exported {manifest['sample_count']} samples from "
@@ -420,9 +420,29 @@ def cmd_bench_run(args) -> int:
     return 0
 
 
+REPORT_METRICS = ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr", "conv_rel", "ttr")
+
+
+def _bench_report(path: str | Path) -> dict:
+    """A ``report.json`` whose metrics are numbers or null, whose ``ngd`` is
+    an object of such values and whose ``per_dialogue`` is an array."""
+    report = _json_object(path)
+    ngd = report.get("ngd", {})
+    if not isinstance(ngd, dict):
+        raise ValueError(f"ngd must be a JSON object, got {ngd!r}")
+    if not isinstance(report.get("per_dialogue", []), list):
+        raise ValueError(f"per_dialogue must be a JSON array, got {report['per_dialogue']!r}")
+    metrics = [(key, report.get(key)) for key in REPORT_METRICS]
+    for key, value in metrics + [(f"ngd {n}", v) for n, v in ngd.items()]:
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))):
+            raise ValueError(f"{key} must be a number or null, got {value!r}")
+    return report
+
+
 def cmd_bench_report(args) -> int:
-    report = _load("bench report", Path(args.dir) / "report.json", _json_object)
-    for key in ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr", "conv_rel", "ttr"):
+    report = _load("bench report", Path(args.dir) / "report.json", _bench_report)
+    for key in REPORT_METRICS:
         print(f"{key.upper():>8}: {format_metric(report.get(key))}")
     for n, v in sorted(report.get("ngd", {}).items()):
         print(f"   NGD_{n}: {format_metric(v)}")

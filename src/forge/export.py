@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,22 +64,37 @@ def slice_dialogue(d: DialogueTrace, sys_prompt: str) -> list[SftSample]:
     ]
 
 
-def export(samples: list[SftSample], path: str | Path) -> dict:
+def export(samples: Iterable[SftSample], path: str | Path) -> dict:
     """Write samples to disk and return the export manifest.
 
     Deterministic: the same samples always produce the same bytes, so the
-    manifest hash doubles as a corpus identity.
+    manifest hash doubles as a corpus identity. ``samples`` may be any
+    iterable: each line is written and hashed as it is made, into a sibling
+    temporary file that replaces ``path`` only once every sample is written,
+    so memory stays bounded and a failed export leaves ``path`` as it was.
     """
     path = Path(path)
-    lines = [json.dumps(s.to_dict(), ensure_ascii=False) for s in samples]
-    payload = "\n".join(lines) + ("\n" if lines else "")
-    path.write_text(payload, encoding="utf-8")
+    partial = path.with_name(path.name + ".part")
+    digest = hashlib.sha256()
+    count, dialogues = 0, set()
+    try:
+        with open(partial, "wb") as fh:
+            for s in samples:
+                line = (json.dumps(s.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
+                fh.write(line)
+                digest.update(line)
+                count += 1
+                dialogues.add(s.dialogue_id)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return {
         "format": "chat-jsonl",
         "path": str(path),
-        "sample_count": len(samples),
-        "dialogue_count": len({s.dialogue_id for s in samples}),
-        "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        "sample_count": count,
+        "dialogue_count": len(dialogues),
+        "sha256": digest.hexdigest(),
         "reference_training_settings": dict(REFERENCE_TRAINING_SETTINGS),
         "training_executed": False,
     }

@@ -15,13 +15,15 @@ pieces: each message's fragment comes from a bounded LRU cache, so the
 system prompt and history a dialogue re-sends every turn are encoded once
 while they stay recent, and memory does not grow with run length.
 
-All network I/O in the package goes through this module. A global
-max-in-flight semaphore applies backpressure across threads and is held
-only around one HTTP round trip, so nested pools cannot deadlock on it.
-Inside it, each call borrows a ``requests.Session`` from a LIFO pool and
-returns it afterwards: a session is used by one thread at a time, the
-pool never holds more than ``MAX_IN_FLIGHT`` of them, and connections
-are reused across calls and across short-lived worker threads.
+All network I/O in the package goes through ``post_json``. It imports
+the HTTP client, ``requests``, on the first remote call, so a scripted run
+never loads it. A global max-in-flight semaphore applies backpressure
+across threads and is held only around one HTTP round trip, so nested
+pools cannot deadlock on it. Inside it, each call borrows a
+``requests.Session`` from a LIFO pool and returns it afterwards: a session
+is used by one thread at a time, the pool never holds more than
+``MAX_IN_FLIGHT`` of them, and connections are reused across calls and
+across short-lived worker threads.
 
 ``fan_out`` is the package's one thread pool: results come back in item
 order, so replies, not their arrival, decide every output. Independent
@@ -43,8 +45,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import requests
-
 MAX_IN_FLIGHT = 8
 
 _in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
@@ -58,9 +58,9 @@ _MAX_BACKOFF_S = 5.0
 # dialogues synthesized at once
 FRAGMENT_CACHE_SIZE = 256
 
-# idle sessions, taken and returned under _in_flight; last in, first out, so
-# the sessions with warm connections are the ones reused
-_sessions: list[requests.Session] = []
+# idle ``requests.Session`` objects, taken and returned under _in_flight;
+# last in, first out, so the sessions with warm connections are the ones reused
+_sessions: list = []
 
 
 class GatewayError(Exception):
@@ -252,6 +252,8 @@ def post_json(url: str, body: dict, api_key_env: str | None = None,
     in-flight limit, reuses pooled connections, and waits as long as a
     429 or 503 reply's ``Retry-After`` asks, up to the backoff cap.
     """
+    import requests  # loaded by the first call, so a scripted run never pays for it
+
     last_error: Exception | None = None
     delay = 0.0
     for attempt in range(retry_limit + 1):

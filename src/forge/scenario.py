@@ -103,14 +103,25 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        """The scenario a ``to_dict`` record describes; a field of the wrong
+        JSON type is a ValueError naming the field."""
+        def typed(key: str, kind: type, noun: str):
+            value = d[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"scenario {key} must be {noun}, got {value!r}")
+            return value
+
+        pool = typed("pool", list, "an array of tool names")
+        if not all(isinstance(name, str) for name in pool):
+            raise ValueError(f"scenario pool must be an array of tool names, got {pool!r}")
         return cls(
-            seed_tool=d["seed_tool"],
-            persona=d["persona"],
-            goal=d["goal"],
+            seed_tool=typed("seed_tool", str, "a string"),
+            persona=typed("persona", str, "a string"),
+            goal=typed("goal", str, "a string"),
             distractors=DistractorSet.from_dict(d["distractors"]),
-            pool=list(d["pool"]),
-            gold_args=dict(d["gold_args"]),
-            rng_seed=d["rng_seed"],
+            pool=list(pool),
+            gold_args=dict(typed("gold_args", dict, "a JSON object")),
+            rng_seed=typed("rng_seed", int, "an integer"),
         )
 
 

@@ -5,6 +5,7 @@ chat-completions server for remote backends."""
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -228,6 +229,15 @@ def no_thread_pool(monkeypatch):
         raise AssertionError("scripted calls must run inline")
 
     monkeypatch.setattr(gateway, "ThreadPoolExecutor", refuse)
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that must import the ``forge``
+    under test: its source directory leads ``PYTHONPATH``."""
+    src = str(Path(gateway.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def transcript_responder(transcript: Transcript, delays: dict[str, float]):

@@ -1,15 +1,17 @@
 import json
 import socket
+import subprocess
 import sys
 import time
 
 import pytest
 
-from forge import retrieval
+from forge import cli, retrieval
 from forge.cli import load_pipeline_config, main
+from forge.export import slice_dialogue
 from forge.gateway import Transcript
 
-from conftest import CATALOGUE_TOOLS, SEED_TOOL, build_replay_world
+from conftest import CATALOGUE_TOOLS, SEED_TOOL, build_replay_world, child_env
 
 
 @pytest.fixture
@@ -173,6 +175,51 @@ def test_export_is_byte_deterministic(tmp_path):
              "--scenarios", out / "scenarios.jsonl", "--out-dir", out / "sft"])
         digests.append((out / "sft" / "samples.jsonl").read_bytes())
     assert digests[0] == digests[1]
+
+
+def test_failed_export_leaves_no_samples_file(world, monkeypatch):
+    assert run(["generate", "--config", world.config_path]) == 0
+    out = world.tmp_path / "out"
+    sliced = []
+
+    def slice_until_second(trace, sys_prompt):
+        sliced.append(trace.dialogue_id)
+        if len(sliced) == 2:
+            raise ValueError("slice failed")
+        return slice_dialogue(trace, sys_prompt)
+
+    monkeypatch.setattr(cli, "slice_dialogue", slice_until_second)
+    with pytest.raises(ValueError, match="slice failed"):
+        run(["export", out / "corpus.jsonl", "--config", world.config_path,
+             "--scenarios", out / "scenarios.jsonl", "--out-dir", out / "sft"])
+    assert len(sliced) == 2
+    assert list((out / "sft").iterdir()) == []
+
+
+def test_scripted_pipeline_never_loads_the_http_client(world):
+    """A scripted generate -> validate -> export -> score run, in a fresh
+    interpreter, imports neither ``requests`` nor ``urllib3``."""
+    out = world.tmp_path / "out"
+    corpus, scenarios = str(out / "corpus.jsonl"), str(out / "scenarios.jsonl")
+    config = str(world.config_path)
+    commands = [
+        ["generate", "--config", config],
+        ["validate", corpus, "--config", config, "--scenarios", scenarios],
+        ["export", corpus, "--config", config, "--scenarios", scenarios,
+         "--out-dir", str(out / "sft")],
+        ["score", corpus, "--refs", scenarios, "--out", str(out / "report.json")],
+    ]
+    script = ("import json, sys\n"
+              "from forge.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "loaded = [m for m in ('requests', 'urllib3') if m in sys.modules]\n"
+              "print(json.dumps({'codes': codes, 'loaded': loaded}))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "loaded": []}
+    assert json.loads((out / "sft" / "manifest.json").read_text("utf-8"))["sample_count"] > 0
 
 
 def test_stats_command(world, capsys):
@@ -535,12 +582,22 @@ def _unreadable_input(world, case: str):
                 tmp / "exclusions.json")
     if case == "bench-catalogue-missing":
         return ["bench", "run", _bench_config(world, catalogue=missing.name)], missing
-    if case == "bench-report-not-object":
-        (tmp / "report.json").write_text("[]", encoding="utf-8")
+    if case.startswith("bench-report-"):
+        report = {"bench-report-not-object": [],
+                  "bench-report-ngd-number": {"acc": 1, "ngd": 5},
+                  "bench-report-metric-text": {"acc": "x"},
+                  "bench-report-metric-bool": {"acc": 1.0, "ttr": True},
+                  "bench-report-ngd-value-text": {"ngd": {"2": "x"}},
+                  "bench-report-per-dialogue-object": {"per_dialogue": {}}}[case]
+        (tmp / "report.json").write_text(json.dumps(report), encoding="utf-8")
         return ["bench", "report", tmp], tmp / "report.json"
     bad = tmp / "bad.jsonl"
     if case in ("scenario-missing-seed-tool", "scenario-line-array"):
         line = {"persona": "a trader"} if case == "scenario-missing-seed-tool" else [1, 2]
+        bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        return ["stats", empty, "--scenarios", bad], bad
+    if case == "scenario-seed-text":
+        line = {**world.scenario.to_dict(), "rng_seed": "abc"}
         bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
         return ["stats", empty, "--scenarios", bad], bad
     if case == "corpus-role-tool":
@@ -567,8 +624,10 @@ def _unreadable_input(world, case: str):
     "validate-corpus-missing", "export-corpus-missing", "stats-corpus-missing",
     "score-refs-missing", "bench-exclusions-missing", "bench-gold-missing",
     "config-not-object", "bench-exclusions-not-array", "bench-catalogue-missing",
-    "bench-report-not-object", "scenario-missing-seed-tool", "scenario-line-array",
-    "corpus-role-tool"])
+    "bench-report-not-object", "bench-report-ngd-number", "bench-report-metric-text",
+    "bench-report-metric-bool", "bench-report-ngd-value-text",
+    "bench-report-per-dialogue-object", "scenario-missing-seed-tool", "scenario-line-array",
+    "scenario-seed-text", "corpus-role-tool"])
 def test_unreadable_input_is_config_error(world, capsys, case):
     argv, path = _unreadable_input(world, case)
     capsys.readouterr()

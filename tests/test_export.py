@@ -141,6 +141,30 @@ def test_export_round_trip_parses_back(tmp_path):
     assert [json.loads(line) for line in lines] == [s.to_dict() for s in samples]
 
 
+def test_streamed_export_hashes_the_written_file(tmp_path):
+    world = build_replay_world()
+    sys_prompt = selection_system_prompt(world.cat, world.scenario.pool)
+    traces = [world.expected_trace, *world.extra_traces.values()]
+    samples = [s for d in traces for s in slice_dialogue(d, sys_prompt)]
+    manifest = export((s for s in samples), tmp_path / "samples.jsonl")
+    written = (tmp_path / "samples.jsonl").read_bytes()
+    # the whole-payload construction the streamed writer replaces
+    reference = ("\n".join(json.dumps(s.to_dict(), ensure_ascii=False) for s in samples)
+                 + "\n").encode("utf-8")
+    assert written == reference
+    assert manifest["sha256"] == hashlib.sha256(written).hexdigest()
+    assert manifest["sample_count"] == len(samples)
+    assert manifest["dialogue_count"] == len(traces)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.jsonl"]
+
+
+def test_empty_export_writes_an_empty_file(tmp_path):
+    manifest = export(iter(()), tmp_path / "samples.jsonl")
+    assert (tmp_path / "samples.jsonl").read_bytes() == b""
+    assert manifest["sha256"] == hashlib.sha256(b"").hexdigest()
+    assert (manifest["sample_count"], manifest["dialogue_count"]) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # corpus stats
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import subprocess
 import sys
 import threading
 import time
@@ -25,6 +26,8 @@ from forge.gateway import (
     fingerprint,
     sample_n,
 )
+
+from conftest import child_env
 
 
 def req(text="hello", seed=1, temperature=0.0):
@@ -316,3 +319,25 @@ def test_session_pool_stays_bounded_under_contention(loopback):
     assert len(gateway._sessions) <= MAX_IN_FLIGHT
     assert len(set(server.ports)) <= MAX_IN_FLIGHT
 
+
+
+def test_first_remote_call_loads_the_http_client_once(loopback):
+    """In a fresh interpreter the first remote call is a 3-sample
+    ``sample_n``: three threads race on the first ``requests`` import, and
+    the replies still come back in sample order."""
+    latency = {10: 0.3, 11: 0.2, 12: 0.1}  # the first sample is answered last
+    endpoint, server = loopback(lambda model_id, r: (f"seed {r.seed}", latency[r.seed]))
+    script = ("import json, sys\n"
+              "from forge.gateway import BackendConfig, ChatMessage, CompletionRequest, sample_n\n"
+              "before = 'requests' in sys.modules\n"
+              "cfg = BackendConfig(kind='remote', model_id='m', endpoint=sys.argv[1],\n"
+              "                    retry_limit=0)\n"
+              "req = CompletionRequest((ChatMessage('user', 'hi'),), seed=10)\n"
+              "print(json.dumps({'before': before, 'replies': sample_n(cfg, req, 3),\n"
+              "                  'after': 'requests' in sys.modules}))\n")
+    proc = subprocess.run([sys.executable, "-c", script, endpoint], capture_output=True,
+                          text=True, timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+        "before": False, "replies": ["seed 10", "seed 11", "seed 12"], "after": True}
+    assert len(server.ports) == 3

@@ -210,3 +210,13 @@ def test_scenario_round_trip():
     world = build_replay_world()
     d = world.scenario.to_dict()
     assert Scenario.from_dict(d).to_dict() == d
+
+
+@pytest.mark.parametrize("key,value", [
+    ("rng_seed", "abc"), ("rng_seed", 1.5), ("rng_seed", True), ("persona", 5),
+    ("pool", "x"), ("pool", [SEED_TOOL, 3]), ("seed_tool", None), ("goal", ["g"]),
+    ("gold_args", [["nodeId", 1]])])
+def test_scenario_from_dict_checks_types(key, value):
+    d = {**build_replay_world().scenario.to_dict(), key: value}
+    with pytest.raises(ValueError, match=f"scenario {key} must be"):
+        Scenario.from_dict(d)
