@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 # a tuple, not a set: membership compares with ==, so an unhashable
 # (list-valued) type is reported as unknown rather than raising TypeError
@@ -33,14 +34,20 @@ class CatalogueError(ValueError):
     """Raised when a catalogue file fails parsing or schema validation."""
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    """One parameter of a tool: (type, description, required)."""
+class ParamSpec(NamedTuple):
+    """One parameter of a tool: (type, description, required), plus the
+    file's extra keys.
+
+    A NamedTuple because a catalogue builds one per parameter, and
+    positional construction costs about a third of a frozen dataclass's.
+    ``extra`` has no default (each spec gets its own dict) and, unlike
+    ``Tool.extra``, takes part in equality.
+    """
 
     type_tag: str
     description: str
     required: bool
-    extra: dict = field(default_factory=dict, compare=False)
+    extra: dict
 
     def to_dict(self) -> dict:
         d = {"type": self.type_tag, "description": self.description, "required": self.required}
@@ -133,7 +140,7 @@ def _parse_param(tool_name: str, pname: str, raw: object) -> ParamSpec:
     # every key of _PARAM_KEYS is present, so any further key is an extra
     extra = ({k: v for k, v in raw.items() if k not in _PARAM_KEYS}
              if len(raw) > len(_PARAM_KEYS) else {})
-    return ParamSpec(type_tag=type_tag, description=description, required=required, extra=extra)
+    return ParamSpec(type_tag, description, required, extra)
 
 
 def parse_tool(raw: object) -> Tool:

@@ -340,6 +340,13 @@ def cmd_export(args) -> int:
     cfg = load_pipeline_config(args.config)
     cat = load_catalogue(cfg.catalogue)
     pairs = _join_scenarios(args.corpus, args.scenarios)
+    # slicing needs alternating turns; check them all before writing anything
+    for trace, _ in pairs:
+        try:
+            trace.turns()
+        except ValueError as exc:
+            raise ConfigError(f"corpus {args.corpus}: dialogue {trace.dialogue_id!r} "
+                              f"cannot be exported: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # sliced lazily: export writes each sample as it comes

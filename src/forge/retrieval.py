@@ -12,10 +12,17 @@ Two embedder backends:
 
 Similarity is the inner product of L2-normalized vectors (cosine). A
 catalogue or persona store is embedded once per embedder identity into a
-float32 ``VectorIndex``. A query scores every row with one matrix product,
-shortlists the rows within a margin of the k-th score, and re-scores the
-shortlist with the float64 embedding, so rankings and score floats equal
-those of an exhaustive float64 scan. The margin: a float32 dot product of
+float32 ``VectorIndex``, ``_BLOCK_ROWS`` texts at a time through
+``Embedder.embed_many``. So the build holds no catalogue-wide temporary:
+beyond the matrix it keeps one block's tokens, bucket ids and int64 and
+float64 rows, under 1 MiB at d = 256. ``HashEmbedder.embed_many`` hashes a
+block's tokens in one C-level pass and counts them with one
+``np.bincount``; its rows are byte-equal to ``embed``'s.
+
+A query scores every row with one matrix product, shortlists the rows
+within a margin of the k-th score, and re-scores the shortlist with the
+float64 embedding, so rankings and score floats equal those of an
+exhaustive float64 scan. The margin: a float32 dot product of
 length d errs by at most (d + 2) * 2**-24 * |q| * |v|, so a margin of
 (d + 4) * 2**-23 * |q| * max|v| keeps every row that can reach the k-th score.
 """
@@ -28,6 +35,7 @@ import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 from typing import Protocol
 
 import numpy as np
@@ -40,6 +48,15 @@ from .catalogue import Catalogue, Tool
 _TABLE = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
                for b in range(256))
 
+# texts per VectorIndex build step; 512 raised a 5,000-tool generate's
+# peak RSS by ~5 MB
+_BLOCK_ROWS = 64
+
+
+def _tokens(text: str) -> list[bytes]:
+    # "surrogatepass" encodes a lone surrogate as three bytes >= 0x80
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TABLE).split()
+
 
 class Embedder(Protocol):
     """Frozen text encoder: same text always maps to the same vector."""
@@ -48,6 +65,10 @@ class Embedder(Protocol):
     identity: str
 
     def embed(self, text: str) -> np.ndarray: ...
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        """float64 array of shape (len(texts), dimension); row i equals embed(texts[i])."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -89,16 +110,31 @@ class HashEmbedder:
         self.dimension = dimension
         self.identity = f"hash-bow-{dimension}"
 
+    def _buckets(self, tokens, count: int) -> np.ndarray:
+        """Bucket id of each token, hashed in C."""
+        return np.fromiter(map(zlib.crc32, tokens), np.int64, count=count) % self.dimension
+
     def embed(self, text: str) -> np.ndarray:
-        # "surrogatepass" encodes a lone surrogate as three bytes >= 0x80
-        tokens = text.lower().encode("utf-8", "surrogatepass").translate(_TABLE).split()
+        tokens = _tokens(text)
         if not tokens:
             return np.zeros(self.dimension)
-        counts = np.bincount([zlib.crc32(token) % self.dimension for token in tokens],
-                             minlength=self.dimension)
+        counts = np.bincount(self._buckets(tokens, len(tokens)), minlength=self.dimension)
         # the squared norm of integer counts is exact, so this equals
         # dividing by np.linalg.norm of the float64 counts
         return counts / math.sqrt(counts @ counts)
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        d, rows = self.dimension, len(texts)
+        tokens = list(map(_tokens, texts))
+        lengths = np.fromiter(map(len, tokens), np.int64, count=rows)
+        # row r's tokens count into the flat buckets [r * d, (r + 1) * d)
+        buckets = self._buckets(chain.from_iterable(tokens), int(lengths.sum()))
+        buckets += np.repeat(np.arange(0, rows * d, d, dtype=np.int64), lengths)
+        counts = np.bincount(buckets, minlength=rows * d).reshape(rows, d)
+        # exact integer squared norms; a zero-token row divides 0 by 1
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        norms[norms == 0] = 1.0
+        return counts / norms[:, None]
 
 
 class RemoteEmbedder:
@@ -133,6 +169,10 @@ class RemoteEmbedder:
             vec = vec / norm
         return vec
 
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        # one request per text: batching waits for a documented server cap
+        return np.array([self.embed(t) for t in texts]).reshape(len(texts), self.dimension)
+
 
 class VectorIndex:
     """Texts embedded once into a float32 matrix, queried with exact scores.
@@ -148,9 +188,10 @@ class VectorIndex:
         self.keys = range(len(texts)) if keys is None else keys
         self.matrix = np.empty((len(texts), emb.dimension), dtype=np.float32)
         peak = 0.0
-        for row, vec in enumerate(map(emb.embed, texts)):
-            self.matrix[row] = vec
-            peak = max(peak, float(np.dot(vec, vec)))
+        for start in range(0, len(texts), _BLOCK_ROWS):
+            block = emb.embed_many(texts[start:start + _BLOCK_ROWS])
+            self.matrix[start:start + len(block)] = block
+            peak = max(peak, float(np.einsum("ij,ij->i", block, block).max()))
         self._max_norm = math.sqrt(peak)
 
     def top(self, query: np.ndarray, k: int, exclude: int | None = None) -> list[tuple[int, float]]:

@@ -196,6 +196,30 @@ def test_failed_export_leaves_no_samples_file(world, monkeypatch):
     assert list((out / "sft").iterdir()) == []
 
 
+def test_export_rejects_a_trace_that_does_not_alternate(world, capsys):
+    assert run(["generate", "--config", world.config_path]) == 0
+    out = world.tmp_path / "out"
+    corpus, scenarios = out / "corpus.jsonl", out / "scenarios.jsonl"
+    records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    records[-1]["messages"].pop()
+    bad_id = records[-1]["dialogue_id"]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["export", corpus, "--config", world.config_path,
+                "--scenarios", scenarios, "--out-dir", out / "sft"]) == 2
+    err = capsys.readouterr().err
+    assert str(corpus) in err and repr(bad_id) in err
+    assert not (out / "sft" / "samples.jsonl").exists()
+    assert not (out / "sft" / "samples.jsonl.part").exists()
+
+    assert run(["validate", corpus, "--config", world.config_path,
+                "--scenarios", scenarios, "--out", out / "reports.jsonl"]) == 1
+    reports = {r["dialogue_id"]: r for r in map(
+        json.loads, (out / "reports.jsonl").read_text(encoding="utf-8").splitlines())}
+    assert reports[bad_id]["verdict"] == "reject"
+    assert [stage for stage, _ in reports[bad_id]["failures"]] == ["format"]
+
+
 def test_scripted_pipeline_never_loads_the_http_client(world):
     """A scripted generate -> validate -> export -> score run, in a fresh
     interpreter, imports neither ``requests`` nor ``urllib3``."""

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -200,6 +201,47 @@ def test_hash_embedder_equals_reference_embedder(dimension, texts):
         assert index.matrix[row].tobytes() == emb.embed(text).astype(np.float32).tobytes()
 
 
+# row counts around the index's 64-row build blocks
+@pytest.mark.parametrize("dimension", [16, 256])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_block_build_equals_single_embeds(n, dimension):
+    rng = random.Random(n)
+    # "", "!!" and a lone surrogate add no token; "naïve" splits into two
+    vocab = [f"w{i}" for i in range(30)] + ["!!", "\ud800", "naïve", "K\u212a", "日本語"]
+    texts = [" ".join(rng.choices(vocab, k=rng.randrange(0, 12))) for _ in range(n)]
+    texts[-1] = "\udfff !!"
+    emb = HashEmbedder(dimension)
+    names = [f"t{i:03d}" for i in range(n)]
+    index = VectorIndex(texts, emb, names)
+    vectors = {name: emb.embed(text) for name, text in zip(names, texts)}
+    assert emb.embed_many(texts).tobytes() == np.array(list(vectors.values())).tobytes()
+    for row, name in enumerate(names):
+        assert index.matrix[row].tobytes() == vectors[name].astype(np.float32).tobytes()
+        assert index._max_norm >= np.linalg.norm(vectors[name])
+    assert not index.matrix[-1].any()
+    for row in range(0, n, 7):
+        top = index.top(vectors[names[row]], 5, exclude=row)
+        assert [(names[r], s) for r, s in top] == naive_top_k(vectors, names[row], 5)
+
+
+def test_index_build_holds_no_catalogue_wide_temporary():
+    rng = random.Random(5)
+    vocab = [f"word{i}" for i in range(2000)]
+    texts = [" ".join(rng.choices(vocab, k=45)) for _ in range(5000)]
+    emb = HashEmbedder()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        index = VectorIndex(texts, emb)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= index.matrix.nbytes + 2 ** 20
+
+
 def scan_distractors(cat, seed, k, emb):
     seed_vec = emb.embed(tool_text(cat.get(seed)))
     scored = [(float(np.dot(seed_vec, emb.embed(tool_text(t)))), t.name)
@@ -285,6 +327,11 @@ class CountingEmbedder(HashEmbedder):
         with self._lock:
             self.calls += 1
         return super().embed(text)
+
+    def embed_many(self, texts):
+        with self._lock:
+            self.calls += len(texts)
+        return super().embed_many(texts)
 
 
 def test_queries_cost_one_build_plus_shortlists():
