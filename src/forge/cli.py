@@ -27,7 +27,7 @@ from .engine import (
 from .export import compute_stats, export, slice_dialogue
 from .gateway import BackendConfig, GatewayError, Transcript, fan_out
 from .harness import EvalTask, VotingConfig, run_benchmark
-from .metrics import Reference, format_metric, score_corpus
+from .metrics import REPORT_METRICS, Reference, format_metric, score_corpus
 from .retrieval import HashEmbedder, RemoteEmbedder, nearest_distractors
 from .scenario import PersonaStore, Scenario, ScenarioError, build_scenario
 from .seeds import split_seed
@@ -216,15 +216,25 @@ def write_json(path: str | Path | None, obj) -> None:
 
 
 def _join_scenarios(corpus: str, scenarios_path: str) -> list[tuple[DialogueTrace, Scenario]]:
-    """Each corpus trace paired with the scenario it references."""
+    """Each corpus trace paired with the scenario it references: the one
+    place a corpus command decides which scenario a trace belongs to."""
     scenarios = load_scenarios(scenarios_path)
-    pairs = []
-    for trace in load_traces(corpus):
-        scn = scenarios.get(trace.scenario_ref)
-        if scn is None:
-            raise ConfigError(f"corpus references unknown scenario {trace.scenario_ref!r}")
-        pairs.append((trace, scn))
-    return pairs
+    traces = load_traces(corpus)
+    for trace in traces:
+        if trace.scenario_ref not in scenarios:
+            raise ConfigError(f"corpus {corpus} references unknown scenario "
+                              f"{trace.scenario_ref!r}")
+    return [(trace, scenarios[trace.scenario_ref]) for trace in traces]
+
+
+def _check_turns(corpus: str | Path, traces) -> None:
+    """A ConfigError naming the corpus and the dialogue unless every trace's
+    messages alternate (``DialogueTrace.turns``)."""
+    for trace in traces:
+        try:
+            trace.turns()
+        except ValueError as exc:
+            raise ConfigError(f"corpus {corpus}: dialogue {trace.dialogue_id!r}: {exc}") from exc
 
 
 def _write_report(args, payload: dict, to_csv) -> int:
@@ -340,13 +350,8 @@ def cmd_export(args) -> int:
     cfg = load_pipeline_config(args.config)
     cat = load_catalogue(cfg.catalogue)
     pairs = _join_scenarios(args.corpus, args.scenarios)
-    # slicing needs alternating turns; check them all before writing anything
-    for trace, _ in pairs:
-        try:
-            trace.turns()
-        except ValueError as exc:
-            raise ConfigError(f"corpus {args.corpus}: dialogue {trace.dialogue_id!r} "
-                              f"cannot be exported: {exc}") from exc
+    # check every trace before writing anything
+    _check_turns(args.corpus, (trace for trace, _ in pairs))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # sliced lazily: export writes each sample as it comes
@@ -360,20 +365,25 @@ def cmd_export(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    scenarios = load_scenarios(args.scenarios)
-    counts = {sid: len(scn.gold_args) for sid, scn in scenarios.items()}
-    stats = compute_stats(load_traces(args.corpus), counts)
+    pairs = _join_scenarios(args.corpus, args.scenarios)
+    _check_turns(args.corpus, (trace for trace, _ in pairs))
+    try:
+        stats = compute_stats([(trace, len(scn.gold_args)) for trace, scn in pairs])
+    except ValueError as exc:
+        raise ConfigError(f"corpus {args.corpus}: {exc}") from exc
     return _write_report(args, stats.to_dict(), stats.to_csv)
 
 
 def cmd_score(args) -> int:
-    scenarios = load_scenarios(args.refs)
-    refs = {sid: Reference(scn.seed_tool, scn.gold_args) for sid, scn in scenarios.items()}
+    pairs = _join_scenarios(args.corpus, args.refs)
+    if not pairs:
+        raise ConfigError(f"corpus {args.corpus} holds no dialogue to score")
     judge = None
     if args.judge:
         spec = _load("backend config", args.judge, _json_object)
         judge = _backends({"judge": spec}, Path(args.judge).parent)["judge"]
-    report = score_corpus(load_traces(args.corpus), refs, judge=judge)
+    report = score_corpus([(trace, Reference(scn.seed_tool, scn.gold_args))
+                           for trace, scn in pairs], judge=judge)
     return _write_report(args, report.to_dict(), report.to_csv_row)
 
 
@@ -396,8 +406,10 @@ def cmd_bench_run(args) -> int:
     cat = load_catalogue(_catalogue(base, raw))
     scenarios = load_scenarios(_path(base, "scenarios", raw["scenarios"]))
     if mode == "static":
-        gold = {d.scenario_ref: d
-                for d in load_traces(_path(base, "gold_corpus", raw["gold_corpus"]))}
+        gold_path = _path(base, "gold_corpus", raw["gold_corpus"])
+        golds = load_traces(gold_path)
+        _check_turns(gold_path, golds)
+        gold = {d.scenario_ref: d for d in golds}
         tasks = []
         for sid, scn in scenarios.items():
             if sid not in gold:
@@ -425,9 +437,6 @@ def cmd_bench_run(args) -> int:
         write_json(audit / f"{record['dialogue_id'].replace('/', '_')}.json", record)
     print(f"bench complete: {len(traces)} tasks -> {out_dir}")
     return 0
-
-
-REPORT_METRICS = ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr", "conv_rel", "ttr")
 
 
 def _bench_report(path: str | Path) -> dict:

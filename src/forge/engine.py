@@ -146,17 +146,18 @@ class DialogueTrace:
         return len(self.assistant_turns())
 
     def turns(self) -> list[tuple[UserTurn, AssistantTurn]]:
-        """Strictly alternating (user, assistant) pairs; raises if malformed."""
+        """The (user, assistant) pairs, ``[]`` for no messages. The one owner
+        of the trace-shape rule: raises ValueError at the first message out
+        of alternation, else when the last message is a user turn."""
         msgs = self.messages
-        if len(msgs) % 2 != 0:
-            raise ValueError("trace does not pair up: odd message count")
-        pairs = []
-        for i in range(0, len(msgs), 2):
-            u, a = msgs[i], msgs[i + 1]
-            if not isinstance(u, UserTurn) or not isinstance(a, AssistantTurn):
-                raise ValueError(f"trace does not alternate at message {i}")
-            pairs.append((u, a))
-        return pairs
+        for i, msg in enumerate(msgs):
+            if i % 2 == 0 and not isinstance(msg, UserTurn):
+                raise ValueError(f"alternation: message {i} should be a user turn")
+            if i % 2 and not isinstance(msg, AssistantTurn):
+                raise ValueError(f"alternation: message {i} should be an assistant turn")
+        if len(msgs) % 2:
+            raise ValueError("alternation: dialogue must end with an assistant turn")
+        return list(zip(msgs[::2], msgs[1::2]))
 
     def to_dict(self) -> dict:
         return {

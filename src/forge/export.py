@@ -132,16 +132,17 @@ class CorpusStats:
         return "\n".join(rows) + "\n"
 
 
-def compute_stats(traces: list[DialogueTrace], gold_arg_counts: dict[str, int]) -> CorpusStats:
-    """Tally corpus histograms.
+def compute_stats(pairs: list[tuple[DialogueTrace, int]]) -> CorpusStats:
+    """Tally corpus histograms over (trace, gold argument count) pairs; the
+    count is the required-parameter count of the trace's seed tool.
 
-    gold_arg_counts maps scenario id to the seed tool's required-parameter
-    count. Disambiguation turns are the pairs before the phase boundary;
+    Disambiguation turns are the pairs before the phase boundary;
     parameter-filling turns are the pairs after it, which is legitimately
     zero for param-free tools or when values surfaced during selection.
+    A phase boundary that is missing or outside 1..T raises ValueError.
     """
     stats = CorpusStats()
-    for d in traces:
+    for d, n_params in pairs:
         if d.phase_boundary is None:
             raise ValueError(f"trace {d.dialogue_id} has no phase boundary")
         t = d.pair_count()
@@ -149,10 +150,7 @@ def compute_stats(traces: list[DialogueTrace], gold_arg_counts: dict[str, int]) 
             raise ValueError(
                 f"trace {d.dialogue_id}: phase boundary {d.phase_boundary} "
                 f"out of range for {t} turns")
-        if d.scenario_ref not in gold_arg_counts:
-            raise KeyError(f"no scenario registered for {d.scenario_ref!r}")
         stats.turns[t] = stats.turns.get(t, 0) + 1
-        n_params = gold_arg_counts[d.scenario_ref]
         stats.params[n_params] = stats.params.get(n_params, 0) + 1
         disamb = d.phase_boundary
         fill = t - d.phase_boundary

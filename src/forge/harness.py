@@ -238,13 +238,10 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
         return eval_dynamic(task.scenario, assistant, cat, vcfg, ecfg.t_max)
 
     traces = fan_out(_run, tasks, concurrency)
-    refs = {
-        task.scenario.scenario_id: Reference(task.scenario.seed_tool, task.scenario.gold_args)
-        for task in tasks
-    }
     excluded = exclusions or set()
-    scored = [d for d in traces if d.scenario_ref not in excluded]
+    scored = [(d, Reference(task.scenario.seed_tool, task.scenario.gold_args))
+              for d, task in zip(traces, tasks) if d.scenario_ref not in excluded]
     if not scored:
         raise ValueError("every task was excluded; nothing to score")
-    report = score_corpus(scored, refs, judge=judge)
+    report = score_corpus(scored, judge=judge)
     return report, traces

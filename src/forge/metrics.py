@@ -15,7 +15,6 @@ reported as None, never silently 0 or 1.
 from __future__ import annotations
 
 import re
-import zlib
 from dataclasses import dataclass, field
 
 from .engine import AssistantTurn, DialogueTrace, args_equal, render_history
@@ -29,13 +28,16 @@ from .gateway import (
     prompt_request,
 )
 from .prompts import get_prompt, render
-from .seeds import split_seed
+from .seeds import dialogue_seed
 
 NGRAM_SIZES = (2, 3, 4)
 
 _TOKEN_RE = re.compile(r"\w+")
 
 _GRADE_VALUE = {1: 0.0, 2: 0.5, 3: 1.0}
+
+# MetricReport's scalar metrics, in field and report.json order
+REPORT_METRICS = ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr", "conv_rel", "ttr")
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,7 @@ def rubric_request(d: DialogueTrace, t: int) -> CompletionRequest:
         history=render_history(d.messages[:at]),
         reply=d.messages[at].public_text(),
     )
-    base = zlib.crc32(d.dialogue_id.encode("utf-8"))
-    return prompt_request(prompt, split_seed(base, f"rubric:{t}"), 0.0, 8)
+    return prompt_request(prompt, dialogue_seed(d.dialogue_id, f"rubric:{t}"), 0.0, 8)
 
 
 def conv_relevancy(d: DialogueTrace, gw_judge: BackendConfig) -> float:
@@ -234,15 +235,7 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         return {
-            "acc": self.acc,
-            "ftr": self.ftr,
-            "tar": self.tar,
-            "tcp": self.tcp,
-            "tcr": self.tcr,
-            "pkp": self.pkp,
-            "pkr": self.pkr,
-            "conv_rel": self.conv_rel,
-            "ttr": self.ttr,
+            **{key: getattr(self, key) for key in REPORT_METRICS},
             "ngd": {str(n): v for n, v in sorted(self.ngd.items())},
             "per_dialogue": self.per_dialogue,
         }
@@ -255,30 +248,29 @@ class MetricReport:
         return f"{header}\n{row}\n"
 
 
-def score_corpus(traces: list[DialogueTrace], refs: dict[str, Reference],
+def score_corpus(pairs: list[tuple[DialogueTrace, Reference]],
                  judge: BackendConfig | None = None) -> MetricReport:
-    """Full metric suite over a corpus.
+    """Full metric suite over a non-empty corpus of (trace, reference) pairs;
+    the caller pairs each trace with its scenario's reference. A trace need
+    not alternate: it is scored as it stands.
 
-    refs maps scenario ids to references; every trace must have one.
     conv_rel is computed only when a rubric judge backend is supplied.
     With a remote judge, up to ``MAX_IN_FLIGHT`` dialogues are graded at
     once; each dialogue still sums its grades in turn order.
     """
-    if not traces:
+    if not pairs:
         raise ValueError("cannot score an empty corpus")
-    pairs = []
+    traces = [d for d, _ in pairs]
+    calls = []
     rows = []
     acc_sum = ftr_sum = tar_sum = 0
-    for d in traces:
-        if d.scenario_ref not in refs:
-            raise KeyError(f"no reference for scenario {d.scenario_ref!r}")
-        ref = refs[d.scenario_ref]
+    for d, ref in pairs:
         record = extract_call(d)
         acc, ftr, tar = dialogue_indicators(record, ref)
         acc_sum += acc
         ftr_sum += ftr
         tar_sum += tar
-        pairs.append((record, ref))
+        calls.append((record, ref))
         rows.append({
             "dialogue_id": d.dialogue_id,
             "acc": acc,
@@ -286,7 +278,7 @@ def score_corpus(traces: list[DialogueTrace], refs: dict[str, Reference],
             "tar": tar,
             "t_dagger": record.t_dagger,
         })
-    tcp, tcr, pkp, pkr = corpus_prf(pairs)
+    tcp, tcr, pkp, pkr = corpus_prf(calls)
     ttr, ngd = lexical_metrics(traces)
     conv = None
     if judge is not None:

@@ -15,7 +15,6 @@ omits them so replays stay byte-identical.
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
@@ -31,7 +30,7 @@ from .gateway import (
 )
 from .prompts import get_prompt, render
 from .scenario import Scenario
-from .seeds import split_seed
+from .seeds import dialogue_seed
 
 JUDGE_TEMPERATURE = 0.0
 JUDGES = ("relevancy", "critique")
@@ -61,18 +60,14 @@ class ValidationReport:
 
 
 def validate_format(d: DialogueTrace) -> tuple[bool, str | None]:
-    """Structural checks: strict user/assistant alternation, non-empty
-    thoughts, and the three-section assistant schema."""
+    """Structural checks: a non-empty dialogue, ``DialogueTrace.turns``'
+    alternation rule, non-empty thoughts and the three-section assistant schema."""
     if not d.messages:
         return False, "alternation: empty dialogue"
-    for i, msg in enumerate(d.messages):
-        expect_user = i % 2 == 0
-        if expect_user and not isinstance(msg, UserTurn):
-            return False, f"alternation: message {i} should be a user turn"
-        if not expect_user and not isinstance(msg, AssistantTurn):
-            return False, f"alternation: message {i} should be an assistant turn"
-    if len(d.messages) % 2 != 0:
-        return False, "alternation: dialogue must end with an assistant turn"
+    try:
+        d.turns()
+    except ValueError as exc:
+        return False, str(exc)
     for i, msg in enumerate(d.messages):
         if isinstance(msg, UserTurn):
             if not msg.text.strip():
@@ -131,10 +126,6 @@ def _parse_verdict(reply: str) -> tuple[bool, str | None]:
     return False, f"unrecognized judge verdict: {text[:120]}"
 
 
-def _judge_seed(d: DialogueTrace, label: str) -> int:
-    return split_seed(zlib.crc32(d.dialogue_id.encode("utf-8")), label)
-
-
 def judge_requests(d: DialogueTrace, scn: Scenario,
                    cat: Catalogue) -> dict[str, CompletionRequest]:
     """The exact judge requests for a dialogue (public so scripted
@@ -152,7 +143,8 @@ def judge_requests(d: DialogueTrace, scn: Scenario,
             dialogue=render_history(d.messages, thoughts=True),
         ),
     }
-    return {name: prompt_request(prompt, _judge_seed(d, name), JUDGE_TEMPERATURE, 256)
+    return {name: prompt_request(prompt, dialogue_seed(d.dialogue_id, name),
+                                 JUDGE_TEMPERATURE, 256)
             for name, prompt in prompts.items()}
 
 

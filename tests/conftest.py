@@ -456,6 +456,11 @@ def replay_world() -> SimpleNamespace:
     return build_replay_world()
 
 
+def paired(traces: list[DialogueTrace], by_scenario: dict) -> list[tuple]:
+    """Each trace with the value its ``scenario_ref`` keys in ``by_scenario``."""
+    return [(d, by_scenario[d.scenario_ref]) for d in traces]
+
+
 def simple_trace(dialogue_id: str = "d1", scenario_ref: str = "s1",
                  calls: list[tuple[str, dict]] | None = None,
                  pairs: int = 2, call_at: int | None = None,

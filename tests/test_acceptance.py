@@ -31,7 +31,7 @@ from forge.retrieval import HashEmbedder, nearest_distractors, tool_text
 from forge.validation import run_cascade
 from forge.catalogue import parse_catalogue
 
-from conftest import SEED_TOOL, build_replay_world, simple_trace
+from conftest import SEED_TOOL, build_replay_world, paired, simple_trace
 from oracles import naive_metrics, naive_top_k, naive_vote_winner, random_corpus
 
 METRIC_KEYS = ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr")
@@ -57,7 +57,7 @@ def test_metric_oracle_equivalence():
         corpora += 1
         traces = [DialogueTrace.from_dict(d) for d in trace_dicts]
         refs = {sid: Reference(g, a) for sid, (g, a) in raw_refs.items()}
-        report = score_corpus(traces, refs)
+        report = score_corpus(paired(traces, refs))
         expected = naive_metrics(trace_dicts, raw_refs)
         for key in METRIC_KEYS:
             got = getattr(report, key)
@@ -101,7 +101,7 @@ def test_hand_computed_fixtures():
         simple_trace(dialogue_id="d2", scenario_ref="s2",
                      calls=[("distractor", {"a": 1, "b": 2})]),
     ]
-    report = score_corpus(traces, {"s1": ref, "s2": ref})
+    report = score_corpus([(d, ref) for d in traces])
     assert report.tcp == 0.5
     assert report.tcr == 0.5
 
@@ -333,7 +333,7 @@ def test_a3_statistics_on_synthetic_corpus():
         tally_disamb[boundary] = tally_disamb.get(boundary, 0) + 1
         fill = pairs - boundary
         tally_fill[fill] = tally_fill.get(fill, 0) + 1
-    stats = compute_stats(traces, counts)
+    stats = compute_stats(paired(traces, counts))
     assert stats.corpus_size == 100
     assert stats.turns == tally_turns
     assert stats.params == tally_params

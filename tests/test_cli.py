@@ -221,8 +221,8 @@ def test_export_rejects_a_trace_that_does_not_alternate(world, capsys):
 
 
 def test_scripted_pipeline_never_loads_the_http_client(world):
-    """A scripted generate -> validate -> export -> score run, in a fresh
-    interpreter, imports neither ``requests`` nor ``urllib3``."""
+    """A scripted generate -> validate -> export -> stats -> score run, in a
+    fresh interpreter, imports neither ``requests`` nor ``urllib3``."""
     out = world.tmp_path / "out"
     corpus, scenarios = str(out / "corpus.jsonl"), str(out / "scenarios.jsonl")
     config = str(world.config_path)
@@ -231,6 +231,7 @@ def test_scripted_pipeline_never_loads_the_http_client(world):
         ["validate", corpus, "--config", config, "--scenarios", scenarios],
         ["export", corpus, "--config", config, "--scenarios", scenarios,
          "--out-dir", str(out / "sft")],
+        ["stats", corpus, "--scenarios", scenarios, "--out", str(out / "stats.json")],
         ["score", corpus, "--refs", scenarios, "--out", str(out / "report.json")],
     ]
     script = ("import json, sys\n"
@@ -242,7 +243,7 @@ def test_scripted_pipeline_never_loads_the_http_client(world):
                           capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "loaded": []}
+    assert result == {"codes": [0, 0, 0, 0, 0], "loaded": []}
     assert json.loads((out / "sft" / "manifest.json").read_text("utf-8"))["sample_count"] > 0
 
 
@@ -632,6 +633,31 @@ def _unreadable_input(world, case: str):
     if case == "bench-gold-missing":
         return ["bench", "run", _bench_config(world, mode="static",
                                                gold_corpus=missing.name)], missing
+    if case == "bench-gold-odd":
+        gold = {"dialogue_id": "gold-odd", "scenario_ref": world.scenario.scenario_id,
+                "messages": [{"role": "user", "content": "hello"}]}
+        bad.write_text(json.dumps(gold) + "\n", encoding="utf-8")
+        return ["bench", "run", _bench_config(world, mode="static", gold_corpus=bad.name)], bad
+    if case in ("stats-unknown-scenario", "score-unknown-scenario"):
+        trace = {**world.expected_trace.to_dict(), "scenario_ref": "unknown"}
+        bad.write_text(json.dumps(trace) + "\n", encoding="utf-8")
+        if case == "stats-unknown-scenario":
+            return ["stats", bad, "--scenarios", empty], bad
+        return ["score", bad, "--refs", empty], bad
+    if case == "score-empty-corpus":
+        scenarios = tmp / "scenarios.jsonl"
+        scenarios.write_text(json.dumps(world.scenario.to_dict()) + "\n", encoding="utf-8")
+        return ["score", empty, "--refs", scenarios], empty
+    if case in ("stats-cut-short", "stats-null-boundary"):
+        assert run(["generate", "--config", config]) == 0
+        corpus = (tmp / "out" / "corpus.jsonl").read_text(encoding="utf-8")
+        records = [json.loads(line) for line in corpus.splitlines()]
+        if case == "stats-cut-short":
+            records[-1]["messages"].pop()
+        else:
+            records[-1]["phase_boundary"] = None
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return ["stats", bad, "--scenarios", tmp / "out" / "scenarios.jsonl"], bad
     return {
         "validate-corpus-missing": ["validate", missing, "--config", config,
                                     "--scenarios", empty],
@@ -651,13 +677,17 @@ def _unreadable_input(world, case: str):
     "bench-report-not-object", "bench-report-ngd-number", "bench-report-metric-text",
     "bench-report-metric-bool", "bench-report-ngd-value-text",
     "bench-report-per-dialogue-object", "scenario-missing-seed-tool", "scenario-line-array",
-    "scenario-seed-text", "corpus-role-tool"])
+    "scenario-seed-text", "corpus-role-tool", "stats-unknown-scenario",
+    "score-unknown-scenario", "stats-cut-short", "stats-null-boundary", "score-empty-corpus",
+    "bench-gold-odd"])
 def test_unreadable_input_is_config_error(world, capsys, case):
     argv, path = _unreadable_input(world, case)
     capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(path) in err
+    if case == "bench-gold-odd":
+        assert "'gold-odd'" in err
     if case == "critique-transcript-missing":
         assert not (world.tmp_path / "out").exists()
 

@@ -424,7 +424,7 @@ def test_trace_round_trip():
 def test_trace_pairs_reject_misaligned_messages():
     t = DialogueTrace(dialogue_id="d", scenario_ref="s",
                       messages=[UserTurn("a"), UserTurn("b")])
-    with pytest.raises(ValueError, match="alternate"):
+    with pytest.raises(ValueError, match="^alternation: message 1 should be an assistant turn$"):
         t.turns()
 
 

@@ -12,7 +12,7 @@ from forge.engine import (
 )
 from forge.export import compute_stats, export, slice_dialogue
 
-from conftest import build_replay_world, simple_trace
+from conftest import build_replay_world, paired, simple_trace
 
 SYS = "system prompt under test"
 
@@ -171,7 +171,7 @@ def test_empty_export_writes_an_empty_file(tmp_path):
 
 def test_boundary_arithmetic():
     trace = simple_trace(pairs=3, calls=[("t", {})], phase_boundary=2)
-    stats = compute_stats([trace], {"s1": 2})
+    stats = compute_stats([(trace, 2)])
     assert stats.turns == {3: 1}
     assert stats.params == {2: 1}
     assert stats.disamb_turns == {2: 1}
@@ -180,13 +180,13 @@ def test_boundary_arithmetic():
 
 def test_param_free_dialogue_hits_zero_fill_bucket():
     trace = simple_trace(pairs=2, calls=[("t", {})], phase_boundary=2)
-    stats = compute_stats([trace], {"s1": 0})
+    stats = compute_stats([(trace, 0)])
     assert stats.paramfill_turns == {0: 1}
     assert stats.params == {0: 1}
 
 
 def test_empty_corpus_all_zero():
-    stats = compute_stats([], {})
+    stats = compute_stats([])
     assert stats.corpus_size == 0
     assert stats.turns == {} and stats.paramfill_turns == {}
 
@@ -201,7 +201,7 @@ def test_histogram_mass_equals_corpus_size():
         traces.append(simple_trace(dialogue_id=f"d{i}", scenario_ref=sid, pairs=pairs,
                                    calls=[("t", {})], phase_boundary=boundary))
         counts[sid] = rng.randrange(0, 5)
-    stats = compute_stats(traces, counts)
+    stats = compute_stats(paired(traces, counts))
     for hist in (stats.turns, stats.params, stats.disamb_turns, stats.paramfill_turns):
         assert sum(hist.values()) == 40
 
@@ -209,12 +209,12 @@ def test_histogram_mass_equals_corpus_size():
 def test_stats_reject_missing_boundary():
     trace = simple_trace(pairs=2, calls=[("t", {})])
     with pytest.raises(ValueError, match="phase boundary"):
-        compute_stats([trace], {"s1": 1})
+        compute_stats([(trace, 1)])
 
 
 def test_stats_csv_shape():
     trace = simple_trace(pairs=3, calls=[("t", {})], phase_boundary=2)
-    stats = compute_stats([trace], {"s1": 2})
+    stats = compute_stats([(trace, 2)])
     lines = stats.to_csv().strip().splitlines()
     assert lines[0] == "histogram,bucket,count"
     assert "turns,3,1" in lines
@@ -228,7 +228,7 @@ def test_stats_dict_round_trip_keys_sorted():
         simple_trace(dialogue_id="b", scenario_ref="s1", pairs=1,
                      calls=[("t", {})], phase_boundary=1),
     ]
-    stats = compute_stats(traces, {"s1": 2})
+    stats = compute_stats([(d, 2) for d in traces])
     d = stats.to_dict()
     assert list(d["turns"]) == ["1", "3"]
     assert d["corpus_size"] == 2

@@ -19,7 +19,13 @@ from forge.metrics import (
     tokenize,
 )
 
-from conftest import remote_backend, scripted_backend, simple_trace, transcript_responder
+from conftest import (
+    paired,
+    remote_backend,
+    scripted_backend,
+    simple_trace,
+    transcript_responder,
+)
 from oracles import naive_metrics, naive_ngd, random_corpus
 
 REF = Reference(gold_tool="gold", gold_args={"a": 1, "b": 2})
@@ -199,7 +205,7 @@ def test_metrics_match_naive_oracle_on_random_corpora():
         trace_dicts, raw_refs = random_corpus(rng)
         traces = [DialogueTrace.from_dict(d) for d in trace_dicts]
         refs = {sid: Reference(g, a) for sid, (g, a) in raw_refs.items()}
-        report = score_corpus(traces, refs)
+        report = score_corpus(paired(traces, refs))
         expected = naive_metrics(trace_dicts, raw_refs)
         for key in ("acc", "ftr", "tar", "tcp", "tcr", "pkp", "pkr"):
             got = getattr(report, key)
@@ -250,10 +256,10 @@ def test_remote_rubric_grades_overlap_and_keep_dialogue_order(loopback):
         delays[fingerprint("m-rubric", req)] = 0.4 - 0.1 * i  # d0 is graded last
     endpoint, _ = loopback(transcript_responder(transcript, delays))
     start = time.perf_counter()
-    report = score_corpus(traces, refs, judge=remote_backend("m-rubric", endpoint))
+    report = score_corpus(paired(traces, refs), judge=remote_backend("m-rubric", endpoint))
     elapsed = time.perf_counter() - start
     assert [row["conv_rel"] for row in report.per_dialogue] == [0.0, 0.5, 1.0]
-    scripted = score_corpus(traces, refs, judge=scripted_backend("m-rubric", transcript))
+    scripted = score_corpus(paired(traces, refs), judge=scripted_backend("m-rubric", transcript))
     assert report.to_dict() == scripted.to_dict()
     assert elapsed < 2 * max(delays.values())
 
@@ -261,7 +267,7 @@ def test_remote_rubric_grades_overlap_and_keep_dialogue_order(loopback):
 def test_scripted_rubric_grading_starts_no_thread(no_thread_pool):
     trace = simple_trace(pairs=2)
     judge = grades_backend(trace, [3, 2])
-    assert score_corpus([trace], {"s1": REF}, judge=judge).conv_rel == 0.75
+    assert score_corpus([(trace, REF)], judge=judge).conv_rel == 0.75
 
 
 def test_rubric_prompt_excludes_thoughts():
@@ -345,7 +351,7 @@ def test_score_corpus_full_shape():
         simple_trace(dialogue_id="d2", scenario_ref="s2"),
     ]
     refs = {"s1": REF, "s2": REF}
-    report = score_corpus(traces, refs)
+    report = score_corpus(paired(traces, refs))
     assert report.acc == 0.5
     assert report.tar == 0.5
     assert report.ftr == 0.0
@@ -355,14 +361,9 @@ def test_score_corpus_full_shape():
     assert set(d["ngd"]) == {"2", "3", "4"}
 
 
-def test_score_corpus_missing_reference():
-    with pytest.raises(KeyError):
-        score_corpus([simple_trace(scenario_ref="unknown")], {"s1": REF})
-
-
 def test_csv_row_marks_undefined():
     traces = [simple_trace(dialogue_id="d1", scenario_ref="s1")]
-    report = score_corpus(traces, {"s1": REF})
+    report = score_corpus([(d, REF) for d in traces])
     csv = report.to_csv_row()
     assert "undefined" in csv
     assert csv.splitlines()[0].startswith("tcp,tcr,")
@@ -385,7 +386,7 @@ def test_acc_tar_are_means_of_indicators(cases):
                                        calls=[("bad", {"a": 1})]))
         else:
             traces.append(simple_trace(dialogue_id=f"d{i}", scenario_ref=sid))
-    report = score_corpus(traces, refs)
+    report = score_corpus(paired(traces, refs))
     n = len(cases)
     assert report.acc == cases.count("exact") / n
     assert report.tar == cases.count("abstain") / n
