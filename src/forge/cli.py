@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .catalogue import CatalogueError, load_catalogue
 from .engine import (
-    AssistantFormatError,
+    DIALOGUE_ERRORS,
     DialogueTrace,
     EngineConfig,
     SynthesisRejected,
@@ -25,13 +25,13 @@ from .engine import (
     synthesize_dialogue,
 )
 from .export import compute_stats, export, slice_dialogue
-from .gateway import BackendConfig, GatewayError, Transcript, fan_out
+from .gateway import BackendConfig, Transcript, fan_out
 from .harness import EvalTask, VotingConfig, run_benchmark
 from .metrics import REPORT_METRICS, Reference, format_metric, score_corpus
 from .retrieval import HashEmbedder, RemoteEmbedder, nearest_distractors
-from .scenario import PersonaStore, Scenario, ScenarioError, build_scenario
+from .scenario import PersonaStore, Scenario, build_scenario
 from .seeds import split_seed
-from .validation import JUDGES, ValidationInfraError, ValidationReport, run_cascade
+from .validation import JUDGES, ValidationReport, run_cascade
 
 
 class ConfigError(Exception):
@@ -199,6 +199,17 @@ def build_embedder(spec: dict) -> HashEmbedder | RemoteEmbedder:
                   model_id=spec.get("model_id", ""), api_key_env=spec.get("api_key_env"))
 
 
+def _out_dir(path: Path) -> Path:
+    """``path``, created as the directory a command writes to, or a
+    ConfigError naming it. Called once every input has been read and before
+    the first LLM call, so an unusable directory costs no finished work."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
 def write_jsonl(path: Path, records: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -290,31 +301,28 @@ def cmd_generate(args) -> int:
     else:
         names = cat.names()
 
-    def _one(name: str) -> tuple[dict | None, str, dict | str]:
-        seed = split_seed(cfg.rng_seed, f"dialogue:{name}")
+    def _one(name: str) -> tuple[Scenario | None, str, dict | str]:
+        scn = None  # a dialogue whose scenario was never built gets no scenario line
         try:
-            scn = build_scenario(cat, store, gw_goal, name, cfg.k, seed,
+            scn = build_scenario(cat, store, gw_goal, name, cfg.k,
+                                 split_seed(cfg.rng_seed, f"dialogue:{name}"),
                                  persona_k=cfg.persona_k, slot_gw=gw_slots)
-        except (ScenarioError, GatewayError) as exc:
-            return None, "error", f"error on {name}: {exc}"
-        try:
             trace = synthesize_dialogue(scn, cat, emb, gw_user, gw_asst, cfg.engine)
             report = run_cascade(trace, scn, cat, judges)
         except SynthesisRejected as exc:
-            return scn.to_dict(), "rejected", {"seed_tool": name, "reason": str(exc)}
-        except (GatewayError, AssistantFormatError, ValidationInfraError) as exc:
-            return scn.to_dict(), "error", f"error on {name}: {exc}"
+            return scn, "rejected", {"seed_tool": name, "reason": str(exc)}
+        except DIALOGUE_ERRORS as exc:
+            return scn, "error", f"error on {name}: {exc}"
         if report.accepted:
-            return scn.to_dict(), "accepted", trace.to_dict()
-        return (scn.to_dict(), "rejected",
-                {"dialogue": trace.to_dict(), "report": report.to_dict()})
+            return scn, "accepted", trace.to_dict()
+        return scn, "rejected", {"dialogue": trace.to_dict(), "report": report.to_dict()}
 
-    out = cfg.out_dir
+    out = _out_dir(cfg.out_dir)
     records: dict[str, list] = {"accepted": [], "rejected": [], "error": []}
     scenarios = []
-    for scenario, outcome, record in fan_out(_one, names, cfg.concurrency):
-        if scenario is not None:
-            scenarios.append(scenario)
+    for scn, outcome, record in fan_out(_one, names, cfg.concurrency):
+        if scn is not None:
+            scenarios.append(scn.to_dict())
         records[outcome].append(record)
     for text in records["error"]:
         print(text, file=sys.stderr)
@@ -335,7 +343,7 @@ def cmd_validate(args) -> int:
     for trace, scn in pairs:
         try:
             report = run_cascade(trace, scn, cat, judges)
-        except ValidationInfraError as exc:
+        except DIALOGUE_ERRORS as exc:
             print(f"error on {trace.dialogue_id}: {exc}", file=sys.stderr)
             report = ValidationReport(trace.dialogue_id, "error", [("judges", str(exc))])
         reports.append(report.to_dict())
@@ -352,8 +360,7 @@ def cmd_export(args) -> int:
     pairs = _join_scenarios(args.corpus, args.scenarios)
     # check every trace before writing anything
     _check_turns(args.corpus, (trace for trace, _ in pairs))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(Path(args.out_dir))
     # sliced lazily: export writes each sample as it comes
     samples = (sample for trace, scn in pairs
                for sample in slice_dialogue(trace, selection_system_prompt(cat, scn.pool)))
@@ -404,7 +411,10 @@ def cmd_bench_run(args) -> int:
         specs["judge"] = raw["judge"]
     backends = _backends(specs, base)
     cat = load_catalogue(_catalogue(base, raw))
-    scenarios = load_scenarios(_path(base, "scenarios", raw["scenarios"]))
+    scenarios_path = _path(base, "scenarios", raw["scenarios"])
+    scenarios = load_scenarios(scenarios_path)
+    if not scenarios:
+        raise ConfigError(f"scenario file {scenarios_path} holds no scenario")
     if mode == "static":
         gold_path = _path(base, "gold_corpus", raw["gold_corpus"])
         golds = load_traces(gold_path)
@@ -425,6 +435,7 @@ def cmd_bench_run(args) -> int:
     if raw.get("exclusions"):
         exclusions = set(_load("exclusions file", _path(base, "exclusions", raw["exclusions"]),
                                _json_strings))
+    _out_dir(out_dir)
     report, traces = run_benchmark(
         tasks, backends["assistant"], cat, vcfg, backends.get("judge"), ecfg,
         concurrency=settings.get("concurrency", 1), exclusions=exclusions)

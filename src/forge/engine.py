@@ -26,10 +26,10 @@ import re
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
-from .gateway import BackendConfig, ChatMessage, CompletionRequest, complete
+from .gateway import BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete
 from .prompts import get_prompt, render
 from .retrieval import Embedder, search_catalogue
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .seeds import split_seed
 
 SELECT_MARKER_RE = re.compile(r"<<select:\s*([^>]+?)\s*>>")
@@ -56,6 +56,10 @@ class WrongToolError(SynthesisRejected):
 
 class RetrieverMissError(SynthesisRejected):
     """Live retrieval failed to surface the seed tool in every attempt."""
+
+
+# Failures that cost one dialogue, not the whole run: a command records them as errors.
+DIALOGUE_ERRORS = (GatewayError, ScenarioError, AssistantFormatError)
 
 
 @dataclass(frozen=True)
@@ -288,11 +292,6 @@ def canonical_equal(a: object, b: object) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return set(a) == set(b) and all(canonical_equal(a[k], b[k]) for k in a)
     return a == b
-
-
-def args_equal(args: dict, gold: dict) -> bool:
-    """Exact key-set equality plus canonical value equality."""
-    return set(args) == set(gold) and all(canonical_equal(args[k], gold[k]) for k in gold)
 
 
 def committed_tool(turn: AssistantTurn) -> str | None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .engine import AssistantTurn, DialogueTrace, args_equal, render_history
+from .engine import AssistantTurn, DialogueTrace, canonical_equal, render_history
 from .gateway import (
     MAX_IN_FLIGHT,
     BackendConfig,
@@ -97,7 +97,7 @@ def dialogue_indicators(c: CallRecord, g: Reference) -> tuple[int, int, int]:
         return 0, 0, 1
     acc = int(
         c.tnames == {g.gold_tool}
-        and args_equal(c.args_by_tool.get(g.gold_tool, {}), g.gold_args)
+        and canonical_equal(c.args_by_tool.get(g.gold_tool, {}), g.gold_args)
     )
     ftr = sum(1 for name in c.tnames if name != g.gold_tool)
     return acc, ftr, 0

@@ -7,18 +7,14 @@ LLM judges (relevancy, critique) are equally authoritative; they run
 concurrently when any of them is remote and inline when all are
 scripted. Gateway failures during the judge stage are infrastructure
 errors, not verdicts; the stage is retried once before giving up.
-
-Stage timings are in-memory diagnostics only; the on-disk report format
-omits them so replays stay byte-identical.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
-from .engine import AssistantTurn, DialogueTrace, UserTurn, args_equal, render_history
+from .engine import AssistantTurn, DialogueTrace, UserTurn, canonical_equal, render_history
 from .gateway import (
     BackendConfig,
     CompletionRequest,
@@ -36,16 +32,11 @@ JUDGE_TEMPERATURE = 0.0
 JUDGES = ("relevancy", "critique")
 
 
-class ValidationInfraError(Exception):
-    """Judge plumbing failed (after one retry); distinct from a reject verdict."""
-
-
 @dataclass
 class ValidationReport:
     dialogue_id: str
     verdict: str  # accept | reject; `forge validate` writes error when the judges fail
     failures: list[tuple[str, str]] = field(default_factory=list)
-    stage_timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def accepted(self) -> bool:
@@ -110,8 +101,8 @@ def validate_toolargs(d: DialogueTrace, scn: Scenario) -> tuple[bool, str | None
     extra = set(call.args) - set(gold)
     if extra:
         return False, f"superfluous args: {sorted(extra)}"
-    if not args_equal(call.args, gold):
-        wrong = [k for k in gold if not args_equal({k: call.args[k]}, {k: gold[k]})]
+    wrong = [k for k in gold if not canonical_equal(call.args[k], gold[k])]
+    if wrong:
         return False, f"wrong values for args: {sorted(wrong)}"
     return True, None
 
@@ -149,19 +140,18 @@ def judge_requests(d: DialogueTrace, scn: Scenario,
 
 
 def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
-                 judges: dict[str, BackendConfig],
-                 timings: dict[str, float] | None = None) -> list[tuple[str, str]]:
+                 judges: dict[str, BackendConfig]) -> list[tuple[str, str]]:
     """Run the relevancy and critique judges, concurrently when any of them
     is remote (``call_width``) and inline otherwise.
 
-    Returns the list of judge failures (empty = pass). GatewayErrors are
-    retried once per judge, then raised as ValidationInfraError. Each
-    judge's own wall time, retry included, is stored in ``timings``.
+    Returns the list of judge failures (empty = pass). A judge whose call
+    raises a GatewayError is asked once more; a second GatewayError is
+    raised as a GatewayError "<name> judge failed twice: ...", which costs
+    the dialogue (``engine.DIALOGUE_ERRORS``), not a reject verdict.
     """
     requests_by_judge = judge_requests(d, scn, cat)
 
-    def _run(name: str) -> tuple[bool, str | None, float]:
-        start = time.perf_counter()
+    def _run(name: str) -> tuple[bool, str | None]:
         req = requests_by_judge[name]
         try:
             reply = complete(judges[name], req)
@@ -169,14 +159,12 @@ def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
             try:
                 reply = complete(judges[name], req)
             except GatewayError as exc:
-                raise ValidationInfraError(f"{name} judge failed twice: {exc}") from exc
-        return (*_parse_verdict(reply), time.perf_counter() - start)
+                raise GatewayError(f"{name} judge failed twice: {exc}") from exc
+        return _parse_verdict(reply)
 
     workers = max(call_width(judges[name], len(JUDGES)) for name in JUDGES)
     failures = []
-    for name, (ok, reason, elapsed) in zip(JUDGES, fan_out(_run, JUDGES, workers)):
-        if timings is not None:
-            timings[name] = elapsed
+    for name, (ok, reason) in zip(JUDGES, fan_out(_run, JUDGES, workers)):
         if not ok:
             failures.append((name, reason))
     return failures
@@ -189,21 +177,20 @@ def run_cascade(d: DialogueTrace, scn: Scenario, cat: Catalogue,
     Pass judges=None to run the functional stage only (offline smoke runs).
     """
     report = ValidationReport(dialogue_id=d.dialogue_id, verdict="accept")
+    # looked up by name at call time, so a patched module attribute takes effect
     functional = (
         ("format", lambda: validate_format(d)),
         ("toolcall", lambda: validate_toolcall(d, scn)),
         ("toolargs", lambda: validate_toolargs(d, scn)),
     )
     for name, check in functional:
-        start = time.perf_counter()
         ok, reason = check()
-        report.stage_timings[name] = time.perf_counter() - start
         if not ok:
             report.verdict = "reject"
             report.failures.append((name, reason))
             return report
     if judges is not None:
-        judge_failures = validate_llm(d, scn, cat, judges, report.stage_timings)
+        judge_failures = validate_llm(d, scn, cat, judges)
         if judge_failures:
             report.verdict = "reject"
             report.failures.extend(judge_failures)

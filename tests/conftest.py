@@ -172,22 +172,25 @@ def remote_backend(model_id: str, endpoint: str) -> BackendConfig:
 
 class _LoopbackHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive, so connection reuse is visible
+    disable_nagle_algorithm = True  # headers and body are two writes: no delayed-ACK stall
 
     def do_POST(self):
-        raw = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.ports.append(self.client_address[1])
-        req = CompletionRequest(
-            messages=tuple(ChatMessage(m["role"], m["content"]) for m in raw["messages"]),
-            temperature=raw["temperature"], seed=raw.get("seed"),
-            max_tokens=raw["max_tokens"])
-        reply, delay = self.server.respond(raw["model"], req)
-        time.sleep(delay)
-        body = json.dumps({"choices": [{"message": {"content": reply}}]}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        status, headers, payload, delay = self.server.respond(body)
+        if delay:  # a test may patch time.sleep to record the client's waits
+            time.sleep(delay)
+        data = json.dumps(payload).encode("utf-8")
+        try:
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client gave up waiting (a timeout) and closed the connection
 
     def log_message(self, *args):
         pass
@@ -195,10 +198,13 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def loopback():
-    """``loopback(respond)`` starts a threaded keep-alive chat-completions
-    server and returns ``(endpoint, server)``. ``respond(model_id, request)``
-    gives the reply text and the seconds to wait before sending it;
-    ``server.ports`` lists the client port of every request received."""
+    """``loopback(respond)`` starts a threaded keep-alive HTTP server and
+    returns ``(endpoint, server)``, the endpoint being a chat-completions URL
+    (the server answers every path alike). ``respond(body)`` gets each
+    request's JSON body and gives the status, a dict of extra headers, the
+    JSON payload and the seconds to wait before sending it (``chat`` adapts
+    a chat responder); ``server.ports`` lists the client port of every
+    request received."""
     servers = []
 
     def start(respond):
@@ -240,13 +246,58 @@ def child_env() -> dict[str, str]:
     return env
 
 
+def chat_request(body: dict) -> CompletionRequest:
+    """The request a chat-completions body carries."""
+    return CompletionRequest(
+        messages=tuple(ChatMessage(m["role"], m["content"]) for m in body["messages"]),
+        temperature=body["temperature"], seed=body.get("seed"), max_tokens=body["max_tokens"])
+
+
+def chat_reply(text: str) -> dict:
+    """A chat-completions payload whose one choice is ``text``."""
+    return {"choices": [{"message": {"content": text}}]}
+
+
+def chat(respond):
+    """A ``loopback`` responder from a chat one: ``respond(model_id, request)``
+    gives the reply text and the seconds to wait before sending it."""
+    def raw(body: dict):
+        reply, delay = respond(body["model"], chat_request(body))
+        return 200, {}, chat_reply(reply), delay
+    return raw
+
+
 def transcript_responder(transcript: Transcript, delays: dict[str, float]):
     """A ``loopback`` responder that replays ``transcript`` and waits
     ``delays[fingerprint]`` seconds (0 when absent) before each reply."""
     def respond(model_id: str, req: CompletionRequest) -> tuple[str, float]:
         fp = fingerprint(model_id, req)
         return transcript.lookup(fp, 1)[0], delays.get(fp, 0.0)
-    return respond
+    return chat(respond)
+
+
+@pytest.fixture
+def stages_run(monkeypatch):
+    """The validator stages a cascade runs, in order: each functional
+    validator and each judge that ``fan_out`` starts, recorded through
+    ``forge.validation``'s attributes."""
+    from forge import validation
+
+    ran = []
+
+    def recording(stage, fn):
+        def run(*args):
+            ran.append(stage)
+            return fn(*args)
+        return run
+
+    for stage in ("format", "toolcall", "toolargs"):
+        name = f"validate_{stage}"
+        monkeypatch.setattr(validation, name, recording(stage, getattr(validation, name)))
+    fan_out = validation.fan_out
+    monkeypatch.setattr(validation, "fan_out", lambda fn, judges, workers: fan_out(
+        lambda judge: recording(judge, fn)(judge), judges, workers))
+    return ran
 
 
 GENERIC_GOAL = "Handle the day to day workload smoothly and keep everything tidy."

@@ -191,7 +191,7 @@ def test_turn_slicing_count_on_public_corpus():
     _report("turn-slicing count on public corpus (13,649)")
 
 
-def test_cascade_short_circuit_order():
+def test_cascade_short_circuit_order(stages_run):
     start = time.perf_counter()
     world = build_replay_world()
     base = world.expected_trace
@@ -199,19 +199,21 @@ def test_cascade_short_circuit_order():
     fmt_bad = simple_trace(dialogue_id="f", scenario_ref=base.scenario_ref)
     fmt_bad.messages[1] = AssistantTurn(thought="", content="x")
     r = run_cascade(fmt_bad, world.scenario, world.cat, None)
-    assert set(r.stage_timings) == {"format"}
+    assert stages_run == ["format"]
     assert [n for n, _ in r.failures] == ["format"]
 
     call_bad = simple_trace(dialogue_id="c", scenario_ref=base.scenario_ref,
                             calls=[("fn_2231_logistics_order_tracking", {"orderId": "x"})])
+    stages_run.clear()
     r = run_cascade(call_bad, world.scenario, world.cat, None)
-    assert set(r.stage_timings) == {"format", "toolcall"}
+    assert stages_run == ["format", "toolcall"]
     assert [n for n, _ in r.failures] == ["toolcall"]
 
     args_bad = simple_trace(dialogue_id="a", scenario_ref=base.scenario_ref,
                             calls=[(SEED_TOOL, {"nodeId": 437292})])
+    stages_run.clear()
     r = run_cascade(args_bad, world.scenario, world.cat, None)
-    assert set(r.stage_timings) == {"format", "toolcall", "toolargs"}
+    assert stages_run == ["format", "toolcall", "toolargs"]
     assert [n for n, _ in r.failures] == ["toolargs"]
 
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -9,9 +10,18 @@ import pytest
 from forge import cli, retrieval
 from forge.cli import load_pipeline_config, main
 from forge.export import slice_dialogue
-from forge.gateway import Transcript
+from forge.gateway import Transcript, fingerprint
+from forge.metrics import rubric_request
+from forge.validation import judge_requests
 
-from conftest import CATALOGUE_TOOLS, SEED_TOOL, build_replay_world, child_env
+from conftest import (
+    CATALOGUE_TOOLS,
+    SEED_TOOL,
+    build_replay_world,
+    chat_reply,
+    chat_request,
+    child_env,
+)
 
 
 @pytest.fixture
@@ -369,9 +379,66 @@ def test_generate_concurrency_builds_each_index_once(tmp_path, monkeypatch):
     assert outputs[1] == outputs[8]
 
 
-def test_score_with_scripted_rubric_judge(world):
-    from forge.metrics import rubric_request
+REPLAY_OUTPUTS = ("corpus.jsonl", "rejected.jsonl", "scenarios.jsonl", "reports.jsonl",
+                  "report.json")
 
+
+def _replay_pipeline(config, judge, out):
+    """generate -> validate -> score --judge over the whole catalogue: the
+    bytes of each output in ``out``."""
+    corpus, scenarios = out / "corpus.jsonl", out / "scenarios.jsonl"
+    assert run(["generate", "--config", config]) == 0
+    assert run(["validate", corpus, "--config", config, "--scenarios", scenarios,
+                "--out", out / "reports.jsonl"]) == 0
+    assert run(["score", corpus, "--refs", scenarios, "--judge", judge,
+                "--out", out / "report.json"]) == 0
+    return {name: (out / name).read_bytes() for name in REPLAY_OUTPUTS}
+
+
+@pytest.mark.parametrize("concurrency", [1, 8])
+def test_remote_replay_equals_scripted_replay(world, loopback, concurrency):
+    """Every role served remotely from the replay transcript, each distinct
+    request refused once with a 503, gives the scripted run's bytes."""
+    # the critique judge fails the seed dialogue, so rejected.jsonl is not empty
+    critique = judge_requests(world.expected_trace, world.scenario, world.cat)["critique"]
+    world.transcript.register(critique, "FAIL: the user volunteered every value", "m-crit")
+    for trace in world.extra_traces.values():
+        for t in range(1, len(trace.turns()) + 1):
+            grade = str(1 + (len(trace.dialogue_id) + t) % 3)
+            world.transcript.register(rubric_request(trace, t), grade, "m-rubric")
+    world.transcript.save(world.tmp_path / "transcripts.json")
+    judge = world.tmp_path / "judge.json"
+    judge.write_text(json.dumps({"kind": "scripted", "model_id": "m-rubric",
+                                 "transcript": "transcripts.json"}), encoding="utf-8")
+    scripted = _replay_pipeline(world.config_path, judge, world.tmp_path / "out")
+
+    refused, lock = set(), threading.Lock()
+
+    def respond(body):
+        fp = fingerprint(body["model"], chat_request(body))
+        with lock:
+            first = fp not in refused
+            refused.add(fp)
+        if first:
+            return 503, {"Retry-After": "0"}, {"error": "busy"}, 0.0
+        return 200, {}, chat_reply(world.transcript.lookup(fp, 1)[0]), 0.0
+
+    endpoint, _ = loopback(respond)
+    remote = {"kind": "remote", "endpoint": endpoint}
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    cfg.update(out_dir="remote-out", concurrency=concurrency,
+               backends={role: {**remote, "model_id": spec["model_id"]}
+                         for role, spec in cfg["backends"].items()})
+    config = world.tmp_path / "remote.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    judge = world.tmp_path / "remote-judge.json"
+    judge.write_text(json.dumps({**remote, "model_id": "m-rubric"}), encoding="utf-8")
+    assert _replay_pipeline(config, judge, world.tmp_path / "remote-out") == scripted
+    assert scripted["rejected.jsonl"] and json.loads(scripted["report.json"])["conv_rel"]
+    assert refused
+
+
+def test_score_with_scripted_rubric_judge(world):
     for t, grade in enumerate(("3", "3", "2"), start=1):
         world.transcript.register(
             rubric_request(world.expected_trace, t), grade, "m-rubric")
@@ -599,6 +666,17 @@ def _unreadable_input(world, case: str):
     if case == "config-not-object":
         config.write_text("[]", encoding="utf-8")
         return generate, config
+    if case in ("generate-outdir-file", "bench-outdir-file"):
+        blocker = tmp / "blocker.txt"
+        blocker.write_text("", encoding="utf-8")
+        if case == "bench-outdir-file":
+            return ["bench", "run", _bench_config(world, out_dir=blocker.name)], blocker
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg["out_dir"] = blocker.name
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        return generate, blocker
+    if case == "bench-empty-scenarios":
+        return ["bench", "run", _bench_config(world, scenarios=empty.name)], empty
     if case == "bench-exclusions-missing":
         return ["bench", "run", _bench_config(world, exclusions=missing.name)], missing
     if case == "bench-exclusions-not-array":
@@ -679,7 +757,7 @@ def _unreadable_input(world, case: str):
     "bench-report-per-dialogue-object", "scenario-missing-seed-tool", "scenario-line-array",
     "scenario-seed-text", "corpus-role-tool", "stats-unknown-scenario",
     "score-unknown-scenario", "stats-cut-short", "stats-null-boundary", "score-empty-corpus",
-    "bench-gold-odd"])
+    "bench-gold-odd", "generate-outdir-file", "bench-outdir-file", "bench-empty-scenarios"])
 def test_unreadable_input_is_config_error(world, capsys, case):
     argv, path = _unreadable_input(world, case)
     capsys.readouterr()

@@ -13,7 +13,6 @@ from forge.engine import (
     ToolCall,
     UserTurn,
     WrongToolError,
-    args_equal,
     assistant_request,
     canonical_equal,
     committed_tool,
@@ -130,9 +129,9 @@ def test_string_equality_is_reflexive_after_strip(s):
 
 def test_args_equal_rejects_superset_and_subset():
     gold = {"a": 1, "b": 2}
-    assert args_equal({"a": 1, "b": 2}, gold)
-    assert not args_equal({"a": 1}, gold)
-    assert not args_equal({"a": 1, "b": 2, "c": 3}, gold)
+    assert canonical_equal({"a": 1, "b": 2}, gold)
+    assert not canonical_equal({"a": 1}, gold)
+    assert not canonical_equal({"a": 1, "b": 2, "c": 3}, gold)
 
 
 # ---------------------------------------------------------------------------

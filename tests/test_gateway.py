@@ -4,7 +4,6 @@ import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +26,7 @@ from forge.gateway import (
     sample_n,
 )
 
-from conftest import child_env
+from conftest import chat, chat_reply, child_env
 
 
 def req(text="hello", seed=1, temperature=0.0):
@@ -183,91 +182,80 @@ def test_system_message_must_lead():
 # remote backend against a local stub
 
 
-class StubHandler(BaseHTTPRequestHandler):
-    script = []  # list of (status, reply_text, delay)
-    retry_after = None  # Retry-After header sent with every non-200 reply
-    calls = 0
-    bodies = []
+class StubScript:
+    """A ``loopback`` responder that answers request i with
+    ``script[min(i, len(script) - 1)]``, a (status, reply_text, delay) step,
+    and keeps every request body."""
 
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        StubHandler.bodies.append(json.loads(self.rfile.read(length)))
-        idx = min(StubHandler.calls, len(StubHandler.script) - 1)
-        status, text, delay = StubHandler.script[idx]
-        StubHandler.calls += 1
-        if delay:
-            time.sleep(delay)
-        body = json.dumps(
-            {"choices": [{"message": {"content": text}}]}).encode("utf-8")
-        self.send_response(status)
-        if status != 200 and StubHandler.retry_after is not None:
-            self.send_header("Retry-After", StubHandler.retry_after)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def __init__(self):
+        self.script = []  # list of (status, reply_text, delay)
+        self.retry_after = None  # Retry-After header sent with every non-200 reply
+        self.bodies = []
+        self._lock = threading.Lock()
 
-    def log_message(self, *args):
-        pass
+    @property
+    def calls(self) -> int:
+        return len(self.bodies)
+
+    def __call__(self, body: dict):
+        with self._lock:
+            self.bodies.append(body)
+            status, text, delay = self.script[min(self.calls, len(self.script)) - 1]
+        headers = ({"Retry-After": self.retry_after}
+                   if status != 200 and self.retry_after is not None else {})
+        return status, headers, chat_reply(text), delay
 
 
 @pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    StubHandler.calls = 0
-    StubHandler.bodies = []
-    StubHandler.retry_after = None
-    thread = threading.Thread(target=server.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
+def stub(loopback):
+    script = StubScript()
+    script.endpoint, _ = loopback(script)
+    return script
 
 
 def remote_cfg(endpoint, **kw):
     return BackendConfig(kind="remote", model_id="stub-model", endpoint=endpoint, **kw)
 
 
-def test_remote_success(stub_server):
-    StubHandler.script = [(200, "remote reply", 0)]
-    assert complete(remote_cfg(stub_server), req()) == "remote reply"
-    assert StubHandler.bodies[0]["model"] == "stub-model"
-    assert StubHandler.bodies[0]["seed"] == 1
+def test_remote_success(stub):
+    stub.script = [(200, "remote reply", 0)]
+    assert complete(remote_cfg(stub.endpoint), req()) == "remote reply"
+    assert stub.bodies[0]["model"] == "stub-model"
+    assert stub.bodies[0]["seed"] == 1
 
 
-def test_remote_retries_on_transient_500(stub_server):
-    StubHandler.script = [(500, "boom", 0), (500, "boom", 0), (200, "recovered", 0)]
-    assert complete(remote_cfg(stub_server), req()) == "recovered"
-    assert StubHandler.calls == 3
+def test_remote_retries_on_transient_500(stub):
+    stub.script = [(500, "boom", 0), (500, "boom", 0), (200, "recovered", 0)]
+    assert complete(remote_cfg(stub.endpoint), req()) == "recovered"
+    assert stub.calls == 3
 
 
-def test_remote_exhausts_retries(stub_server):
-    StubHandler.script = [(503, "down", 0)]
+def test_remote_exhausts_retries(stub):
+    stub.script = [(503, "down", 0)]
     with pytest.raises(RetryExhaustedError):
-        complete(remote_cfg(stub_server, retry_limit=2), req())
-    assert StubHandler.calls == 3
+        complete(remote_cfg(stub.endpoint, retry_limit=2), req())
+    assert stub.calls == 3
 
 
-def test_remote_non_retryable_status_fails_fast(stub_server):
-    StubHandler.script = [(400, "bad", 0)]
+def test_remote_non_retryable_status_fails_fast(stub):
+    stub.script = [(400, "bad", 0)]
     with pytest.raises(Exception, match="HTTP 400"):
-        complete(remote_cfg(stub_server), req())
-    assert StubHandler.calls == 1
+        complete(remote_cfg(stub.endpoint), req())
+    assert stub.calls == 1
 
 
-def test_remote_timeout(stub_server):
-    StubHandler.script = [(200, "slow", 1.0)]
+def test_remote_timeout(stub):
+    stub.script = [(200, "slow", 1.0)]
     with pytest.raises(GatewayTimeout):
-        complete(remote_cfg(stub_server, timeout=0.2, retry_limit=1), req())
+        complete(remote_cfg(stub.endpoint, timeout=0.2, retry_limit=1), req())
 
 
-def test_remote_sample_n_issues_distinct_calls(stub_server):
-    StubHandler.script = [(200, "body", 0)]
-    out = sample_n(remote_cfg(stub_server), req(seed=10), 3)
+def test_remote_sample_n_issues_distinct_calls(stub):
+    stub.script = [(200, "body", 0)]
+    out = sample_n(remote_cfg(stub.endpoint), req(seed=10), 3)
     assert len(out) == 3
-    assert StubHandler.calls == 3
-    seeds = [b["seed"] for b in StubHandler.bodies]
+    assert stub.calls == 3
+    seeds = [b["seed"] for b in stub.bodies]
     assert sorted(seeds) == [10, 11, 12]  # the calls overlap, so arrival order is free
 
 
@@ -279,18 +267,18 @@ def test_remote_sample_n_issues_distinct_calls(stub_server):
     (429, None, 0.1),
     (500, "0.5", 0.1),  # only 429 and 503 carry a meaningful Retry-After
 ])
-def test_retry_after_sets_the_wait(stub_server, monkeypatch, status, retry_after, slept):
+def test_retry_after_sets_the_wait(stub, monkeypatch, status, retry_after, slept):
     sleeps = []
     monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
-    StubHandler.script = [(status, "busy", 0), (200, "done", 0)]
-    StubHandler.retry_after = retry_after
-    assert complete(remote_cfg(stub_server), req()) == "done"
+    stub.script = [(status, "busy", 0), (200, "done", 0)]
+    stub.retry_after = retry_after
+    assert complete(remote_cfg(stub.endpoint), req()) == "done"
     assert sleeps == [slept]
 
 
 def test_remote_sample_n_overlaps_and_keeps_sample_order(loopback):
     latency = {10: 0.4, 11: 0.3, 12: 0.2}  # the first sample is answered last
-    endpoint, _ = loopback(lambda model_id, r: (f"seed {r.seed}", latency[r.seed]))
+    endpoint, _ = loopback(chat(lambda model_id, r: (f"seed {r.seed}", latency[r.seed])))
     start = time.perf_counter()
     out = sample_n(remote_cfg(endpoint), req(seed=10), 3)
     elapsed = time.perf_counter() - start
@@ -299,7 +287,7 @@ def test_remote_sample_n_overlaps_and_keeps_sample_order(loopback):
 
 
 def test_remote_calls_reuse_one_connection(loopback):
-    endpoint, server = loopback(lambda model_id, r: ("pong", 0.0))
+    endpoint, server = loopback(chat(lambda model_id, r: ("pong", 0.0)))
     cfg = remote_cfg(endpoint)
     assert [complete(cfg, req()) for _ in range(5)] == ["pong"] * 5
     assert len(server.ports) == 5
@@ -307,7 +295,7 @@ def test_remote_calls_reuse_one_connection(loopback):
 
 
 def test_session_pool_stays_bounded_under_contention(loopback):
-    endpoint, server = loopback(lambda model_id, r: (str(r.seed), 0.005))
+    endpoint, server = loopback(chat(lambda model_id, r: (str(r.seed), 0.005)))
     cfg = remote_cfg(endpoint)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -326,7 +314,7 @@ def test_first_remote_call_loads_the_http_client_once(loopback):
     ``sample_n``: three threads race on the first ``requests`` import, and
     the replies still come back in sample order."""
     latency = {10: 0.3, 11: 0.2, 12: 0.1}  # the first sample is answered last
-    endpoint, server = loopback(lambda model_id, r: (f"seed {r.seed}", latency[r.seed]))
+    endpoint, server = loopback(chat(lambda model_id, r: (f"seed {r.seed}", latency[r.seed])))
     script = ("import json, sys\n"
               "from forge.gateway import BackendConfig, ChatMessage, CompletionRequest, sample_n\n"
               "before = 'requests' in sys.modules\n"

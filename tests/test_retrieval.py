@@ -3,7 +3,7 @@ import math
 import random
 import threading
 import tracemalloc
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -367,50 +367,33 @@ def test_queries_cost_one_build_plus_shortlists():
 # remote embedder against a local stub
 
 
-class EmbeddingHandler(BaseHTTPRequestHandler):
-    inputs: list[list[str]] = []
+@pytest.fixture
+def embedding_server(loopback):
+    """A loopback embeddings endpoint; ``.inputs`` lists each request's texts."""
+    inputs = []
 
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        EmbeddingHandler.inputs.append(body["input"])
+    def respond(body):
+        inputs.append(body["input"])
         # unnormalized: the client must normalize
         data = [{"index": i, "embedding": (3.0 * HashEmbedder(16).embed(t)).tolist()}
                 for i, t in enumerate(body["input"])]
-        payload = json.dumps({"data": data}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        return 200, {}, {"data": data}, 0.0
 
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def embedding_server():
-    server = HTTPServer(("127.0.0.1", 0), EmbeddingHandler)
-    EmbeddingHandler.inputs = []
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                              daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    _, server = loopback(respond)
+    return SimpleNamespace(endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings",
+                           inputs=inputs)
 
 
 def test_remote_embed_normalizes_one_text_per_request(embedding_server):
-    emb = RemoteEmbedder(embedding_server, "stub-embed", 16)
+    emb = RemoteEmbedder(embedding_server.endpoint, "stub-embed", 16)
     vec = emb.embed("alpha beta")
-    assert EmbeddingHandler.inputs == [["alpha beta"]]
+    assert embedding_server.inputs == [["alpha beta"]]
     assert np.allclose(vec, HashEmbedder(16).embed("alpha beta"))
     assert math.isclose(float(np.linalg.norm(vec)), 1.0)
 
 
 def test_remote_embed_rejects_wrong_dimension(embedding_server):
-    emb = RemoteEmbedder(embedding_server, "stub-embed", 32)
+    emb = RemoteEmbedder(embedding_server.endpoint, "stub-embed", 32)
     with pytest.raises(ValueError, match="dimension"):
         emb.embed("alpha")
 
@@ -418,10 +401,10 @@ def test_remote_embed_rejects_wrong_dimension(embedding_server):
 def test_remote_index_build_embeds_each_tool_once(embedding_server):
     n_tools = 40
     cat = make_cat([(f"tool_{i}", f"alpha beta w{i} w{i % 7}", []) for i in range(n_tools)])
-    emb = RemoteEmbedder(embedding_server, "stub-embed", 16)
+    emb = RemoteEmbedder(embedding_server.endpoint, "stub-embed", 16)
     hits = search_catalogue(cat, "alpha w3", 3, emb)
-    build = len(EmbeddingHandler.inputs)
+    build = len(embedding_server.inputs)
     assert n_tools < build < 2 * n_tools
     search_catalogue(cat, "beta w5", 3, emb)
-    assert len(EmbeddingHandler.inputs) - build < n_tools
+    assert len(embedding_server.inputs) - build < n_tools
     assert hits == scan_search(cat, "alpha w3", 3, emb)

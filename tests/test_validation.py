@@ -1,14 +1,10 @@
-import json
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from forge.engine import AssistantTurn, DialogueTrace, ToolCall, UserTurn
-from forge.gateway import BackendConfig, Transcript
+from forge.gateway import BackendConfig, GatewayError, Transcript
 from forge.validation import (
-    ValidationInfraError,
     judge_requests,
     run_cascade,
     validate_format,
@@ -17,7 +13,14 @@ from forge.validation import (
     validate_toolcall,
 )
 
-from conftest import GOLD_ARGS, SEED_TOOL, build_replay_world, scripted_backend, simple_trace
+from conftest import (
+    GOLD_ARGS,
+    SEED_TOOL,
+    build_replay_world,
+    chat_reply,
+    scripted_backend,
+    simple_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -176,91 +179,65 @@ def test_judge_infrastructure_error_after_retry(world):
     # a scripted miss raises a GatewayError both times -> infra error
     judges = {"relevancy": scripted_backend("m-rel", Transcript()),
               "critique": scripted_backend("m-crit", Transcript())}
-    with pytest.raises(ValidationInfraError):
+    with pytest.raises(GatewayError, match="relevancy judge failed twice"):
         validate_llm(world.expected_trace, world.scenario, world.cat, judges)
 
 
-class FlakyJudgeHandler(BaseHTTPRequestHandler):
-    """First request per prompt stalls past the client timeout; retries
-    answer instantly."""
+def test_judge_timeout_retried_once_then_passes(world, loopback):
+    # the first request per prompt stalls past the client timeout; retries answer at once
+    seen, lock = {}, threading.Lock()
 
-    seen = {}
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
+    def flaky(body):
         key = hash(body["messages"][0]["content"])
-        FlakyJudgeHandler.seen[key] = FlakyJudgeHandler.seen.get(key, 0) + 1
-        if FlakyJudgeHandler.seen[key] == 1:
-            time.sleep(0.8)
-        payload = json.dumps({"choices": [{"message": {"content": "PASS"}}]}).encode()
-        try:
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+        with lock:
+            seen[key] = seen.get(key, 0) + 1
+            first = seen[key] == 1
+        return 200, {}, chat_reply("PASS"), 0.8 if first else 0.0
 
-    def log_message(self, *args):
-        pass
-
-
-def test_judge_timeout_retried_once_then_passes(world):
-    FlakyJudgeHandler.seen = {}
-    server = ThreadingHTTPServer(("127.0.0.1", 0), FlakyJudgeHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-        judge = BackendConfig(kind="remote", model_id="m", endpoint=endpoint,
-                              timeout=0.25, retry_limit=0)
-        judges = {"relevancy": judge, "critique": judge}
-        failures = validate_llm(world.expected_trace, world.scenario, world.cat, judges)
-        assert failures == []
-        assert all(count == 2 for count in FlakyJudgeHandler.seen.values())
-    finally:
-        server.shutdown()
-        server.server_close()
+    endpoint, _ = loopback(flaky)
+    judge = BackendConfig(kind="remote", model_id="m", endpoint=endpoint,
+                          timeout=0.25, retry_limit=0)
+    judges = {"relevancy": judge, "critique": judge}
+    failures = validate_llm(world.expected_trace, world.scenario, world.cat, judges)
+    assert failures == []
+    assert all(count == 2 for count in seen.values())
 
 
 # ---------------------------------------------------------------------------
 # full cascade ordering
 
 
-def test_format_failure_short_circuits(world):
+def test_format_failure_short_circuits(world, stages_run):
     t = simple_trace()
     t.messages[1] = AssistantTurn(thought="", content="x")
     report = run_cascade(t, world.scenario, world.cat,
                          passing_judges(world, world.expected_trace))
     assert report.verdict == "reject"
     assert [name for name, _ in report.failures] == ["format"]
-    assert set(report.stage_timings) == {"format"}
+    assert stages_run == ["format"]
 
 
-def test_toolcall_failure_skips_toolargs(world):
+def test_toolcall_failure_skips_toolargs(world, stages_run):
     t = simple_trace(calls=[("fn_2231_logistics_order_tracking", {"orderId": "x"})])
     report = run_cascade(t, world.scenario, world.cat, None)
-    assert set(report.stage_timings) == {"format", "toolcall"}
+    assert stages_run == ["format", "toolcall"]
     assert [name for name, _ in report.failures] == ["toolcall"]
 
 
-def test_toolargs_failure_skips_llm_stage(world):
+def test_toolargs_failure_skips_llm_stage(world, stages_run):
     t = simple_trace(calls=[(SEED_TOOL, {"nodeId": 437292})])
     report = run_cascade(t, world.scenario, world.cat,
                          passing_judges(world, world.expected_trace))
-    assert set(report.stage_timings) == {"format", "toolcall", "toolargs"}
+    assert stages_run == ["format", "toolcall", "toolargs"]
     assert [name for name, _ in report.failures] == ["toolargs"]
 
 
-def test_all_pass_accepts(world):
+def test_all_pass_accepts(world, stages_run):
     judges = passing_judges(world, world.expected_trace)
     report = run_cascade(world.expected_trace, world.scenario, world.cat, judges)
     assert report.accepted
     assert report.failures == []
-    assert set(report.stage_timings) == {
-        "format", "toolcall", "toolargs", "relevancy", "critique"}
+    assert stages_run == ["format", "toolcall", "toolargs", "relevancy", "critique"]
 
 
 def test_accepted_dialogue_satisfies_stopping_criterion(world):
@@ -269,23 +246,6 @@ def test_accepted_dialogue_satisfies_stopping_criterion(world):
     assert report.accepted
     assert validate_toolcall(world.expected_trace, world.scenario) == (True, None)
     assert validate_toolargs(world.expected_trace, world.scenario) == (True, None)
-
-
-def test_each_judge_is_timed_separately(world, monkeypatch):
-    import forge.validation
-
-    judges = passing_judges(world, world.expected_trace)
-    replay = forge.validation.complete
-
-    def slow_critique(cfg, req):
-        if cfg.model_id == "m-crit":
-            time.sleep(0.2)
-        return replay(cfg, req)
-
-    monkeypatch.setattr(forge.validation, "complete", slow_critique)
-    report = run_cascade(world.expected_trace, world.scenario, world.cat, judges)
-    assert report.accepted
-    assert report.stage_timings["critique"] >= 0.2 > report.stage_timings["relevancy"]
 
 
 def test_scripted_judges_run_inline(world, no_thread_pool):
