@@ -210,8 +210,16 @@ def _out_dir(path: Path) -> Path:
     return path
 
 
+def _out_files(*paths: str | None) -> None:
+    """``_out_dir`` for the parent of each output file a command names (None
+    when not named); a path that names a directory is a ConfigError too."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise ConfigError(f"output file {path} is a directory")
+        _out_dir(path.parent)
+
+
 def write_jsonl(path: Path, records: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -261,11 +269,7 @@ def _write_report(args, payload: dict, to_csv) -> int:
 
 
 def cmd_catalogue_lint(args) -> int:
-    try:
-        cat = load_catalogue(args.path)
-    except CatalogueError as exc:
-        print(f"invalid catalogue: {exc}", file=sys.stderr)
-        return 1
+    cat = load_catalogue(args.path)
     print(f"ok: {len(cat)} tools")
     return 0
 
@@ -339,6 +343,7 @@ def cmd_validate(args) -> int:
     cat = load_catalogue(cfg.catalogue)
     pairs = _join_scenarios(args.corpus, args.scenarios)
     judges = cfg.judges()
+    _out_files(args.out)
     reports = []
     for trace, scn in pairs:
         try:
@@ -374,6 +379,7 @@ def cmd_export(args) -> int:
 def cmd_stats(args) -> int:
     pairs = _join_scenarios(args.corpus, args.scenarios)
     _check_turns(args.corpus, (trace for trace, _ in pairs))
+    _out_files(args.out, args.csv)
     try:
         stats = compute_stats([(trace, len(scn.gold_args)) for trace, scn in pairs])
     except ValueError as exc:
@@ -389,6 +395,7 @@ def cmd_score(args) -> int:
     if args.judge:
         spec = _load("backend config", args.judge, _json_object)
         judge = _backends({"judge": spec}, Path(args.judge).parent)["judge"]
+    _out_files(args.out, args.csv)
     report = score_corpus([(trace, Reference(scn.seed_tool, scn.gold_args))
                            for trace, scn in pairs], judge=judge)
     return _write_report(args, report.to_dict(), report.to_csv_row)
@@ -433,8 +440,11 @@ def cmd_bench_run(args) -> int:
         tasks = [EvalTask(scenario=scn) for scn in scenarios.values()]
     exclusions = None
     if raw.get("exclusions"):
-        exclusions = set(_load("exclusions file", _path(base, "exclusions", raw["exclusions"]),
-                               _json_strings))
+        exclusions_path = _path(base, "exclusions", raw["exclusions"])
+        exclusions = set(_load("exclusions file", exclusions_path, _json_strings))
+        if scenarios.keys() <= exclusions:
+            raise ConfigError(f"exclusions file {exclusions_path} excludes every scenario; "
+                              "nothing to score")
     _out_dir(out_dir)
     report, traces = run_benchmark(
         tasks, backends["assistant"], cat, vcfg, backends.get("judge"), ecfg,

@@ -29,7 +29,7 @@ from .catalogue import Catalogue
 from .gateway import BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete
 from .prompts import get_prompt, render
 from .retrieval import Embedder, search_catalogue
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError, typed
 from .seeds import split_seed
 
 SELECT_MARKER_RE = re.compile(r"<<select:\s*([^>]+?)\s*>>")
@@ -112,16 +112,25 @@ class AssistantTurn:
         return d
 
 
+def _call_from_dict(c: dict) -> ToolCall:
+    typed("tool call", c, dict, "an object")
+    return ToolCall(typed("tool call name", c["name"], str, "a string"),
+                    dict(typed("tool call args", c["args"], dict, "an object")))
+
+
 def _message_from_dict(d: dict) -> UserTurn | AssistantTurn:
+    typed("trace message", d, dict, "an object")
     if d["role"] == "user":
-        return UserTurn(text=d["content"])
+        return UserTurn(text=typed("message content", d["content"], str, "a string"))
     if d["role"] == "assistant":
-        calls = d.get("tool_calls")
+        calls = typed("message tool_calls", d.get("tool_calls"), (list, type(None)),
+                      "null or an array of calls")
         return AssistantTurn(
-            thought=d.get("thought"),
-            content=d.get("content", ""),
-            tool_calls=[ToolCall(c["name"], dict(c["args"])) for c in calls] if calls else None,
-            raw=d.get("raw"),
+            thought=typed("message thought", d.get("thought"), (str, type(None)),
+                          "a string or null"),
+            content=typed("message content", d.get("content", ""), str, "a string"),
+            tool_calls=[_call_from_dict(c) for c in calls] if calls else None,
+            raw=typed("message raw", d.get("raw"), (str, type(None)), "a string or null"),
         )
     raise ValueError(f"unknown message role: {d['role']!r}")
 
@@ -174,12 +183,17 @@ class DialogueTrace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DialogueTrace":
+        """The trace a ``to_dict`` record describes; a field of the wrong
+        JSON type is a ValueError naming the field."""
+        messages = typed("trace messages", d["messages"], list, "an array of objects")
         return cls(
-            dialogue_id=d["dialogue_id"],
-            scenario_ref=d["scenario_ref"],
-            messages=[_message_from_dict(m) for m in d["messages"]],
-            phase_boundary=d.get("phase_boundary"),
-            terminated_by=d.get("terminated_by", TERMINATED_TURN_CAP),
+            dialogue_id=typed("trace dialogue_id", d["dialogue_id"], str, "a string"),
+            scenario_ref=typed("trace scenario_ref", d["scenario_ref"], str, "a string"),
+            messages=[_message_from_dict(m) for m in messages],
+            phase_boundary=typed("trace phase_boundary", d.get("phase_boundary"),
+                                 (int, type(None)), "an integer or null"),
+            terminated_by=typed("trace terminated_by", d.get("terminated_by", TERMINATED_TURN_CAP),
+                                str, "a string"),
         )
 
 

@@ -3,6 +3,8 @@
 Static: re-decode every assistant turn against the frozen gold user
 utterances. Dynamic: full on-policy rollout where each user utterance is
 produced by a multi-sampling, permutation-debiased voting ensemble.
+The two protocols share one rollout and differ only in where each user
+turn comes from.
 
 Unparseable assistant output never aborts a run: the turn is recorded as
 malformed and scores as abstention downstream.
@@ -165,29 +167,33 @@ def _decode_assistant(assistant: BackendConfig, sys_prompt: str, messages: list,
         return AssistantTurn(thought=None, raw=raw)
 
 
+def _rollout(scn: Scenario, assistant: BackendConfig, cat: Catalogue, kind: str, label: str,
+             next_user) -> DialogueTrace:
+    """The rollout both protocols share. ``next_user(messages)`` returns the
+    next user utterance, or None to end the rollout; assistant turn t is
+    decoded with the seed label ``{label}:asst:{t}``. The trace ends by
+    tool_call when any assistant turn carries calls, else by turn_cap."""
+    sys_a = selection_system_prompt(cat, scn.pool)
+    messages: list = []
+    while (utterance := next_user(messages)) is not None:
+        t = len(messages) // 2 + 1  # the pair this utterance opens
+        messages.append(UserTurn(utterance))
+        messages.append(_decode_assistant(assistant, sys_a, messages,
+                                          split_seed(scn.rng_seed, f"{label}:asst:{t}")))
+    called = any(turn.tool_calls for turn in messages[1::2])
+    return DialogueTrace(f"{scn.scenario_id}#{kind}", scn.scenario_id, messages,
+                         terminated_by=TERMINATED_TOOL_CALL if called else TERMINATED_TURN_CAP)
+
+
 def eval_static(task: EvalTask, assistant: BackendConfig, cat: Catalogue) -> DialogueTrace:
     """Decode each assistant turn against frozen gold user utterances.
 
     Gold user turns are never mutated; the assistant conditions on them
     plus its own earlier replies.
     """
-    scn = task.scenario
-    gold_pairs = task.gold_dialogue.turns()
-    sys_a = selection_system_prompt(cat, scn.pool)
-    messages: list = []
-    for t, (gold_user, _) in enumerate(gold_pairs, start=1):
-        messages.append(UserTurn(gold_user.text))
-        turn = _decode_assistant(
-            assistant, sys_a, messages, split_seed(scn.rng_seed, f"static:asst:{t}"))
-        messages.append(turn)
-    called = any(t.tool_calls for t in messages if isinstance(t, AssistantTurn))
-    return DialogueTrace(
-        dialogue_id=f"{scn.scenario_id}#static",
-        scenario_ref=scn.scenario_id,
-        messages=messages,
-        phase_boundary=None,
-        terminated_by=TERMINATED_TOOL_CALL if called else TERMINATED_TURN_CAP,
-    )
+    users = iter([user.text for user, _ in task.gold_dialogue.turns()])
+    return _rollout(task.scenario, assistant, cat, "static", "static",
+                    lambda messages: next(users, None))
 
 
 def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
@@ -196,26 +202,14 @@ def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
 
     Terminates on any tool_calls emission or at the turn cap.
     """
-    messages: list = []
-    terminated = TERMINATED_TURN_CAP
-    sys_a = selection_system_prompt(cat, scn.pool)
     sys_u = user_system_prompt(scn, cat)
-    for t in range(1, t_max + 1):
-        utterance = vote_utterance(scn, sys_u, messages, vcfg)
-        messages.append(UserTurn(utterance))
-        turn = _decode_assistant(
-            assistant, sys_a, messages, split_seed(scn.rng_seed, f"dyn:asst:{t}"))
-        messages.append(turn)
-        if turn.tool_calls:
-            terminated = TERMINATED_TOOL_CALL
-            break
-    return DialogueTrace(
-        dialogue_id=f"{scn.scenario_id}#dynamic",
-        scenario_ref=scn.scenario_id,
-        messages=messages,
-        phase_boundary=None,
-        terminated_by=terminated,
-    )
+
+    def next_user(messages: list) -> str | None:
+        if len(messages) >= 2 * t_max or (messages and messages[-1].tool_calls):
+            return None
+        return vote_utterance(scn, sys_u, messages, vcfg)
+
+    return _rollout(scn, assistant, cat, "dynamic", "dyn", next_user)
 
 
 def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogue,
@@ -225,10 +219,9 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
     """Run every task, score the traces, return (report, traces).
 
     All traces are returned for audit, including excluded ones; exclusions
-    (scenario ids) are only dropped from metric aggregation.
+    (scenario ids) are only dropped from metric aggregation. With nothing
+    left to score, ``score_corpus`` raises ValueError.
     """
-    if not tasks:
-        raise ValueError("benchmark requires at least one task")
     if vcfg is None and any(task.gold_dialogue is None for task in tasks):
         raise ValueError("tasks without a gold dialogue require a voting config")
 
@@ -241,7 +234,5 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
     excluded = exclusions or set()
     scored = [(d, Reference(task.scenario.seed_tool, task.scenario.gold_args))
               for d, task in zip(traces, tasks) if d.scenario_ref not in excluded]
-    if not scored:
-        raise ValueError("every task was excluded; nothing to score")
     report = score_corpus(scored, judge=judge)
     return report, traces

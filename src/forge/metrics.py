@@ -261,43 +261,22 @@ def score_corpus(pairs: list[tuple[DialogueTrace, Reference]],
     if not pairs:
         raise ValueError("cannot score an empty corpus")
     traces = [d for d, _ in pairs]
-    calls = []
+    calls = [(extract_call(d), ref) for d, ref in pairs]
     rows = []
-    acc_sum = ftr_sum = tar_sum = 0
-    for d, ref in pairs:
-        record = extract_call(d)
+    for d, (record, ref) in zip(traces, calls):
         acc, ftr, tar = dialogue_indicators(record, ref)
-        acc_sum += acc
-        ftr_sum += ftr
-        tar_sum += tar
-        calls.append((record, ref))
-        rows.append({
-            "dialogue_id": d.dialogue_id,
-            "acc": acc,
-            "ftr": ftr,
-            "tar": tar,
-            "t_dagger": record.t_dagger,
-        })
-    tcp, tcr, pkp, pkr = corpus_prf(calls)
+        rows.append({"dialogue_id": d.dialogue_id, "acc": acc, "ftr": ftr, "tar": tar,
+                     "t_dagger": record.t_dagger})
     ttr, ngd = lexical_metrics(traces)
-    conv = None
     if judge is not None:
         values = fan_out(lambda d: conv_relevancy(d, judge), traces,
                          call_width(judge, MAX_IN_FLIGHT))
-        conv = sum(values) / len(values)
         for row, value in zip(rows, values):
             row["conv_rel"] = value
-    n = len(traces)
-    return MetricReport(
-        acc=acc_sum / n,
-        ftr=ftr_sum / n,
-        tar=tar_sum / n,
-        tcp=tcp,
-        tcr=tcr,
-        pkp=pkp,
-        pkr=pkr,
-        conv_rel=conv,
-        ttr=ttr,
-        ngd=ngd,
-        per_dialogue=rows,
-    )
+
+    def mean(key: str) -> float:
+        return sum(row[key] for row in rows) / len(rows)
+
+    return MetricReport(mean("acc"), mean("ftr"), mean("tar"), *corpus_prf(calls),
+                        conv_rel=mean("conv_rel") if judge is not None else None,
+                        ttr=ttr, ngd=ngd, per_dialogue=rows)

@@ -35,6 +35,15 @@ GEN_TEMPERATURE = 0.7
 REGEN_ATTEMPTS = 3
 
 
+def typed(name: str, value, kind: type | tuple[type, ...], noun: str):
+    """``value``, which record field ``name`` must hold as a ``kind`` (never
+    a bool, which JSON keeps apart from numbers); else a ValueError naming
+    the field. Scenario and trace records are both read through it."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
 class ScenarioError(Exception):
     """Base class for scenario-construction failures."""
 
@@ -105,23 +114,17 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         """The scenario a ``to_dict`` record describes; a field of the wrong
         JSON type is a ValueError naming the field."""
-        def typed(key: str, kind: type, noun: str):
-            value = d[key]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"scenario {key} must be {noun}, got {value!r}")
-            return value
-
-        pool = typed("pool", list, "an array of tool names")
+        pool = typed("scenario pool", d["pool"], list, "an array of tool names")
         if not all(isinstance(name, str) for name in pool):
             raise ValueError(f"scenario pool must be an array of tool names, got {pool!r}")
         return cls(
-            seed_tool=typed("seed_tool", str, "a string"),
-            persona=typed("persona", str, "a string"),
-            goal=typed("goal", str, "a string"),
+            seed_tool=typed("scenario seed_tool", d["seed_tool"], str, "a string"),
+            persona=typed("scenario persona", d["persona"], str, "a string"),
+            goal=typed("scenario goal", d["goal"], str, "a string"),
             distractors=DistractorSet.from_dict(d["distractors"]),
             pool=list(pool),
-            gold_args=dict(typed("gold_args", dict, "a JSON object")),
-            rng_seed=typed("rng_seed", int, "an integer"),
+            gold_args=dict(typed("scenario gold_args", d["gold_args"], dict, "a JSON object")),
+            rng_seed=typed("scenario rng_seed", d["rng_seed"], int, "an integer"),
         )
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from forge.catalogue import Catalogue, parse_catalogue
 from forge.engine import (
+    AssistantFormatError,
     AssistantTurn,
     DialogueTrace,
     EngineConfig,
@@ -510,6 +511,26 @@ def replay_world() -> SimpleNamespace:
 def paired(traces: list[DialogueTrace], by_scenario: dict) -> list[tuple]:
     """Each trace with the value its ``scenario_ref`` keys in ``by_scenario``."""
     return [(d, by_scenario[d.scenario_ref]) for d in traces]
+
+
+def static_candidate(world, replies, scn=None, gold=None) -> BackendConfig:
+    """Scripted candidate assistant for eval_static over the replay gold: reply
+    t answers the ``static:asst:{t}`` request."""
+    scn = scn or world.scenario
+    gold = gold or world.expected_trace
+    transcript = Transcript()
+    sys_a = selection_system_prompt(world.cat, scn.pool)
+    messages = []
+    for t, (gold_user, _) in enumerate(gold.turns(), start=1):
+        messages.append(UserTurn(gold_user.text))
+        req = assistant_request(sys_a, messages,
+                                split_seed(scn.rng_seed, f"static:asst:{t}"))
+        transcript.register(req, replies[t - 1], "m-cand")
+        try:
+            messages.append(parse_assistant_output(replies[t - 1]))
+        except AssistantFormatError:
+            messages.append(AssistantTurn(thought=None, raw=replies[t - 1]))
+    return scripted_backend("m-cand", transcript)
 
 
 def simple_trace(dialogue_id: str = "d1", scenario_ref: str = "s1",

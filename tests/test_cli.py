@@ -16,11 +16,15 @@ from forge.validation import judge_requests
 
 from conftest import (
     CATALOGUE_TOOLS,
+    RAW_A1,
+    RAW_A2_FILL,
+    RAW_A3_CALL,
     SEED_TOOL,
     build_replay_world,
     chat_reply,
     chat_request,
     child_env,
+    static_candidate,
 )
 
 
@@ -458,33 +462,32 @@ def test_score_with_scripted_rubric_judge(world):
     assert report["per_dialogue"][0]["conv_rel"] == pytest.approx(2.5 / 3)
 
 
+def test_score_creates_a_missing_out_directory(world):
+    for t, grade in enumerate(("3", "3", "2"), start=1):
+        world.transcript.register(
+            rubric_request(world.expected_trace, t), grade, "m-rubric")
+    world.transcript.save(world.tmp_path / "transcripts.json")
+    judge = world.tmp_path / "judge.json"
+    judge.write_text(json.dumps({"kind": "scripted", "model_id": "m-rubric",
+                                 "transcript": "transcripts.json"}), encoding="utf-8")
+    run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
+    out = world.tmp_path / "out"
+    report = world.tmp_path / "reports" / "seed-7" / "report.json"
+    assert run(["score", out / "corpus.jsonl", "--refs", out / "scenarios.jsonl",
+                "--judge", judge, "--out", report]) == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["conv_rel"] == pytest.approx(2.5 / 3)
+
+
 # ---------------------------------------------------------------------------
 # bench
 
 
 def test_bench_static_run_and_report(world, capsys):
     run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
-    out = world.tmp_path / "out"
     # candidate assistant = the same scripted synthesis assistant is not
     # keyed for eval requests, so script a dedicated candidate
-    from forge.engine import UserTurn, assistant_request, selection_system_prompt
-    from forge.gateway import Transcript
-    from forge.seeds import split_seed
-    from conftest import RAW_A1, RAW_A2_FILL, RAW_A3_CALL
-    from forge.engine import parse_assistant_output
-
-    scn = world.scenario
-    transcript = Transcript()
-    sys_a = selection_system_prompt(world.cat, scn.pool)
-    messages = []
-    for t, reply in enumerate((RAW_A1, RAW_A2_FILL, RAW_A3_CALL), start=1):
-        gold_user = world.expected_trace.turns()[t - 1][0]
-        messages.append(UserTurn(gold_user.text))
-        req = assistant_request(sys_a, messages,
-                                split_seed(scn.rng_seed, f"static:asst:{t}"))
-        transcript.register(req, reply, "m-cand")
-        messages.append(parse_assistant_output(reply))
-    transcript.save(world.tmp_path / "cand_transcript.json")
+    cand = static_candidate(world, (RAW_A1, RAW_A2_FILL, RAW_A3_CALL))
+    cand.transcript.save(world.tmp_path / "cand_transcript.json")
     bench_cfg = {
         "mode": "static",
         "catalogue": "catalogue.json",
@@ -677,6 +680,10 @@ def _unreadable_input(world, case: str):
         return generate, blocker
     if case == "bench-empty-scenarios":
         return ["bench", "run", _bench_config(world, scenarios=empty.name)], empty
+    if case == "bench-all-excluded":
+        exclusions = tmp / "exclusions.json"
+        exclusions.write_text(json.dumps([world.scenario.scenario_id]), encoding="utf-8")
+        return ["bench", "run", _bench_config(world, exclusions=exclusions.name)], exclusions
     if case == "bench-exclusions-missing":
         return ["bench", "run", _bench_config(world, exclusions=missing.name)], missing
     if case == "bench-exclusions-not-array":
@@ -722,6 +729,26 @@ def _unreadable_input(world, case: str):
         if case == "stats-unknown-scenario":
             return ["stats", bad, "--scenarios", empty], bad
         return ["score", bad, "--refs", empty], bad
+    if case in ("score-out-parent-file", "validate-out-parent-file", "stats-out-directory",
+                "corpus-content-number", "corpus-call-args-array"):
+        scenarios = tmp / "scenarios.jsonl"
+        scenarios.write_text(json.dumps(world.scenario.to_dict()) + "\n", encoding="utf-8")
+        trace = world.expected_trace.to_dict()
+        if case == "corpus-content-number":
+            trace["messages"][0]["content"] = 5
+        elif case == "corpus-call-args-array":
+            trace["messages"][-1]["tool_calls"][0]["args"] = []
+        bad.write_text(json.dumps(trace) + "\n", encoding="utf-8")
+        blocker = tmp / "blocker.txt"
+        blocker.write_text("", encoding="utf-8")
+        return {
+            "score-out-parent-file": (["score", bad, "--refs", scenarios,
+                                       "--out", blocker / "report.json"], blocker),
+            "validate-out-parent-file": (["validate", bad, "--config", config, "--scenarios",
+                                          scenarios, "--out", blocker / "reports.jsonl"], blocker),
+            "stats-out-directory": (["stats", bad, "--scenarios", scenarios, "--out", tmp], tmp),
+        }.get(case, (["export", bad, "--config", config, "--scenarios", scenarios,
+                      "--out-dir", tmp / "sft"], bad))
     if case == "score-empty-corpus":
         scenarios = tmp / "scenarios.jsonl"
         scenarios.write_text(json.dumps(world.scenario.to_dict()) + "\n", encoding="utf-8")
@@ -757,13 +784,17 @@ def _unreadable_input(world, case: str):
     "bench-report-per-dialogue-object", "scenario-missing-seed-tool", "scenario-line-array",
     "scenario-seed-text", "corpus-role-tool", "stats-unknown-scenario",
     "score-unknown-scenario", "stats-cut-short", "stats-null-boundary", "score-empty-corpus",
-    "bench-gold-odd", "generate-outdir-file", "bench-outdir-file", "bench-empty-scenarios"])
+    "bench-gold-odd", "generate-outdir-file", "bench-outdir-file", "bench-empty-scenarios",
+    "bench-all-excluded", "score-out-parent-file", "validate-out-parent-file",
+    "stats-out-directory", "corpus-content-number", "corpus-call-args-array"])
 def test_unreadable_input_is_config_error(world, capsys, case):
     argv, path = _unreadable_input(world, case)
     capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(path) in err
+    if case == "bench-all-excluded":
+        assert not (world.tmp_path / "bench_out").exists()
     if case == "bench-gold-odd":
         assert "'gold-odd'" in err
     if case == "critique-transcript-missing":

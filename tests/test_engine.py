@@ -420,6 +420,28 @@ def test_trace_round_trip():
     assert DialogueTrace.from_dict(d).to_dict() == d
 
 
+@pytest.mark.parametrize("path,value,field", [
+    (("dialogue_id",), 5, "trace dialogue_id"), (("scenario_ref",), None, "trace scenario_ref"),
+    (("messages",), {}, "trace messages"), (("phase_boundary",), "1", "trace phase_boundary"),
+    (("phase_boundary",), True, "trace phase_boundary"),
+    (("terminated_by",), 5, "trace terminated_by"),
+    (("messages", 0), "hello", "trace message"), (("messages", 0, "content"), 5, "message content"),
+    (("messages", 1, "content"), None, "message content"),
+    (("messages", 1, "thought"), 5, "message thought"), (("messages", 1, "raw"), [], "message raw"),
+    (("messages", 5, "tool_calls"), {}, "message tool_calls"),
+    (("messages", 5, "tool_calls", 0), "call", "tool call"),
+    (("messages", 5, "tool_calls", 0, "name"), 5, "tool call name"),
+    (("messages", 5, "tool_calls", 0, "args"), [], "tool call args")])
+def test_trace_from_dict_checks_types(path, value, field):
+    d = build_replay_world().expected_trace.to_dict()
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        DialogueTrace.from_dict(d)
+
+
 def test_trace_pairs_reject_misaligned_messages():
     t = DialogueTrace(dialogue_id="d", scenario_ref="s",
                       messages=[UserTurn("a"), UserTurn("b")])

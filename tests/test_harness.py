@@ -41,6 +41,7 @@ from conftest import (
     build_replay_world,
     remote_backend,
     scripted_backend,
+    static_candidate,
     transcript_responder,
 )
 
@@ -211,26 +212,6 @@ def test_voting_matches_naive_enumerator_bulk():
 # static evaluation
 
 
-def static_candidate(world, replies, scn=None, gold=None):
-    """Scripted candidate assistant for eval_static over the replay gold."""
-    scn = scn or world.scenario
-    gold = gold or world.expected_trace
-    transcript = Transcript()
-    sys_a = selection_system_prompt(world.cat, scn.pool)
-    messages = []
-    for t, (gold_user, _) in enumerate(gold.turns(), start=1):
-        messages.append(UserTurn(gold_user.text))
-        req = assistant_request(sys_a, messages,
-                                split_seed(scn.rng_seed, f"static:asst:{t}"))
-        transcript.register(req, replies[t - 1], "m-cand")
-        from forge.engine import parse_assistant_output
-        try:
-            messages.append(parse_assistant_output(replies[t - 1]))
-        except Exception:
-            messages.append(AssistantTurn(thought=None, raw=replies[t - 1]))
-    return scripted_backend("m-cand", transcript)
-
-
 def test_static_replaying_gold_reproduces_gold(world):
     replies = [RAW_A1, RAW_A2_FILL, RAW_A3_CALL]
     cand = static_candidate(world, replies)
@@ -337,6 +318,14 @@ def test_user_prompt_rendered_once_per_rollout(world, monkeypatch):
     assert renders == [scn.scenario_id]
 
 
+def test_dynamic_call_at_turn_cap_is_tool_call(world):
+    steps = [("utterance 1", ASKING), ("utterance 2", ASKING), ("Node 1, request 2.", GOLD_CALL)]
+    scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=892)
+    trace = eval_dynamic(scn, cand, world.cat, vcfg, 3)
+    assert trace.pair_count() == 3
+    assert trace.terminated_by == "tool_call"
+
+
 def test_dynamic_never_calling_assistant_hits_cap(world):
     steps = [(f"utterance {i}", ASKING) for i in range(3)]
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=889)
@@ -430,7 +419,7 @@ def test_task_without_gold_requires_voting_config(world):
 
 
 def test_empty_task_list_rejected(world):
-    with pytest.raises(ValueError, match="at least one task"):
+    with pytest.raises(ValueError, match="empty corpus"):
         run_benchmark([], scripted_backend("x", Transcript()), world.cat,
                       None, None, world.ecfg)
 
