@@ -17,19 +17,19 @@ from pathlib import Path
 
 from .catalogue import CatalogueError, load_catalogue
 from .engine import (
-    DIALOGUE_ERRORS,
     DialogueTrace,
     EngineConfig,
     SynthesisRejected,
+    run_items,
     selection_system_prompt,
     synthesize_dialogue,
 )
 from .export import compute_stats, export, slice_dialogue
-from .gateway import BackendConfig, Transcript, fan_out
+from .gateway import BackendConfig, Transcript
 from .harness import EvalTask, VotingConfig, run_benchmark
 from .metrics import REPORT_METRICS, Reference, format_metric, score_corpus
 from .retrieval import HashEmbedder, RemoteEmbedder, nearest_distractors
-from .scenario import PersonaStore, Scenario, build_scenario
+from .scenario import PersonaStore, Scenario, build_scenario, typed
 from .seeds import split_seed
 from .validation import JUDGES, ValidationReport, run_cascade
 
@@ -112,11 +112,12 @@ def _require(raw: dict, what: str, keys: tuple[str, ...]) -> None:
 
 
 def _expect(key: str, value, kind: type, noun: str):
-    """``value``, which config key ``key`` must hold as a ``kind`` (never a
-    bool, which JSON keeps apart from numbers)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{key} must be {noun}, got {value!r}")
-    return value
+    """``value``, which config key ``key`` must hold as a ``kind``
+    (``scenario.typed``), else a ConfigError."""
+    try:
+        return typed(key, value, kind, noun)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _integers(raw: dict, floors: dict[str, int | None]) -> dict[str, int]:
@@ -246,6 +247,16 @@ def _join_scenarios(corpus: str, scenarios_path: str) -> list[tuple[DialogueTrac
     return [(trace, scenarios[trace.scenario_ref]) for trace in traces]
 
 
+def _check_tools(scenarios_path: str | Path, scenarios, cat) -> None:
+    """A ConfigError naming the scenario file and the tool unless every tool
+    a scenario names (seed tool, pool, distractors) is in the catalogue."""
+    for scn in scenarios:
+        for name in (scn.seed_tool, *scn.pool, *scn.distractors.names()):
+            if name not in cat:
+                raise ConfigError(f"scenario file {scenarios_path}: scenario "
+                                  f"{scn.scenario_id!r} names unknown tool {name!r}")
+
+
 def _check_turns(corpus: str | Path, traces) -> None:
     """A ConfigError naming the corpus and the dialogue unless every trace's
     messages alternate (``DialogueTrace.turns``)."""
@@ -262,6 +273,15 @@ def _write_report(args, payload: dict, to_csv) -> int:
     if args.csv:
         Path(args.csv).write_text(to_csv(), encoding="utf-8")
     return 0
+
+
+def _item_errors(rows: list[dict]) -> int:
+    """Print ``error on <dialogue_id>: <error>`` for each row that carries
+    an ``error``, in row order; the exit code is 1 when any does, else 0."""
+    errors = [row for row in rows if "error" in row]
+    for row in errors:
+        print(f"error on {row['dialogue_id']}: {row['error']}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +312,6 @@ def cmd_generate(args) -> int:
     store = (_load("persona file", cfg.personas, lambda p: PersonaStore.load(p, emb))
              if cfg.personas else PersonaStore.bundled(emb))
     gw_goal = cfg.backend("goal")
-    gw_slots = cfg.backends.get("slots", gw_goal)
     gw_user = cfg.backend("user_proxy")
     gw_asst = cfg.backend("assistant")
     judges = cfg.judges()
@@ -305,57 +324,54 @@ def cmd_generate(args) -> int:
     else:
         names = cat.names()
 
-    def _one(name: str) -> tuple[Scenario | None, str, dict | str]:
-        scn = None  # a dialogue whose scenario was never built gets no scenario line
+    built: dict[str, Scenario] = {}  # a dialogue whose scenario was never built has no line
+
+    def _one(name: str) -> tuple[str, dict]:
+        scn = built[name] = build_scenario(
+            cat, store, gw_goal, name, cfg.k, split_seed(cfg.rng_seed, f"dialogue:{name}"),
+            persona_k=cfg.persona_k, slot_gw=cfg.backends.get("slots"))
         try:
-            scn = build_scenario(cat, store, gw_goal, name, cfg.k,
-                                 split_seed(cfg.rng_seed, f"dialogue:{name}"),
-                                 persona_k=cfg.persona_k, slot_gw=gw_slots)
             trace = synthesize_dialogue(scn, cat, emb, gw_user, gw_asst, cfg.engine)
-            report = run_cascade(trace, scn, cat, judges)
         except SynthesisRejected as exc:
-            return scn, "rejected", {"seed_tool": name, "reason": str(exc)}
-        except DIALOGUE_ERRORS as exc:
-            return scn, "error", f"error on {name}: {exc}"
+            return "rejected", {"seed_tool": name, "reason": str(exc)}
+        report = run_cascade(trace, scn, cat, judges)
         if report.accepted:
-            return scn, "accepted", trace.to_dict()
-        return scn, "rejected", {"dialogue": trace.to_dict(), "report": report.to_dict()}
+            return "accepted", trace.to_dict()
+        return "rejected", {"dialogue": trace.to_dict(), "report": report.to_dict()}
 
     out = _out_dir(cfg.out_dir)
     records: dict[str, list] = {"accepted": [], "rejected": [], "error": []}
-    scenarios = []
-    for scn, outcome, record in fan_out(_one, names, cfg.concurrency):
-        if scn is not None:
-            scenarios.append(scn.to_dict())
-        records[outcome].append(record)
-    for text in records["error"]:
-        print(text, file=sys.stderr)
+    for name, outcome in zip(names, run_items(_one, names, cfg.concurrency)):
+        if isinstance(outcome, Exception):
+            outcome = "error", {"dialogue_id": name, "error": outcome}
+        records[outcome[0]].append(outcome[1])
     write_jsonl(out / "corpus.jsonl", records["accepted"])
     write_jsonl(out / "rejected.jsonl", records["rejected"])
-    write_jsonl(out / "scenarios.jsonl", scenarios)
+    write_jsonl(out / "scenarios.jsonl", [built[n].to_dict() for n in names if n in built])
     print(f"accepted={len(records['accepted'])} rejected={len(records['rejected'])} "
           f"errors={len(records['error'])} -> {out}")
-    return 1 if records["error"] else 0
+    return _item_errors(records["error"])
 
 
 def cmd_validate(args) -> int:
     cfg = load_pipeline_config(args.config)
     cat = load_catalogue(cfg.catalogue)
     pairs = _join_scenarios(args.corpus, args.scenarios)
+    _check_tools(args.scenarios, (scn for _, scn in pairs), cat)
     judges = cfg.judges()
     _out_files(args.out)
-    reports = []
-    for trace, scn in pairs:
-        try:
-            report = run_cascade(trace, scn, cat, judges)
-        except DIALOGUE_ERRORS as exc:
-            print(f"error on {trace.dialogue_id}: {exc}", file=sys.stderr)
-            report = ValidationReport(trace.dialogue_id, "error", [("judges", str(exc))])
+    results = run_items(lambda pair: run_cascade(*pair, cat, judges), pairs, 1)
+    errors, reports = [], []
+    for (trace, _), report in zip(pairs, results):
+        if isinstance(report, Exception):
+            errors.append({"dialogue_id": trace.dialogue_id, "error": report})
+            report = ValidationReport(trace.dialogue_id, "error", [("judges", str(report))])
         reports.append(report.to_dict())
     if args.out:
         write_jsonl(Path(args.out), reports)
     print(f"validated {len(reports)} dialogues; "
           f"rejected {sum(1 for r in reports if r['verdict'] == 'reject')}")
+    _item_errors(errors)  # an errored dialogue is not accepted: it exits 1 below
     return 0 if all(r["verdict"] == "accept" for r in reports) else 1
 
 
@@ -363,8 +379,9 @@ def cmd_export(args) -> int:
     cfg = load_pipeline_config(args.config)
     cat = load_catalogue(cfg.catalogue)
     pairs = _join_scenarios(args.corpus, args.scenarios)
-    # check every trace before writing anything
+    # check every trace and scenario before writing anything
     _check_turns(args.corpus, (trace for trace, _ in pairs))
+    _check_tools(args.scenarios, (scn for _, scn in pairs), cat)
     out_dir = _out_dir(Path(args.out_dir))
     # sliced lazily: export writes each sample as it comes
     samples = (sample for trace, scn in pairs
@@ -398,7 +415,8 @@ def cmd_score(args) -> int:
     _out_files(args.out, args.csv)
     report = score_corpus([(trace, Reference(scn.seed_tool, scn.gold_args))
                            for trace, scn in pairs], judge=judge)
-    return _write_report(args, report.to_dict(), report.to_csv_row)
+    _write_report(args, report.to_dict(), report.to_csv_row)
+    return _item_errors(report.per_dialogue)
 
 
 def cmd_bench_run(args) -> int:
@@ -422,6 +440,7 @@ def cmd_bench_run(args) -> int:
     scenarios = load_scenarios(scenarios_path)
     if not scenarios:
         raise ConfigError(f"scenario file {scenarios_path} holds no scenario")
+    _check_tools(scenarios_path, scenarios.values(), cat)
     if mode == "static":
         gold_path = _path(base, "gold_corpus", raw["gold_corpus"])
         golds = load_traces(gold_path)
@@ -446,18 +465,19 @@ def cmd_bench_run(args) -> int:
             raise ConfigError(f"exclusions file {exclusions_path} excludes every scenario; "
                               "nothing to score")
     _out_dir(out_dir)
-    report, traces = run_benchmark(
+    report, traces, failed = run_benchmark(
         tasks, backends["assistant"], cat, vcfg, backends.get("judge"), ecfg,
         concurrency=settings.get("concurrency", 1), exclusions=exclusions)
     records = [d.to_dict() for d in traces]
     write_jsonl(out_dir / "traces.jsonl", records)
-    write_json(out_dir / "report.json", report.to_dict())
+    if report is not None:
+        write_json(out_dir / "report.json", report.to_dict())
     audit = out_dir / "audit"
     audit.mkdir(parents=True, exist_ok=True)
     for record in records:
         write_json(audit / f"{record['dialogue_id'].replace('/', '_')}.json", record)
     print(f"bench complete: {len(traces)} tasks -> {out_dir}")
-    return 0
+    return _item_errors(report.per_dialogue if report else failed)
 
 
 def _bench_report(path: str | Path) -> dict:

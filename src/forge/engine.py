@@ -26,7 +26,8 @@ import re
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
-from .gateway import BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete
+from .gateway import (BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete,
+                      fan_out)
 from .prompts import get_prompt, render
 from .retrieval import Embedder, search_catalogue
 from .scenario import Scenario, ScenarioError, typed
@@ -58,8 +59,20 @@ class RetrieverMissError(SynthesisRejected):
     """Live retrieval failed to surface the seed tool in every attempt."""
 
 
-# Failures that cost one dialogue, not the whole run: a command records them as errors.
+# Failures that cost one dialogue, not the whole run; caught only in ``run_items``.
 DIALOGUE_ERRORS = (GatewayError, ScenarioError, AssistantFormatError)
+
+
+def run_items(fn, items, workers: int) -> list:
+    """``gateway.fan_out``, except that an item whose ``fn`` raises one of
+    ``DIALOGUE_ERRORS`` gets the exception in place of its result."""
+    def _one(item):
+        try:
+            return fn(item)
+        except DIALOGUE_ERRORS as exc:
+            return exc
+
+    return fan_out(_one, items, workers)
 
 
 @dataclass(frozen=True)

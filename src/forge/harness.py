@@ -29,6 +29,7 @@ from .engine import (
     assistant_request,
     parse_assistant_output,
     render_history,
+    run_items,
     selection_system_prompt,
     user_request,
     user_system_prompt,
@@ -57,6 +58,10 @@ class EvalTask:
 
     scenario: Scenario
     gold_dialogue: DialogueTrace | None = None
+
+    @property
+    def kind(self) -> str:
+        return "static" if self.gold_dialogue is not None else "dynamic"
 
 
 @dataclass
@@ -215,24 +220,35 @@ def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
 def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogue,
                   vcfg: VotingConfig | None, judge: BackendConfig | None,
                   ecfg: EngineConfig, concurrency: int = 1,
-                  exclusions: set[str] | None = None) -> tuple[MetricReport, list[DialogueTrace]]:
-    """Run every task, score the traces, return (report, traces).
+                  exclusions: set[str] | None = None,
+                  ) -> tuple[MetricReport | None, list[DialogueTrace], list[dict]]:
+    """Run every task, score the finished traces, return (report, traces, failed).
 
-    All traces are returned for audit, including excluded ones; exclusions
-    (scenario ids) are only dropped from metric aggregation. With nothing
-    left to score, ``score_corpus`` raises ValueError.
+    Every finished trace is returned for audit, including excluded ones;
+    exclusions (scenario ids) are only dropped from metric aggregation. Each
+    task whose rollout fails (``engine.DIALOGUE_ERRORS``) adds a
+    ``{"dialogue_id", "error"}`` row to ``failed`` and to the report's
+    ``per_dialogue``; the report is None when tasks failed and no finished
+    task is left to score.
     """
     if vcfg is None and any(task.gold_dialogue is None for task in tasks):
         raise ValueError("tasks without a gold dialogue require a voting config")
 
     def _run(task: EvalTask) -> DialogueTrace:
-        if task.gold_dialogue is not None:
+        if task.kind == "static":
             return eval_static(task, assistant, cat)
         return eval_dynamic(task.scenario, assistant, cat, vcfg, ecfg.t_max)
 
-    traces = fan_out(_run, tasks, concurrency)
+    results = run_items(_run, tasks, concurrency)
+    traces = [d for d in results if isinstance(d, DialogueTrace)]
+    failed = [{"dialogue_id": f"{task.scenario.scenario_id}#{task.kind}", "error": str(exc)}
+              for task, exc in zip(tasks, results) if isinstance(exc, Exception)]
     excluded = exclusions or set()
     scored = [(d, Reference(task.scenario.seed_tool, task.scenario.gold_args))
-              for d, task in zip(traces, tasks) if d.scenario_ref not in excluded]
+              for d, task in zip(results, tasks)
+              if isinstance(d, DialogueTrace) and d.scenario_ref not in excluded]
+    if not scored and failed:
+        return None, traces, failed
     report = score_corpus(scored, judge=judge)
-    return report, traces
+    report.per_dialogue += failed
+    return report, traces, failed

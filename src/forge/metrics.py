@@ -17,14 +17,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .engine import AssistantTurn, DialogueTrace, canonical_equal, render_history
+from .engine import AssistantTurn, DialogueTrace, canonical_equal, render_history, run_items
 from .gateway import (
     MAX_IN_FLIGHT,
     BackendConfig,
     CompletionRequest,
+    GatewayError,
     call_width,
     complete,
-    fan_out,
     prompt_request,
 )
 from .prompts import get_prompt, render
@@ -135,7 +135,7 @@ def corpus_prf(pairs: list[tuple[CallRecord, Reference]]) -> tuple[
 def parse_grade(reply: str) -> int:
     match = re.search(r"[123]", reply)
     if not match:
-        raise ValueError(f"rubric judge returned no grade: {reply[:120]!r}")
+        raise GatewayError(f"rubric judge returned no grade: {reply[:120]!r}")
     return int(match.group(0))
 
 
@@ -254,9 +254,11 @@ def score_corpus(pairs: list[tuple[DialogueTrace, Reference]],
     the caller pairs each trace with its scenario's reference. A trace need
     not alternate: it is scored as it stands.
 
-    conv_rel is computed only when a rubric judge backend is supplied.
-    With a remote judge, up to ``MAX_IN_FLIGHT`` dialogues are graded at
-    once; each dialogue still sums its grades in turn order.
+    conv_rel is the mean over the dialogues a rubric judge graded (None
+    without a judge); one whose grading fails (``engine.DIALOGUE_ERRORS``)
+    gets a null conv_rel and an ``error`` in its row. With a remote judge,
+    up to ``MAX_IN_FLIGHT`` dialogues are graded at once; each dialogue
+    still sums its grades in turn order.
     """
     if not pairs:
         raise ValueError("cannot score an empty corpus")
@@ -269,14 +271,17 @@ def score_corpus(pairs: list[tuple[DialogueTrace, Reference]],
                      "t_dagger": record.t_dagger})
     ttr, ngd = lexical_metrics(traces)
     if judge is not None:
-        values = fan_out(lambda d: conv_relevancy(d, judge), traces,
-                         call_width(judge, MAX_IN_FLIGHT))
+        values = run_items(lambda d: conv_relevancy(d, judge), traces,
+                           call_width(judge, MAX_IN_FLIGHT))
         for row, value in zip(rows, values):
-            row["conv_rel"] = value
+            if isinstance(value, Exception):
+                row.update(conv_rel=None, error=str(value))
+            else:
+                row["conv_rel"] = value
 
-    def mean(key: str) -> float:
-        return sum(row[key] for row in rows) / len(rows)
+    def mean(key: str) -> float | None:
+        values = [row[key] for row in rows if row.get(key) is not None]
+        return sum(values) / len(values) if values else None
 
     return MetricReport(mean("acc"), mean("ftr"), mean("tar"), *corpus_prf(calls),
-                        conv_rel=mean("conv_rel") if judge is not None else None,
-                        ttr=ttr, ngd=ngd, per_dialogue=rows)
+                        conv_rel=mean("conv_rel"), ttr=ttr, ngd=ngd, per_dialogue=rows)

@@ -35,7 +35,7 @@ JUDGES = ("relevancy", "critique")
 @dataclass
 class ValidationReport:
     dialogue_id: str
-    verdict: str  # accept | reject; `forge validate` writes error when the judges fail
+    verdict: str  # accept | reject; error when engine.run_items caught the cascade's failure
     failures: list[tuple[str, str]] = field(default_factory=list)
 
     @property

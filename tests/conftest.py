@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -227,6 +228,16 @@ def loopback():
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def refused_endpoint() -> str:
+    """A chat-completions URL on a loopback port that was bound, then closed,
+    so every connection to it is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat/completions"
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 import json
-import socket
+import shutil
 import subprocess
 import sys
 import threading
@@ -9,9 +9,18 @@ import pytest
 
 from forge import cli, retrieval
 from forge.cli import load_pipeline_config, main
+from forge.engine import (
+    UserTurn,
+    assistant_request,
+    selection_system_prompt,
+    user_request,
+    user_system_prompt,
+)
 from forge.export import slice_dialogue
 from forge.gateway import Transcript, fingerprint
 from forge.metrics import rubric_request
+from forge.scenario import goal_request, sample_persona
+from forge.seeds import split_seed
 from forge.validation import judge_requests
 
 from conftest import (
@@ -19,6 +28,8 @@ from conftest import (
     RAW_A1,
     RAW_A2_FILL,
     RAW_A3_CALL,
+    RAW_U3,
+    ROOT_SEED,
     SEED_TOOL,
     build_replay_world,
     chat_reply,
@@ -128,20 +139,17 @@ def test_validate_flags_bad_dialogue(world):
     assert code == 1
 
 
-def test_validate_unreachable_judges_report_error_per_dialogue(world, capsys):
+def test_validate_unreachable_judges_report_error_per_dialogue(world, capsys, refused_endpoint):
     run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
     out = world.tmp_path / "out"
     record = json.loads((out / "corpus.jsonl").read_text(encoding="utf-8"))
     corpus = world.tmp_path / "two.jsonl"
     corpus.write_text("".join(json.dumps({**record, "dialogue_id": d}) + "\n"
                               for d in ("d-a", "d-b")), encoding="utf-8")
-    with socket.socket() as sock:  # bound, then closed: connections are refused
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
     cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
     for name in ("relevancy", "critique"):
         cfg["backends"][name] = {"kind": "remote", "model_id": "m-judge", "retry_limit": 0,
-                                 "endpoint": f"http://127.0.0.1:{port}/v1/chat/completions"}
+                                 "endpoint": refused_endpoint}
     world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
     capsys.readouterr()
     code = run(["validate", corpus, "--config", world.config_path,
@@ -462,6 +470,41 @@ def test_score_with_scripted_rubric_judge(world):
     assert report["per_dialogue"][0]["conv_rel"] == pytest.approx(2.5 / 3)
 
 
+@pytest.mark.parametrize("reply", [None, "hello"])
+def test_score_judge_failure_costs_one_dialogue(world, capsys, reply):
+    """A rubric call with no scripted reply, or a reply with no grade, costs
+    only its dialogue's conv_rel: the report is written and score exits 1."""
+    for t, grade in enumerate(("3", "3", "2"), start=1):
+        world.transcript.register(rubric_request(world.expected_trace, t), grade, "m-rubric")
+    graded_last = list(world.extra_traces.values())[-1]
+    world.transcript.register(rubric_request(graded_last, 1), "3", "m-rubric")
+    no_grade = list(world.extra_traces.values())[0]
+    if reply is not None:
+        world.transcript.register(rubric_request(no_grade, 1), reply, "m-rubric")
+    world.transcript.save(world.tmp_path / "transcripts.json")
+    judge = world.tmp_path / "judge.json"
+    judge.write_text(json.dumps({"kind": "scripted", "model_id": "m-rubric",
+                                 "transcript": "transcripts.json"}), encoding="utf-8")
+    assert run(["generate", "--config", world.config_path]) == 0
+    out = world.tmp_path / "out"
+    capsys.readouterr()
+    assert run(["score", out / "corpus.jsonl", "--refs", out / "scenarios.jsonl",
+                "--judge", judge, "--out", out / "report.json"]) == 1
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["acc"] == 1.0
+    assert report["conv_rel"] == pytest.approx((2.5 / 3 + 1.0) / 2)
+    rows = {row["dialogue_id"]: row for row in report["per_dialogue"]}
+    failed = [d for d, row in rows.items() if "error" in row]
+    assert len(rows) == 6 and len(failed) == 4
+    for d in failed:
+        assert rows[d]["conv_rel"] is None
+    missing = "rubric judge returned no grade" if reply else "no scripted reply"
+    assert missing in rows[no_grade.dialogue_id]["error"]
+    err = capsys.readouterr().err
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        f"error on {d}" for d in failed]
+
+
 def test_score_creates_a_missing_out_directory(world):
     for t, grade in enumerate(("3", "3", "2"), start=1):
         world.transcript.register(
@@ -511,6 +554,85 @@ def test_bench_static_run_and_report(world, capsys):
     assert run(["bench", "report", bench_out]) == 0
     printed = capsys.readouterr().out
     assert "ACC" in printed and "1.0000" in printed
+
+
+def test_bench_static_judge_failure_keeps_the_rollout(world, capsys):
+    """A static run whose rubric judge has no reply for the rollout keeps its
+    trace, audit file and report, with a null conv_rel, and exits 1."""
+    run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
+    cand = static_candidate(world, (RAW_A1, RAW_A2_FILL, RAW_A3_CALL))
+    cand.transcript.save(world.tmp_path / "cand_transcript.json")
+    cfg_path = world.tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "static", "catalogue": "catalogue.json", "scenarios": "out/scenarios.jsonl",
+        "gold_corpus": "out/corpus.jsonl", "rng_seed": 1, "out_dir": "bench_out",
+        "assistant": {"kind": "scripted", "model_id": "m-cand",
+                      "transcript": "cand_transcript.json"},
+        "judge": {"kind": "scripted", "model_id": "m-rubric",
+                  "transcript": "cand_transcript.json"}}), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["bench", "run", cfg_path]) == 1
+    bench_out = world.tmp_path / "bench_out"
+    report = json.loads((bench_out / "report.json").read_text(encoding="utf-8"))
+    assert report["acc"] == 1.0 and report["conv_rel"] is None
+    [row] = report["per_dialogue"]
+    dialogue_id = f"{world.scenario.scenario_id}#static"
+    assert row["dialogue_id"] == dialogue_id and "no scripted reply" in row["error"]
+    assert len((bench_out / "traces.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+    assert len(list((bench_out / "audit").glob("*.json"))) == 1
+    assert capsys.readouterr().err.startswith(f"error on {dialogue_id}: no scripted reply")
+
+
+def _script_dynamic_task(world, scn) -> None:
+    """Script the ``m-x`` replies of a one-pair dynamic rollout of ``scn`` in a
+    bench run with ``n_samples`` 1 and ``rng_seed`` 1: the user proxy gives
+    RAW_U3 and the assistant calls at once."""
+    world.transcript.register(user_request(user_system_prompt(scn, world.cat), [],
+                                           split_seed(1, "gen:0")), RAW_U3, "m-x")
+    world.transcript.register(
+        assistant_request(selection_system_prompt(world.cat, scn.pool), [UserTurn(RAW_U3)],
+                          split_seed(scn.rng_seed, "dyn:asst:1")), RAW_A3_CALL, "m-x")
+    world.transcript.save(world.tmp_path / "transcripts.json")
+
+
+def test_bench_dynamic_failed_task_costs_one_task(world, capsys):
+    """A dynamic task whose user proxy has no scripted reply adds an error row
+    to the report; the finished task keeps its trace, audit file and row."""
+    path = _bench_config(world, n_samples=1, scenarios="two.jsonl")
+    assert run(["generate", "--config", world.config_path]) == 0
+    lines = (world.tmp_path / "out" / "scenarios.jsonl").read_text(encoding="utf-8")
+    two = [line for line in lines.splitlines()
+           if json.loads(line)["seed_tool"] in (SEED_TOOL, "fn_4401_freight_rate_lookup")]
+    (world.tmp_path / "two.jsonl").write_text("\n".join(two) + "\n", encoding="utf-8")
+    _script_dynamic_task(world, world.scenario)
+    capsys.readouterr()
+    assert run(["bench", "run", path]) == 1
+    bench_out = world.tmp_path / "bench_out"
+    report = json.loads((bench_out / "report.json").read_text(encoding="utf-8"))
+    done, failed = report["per_dialogue"]
+    assert done["dialogue_id"] == f"{world.scenario.scenario_id}#dynamic"
+    assert done["acc"] == 1 and report["acc"] == 1.0
+    assert failed["dialogue_id"].startswith("fn_4401_freight_rate_lookup@")
+    assert set(failed) == {"dialogue_id", "error"} and "no scripted reply" in failed["error"]
+    traces = (bench_out / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["dialogue_id"] for line in traces] == [done["dialogue_id"]]
+    assert len(list((bench_out / "audit").glob("*.json"))) == 1
+    assert capsys.readouterr().err == f"error on {failed['dialogue_id']}: {failed['error']}\n"
+
+
+def test_bench_refused_assistant_writes_traces_and_no_report(world, capsys, refused_endpoint):
+    """When no task finishes, bench run writes an empty traces.jsonl and no
+    report.json, and exits 1 naming each failed task."""
+    path = _bench_config(world, n_samples=1, assistant={
+        "kind": "remote", "model_id": "m-cand", "endpoint": refused_endpoint, "retry_limit": 0})
+    _script_dynamic_task(world, world.scenario)
+    capsys.readouterr()
+    assert run(["bench", "run", path]) == 1
+    bench_out = world.tmp_path / "bench_out"
+    assert (bench_out / "traces.jsonl").read_text(encoding="utf-8") == ""
+    assert not (bench_out / "report.json").exists()
+    assert capsys.readouterr().err.startswith(
+        f"error on {world.scenario.scenario_id}#dynamic: gave up on {refused_endpoint}")
 
 
 def test_bench_missing_key_is_config_error(tmp_path, capsys):
@@ -702,6 +824,26 @@ def _unreadable_input(world, case: str):
         (tmp / "report.json").write_text(json.dumps(report), encoding="utf-8")
         return ["bench", "report", tmp], tmp / "report.json"
     bad = tmp / "bad.jsonl"
+    if case in UNKNOWN_TOOL_CASES:
+        scn = world.scenario.to_dict()
+        if case == "validate-unknown-seed-tool":
+            scn["seed_tool"] = "no_such_tool"
+        elif case == "export-unknown-pool-tool":
+            scn["pool"].append("no_such_tool")
+        else:
+            scn["distractors"]["members"].append(["no_such_tool", 0.5])
+        scenarios = tmp / "bad_scenarios.jsonl"
+        scenarios.write_text(json.dumps(scn) + "\n", encoding="utf-8")
+        if case == "bench-unknown-distractor-tool":
+            return ["bench", "run", _bench_config(world, scenarios=scenarios.name)], scenarios
+        trace = {**world.expected_trace.to_dict(),
+                 "scenario_ref": f"{scn['seed_tool']}@{scn['rng_seed']}"}
+        bad.write_text(json.dumps(trace) + "\n", encoding="utf-8")
+        if case == "validate-unknown-seed-tool":
+            return ["validate", bad, "--config", config, "--scenarios", scenarios,
+                    "--out", tmp / "reports" / "reports.jsonl"], scenarios
+        return ["export", bad, "--config", config, "--scenarios", scenarios,
+                "--out-dir", tmp / "sft"], scenarios
     if case in ("scenario-missing-seed-tool", "scenario-line-array"):
         line = {"persona": "a trader"} if case == "scenario-missing-seed-tool" else [1, 2]
         bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
@@ -773,6 +915,10 @@ def _unreadable_input(world, case: str):
     }[case], missing
 
 
+UNKNOWN_TOOL_CASES = ("validate-unknown-seed-tool", "export-unknown-pool-tool",
+                      "bench-unknown-distractor-tool")
+
+
 @pytest.mark.parametrize("case", [
     "critique-transcript-missing", "transcript-not-json", "transcript-not-object",
     "personas-not-array",
@@ -786,7 +932,8 @@ def _unreadable_input(world, case: str):
     "score-unknown-scenario", "stats-cut-short", "stats-null-boundary", "score-empty-corpus",
     "bench-gold-odd", "generate-outdir-file", "bench-outdir-file", "bench-empty-scenarios",
     "bench-all-excluded", "score-out-parent-file", "validate-out-parent-file",
-    "stats-out-directory", "corpus-content-number", "corpus-call-args-array"])
+    "stats-out-directory", "corpus-content-number", "corpus-call-args-array",
+    *UNKNOWN_TOOL_CASES])
 def test_unreadable_input_is_config_error(world, capsys, case):
     argv, path = _unreadable_input(world, case)
     capsys.readouterr()
@@ -799,6 +946,9 @@ def test_unreadable_input_is_config_error(world, capsys, case):
         assert "'gold-odd'" in err
     if case == "critique-transcript-missing":
         assert not (world.tmp_path / "out").exists()
+    if case in UNKNOWN_TOOL_CASES:
+        assert "unknown tool 'no_such_tool'" in err
+        assert not any((world.tmp_path / d).exists() for d in ("reports", "sft", "bench_out"))
 
 
 def test_roles_share_one_transcript(world, monkeypatch):
@@ -824,6 +974,39 @@ def test_generate_errored_dialogue_exits_1(world, capsys):
     assert "errors=1" in capsys.readouterr().out
     for name in ("corpus.jsonl", "rejected.jsonl", "scenarios.jsonl"):
         assert (world.tmp_path / "out" / name).exists()
+
+
+def test_generate_errors_do_not_depend_on_concurrency(world, capsys):
+    """A run with one dialogue whose scenario fails and one whose synthesis
+    fails gives the same exit code, stdout, stderr and output bytes at
+    concurrency 1 and 8; only the second keeps its scenario line."""
+    name = "fn_4401_freight_rate_lookup"
+    rng_seed = split_seed(ROOT_SEED, f"dialogue:{name}")
+    tool = world.cat.get(name)
+    persona = sample_persona(world.store, tool, 10, split_seed(rng_seed, "persona"))
+    del world.transcript.replies[fingerprint("m-goal", goal_request(tool, persona, rng_seed, 0))]
+    del world.transcript.replies[fingerprint("m-asst", world.commit_request)]
+    world.transcript.save(world.tmp_path / "transcripts.json")
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    out_dir = world.tmp_path / "out"
+    runs = []
+    for concurrency in (1, 8):
+        cfg["concurrency"] = concurrency
+        world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+        shutil.rmtree(out_dir, ignore_errors=True)
+        capsys.readouterr()
+        code = run(["generate", "--config", world.config_path])
+        stdout, stderr = capsys.readouterr()
+        runs.append((code, stdout, stderr,
+                     {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}))
+    assert runs[0] == runs[1]
+    code, stdout, stderr, files = runs[0]
+    assert code == 1 and "accepted=4 rejected=0 errors=2" in stdout
+    assert [line.split(":")[0] for line in stderr.splitlines()] == [
+        f"error on {n}" for n in world.cat.names() if n in (SEED_TOOL, name)]
+    seed_tools = [json.loads(line)["seed_tool"]
+                  for line in files["scenarios.jsonl"].decode("utf-8").splitlines()]
+    assert SEED_TOOL in seed_tools and name not in seed_tools and len(seed_tools) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,8 @@ def test_dynamic_never_calling_assistant_hits_cap(world):
 def test_benchmark_dynamic_turn_cap_is_engine_t_max(world):
     steps = [(f"utterance {i}", ASKING) for i in range(2)]
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=891)
-    _, traces = run_benchmark([EvalTask(scenario=scn)], cand, world.cat,
-                              vcfg, None, EngineConfig(t_max=2))
+    _, traces, _ = run_benchmark([EvalTask(scenario=scn)], cand, world.cat,
+                                 vcfg, None, EngineConfig(t_max=2))
     assert traces[0].pair_count() == 2
     assert traces[0].terminated_by == "turn_cap"
 
@@ -365,7 +365,7 @@ def test_perfect_assistant_benchmark(world):
         tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
-    report, traces = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
+    report, traces, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
     assert report.acc == 1.0
     assert report.ftr == 0.0
     assert report.tar == 0.0
@@ -404,7 +404,7 @@ def test_mixed_benchmark_hand_computed(world):
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends,
                                    reply_for=lambda scn: replies[scn.rng_seed])
-    report, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
+    report, _, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
     assert report.acc == pytest.approx(1 / 3)
     assert report.ftr == pytest.approx(1 / 3)
     assert report.tar == pytest.approx(1 / 3)
@@ -433,8 +433,8 @@ def test_exclusions_drop_from_scoring_but_not_traces(world):
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
     excluded_id = tasks[0].scenario.scenario_id
-    report, traces = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
-                                   exclusions={excluded_id})
+    report, traces, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
+                                      exclusions={excluded_id})
     assert len(traces) == 2
     assert len(report.per_dialogue) == 1
 
@@ -447,9 +447,9 @@ def test_concurrent_benchmark_matches_serial(world):
         tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
-    report1, traces1 = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
-                                     concurrency=1)
-    report4, traces4 = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
-                                     concurrency=4)
+    report1, traces1, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
+                                        concurrency=1)
+    report4, traces4, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
+                                        concurrency=4)
     assert [t.to_dict() for t in traces1] == [t.to_dict() for t in traces4]
     assert report1.to_dict() == report4.to_dict()
