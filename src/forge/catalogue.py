@@ -34,6 +34,15 @@ class CatalogueError(ValueError):
     """Raised when a catalogue file fails parsing or schema validation."""
 
 
+def typed(name: str, value, kind: type | tuple[type, ...], noun: str):
+    """``value``, which JSON field ``name`` must hold as a ``kind`` (never a
+    bool, which JSON keeps apart from numbers); else a ValueError naming the
+    field. Configs, scenario and trace records are all read through it."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
 class ParamSpec(NamedTuple):
     """One parameter of a tool: (type, description, required), plus the
     file's extra keys.

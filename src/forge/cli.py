@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure or errored dialogues,
 2 configuration error, including a missing or unparseable input file.
-Every input file is read here, before the first LLM call.
+Every input file is read here, before the first LLM call, through ``_load``,
+so a fault in one is a ConfigError naming the file.
 All randomness flows from the config's rng_seed through derived per-dialogue
 seeds, so reruns with the same config and transcripts are reproducible.
 """
@@ -15,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalogue import CatalogueError, load_catalogue
+from .catalogue import CatalogueError, load_catalogue, typed
 from .engine import (
     DialogueTrace,
     EngineConfig,
@@ -28,8 +29,8 @@ from .export import compute_stats, export, slice_dialogue
 from .gateway import BackendConfig, Transcript
 from .harness import EvalTask, VotingConfig, run_benchmark
 from .metrics import REPORT_METRICS, Reference, format_metric, score_corpus
-from .retrieval import HashEmbedder, RemoteEmbedder, nearest_distractors
-from .scenario import PersonaStore, Scenario, build_scenario, typed
+from .retrieval import Embedder, HashEmbedder, RemoteEmbedder, nearest_distractors
+from .scenario import PersonaStore, Scenario, build_scenario
 from .seeds import split_seed
 from .validation import JUDGES, ValidationReport, run_cascade
 
@@ -45,31 +46,32 @@ class PipelineConfig:
     personas: Path | None
     engine: EngineConfig
     out_dir: Path
-    embedder: dict
+    embedder: Embedder
     backends: dict[str, BackendConfig]
+    judges: dict[str, BackendConfig] | None  # both validator judges, or None: functional only
     k: int = 5
     persona_k: int = 10
     concurrency: int = 1
 
-    def backend(self, role: str) -> BackendConfig:
-        if role not in self.backends:
-            raise ConfigError(f"no backend configured for role {role!r}")
-        return self.backends[role]
 
-    def judges(self) -> dict[str, BackendConfig] | None:
-        """Both validator judges, or None to run the functional stage only."""
-        missing = [name for name in JUDGES if name not in self.backends]
-        if not missing:
-            return {name: self.backends[name] for name in JUDGES}
-        if len(missing) < len(JUDGES):
-            raise ConfigError(f"configure both judges {JUDGES} or neither; "
-                              f"no backend for {missing[0]!r}")
-        return None
+@dataclass
+class BenchConfig:
+    catalogue: Path
+    scenarios: Path
+    tasks: list[EvalTask]
+    backends: dict[str, BackendConfig]
+    voting: VotingConfig | None  # None in static mode
+    engine: EngineConfig
+    out_dir: Path
+    exclusions: set[str] | None
+    concurrency: int = 1
 
 
 def _load(what: str, path: str | Path, load):
     """``load(path)``: the one way a command reads a file it names, so a
-    missing, unreadable or malformed file is a ConfigError naming the file."""
+    missing, unreadable or malformed file is a ConfigError naming the file.
+    A config reader raises ValueError or KeyError at the fault; the files it
+    loads in turn go through ``_load`` themselves and name their own path."""
     try:
         return load(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -105,51 +107,27 @@ def load_traces(path: str | Path) -> list[DialogueTrace]:
     return _load("trace file", path, lambda p: _jsonl(p, DialogueTrace.from_dict))
 
 
-def _require(raw: dict, what: str, keys: tuple[str, ...]) -> None:
-    for key in keys:
-        if key not in raw:
-            raise ConfigError(f"{what} missing key {key!r}")
-
-
-def _expect(key: str, value, kind: type, noun: str):
-    """``value``, which config key ``key`` must hold as a ``kind``
-    (``scenario.typed``), else a ConfigError."""
-    try:
-        return typed(key, value, kind, noun)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _integers(raw: dict, floors: dict[str, int | None]) -> dict[str, int]:
     """The keys of ``floors`` that ``raw`` sets. Each must be a JSON integer
     no smaller than its floor; a floor of None leaves the range check to the
     class that takes the value."""
-    found = {key: _expect(key, raw[key], int, "an integer") for key in floors if key in raw}
+    found = {key: typed(key, raw[key], int, "an integer") for key in floors if key in raw}
     for key, value in found.items():
         if floors[key] is not None and value < floors[key]:
-            raise ConfigError(f"{key} must be >= {floors[key]}")
+            raise ValueError(f"{key} must be >= {floors[key]}")
     return found
-
-
-def _build(cls, raw: dict, floors: dict[str, int | None], **fixed):
-    """``cls`` given ``fixed`` and the integer settings among ``floors`` that
-    ``raw`` sets: ``cls`` supplies the defaults and the range checks."""
-    try:
-        return cls(**fixed, **_integers(raw, floors))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _path(base: Path, key: str, value) -> Path:
     """A config path, relative to ``base``, the config file's directory
     (pathlib keeps an absolute ``value`` as it is)."""
-    return base / _expect(key, value, str, "a path string")
+    return base / typed(key, value, str, "a path string")
 
 
 def _catalogue(base: Path, raw: dict) -> Path:
     path = _path(base, "catalogue", raw["catalogue"])
     if not path.exists():
-        raise ConfigError(f"catalogue file does not exist: {path}")
+        raise ValueError(f"catalogue file does not exist: {path}")
     return path
 
 
@@ -160,44 +138,100 @@ def _backends(specs: dict, base: Path) -> dict[str, BackendConfig]:
     transcripts: dict[Path, Transcript] = {}
     backends = {}
     for role, spec in specs.items():
-        _expect(f"backend for role {role!r}", spec, dict, "a JSON object")
-        _integers(spec, {"retry_limit": None})
-        path = _path(base, "transcript", spec["transcript"]) if spec.get("transcript") else None
-        if path and spec.get("kind") == "scripted" and path not in transcripts:
-            transcripts[path] = _load("transcript", path, Transcript.load)
         try:
+            typed("backend", spec, dict, "a JSON object")
+            _integers(spec, {"retry_limit": None})
+            path = spec.get("transcript") and _path(base, "transcript", spec["transcript"])
+            if path and spec.get("kind") == "scripted" and path not in transcripts:
+                transcripts[path] = _load("transcript", path, Transcript.load)
             backends[role] = BackendConfig.from_dict(spec, transcripts.get(path))
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad backend config for role {role!r}: {exc}") from exc
+            raise ValueError(f"bad backend config for role {role!r}: {exc}") from exc
     return backends
 
 
-def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    raw = _load("config", path, _json_object)
-    _require(raw, "config", ("rng_seed", "catalogue"))
+def _embedder(spec) -> Embedder:
+    """The embedder an ``embedder`` spec describes: ``hash`` (the default) or ``remote``."""
+    kind = typed("embedder", spec, dict, "a JSON object").get("kind", "hash")
+    dimension = _integers(spec, {"dimension": None})
+    if kind == "hash":
+        return HashEmbedder(**dimension)
+    if kind != "remote":
+        raise ValueError(f"unknown embedder kind: {kind!r}")
+    return RemoteEmbedder(spec["endpoint"], spec.get("model_id", ""), spec["dimension"],
+                          spec.get("api_key_env"))
+
+
+def _pipeline_config(path: str | Path, roles: tuple[str, ...]) -> PipelineConfig:
+    raw = _json_object(path)
     base = Path(path).parent
+    backends = _backends(typed("backends", raw.get("backends", {}), dict, "a JSON object"),
+                         base)
+    judges = {name: backends[name] for name in JUDGES if name in backends}
+    for role in (*roles, *JUDGES) if judges else roles:  # both judges or neither
+        if role not in backends:
+            raise ValueError(f"no backend configured for role {role!r}")
     return PipelineConfig(
         catalogue=_catalogue(base, raw),
+        rng_seed=typed("rng_seed", raw["rng_seed"], int, "an integer"),
         personas=_path(base, "personas", raw["personas"]) if raw.get("personas") else None,
-        engine=_build(EngineConfig, raw, {"t_max": None, "regen_attempts": None}),
+        engine=EngineConfig(**_integers(raw, {"t_max": None, "regen_attempts": None})),
         out_dir=_path(base, "out_dir", raw.get("out_dir", "out")),
-        embedder=raw.get("embedder", {}),
-        backends=_backends(_expect("backends", raw.get("backends", {}), dict,
-                                   "a JSON object"), base),
-        **_integers(raw, {"rng_seed": None, "k": 1, "persona_k": 1, "concurrency": 1}),
+        embedder=_embedder(raw.get("embedder", {})),
+        backends=backends, judges=judges or None,
+        **_integers(raw, {"k": 1, "persona_k": 1, "concurrency": 1}),
     )
 
 
-def build_embedder(spec: dict) -> HashEmbedder | RemoteEmbedder:
-    _expect("embedder", spec, dict, "a JSON object")
-    kind = spec.get("kind", "hash")
-    if kind == "hash":
-        return _build(HashEmbedder, spec, {"dimension": None})
-    if kind != "remote":
-        raise ConfigError(f"unknown embedder kind: {kind!r}")
-    _require(spec, "remote embedder", ("endpoint", "dimension"))
-    return _build(RemoteEmbedder, spec, {"dimension": None}, endpoint=spec["endpoint"],
-                  model_id=spec.get("model_id", ""), api_key_env=spec.get("api_key_env"))
+def load_pipeline_config(path: str | Path, *roles: str) -> PipelineConfig:
+    """The pipeline config at ``path``, which must configure a backend for
+    each of ``roles``."""
+    return _load("config", path, lambda p: _pipeline_config(p, roles))
+
+
+def _bench_config(path: str | Path) -> BenchConfig:
+    """The bench run a config describes, its scenario, gold and exclusions
+    files loaded. The catalogue is only checked to exist: the command loads
+    it outside ``_load``, so an invalid catalogue still exits 1."""
+    raw = _json_object(path)
+    base, mode = Path(path).parent, raw["mode"]
+    if mode not in ("static", "dynamic"):
+        raise ValueError(f"unknown bench mode: {mode!r}")
+    rng_seed = typed("rng_seed", raw["rng_seed"], int, "an integer")
+    roles = ("assistant",) if mode == "static" else ("assistant", "user_proxy", "voter")
+    optional = ("judge",) if raw.get("judge") else ()
+    backends = _backends({role: raw[role] for role in (*roles, *optional)}, base)
+    scenarios_path = _path(base, "scenarios", raw["scenarios"])
+    scenarios = load_scenarios(scenarios_path)
+    if not scenarios:
+        raise ValueError(f"scenario file {scenarios_path} holds no scenario")
+    if mode == "static":
+        gold_path = _path(base, "gold_corpus", raw["gold_corpus"])
+        golds = load_traces(gold_path)
+        _check_turns(gold_path, golds)
+        gold = {d.scenario_ref: d for d in golds}
+        missing = [sid for sid in scenarios if sid not in gold]
+        if missing:
+            raise ValueError(f"no gold dialogue for scenario {missing[0]!r}")
+        tasks = [EvalTask(scenario=scn, gold_dialogue=gold[sid]) for sid, scn in scenarios.items()]
+        voting = None
+    else:
+        voting = VotingConfig(backends["user_proxy"], backends["voter"], rng_seed=rng_seed,
+                              **_integers(raw, {"n_samples": None, "m_voters": None}))
+        tasks = [EvalTask(scenario=scn) for scn in scenarios.values()]
+    exclusions = None
+    if raw.get("exclusions"):
+        exclusions_path = _path(base, "exclusions", raw["exclusions"])
+        exclusions = set(_load("exclusions file", exclusions_path, _json_strings))
+        if scenarios.keys() <= exclusions:
+            raise ValueError(f"exclusions file {exclusions_path} excludes every scenario; "
+                             "nothing to score")
+    return BenchConfig(
+        catalogue=_catalogue(base, raw), scenarios=scenarios_path, tasks=tasks,
+        backends=backends, voting=voting,
+        engine=EngineConfig(**_integers(raw, {"t_max": None})),
+        out_dir=_path(base, "out_dir", raw["out_dir"]), exclusions=exclusions,
+        **_integers(raw, {"concurrency": 1}))
 
 
 def _out_dir(path: Path) -> Path:
@@ -306,15 +340,13 @@ def cmd_distractors(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = load_pipeline_config(args.config)
+    roles = ("goal", "user_proxy", "assistant")
+    cfg = load_pipeline_config(args.config, *roles)
+    gw_goal, gw_user, gw_asst = (cfg.backends[role] for role in roles)
     cat = load_catalogue(cfg.catalogue)
-    emb = build_embedder(cfg.embedder)
+    emb = cfg.embedder
     store = (_load("persona file", cfg.personas, lambda p: PersonaStore.load(p, emb))
              if cfg.personas else PersonaStore.bundled(emb))
-    gw_goal = cfg.backend("goal")
-    gw_user = cfg.backend("user_proxy")
-    gw_asst = cfg.backend("assistant")
-    judges = cfg.judges()
 
     if args.seed_tools:
         names = [n.strip() for n in args.seed_tools.split(",") if n.strip()]
@@ -334,7 +366,7 @@ def cmd_generate(args) -> int:
             trace = synthesize_dialogue(scn, cat, emb, gw_user, gw_asst, cfg.engine)
         except SynthesisRejected as exc:
             return "rejected", {"seed_tool": name, "reason": str(exc)}
-        report = run_cascade(trace, scn, cat, judges)
+        report = run_cascade(trace, scn, cat, cfg.judges)
         if report.accepted:
             return "accepted", trace.to_dict()
         return "rejected", {"dialogue": trace.to_dict(), "report": report.to_dict()}
@@ -358,9 +390,8 @@ def cmd_validate(args) -> int:
     cat = load_catalogue(cfg.catalogue)
     pairs = _join_scenarios(args.corpus, args.scenarios)
     _check_tools(args.scenarios, (scn for _, scn in pairs), cat)
-    judges = cfg.judges()
     _out_files(args.out)
-    results = run_items(lambda pair: run_cascade(*pair, cat, judges), pairs, 1)
+    results = run_items(lambda pair: run_cascade(*pair, cat, cfg.judges), pairs, 1)
     errors, reports = [], []
     for (trace, _), report in zip(pairs, results):
         if isinstance(report, Exception):
@@ -408,10 +439,8 @@ def cmd_score(args) -> int:
     pairs = _join_scenarios(args.corpus, args.refs)
     if not pairs:
         raise ConfigError(f"corpus {args.corpus} holds no dialogue to score")
-    judge = None
-    if args.judge:
-        spec = _load("backend config", args.judge, _json_object)
-        judge = _backends({"judge": spec}, Path(args.judge).parent)["judge"]
+    judge = _load("backend config", args.judge, lambda p: _backends(
+        {"judge": _json_object(p)}, Path(p).parent)["judge"]) if args.judge else None
     _out_files(args.out, args.csv)
     report = score_corpus([(trace, Reference(scn.seed_tool, scn.gold_args))
                            for trace, scn in pairs], judge=judge)
@@ -420,63 +449,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_bench_run(args) -> int:
-    raw = _load("bench config", args.config, _json_object)
-    _require(raw, "bench config", ("mode", "catalogue", "scenarios", "assistant", "rng_seed",
-                                   "out_dir"))
-    base, mode = Path(args.config).parent, raw["mode"]
-    if mode not in ("static", "dynamic"):
-        raise ConfigError(f"unknown bench mode: {mode!r}")
-    roles = ("assistant",) if mode == "static" else ("assistant", "user_proxy", "voter")
-    _require(raw, f"{mode} bench config", ("gold_corpus",) if mode == "static" else roles)
-    settings = _integers(raw, {"rng_seed": None, "concurrency": 1})
-    ecfg = _build(EngineConfig, raw, {"t_max": None})
-    out_dir = _path(base, "out_dir", raw["out_dir"])
-    specs = {role: raw[role] for role in roles}
-    if raw.get("judge"):
-        specs["judge"] = raw["judge"]
-    backends = _backends(specs, base)
-    cat = load_catalogue(_catalogue(base, raw))
-    scenarios_path = _path(base, "scenarios", raw["scenarios"])
-    scenarios = load_scenarios(scenarios_path)
-    if not scenarios:
-        raise ConfigError(f"scenario file {scenarios_path} holds no scenario")
-    _check_tools(scenarios_path, scenarios.values(), cat)
-    if mode == "static":
-        gold_path = _path(base, "gold_corpus", raw["gold_corpus"])
-        golds = load_traces(gold_path)
-        _check_turns(gold_path, golds)
-        gold = {d.scenario_ref: d for d in golds}
-        tasks = []
-        for sid, scn in scenarios.items():
-            if sid not in gold:
-                raise ConfigError(f"no gold dialogue for scenario {sid!r}")
-            tasks.append(EvalTask(scenario=scn, gold_dialogue=gold[sid]))
-        vcfg = None
-    else:
-        vcfg = _build(VotingConfig, raw, {"n_samples": None, "m_voters": None},
-                      generator=backends["user_proxy"], voter=backends["voter"],
-                      rng_seed=settings["rng_seed"])
-        tasks = [EvalTask(scenario=scn) for scn in scenarios.values()]
-    exclusions = None
-    if raw.get("exclusions"):
-        exclusions_path = _path(base, "exclusions", raw["exclusions"])
-        exclusions = set(_load("exclusions file", exclusions_path, _json_strings))
-        if scenarios.keys() <= exclusions:
-            raise ConfigError(f"exclusions file {exclusions_path} excludes every scenario; "
-                              "nothing to score")
-    _out_dir(out_dir)
+    cfg = _load("bench config", args.config, _bench_config)
+    cat = load_catalogue(cfg.catalogue)
+    _check_tools(cfg.scenarios, (task.scenario for task in cfg.tasks), cat)
+    _out_dir(cfg.out_dir)
     report, traces, failed = run_benchmark(
-        tasks, backends["assistant"], cat, vcfg, backends.get("judge"), ecfg,
-        concurrency=settings.get("concurrency", 1), exclusions=exclusions)
-    records = [d.to_dict() for d in traces]
-    write_jsonl(out_dir / "traces.jsonl", records)
+        cfg.tasks, cfg.backends["assistant"], cat, cfg.voting, cfg.backends.get("judge"),
+        cfg.engine, concurrency=cfg.concurrency, exclusions=cfg.exclusions)
+    write_jsonl(cfg.out_dir / "traces.jsonl", [d.to_dict() for d in traces])
     if report is not None:
-        write_json(out_dir / "report.json", report.to_dict())
-    audit = out_dir / "audit"
-    audit.mkdir(parents=True, exist_ok=True)
-    for record in records:
-        write_json(audit / f"{record['dialogue_id'].replace('/', '_')}.json", record)
-    print(f"bench complete: {len(traces)} tasks -> {out_dir}")
+        write_json(cfg.out_dir / "report.json", report.to_dict())
+    print(f"bench complete: {len(traces)} tasks -> {cfg.out_dir}")
     return _item_errors(report.per_dialogue if report else failed)
 
 

@@ -25,12 +25,12 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .catalogue import Catalogue
+from .catalogue import Catalogue, typed
 from .gateway import (BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete,
                       fan_out)
 from .prompts import get_prompt, render
 from .retrieval import Embedder, search_catalogue
-from .scenario import Scenario, ScenarioError, typed
+from .scenario import Scenario, ScenarioError
 from .seeds import split_seed
 
 SELECT_MARKER_RE = re.compile(r"<<select:\s*([^>]+?)\s*>>")

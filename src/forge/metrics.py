@@ -152,15 +152,17 @@ def rubric_request(d: DialogueTrace, t: int) -> CompletionRequest:
     return prompt_request(prompt, dialogue_seed(d.dialogue_id, f"rubric:{t}"), 0.0, 8)
 
 
-def conv_relevancy(d: DialogueTrace, gw_judge: BackendConfig) -> float:
-    """Mean rubric grade over assistant turns, mapped to [0, 1].
+def conv_relevancy(d: DialogueTrace, gw_judge: BackendConfig) -> float | None:
+    """Mean rubric grade over assistant turns, mapped to [0, 1]; None (and
+    no judge call) for a dialogue without an assistant turn, whose mean has
+    a zero denominator.
 
     The judge sees the user-visible prefix and the reply's public text;
     thoughts are excluded from both.
     """
     turns = d.assistant_turns()
     if not turns:
-        raise ValueError(f"dialogue {d.dialogue_id} has no assistant turns")
+        return None
     total = 0.0
     for t in range(1, len(turns) + 1):
         total += _GRADE_VALUE[parse_grade(complete(gw_judge, rubric_request(d, t)))]
@@ -255,10 +257,12 @@ def score_corpus(pairs: list[tuple[DialogueTrace, Reference]],
     not alternate: it is scored as it stands.
 
     conv_rel is the mean over the dialogues a rubric judge graded (None
-    without a judge); one whose grading fails (``engine.DIALOGUE_ERRORS``)
-    gets a null conv_rel and an ``error`` in its row. With a remote judge,
-    up to ``MAX_IN_FLIGHT`` dialogues are graded at once; each dialogue
-    still sums its grades in turn order.
+    without a judge). A dialogue with no assistant turn has nothing to
+    grade: its row gets a null conv_rel and no error. One whose grading
+    fails (``engine.DIALOGUE_ERRORS``) gets a null conv_rel and an
+    ``error`` in its row. With a remote judge, up to ``MAX_IN_FLIGHT``
+    dialogues are graded at once; each dialogue still sums its grades in
+    turn order.
     """
     if not pairs:
         raise ValueError("cannot score an empty corpus")

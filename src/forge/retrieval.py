@@ -41,7 +41,7 @@ from typing import Protocol
 import numpy as np
 
 from . import gateway
-from .catalogue import Catalogue, Tool
+from .catalogue import Catalogue, Tool, typed
 
 # every byte outside ASCII a-z0-9 becomes a space; each byte of a multi-byte
 # UTF-8 sequence is >= 0x80, so the tokens are those of re "[a-z0-9]+"
@@ -86,7 +86,17 @@ class DistractorSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistractorSet":
-        return cls(seed=d["seed"], members=tuple((n, float(s)) for n, s in d["members"]))
+        """The set a ``to_dict`` record describes; a field of the wrong JSON
+        type is a ValueError naming the field."""
+        pair = "a [name, score] pair"
+        members = typed("distractors members", d["members"], list, f"an array of {pair}s")
+        for member in members:
+            if len(typed("distractor member", member, list, pair)) != 2:
+                raise ValueError(f"distractor member must be {pair}, got {member!r}")
+            typed("distractor name", member[0], str, "a string")
+            typed("distractor score", member[1], (int, float), "a number")
+        return cls(seed=typed("distractors seed", d["seed"], str, "a string"),
+                   members=tuple((name, float(score)) for name, score in members))
 
 
 def tool_text(tool: Tool) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .catalogue import Catalogue, Tool, required_args
+from .catalogue import Catalogue, Tool, required_args, typed
 from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
 from .prompts import get_prompt, render
 from .retrieval import (
@@ -33,15 +33,6 @@ from .seeds import split_seed
 
 GEN_TEMPERATURE = 0.7
 REGEN_ATTEMPTS = 3
-
-
-def typed(name: str, value, kind: type | tuple[type, ...], noun: str):
-    """``value``, which record field ``name`` must hold as a ``kind`` (never
-    a bool, which JSON keeps apart from numbers); else a ValueError naming
-    the field. Scenario and trace records are both read through it."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
-    return value
 
 
 class ScenarioError(Exception):

@@ -521,6 +521,27 @@ def test_score_creates_a_missing_out_directory(world):
     assert json.loads(report.read_text(encoding="utf-8"))["conv_rel"] == pytest.approx(2.5 / 3)
 
 
+def test_score_judge_on_a_trace_without_assistant_turn(world, capsys):
+    """A trace with no assistant turn has nothing to grade: its conv_rel is
+    null, with no error row and no judge call, and score exits 0."""
+    (world.tmp_path / "judge.json").write_text(json.dumps(
+        {"kind": "scripted", "model_id": "m-rubric", "transcript": "transcripts.json"}),
+        encoding="utf-8")
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 0
+    out = world.tmp_path / "out"
+    [line] = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    trace = json.loads(line)
+    trace["messages"] = trace["messages"][:1]
+    (out / "cut.jsonl").write_text(json.dumps(trace) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["score", out / "cut.jsonl", "--refs", out / "scenarios.jsonl",
+                "--judge", world.tmp_path / "judge.json", "--out", out / "report.json"]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    [row] = report["per_dialogue"]
+    assert report["conv_rel"] is None and row["conv_rel"] is None and "error" not in row
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -547,9 +568,8 @@ def test_bench_static_run_and_report(world, capsys):
     bench_out = world.tmp_path / "bench_out"
     report = json.loads((bench_out / "report.json").read_text(encoding="utf-8"))
     assert report["acc"] == 1.0
-    assert (bench_out / "traces.jsonl").exists()
-    audit_files = list((bench_out / "audit").glob("*.json"))
-    assert len(audit_files) == 1
+    assert sorted(path.name for path in bench_out.iterdir()) == ["report.json", "traces.jsonl"]
+    assert len((bench_out / "traces.jsonl").read_text(encoding="utf-8").splitlines()) == 1
     capsys.readouterr()
     assert run(["bench", "report", bench_out]) == 0
     printed = capsys.readouterr().out
@@ -558,7 +578,7 @@ def test_bench_static_run_and_report(world, capsys):
 
 def test_bench_static_judge_failure_keeps_the_rollout(world, capsys):
     """A static run whose rubric judge has no reply for the rollout keeps its
-    trace, audit file and report, with a null conv_rel, and exits 1."""
+    trace and report, with a null conv_rel, and exits 1."""
     run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
     cand = static_candidate(world, (RAW_A1, RAW_A2_FILL, RAW_A3_CALL))
     cand.transcript.save(world.tmp_path / "cand_transcript.json")
@@ -578,9 +598,34 @@ def test_bench_static_judge_failure_keeps_the_rollout(world, capsys):
     [row] = report["per_dialogue"]
     dialogue_id = f"{world.scenario.scenario_id}#static"
     assert row["dialogue_id"] == dialogue_id and "no scripted reply" in row["error"]
-    assert len((bench_out / "traces.jsonl").read_text(encoding="utf-8").splitlines()) == 1
-    assert len(list((bench_out / "audit").glob("*.json"))) == 1
+    [trace] = (bench_out / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(trace)["dialogue_id"] == dialogue_id
     assert capsys.readouterr().err.startswith(f"error on {dialogue_id}: no scripted reply")
+
+
+def test_bench_static_judge_on_an_empty_gold_dialogue(world, capsys):
+    """A gold dialogue with no messages rolls out to a trace with no
+    assistant turn: the judge grades nothing, conv_rel is null and the run
+    writes its trace and report and exits 0."""
+    run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
+    gold = world.expected_trace.to_dict()
+    (world.tmp_path / "gold.jsonl").write_text(json.dumps({**gold, "messages": []}) + "\n",
+                                               encoding="utf-8")
+    scripted = {"kind": "scripted", "model_id": "m-cand", "transcript": "transcripts.json"}
+    cfg_path = world.tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "static", "catalogue": "catalogue.json", "scenarios": "out/scenarios.jsonl",
+        "gold_corpus": "gold.jsonl", "rng_seed": 1, "out_dir": "bench_out",
+        "assistant": scripted, "judge": scripted}), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["bench", "run", cfg_path]) == 0
+    bench_out = world.tmp_path / "bench_out"
+    report = json.loads((bench_out / "report.json").read_text(encoding="utf-8"))
+    [row] = report["per_dialogue"]
+    assert report["conv_rel"] is None and row["conv_rel"] is None and "error" not in row
+    [trace] = (bench_out / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(trace)["messages"] == []
+    assert capsys.readouterr().err == ""
 
 
 def _script_dynamic_task(world, scn) -> None:
@@ -597,7 +642,7 @@ def _script_dynamic_task(world, scn) -> None:
 
 def test_bench_dynamic_failed_task_costs_one_task(world, capsys):
     """A dynamic task whose user proxy has no scripted reply adds an error row
-    to the report; the finished task keeps its trace, audit file and row."""
+    to the report; the finished task keeps its trace and row."""
     path = _bench_config(world, n_samples=1, scenarios="two.jsonl")
     assert run(["generate", "--config", world.config_path]) == 0
     lines = (world.tmp_path / "out" / "scenarios.jsonl").read_text(encoding="utf-8")
@@ -616,7 +661,7 @@ def test_bench_dynamic_failed_task_costs_one_task(world, capsys):
     assert set(failed) == {"dialogue_id", "error"} and "no scripted reply" in failed["error"]
     traces = (bench_out / "traces.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["dialogue_id"] for line in traces] == [done["dialogue_id"]]
-    assert len(list((bench_out / "audit").glob("*.json"))) == 1
+    assert json.loads(traces[0])["messages"]
     assert capsys.readouterr().err == f"error on {failed['dialogue_id']}: {failed['error']}\n"
 
 
@@ -739,6 +784,8 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("bench", {"n_samples": "3"}, "n_samples must be an integer"),
     ("bench", {"rng_seed": "abc"}, "rng_seed must be an integer"),
     ("bench", {"rng_seed": None}, "rng_seed must be an integer"),
+    ("validate", {"embedder": {"kind": "bogus"}}, "unknown embedder kind"),
+    ("export", {"embedder": {"dimension": 0}}, "dimension must be >= 1"),
     ("distractors", [SEED_TOOL, "--dim", "0"], "dimension"),
     ("distractors", [SEED_TOOL, "--k", "0"], "k must be"),
     ("distractors", ["no_such_tool"], "no_such_tool"),
@@ -749,24 +796,47 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
         "embedder-dimension-true", "backends-array", "catalogue-number", "out-dir-number",
         "personas-number", "transcript-number", "retry-limit-string", "retry-limit-negative",
         "timeout-string", "timeout-0", "bench-concurrency-negative", "bench-n-samples-string",
-        "bench-rng-seed-string", "bench-rng-seed-null",
-        "distractors-dim-0", "distractors-k-0", "distractors-unknown-seed"])
+        "bench-rng-seed-string", "bench-rng-seed-null", "validate-embedder-kind",
+        "export-embedder-dimension-0", "distractors-dim-0", "distractors-k-0",
+        "distractors-unknown-seed"])
 def test_bad_input_is_config_error(world, capsys, command, change, message):
-    if command in ("generate", "backend"):
-        cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    """A bad config value exits 2, and the message names the config file."""
+    if command == "distractors":
+        path, argv = None, ["distractors", world.tmp_path / "catalogue.json", *change]
+    elif command == "bench":
+        path = _bench_config(world, **change)
+        argv = ["bench", "run", path]
+    else:
+        out, path = world.tmp_path / "out", world.config_path
+        corpus = [out / "corpus.jsonl", "--scenarios", out / "scenarios.jsonl"]
+        if command in ("validate", "export"):
+            assert run(["generate", "--config", path, "--seed-tools", SEED_TOOL]) == 0
+        cfg = json.loads(path.read_text(encoding="utf-8"))
         if command == "backend":
             cfg["backends"]["assistant"].update(change)
         else:
             cfg.update(change)
-        world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
-        argv = ["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]
-    elif command == "bench":
-        argv = ["bench", "run", _bench_config(world, **change)]
-    else:
-        argv = ["distractors", world.tmp_path / "catalogue.json", *change]
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = {"validate": ["validate", *corpus],
+                "export": ["export", *corpus, "--out-dir", world.tmp_path / "sft"],
+                }.get(command, ["generate", "--seed-tools", SEED_TOOL]) + ["--config", path]
+    capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert path is None or str(path) in err
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_invalid_catalogue_is_exit_1(world, capsys, command):
+    """A catalogue that exists but fails its own checks is invalid input, not
+    a config error, even when a config file names it."""
+    argv = (["bench", "run", _bench_config(world)] if command == "bench"
+            else ["generate", "--config", world.config_path])
+    (world.tmp_path / "catalogue.json").write_text('[{"name": "t"}]', encoding="utf-8")
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("invalid input:")
 
 
 def _unreadable_input(world, case: str):
@@ -852,6 +922,17 @@ def _unreadable_input(world, case: str):
         line = {**world.scenario.to_dict(), "rng_seed": "abc"}
         bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
         return ["stats", empty, "--scenarios", bad], bad
+    if case in DISTRACTOR_CASES:
+        line = world.scenario.to_dict()
+        distractors = line["distractors"]
+        if case == "distractor-seed-number":
+            distractors["seed"] = 5
+        else:
+            member = {"distractor-score-bool": ["t", True], "distractor-score-text": ["t", "0.5"],
+                      "distractor-member-triple": ["t", 0.5, 1]}[case]
+            distractors["members"].append(member)
+        bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        return ["stats", empty, "--scenarios", bad], bad
     if case == "corpus-role-tool":
         trace = {"dialogue_id": "d", "scenario_ref": "s",
                  "messages": [{"role": "tool", "content": "x"}]}
@@ -917,6 +998,11 @@ def _unreadable_input(world, case: str):
 
 UNKNOWN_TOOL_CASES = ("validate-unknown-seed-tool", "export-unknown-pool-tool",
                       "bench-unknown-distractor-tool")
+# each a scenario line whose distractors hold a value of the wrong JSON type
+DISTRACTOR_CASES = {"distractor-seed-number": "distractors seed must be a string",
+                    "distractor-score-bool": "distractor score must be a number",
+                    "distractor-score-text": "distractor score must be a number",
+                    "distractor-member-triple": "distractor member must be a [name, score] pair"}
 
 
 @pytest.mark.parametrize("case", [
@@ -933,7 +1019,7 @@ UNKNOWN_TOOL_CASES = ("validate-unknown-seed-tool", "export-unknown-pool-tool",
     "bench-gold-odd", "generate-outdir-file", "bench-outdir-file", "bench-empty-scenarios",
     "bench-all-excluded", "score-out-parent-file", "validate-out-parent-file",
     "stats-out-directory", "corpus-content-number", "corpus-call-args-array",
-    *UNKNOWN_TOOL_CASES])
+    *UNKNOWN_TOOL_CASES, *DISTRACTOR_CASES])
 def test_unreadable_input_is_config_error(world, capsys, case):
     argv, path = _unreadable_input(world, case)
     capsys.readouterr()
@@ -946,6 +1032,8 @@ def test_unreadable_input_is_config_error(world, capsys, case):
         assert "'gold-odd'" in err
     if case == "critique-transcript-missing":
         assert not (world.tmp_path / "out").exists()
+    if case in DISTRACTOR_CASES:
+        assert DISTRACTOR_CASES[case] in err
     if case in UNKNOWN_TOOL_CASES:
         assert "unknown tool 'no_such_tool'" in err
         assert not any((world.tmp_path / d).exists() for d in ("reports", "sft", "bench_out"))
