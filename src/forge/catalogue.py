@@ -43,6 +43,12 @@ def typed(name: str, value, kind: type | tuple[type, ...], noun: str):
     return value
 
 
+def fault(exc: Exception) -> str:
+    """The text that reports a fault in a config file or a remote reply:
+    a KeyError's is ``missing key 'name'``, since its own is the bare key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 class ParamSpec(NamedTuple):
     """One parameter of a tool: (type, description, required), plus the
     file's extra keys.

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalogue import CatalogueError, load_catalogue, typed
+from .catalogue import CatalogueError, fault, load_catalogue, typed
 from .engine import (
     DialogueTrace,
     EngineConfig,
@@ -75,8 +75,7 @@ def _load(what: str, path: str | Path, load):
     try:
         return load(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ConfigError(f"cannot load {what} {path}: {detail}") from exc
+        raise ConfigError(f"cannot load {what} {path}: {fault(exc)}") from exc
 
 
 def _json_object(path: str | Path) -> dict:
@@ -140,13 +139,12 @@ def _backends(specs: dict, base: Path) -> dict[str, BackendConfig]:
     for role, spec in specs.items():
         try:
             typed("backend", spec, dict, "a JSON object")
-            _integers(spec, {"retry_limit": None})
             path = spec.get("transcript") and _path(base, "transcript", spec["transcript"])
             if path and spec.get("kind") == "scripted" and path not in transcripts:
                 transcripts[path] = _load("transcript", path, Transcript.load)
             backends[role] = BackendConfig.from_dict(spec, transcripts.get(path))
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad backend config for role {role!r}: {exc}") from exc
+            raise ValueError(f"bad backend config for role {role!r}: {fault(exc)}") from exc
     return backends
 
 

@@ -15,15 +15,16 @@ pieces: each message's fragment comes from a bounded LRU cache, so the
 system prompt and history a dialogue re-sends every turn are encoded once
 while they stay recent, and memory does not grow with run length.
 
-All network I/O in the package goes through ``post_json``. It imports
-the HTTP client, ``requests``, on the first remote call, so a scripted run
-never loads it. A global max-in-flight semaphore applies backpressure
-across threads and is held only around one HTTP round trip, so nested
-pools cannot deadlock on it. Inside it, each call borrows a
-``requests.Session`` from a LIFO pool and returns it afterwards: a session
-is used by one thread at a time, the pool never holds more than
-``MAX_IN_FLIGHT`` of them, and connections are reused across calls and
-across short-lived worker threads.
+A ``BackendConfig`` describes every remote endpoint, chat and embedding
+alike, and all network I/O goes through the one remote call,
+``post_json(cfg, body, decode)``. It imports the HTTP client, ``requests``,
+on the first remote call, so a scripted run never loads it. A global
+max-in-flight semaphore applies backpressure across threads and is held
+only around one HTTP round trip, so nested pools cannot deadlock on it.
+Inside it, each call borrows a ``requests.Session`` from a LIFO pool and
+returns it afterwards: a session is used by one thread at a time, the pool
+never holds more than ``MAX_IN_FLIGHT`` of them, and connections are
+reused across calls and across short-lived worker threads.
 
 ``fan_out`` is the package's one thread pool: results come back in item
 order, so replies, not their arrival, decide every output. Independent
@@ -44,6 +45,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from urllib.parse import urlsplit
+
+from .catalogue import fault, typed
 
 MAX_IN_FLIGHT = 8
 
@@ -123,9 +127,14 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("remote", "scripted"):
             raise ValueError(f"unknown backend kind: {self.kind!r}")
-        if self.kind == "remote" and not self.endpoint:
-            raise ValueError("remote backend requires an endpoint")
-        if not 0 <= self.retry_limit <= 10:
+        typed("model_id", self.model_id, str, "a string")
+        typed("api_key_env", self.api_key_env, (str, type(None)), "a string or null")
+        if self.kind == "remote":
+            url = urlsplit(typed("endpoint", self.endpoint, str, "a URL string"))
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(f"remote endpoint must be an http or https URL with a "
+                                 f"host, got {self.endpoint!r}")
+        if not 0 <= typed("retry_limit", self.retry_limit, int, "an integer") <= 10:
             raise ValueError(f"retry_limit must be between 0 and 10, got {self.retry_limit}")
         if (isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float))
                 or not 0 < self.timeout < math.inf):
@@ -220,7 +229,10 @@ class Transcript:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("transcript must be a JSON object")
-        replies = {k: ([v] if isinstance(v, str) else list(v)) for k, v in raw.items()}
+        replies = {k: [v] if isinstance(v, str) else v for k, v in raw.items()}
+        for fp, entry in replies.items():
+            if not isinstance(entry, list) or not all(isinstance(r, str) for r in entry):
+                raise ValueError(f"replies for {fp} must be a string or an array of strings")
         return cls(replies)
 
 
@@ -244,19 +256,22 @@ def _retry_delay(retry_after: str | None, backoff: float) -> float:
     return min(seconds, _MAX_BACKOFF_S) if seconds >= 0 else backoff
 
 
-def post_json(url: str, body: dict, api_key_env: str | None = None,
-              timeout: float = 60.0, retry_limit: int = 3) -> dict:
-    """POST a JSON body with exponential backoff on transient failures.
+def post_json(cfg: BackendConfig, body: dict, decode):
+    """``decode`` of the JSON reply to ``body`` POSTed to ``cfg``'s endpoint,
+    with exponential backoff on transient failures.
 
-    Shared by chat completion and embedding calls; honours the global
-    in-flight limit, reuses pooled connections, and waits as long as a
-    429 or 503 reply's ``Retry-After`` asks, up to the backoff cap.
+    Honours the global in-flight limit, reuses pooled connections, and
+    waits as long as a 429 or 503 reply's ``Retry-After`` asks, up to the
+    backoff cap. A reply that is not JSON, or that ``decode`` cannot read
+    (KeyError, IndexError, TypeError, ValueError), is a GatewayError and is
+    not retried.
     """
     import requests  # loaded by the first call, so a scripted run never pays for it
 
+    url, timeout = cfg.endpoint, cfg.timeout
     last_error: Exception | None = None
     delay = 0.0
-    for attempt in range(retry_limit + 1):
+    for attempt in range(cfg.retry_limit + 1):
         if attempt > 0:
             time.sleep(delay)
         delay = min(0.1 * (2 ** attempt), _MAX_BACKOFF_S)
@@ -267,7 +282,7 @@ def post_json(url: str, body: dict, api_key_env: str | None = None,
                 except IndexError:
                     session = requests.Session()
                 try:
-                    resp = session.post(url, json=body, headers=_auth_headers(api_key_env),
+                    resp = session.post(url, json=body, headers=_auth_headers(cfg.api_key_env),
                                         timeout=timeout)
                 finally:
                     _sessions.append(session)
@@ -286,13 +301,13 @@ def post_json(url: str, body: dict, api_key_env: str | None = None,
         if resp.status_code != 200:
             raise GatewayError(f"{url} returned HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()
-        except ValueError as exc:
-            raise GatewayError(f"{url} returned non-JSON body") from exc
+            return decode(resp.json())
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise GatewayError(f"{url} returned a malformed reply: {fault(exc)}") from exc
     if isinstance(last_error, GatewayTimeout):
         raise last_error
     raise RetryExhaustedError(
-        f"gave up on {url} after {retry_limit + 1} attempts: {last_error}"
+        f"gave up on {url} after {cfg.retry_limit + 1} attempts: {last_error}"
     )
 
 
@@ -305,20 +320,20 @@ def _remote_complete(cfg: BackendConfig, req: CompletionRequest) -> str:
     }
     if req.seed is not None:
         body["seed"] = req.seed
-    reply = post_json(cfg.endpoint, body, api_key_env=cfg.api_key_env,
-                      timeout=cfg.timeout, retry_limit=cfg.retry_limit)
-    try:
-        return reply["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise GatewayError(f"malformed completion response: {reply!r}") from exc
+    return post_json(cfg, body, lambda reply: typed(
+        "completion content", reply["choices"][0]["message"]["content"], str, "a string"))
+
+
+def _replies(cfg: BackendConfig, req: CompletionRequest, n: int) -> list[str]:
+    if cfg.kind == "scripted":
+        return cfg.transcript.lookup(fingerprint(cfg.model_id, req), n)
+    subs = [req if req.seed is None else replace(req, seed=req.seed + i) for i in range(n)]
+    return fan_out(lambda sub: _remote_complete(cfg, sub), subs, n)
 
 
 def complete(cfg: BackendConfig, req: CompletionRequest) -> str:
     """One completion from the configured backend."""
-    if cfg.kind == "scripted":
-        fp = fingerprint(cfg.model_id, req)
-        return cfg.transcript.lookup(fp, 1)[0]
-    return _remote_complete(cfg, req)
+    return _replies(cfg, req, 1)[0]
 
 
 def sample_n(cfg: BackendConfig, req: CompletionRequest, n: int) -> list[str]:
@@ -332,11 +347,7 @@ def sample_n(cfg: BackendConfig, req: CompletionRequest, n: int) -> list[str]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if cfg.kind == "scripted":
-        fp = fingerprint(cfg.model_id, req)
-        return cfg.transcript.lookup(fp, n)
-    subs = [req if req.seed is None else replace(req, seed=req.seed + i) for i in range(n)]
-    return fan_out(lambda sub: _remote_complete(cfg, sub), subs, n)
+    return _replies(cfg, req, n)
 
 
 def call_width(cfg: BackendConfig, width: int) -> int:

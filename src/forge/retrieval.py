@@ -7,8 +7,9 @@ Two embedder backends:
   of the text. Each token's UTF-8 bytes are hashed into one of
   ``dimension`` buckets (stable CRC32, not the per-process builtin hash),
   and the bucket counts are L2-normalized.
-* RemoteEmbedder -- OpenAI-style /embeddings endpoint, routed through the
-  gateway's HTTP layer so only one module touches the network.
+* RemoteEmbedder -- OpenAI-style /embeddings endpoint, held as a gateway
+  ``BackendConfig`` (30 s timeout, 3 retries); each text is one call of
+  ``gateway.post_json``, the package's one remote call.
 
 Similarity is the inner product of L2-normalized vectors (cosine). A
 catalogue or persona store is embedded once per embedder identity into a
@@ -151,32 +152,25 @@ class RemoteEmbedder:
     """Embedder backed by a remote embedding endpoint."""
 
     def __init__(self, endpoint: str, model_id: str, dimension: int,
-                 api_key_env: str | None = None, timeout: float = 30.0,
-                 retry_limit: int = 3):
+                 api_key_env: str | None = None):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self.endpoint = endpoint
-        self.model_id = model_id
+        self.backend = gateway.BackendConfig("remote", model_id, endpoint, api_key_env,
+                                             timeout=30.0)
         self.dimension = dimension
         self.identity = f"remote-{model_id}"
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.retry_limit = retry_limit
 
     def embed(self, text: str) -> np.ndarray:
-        body = {"model": self.model_id, "input": [text]}
-        reply = gateway.post_json(
-            self.endpoint, body, api_key_env=self.api_key_env,
-            timeout=self.timeout, retry_limit=self.retry_limit,
-        )
-        vec = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
-        if vec.shape != (self.dimension,):
-            raise ValueError(
-                f"embedding endpoint returned dimension {vec.shape[0]}, expected {self.dimension}"
-            )
+        body = {"model": self.backend.model_id, "input": [text]}
+        vec = gateway.post_json(self.backend, body, self._vector)
         norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
+        return vec / norm if norm > 0 else vec
+
+    def _vector(self, reply) -> np.ndarray:
+        vec = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
+        if vec.shape != (self.dimension,) or not np.isfinite(vec).all():
+            raise ValueError(f"embedding must have dimension {self.dimension} and finite "
+                             f"values, got shape {vec.shape}")
         return vec
 
     def embed_many(self, texts: list[str]) -> np.ndarray:

@@ -32,3 +32,16 @@ def test_expected_bindings_name_forge_functions(monkeypatch):
             if obj is None:
                 pytest.fail(f"{binding} does not resolve in forge")
         assert inspect.isfunction(obj) and obj.__module__.startswith("forge."), binding
+
+
+def test_traced_methods_name_forge_functions():
+    """Every forge method in ``bench/spans.py``'s ``METHODS`` is still a
+    function of its class, so the tracer can wrap it."""
+    methods = runpy.run_path(str(BENCH / "spans.py"), run_name="bench_spans")["METHODS"]
+    forge_methods = [(owner, attr, name) for owner, attr, name in methods
+                     if owner.__module__.startswith("forge.")]
+    assert {name for *_, name in forge_methods} >= {"retrieval.RemoteEmbedder.embed",
+                                                   "gateway.Transcript.lookup"}
+    for owner, attr, name in forge_methods:
+        fn = inspect.getattr_static(owner, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__.startswith("forge."), name

@@ -745,6 +745,45 @@ def test_scripted_backend_without_transcript_is_config_error(world, capsys):
     assert "requires a transcript" in capsys.readouterr().err
 
 
+def test_backend_missing_kind_names_the_key(world, capsys):
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    del cfg["backends"]["assistant"]["kind"]
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["validate", world.tmp_path / "corpus.jsonl", "--config", world.config_path,
+                "--scenarios", world.tmp_path / "scenarios.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert "missing key 'kind'" in err and str(world.config_path) in err
+
+
+@pytest.mark.parametrize("role, payload", [
+    ("embedder", {"object": "list"}),
+    ("embedder", [{"embedding": [1.0] * 16}]),
+    ("embedder", {"data": [{"embedding": [1.0] * 8}]}),
+    ("goal", chat_reply(None)),
+], ids=["embedder-no-data", "embedder-array", "embedder-wrong-dimension", "goal-null-content"])
+def test_generate_malformed_remote_reply_costs_one_dialogue(world, capsys, loopback, role,
+                                                            payload):
+    """A remote reply that cannot be decoded errors its dialogue, not the
+    run: every dialogue gets its error line and all three files are written."""
+    endpoint, server = loopback(lambda body: (200, {}, payload, 0.0))
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    if role == "embedder":
+        cfg["embedder"] = {"kind": "remote", "endpoint": endpoint, "dimension": 16}
+    else:
+        cfg["backends"]["goal"] = {"kind": "remote", "model_id": "m-goal", "endpoint": endpoint}
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["generate", "--config", world.config_path]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error on ")]
+    assert [line.split(":")[0] for line in errors] == [
+        f"error on {name}" for name in world.cat.names()]
+    assert all("malformed reply" in line for line in errors)
+    assert len(server.ports) == len(errors)  # a malformed reply is not retried
+    for name in ("corpus.jsonl", "rejected.jsonl", "scenarios.jsonl"):
+        assert (world.tmp_path / "out" / name).exists()
+
+
 def test_generate_one_judge_only_is_config_error(world, capsys):
     cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
     del cfg["backends"]["critique"]
@@ -780,6 +819,12 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("backend", {"retry_limit": -1}, "retry_limit must be between 0 and 10"),
     ("backend", {"timeout": "60"}, "timeout must be a positive number"),
     ("backend", {"timeout": 0}, "timeout must be a positive number"),
+    ("backend", {"kind": "remote", "endpoint": "localhost:8080/v1/chat/completions"},
+     "http or https URL"),
+    ("backend", {"api_key_env": 5}, "api_key_env must be a string or null"),
+    ("backend", {"model_id": ["x"]}, "model_id must be a string"),
+    ("generate", {"embedder": {"kind": "remote", "endpoint": "localhost:8080/v1/embeddings",
+                               "dimension": 16}}, "http or https URL"),
     ("bench", {"concurrency": -3}, "concurrency must be"),
     ("bench", {"n_samples": "3"}, "n_samples must be an integer"),
     ("bench", {"rng_seed": "abc"}, "rng_seed must be an integer"),
@@ -795,7 +840,9 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
         "embedder-not-object", "embedder-dimension-string", "embedder-dimension-float",
         "embedder-dimension-true", "backends-array", "catalogue-number", "out-dir-number",
         "personas-number", "transcript-number", "retry-limit-string", "retry-limit-negative",
-        "timeout-string", "timeout-0", "bench-concurrency-negative", "bench-n-samples-string",
+        "timeout-string", "timeout-0", "endpoint-no-scheme", "api-key-env-number",
+        "model-id-array", "embedder-endpoint-no-scheme", "bench-concurrency-negative",
+        "bench-n-samples-string",
         "bench-rng-seed-string", "bench-rng-seed-null", "validate-embedder-kind",
         "export-embedder-dimension-0", "distractors-dim-0", "distractors-k-0",
         "distractors-unknown-seed"])
@@ -851,8 +898,9 @@ def _unreadable_input(world, case: str):
         cfg["backends"]["critique"]["transcript"] = missing.name
         config.write_text(json.dumps(cfg), encoding="utf-8")
         return generate, missing
-    if case in ("transcript-not-json", "transcript-not-object"):
-        text = "not json" if case == "transcript-not-json" else "[]"
+    if case in ("transcript-not-json", "transcript-not-object", "transcript-reply-number"):
+        text = {"transcript-not-json": "not json", "transcript-not-object": "[]",
+                "transcript-reply-number": json.dumps({"0" * 64: [5]})}[case]
         (tmp / "transcripts.json").write_text(text, encoding="utf-8")
         return generate, tmp / "transcripts.json"
     if case == "personas-not-array":
@@ -1007,7 +1055,7 @@ DISTRACTOR_CASES = {"distractor-seed-number": "distractors seed must be a string
 
 @pytest.mark.parametrize("case", [
     "critique-transcript-missing", "transcript-not-json", "transcript-not-object",
-    "personas-not-array",
+    "transcript-reply-number", "personas-not-array",
     "validate-corpus-missing", "export-corpus-missing", "stats-corpus-missing",
     "score-refs-missing", "bench-exclusions-missing", "bench-gold-missing",
     "config-not-object", "bench-exclusions-not-array", "bench-catalogue-missing",

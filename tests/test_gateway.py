@@ -15,6 +15,7 @@ from forge.gateway import (
     BackendConfig,
     ChatMessage,
     CompletionRequest,
+    GatewayError,
     GatewayTimeout,
     RetryExhaustedError,
     Transcript,
@@ -161,6 +162,16 @@ def test_retry_limit_cap():
             BackendConfig(kind="remote", model_id="m", endpoint="http://x", **{key: value})
 
 
+def test_backend_field_types():
+    for key, value in [("retry_limit", 2.0), ("model_id", ["x"]), ("model_id", None),
+                       ("api_key_env", 5), ("endpoint", "localhost:8080/v1"),
+                       ("endpoint", "file:///tmp/x"), ("endpoint", "http:///v1"),
+                       ("endpoint", 5)]:
+        with pytest.raises(ValueError, match=key):
+            BackendConfig(**{"kind": "remote", "model_id": "m", "endpoint": "http://x",
+                             key: value})
+
+
 def test_request_validation():
     with pytest.raises(ValueError):
         CompletionRequest(messages=())
@@ -240,6 +251,16 @@ def test_remote_exhausts_retries(stub):
 def test_remote_non_retryable_status_fails_fast(stub):
     stub.script = [(400, "bad", 0)]
     with pytest.raises(Exception, match="HTTP 400"):
+        complete(remote_cfg(stub.endpoint), req())
+    assert stub.calls == 1
+
+
+@pytest.mark.parametrize("text", [None, 5, ["a"]])
+def test_remote_reply_without_text_is_gateway_error(stub, text):
+    """A completion whose content is not a string is malformed: a
+    GatewayError, not retried."""
+    stub.script = [(200, text, 0)]
+    with pytest.raises(GatewayError, match="completion content must be a string"):
         complete(remote_cfg(stub.endpoint), req())
     assert stub.calls == 1
 

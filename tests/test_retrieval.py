@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forge.catalogue import parse_catalogue
+from forge.gateway import GatewayError
 from forge.retrieval import (
     DistractorSet,
     HashEmbedder,
@@ -394,8 +395,23 @@ def test_remote_embed_normalizes_one_text_per_request(embedding_server):
 
 def test_remote_embed_rejects_wrong_dimension(embedding_server):
     emb = RemoteEmbedder(embedding_server.endpoint, "stub-embed", 32)
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(GatewayError, match="dimension"):
         emb.embed("alpha")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"object": "list"}, "missing key 'data'"),
+    ([{"embedding": [1.0] * 16}], "list indices"),
+    ({"data": [{"embedding": [float("nan")] * 16}]}, "finite values"),
+], ids=["no-data", "top-level-array", "nan"])
+def test_remote_embed_malformed_reply_is_gateway_error(loopback, payload, message):
+    """A reply the embedder cannot read is a GatewayError, the failure that
+    costs one dialogue, and is not retried."""
+    endpoint, server = loopback(lambda body: (200, {}, payload, 0.0))
+    emb = RemoteEmbedder(endpoint, "stub-embed", 16)
+    with pytest.raises(GatewayError, match=message):
+        emb.embed("alpha")
+    assert len(server.ports) == 1
 
 
 def test_remote_index_build_embeds_each_tool_once(embedding_server):
