@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -351,6 +352,9 @@ def cmd_generate(args) -> int:
         unknown = [n for n in names if n not in cat]
         if unknown:
             raise ConfigError(f"unknown seed tools: {unknown}")
+        duplicates = [n for n, count in Counter(names).items() if count > 1]
+        if duplicates:  # each would give a second line with the same dialogue_id
+            raise ConfigError(f"duplicate seed tools: {duplicates}")
     else:
         names = cat.names()
 
@@ -389,7 +393,7 @@ def cmd_validate(args) -> int:
     pairs = _join_scenarios(args.corpus, args.scenarios)
     _check_tools(args.scenarios, (scn for _, scn in pairs), cat)
     _out_files(args.out)
-    results = run_items(lambda pair: run_cascade(*pair, cat, cfg.judges), pairs, 1)
+    results = run_items(lambda pair: run_cascade(*pair, cat, cfg.judges), pairs, cfg.concurrency)
     errors, reports = [], []
     for (trace, _), report in zip(pairs, results):
         if isinstance(report, Exception):

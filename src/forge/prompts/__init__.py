@@ -20,8 +20,6 @@ def get_prompt(asset_id: str) -> str:
     Each asset is read once per process; an unknown id raises ``KeyError``
     every time, since exceptions are not cached."""
     name, _, version = asset_id.partition(":")
-    if not version:
-        version = "v1"
     filename = f"{name}_{version}.txt"
     ref = resources.files(__package__).joinpath(filename)
     if not ref.is_file():

@@ -172,20 +172,16 @@ def sample_goal(gw: BackendConfig, seed_tool: Tool, persona: str, rng_seed: int)
     )
 
 
+# the Python types a JSON value of each parameter type tag decodes to
+_TAG_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool,
+              "array": list, "object": dict}
+
+
 def _value_matches(type_tag: str, value: object) -> bool:
-    if type_tag == "string":
-        return isinstance(value, str)
-    if type_tag == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if type_tag == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if type_tag == "boolean":
-        return isinstance(value, bool)
-    if type_tag == "array":
-        return isinstance(value, list)
-    if type_tag == "object":
-        return isinstance(value, dict)
-    return False
+    """Whether ``value`` has ``type_tag``'s JSON type. A bool is an int to
+    Python, but JSON keeps it apart: it matches only ``boolean``."""
+    return (isinstance(value, _TAG_TYPES[type_tag])
+            and isinstance(value, bool) == (type_tag == "boolean"))
 
 
 def _extract_json_object(text: str) -> dict | None:

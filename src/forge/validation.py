@@ -5,8 +5,9 @@ Functional order is Format -> Toolcall -> Toolargs with short-circuit:
 later validators assume the structure the earlier ones established.
 LLM judges (relevancy, critique) are equally authoritative; they run
 concurrently when any of them is remote and inline when all are
-scripted. Gateway failures during the judge stage are infrastructure
-errors, not verdicts; the stage is retried once before giving up.
+scripted. Each judge makes one gateway call, whose retries are its
+backend's ``retry_limit``; a GatewayError is an infrastructure error that
+costs the dialogue, not a verdict.
 """
 
 from __future__ import annotations
@@ -144,22 +145,19 @@ def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
     """Run the relevancy and critique judges, concurrently when any of them
     is remote (``call_width``) and inline otherwise.
 
-    Returns the list of judge failures (empty = pass). A judge whose call
-    raises a GatewayError is asked once more; a second GatewayError is
-    raised as a GatewayError "<name> judge failed twice: ...", which costs
-    the dialogue (``engine.DIALOGUE_ERRORS``), not a reject verdict.
+    Returns the list of judge failures (empty = pass). A judge's one
+    ``complete`` call retries only as its backend's ``retry_limit`` allows;
+    a GatewayError it raises is raised as a GatewayError "<name> judge
+    failed: ...", which costs the dialogue (``engine.DIALOGUE_ERRORS``), not
+    a reject verdict.
     """
     requests_by_judge = judge_requests(d, scn, cat)
 
     def _run(name: str) -> tuple[bool, str | None]:
-        req = requests_by_judge[name]
         try:
-            reply = complete(judges[name], req)
-        except GatewayError:
-            try:
-                reply = complete(judges[name], req)
-            except GatewayError as exc:
-                raise GatewayError(f"{name} judge failed twice: {exc}") from exc
+            reply = complete(judges[name], requests_by_judge[name])
+        except GatewayError as exc:
+            raise GatewayError(f"{name} judge failed: {exc}") from exc
         return _parse_verdict(reply)
 
     workers = max(call_width(judges[name], len(JUDGES)) for name in JUDGES)

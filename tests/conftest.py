@@ -179,6 +179,7 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.ports.append(self.client_address[1])
+        self.server.headers.append(self.headers)
         status, headers, payload, delay = self.server.respond(body)
         if delay:  # a test may patch time.sleep to record the client's waits
             time.sleep(delay)
@@ -206,12 +207,12 @@ def loopback():
     request's JSON body and gives the status, a dict of extra headers, the
     JSON payload and the seconds to wait before sending it (``chat`` adapts
     a chat responder); ``server.ports`` lists the client port of every
-    request received."""
+    request received and ``server.headers`` its headers."""
     servers = []
 
     def start(respond):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
-        server.respond, server.ports = respond, []
+        server.respond, server.ports, server.headers = respond, [], []
         thread = threading.Thread(target=server.serve_forever,
                                   kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()

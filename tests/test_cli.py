@@ -4,10 +4,11 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from forge import cli, retrieval
+from forge import cli, gateway, retrieval
 from forge.cli import load_pipeline_config, main
 from forge.engine import (
     UserTurn,
@@ -112,6 +113,13 @@ def test_generate_unknown_seed_tool_is_config_error(world, capsys):
     assert "unknown seed tools" in capsys.readouterr().err
 
 
+def test_generate_duplicate_seed_tool_is_config_error(world, capsys):
+    assert run(["generate", "--config", world.config_path,
+                "--seed-tools", f"{SEED_TOOL}, {SEED_TOOL}"]) == 2
+    assert f"duplicate seed tools: [{SEED_TOOL!r}]" in capsys.readouterr().err
+    assert not (world.tmp_path / "out").exists()  # stopped before any dialogue
+
+
 def test_validate_command_accepts_generated_corpus(world):
     run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
     out = world.tmp_path / "out"
@@ -163,7 +171,62 @@ def test_validate_unreachable_judges_report_error_per_dialogue(world, capsys, re
     for r in reports:
         assert r["verdict"] == "error"
         [[stage, message]] = r["failures"]
-        assert stage == "judges" and "relevancy judge failed twice" in message
+        assert stage == "judges" and "relevancy judge failed: " in message
+
+
+def judge_corpus(world, dialogue_ids) -> tuple:
+    """A corpus of the generated dialogue under each of ``dialogue_ids``, and
+    its scenario file. Only the generated id has scripted judge replies."""
+    run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
+    out = world.tmp_path / "out"
+    record = json.loads((out / "corpus.jsonl").read_text(encoding="utf-8"))
+    corpus = world.tmp_path / "judged.jsonl"
+    corpus.write_text("".join(json.dumps({**record, "dialogue_id": d or record["dialogue_id"]})
+                              + "\n" for d in dialogue_ids), encoding="utf-8")
+    return corpus, out / "scenarios.jsonl"
+
+
+@pytest.mark.parametrize("retry_limit", [0, 1])
+def test_validate_sends_retry_limit_plus_one_requests_per_judge(world, loopback, monkeypatch,
+                                                                capsys, retry_limit):
+    monkeypatch.setattr(gateway.time, "sleep", lambda seconds: None)
+    corpus, scenarios = judge_corpus(world, ["d-a", "d-b"])
+    requests = []
+    endpoint, _ = loopback(lambda body: requests.append(
+        (body["seed"], body["messages"][0]["content"])) or (503, {}, {}, 0))
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    for name in ("relevancy", "critique"):
+        cfg["backends"][name] = {"kind": "remote", "model_id": "m-judge",
+                                 "retry_limit": retry_limit, "endpoint": endpoint}
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["validate", corpus, "--config", world.config_path,
+                "--scenarios", scenarios]) == 1
+    assert capsys.readouterr().err.startswith("error on d-a: relevancy judge failed: gave up")
+    # one distinct request per judge per dialogue, each sent retry_limit + 1 times
+    assert sorted(Counter(requests).values()) == [retry_limit + 1] * 4
+
+
+def test_validate_output_does_not_depend_on_concurrency(world, capsys, monkeypatch):
+    corpus, scenarios = judge_corpus(world, [None, "d-miss", None])
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    widths, run_items = [], cli.run_items
+    monkeypatch.setattr(cli, "run_items", lambda fn, items, workers: widths.append(workers)
+                        or run_items(fn, items, workers))
+    results = []
+    for concurrency in (1, 8):
+        world.config_path.write_text(json.dumps({**cfg, "concurrency": concurrency}),
+                                     encoding="utf-8")
+        out = world.tmp_path / f"reports-{concurrency}.jsonl"
+        capsys.readouterr()
+        code = run(["validate", corpus, "--config", world.config_path,
+                    "--scenarios", scenarios, "--out", out])
+        results.append((code, *capsys.readouterr(), out.read_bytes()))
+    assert widths == [1, 8]
+    assert results[0] == results[1]
+    code, stdout, stderr, reports = results[0]
+    assert code == 1 and stderr.startswith("error on d-miss: relevancy judge failed: ")
+    assert [json.loads(line)["verdict"] for line in reports.splitlines()] == [
+        "accept", "error", "accept"]
 
 
 def test_export_emits_three_masked_samples(world):

@@ -79,6 +79,17 @@ def test_parse_malformed_call_entry():
         parse_assistant_output('<think>x</think> [{"name":"t"}]')
 
 
+@pytest.mark.parametrize("raw,reason", [
+    ("", "empty assistant output"),
+    ("<think>never closed [", "missing </think>"),
+    ("<think>x</think> []", "tool-call list is empty"),
+    ('<think>x</think> [{"name": "t", "args": [1]}]', "args must be an object"),
+])
+def test_parse_rejects_malformed_output(raw, reason):
+    with pytest.raises(AssistantFormatError, match=reason):
+        parse_assistant_output(raw)
+
+
 def test_serialize_round_trip_content():
     turn = parse_assistant_output("<think>reasoning</think> a reply")
     assert parse_assistant_output(serialize_assistant_turn(turn)) == turn
@@ -418,6 +429,14 @@ def test_trace_round_trip():
     w = build_replay_world()
     d = w.expected_trace.to_dict()
     assert DialogueTrace.from_dict(d).to_dict() == d
+
+
+def test_trace_round_trip_keeps_raw_turn():
+    d = DialogueTrace(dialogue_id="d", scenario_ref="s", messages=[
+        UserTurn("hello"), AssistantTurn(thought=None, raw="no think block")]).to_dict()
+    assert d["messages"][1]["raw"] == "no think block"
+    back = DialogueTrace.from_dict(d)
+    assert back.messages[1].malformed and back.to_dict() == d
 
 
 @pytest.mark.parametrize("path,value,field", [

@@ -297,6 +297,22 @@ def test_retry_after_sets_the_wait(stub, monkeypatch, status, retry_after, slept
     assert sleeps == [slept]
 
 
+@pytest.mark.parametrize("api_key_env,key,sent", [
+    ("FORGE_TEST_KEY", "sk-test", "Bearer sk-test"),
+    ("FORGE_TEST_KEY", None, None),  # the named variable is unset
+    (None, "sk-test", None),  # no variable named: the environment is never read
+])
+def test_authorization_header_comes_from_the_key_variable(loopback, monkeypatch,
+                                                          api_key_env, key, sent):
+    endpoint, server = loopback(lambda body: (200, {}, chat_reply("ok"), 0))
+    monkeypatch.delenv("FORGE_TEST_KEY", raising=False)
+    if key is not None:
+        monkeypatch.setenv("FORGE_TEST_KEY", key)
+    assert complete(remote_cfg(endpoint, api_key_env=api_key_env), req()) == "ok"
+    [headers] = server.headers
+    assert headers.get("Authorization") == sent
+
+
 def test_remote_sample_n_overlaps_and_keeps_sample_order(loopback):
     latency = {10: 0.4, 11: 0.3, 12: 0.2}  # the first sample is answered last
     endpoint, _ = loopback(chat(lambda model_id, r: (f"seed {r.seed}", latency[r.seed])))

@@ -5,7 +5,8 @@ The scripted transcripts elsewhere are keyed from forge's own
 ``judge_requests`` / ``rubric_request`` / ``voter_request``, so a drift in
 how a dialogue history is rendered would go unnoticed there. These tests
 pin the rendered prompts as literal strings. ``max_tokens`` is not part of
-the request fingerprint, so only the settings test pins it.
+the request fingerprint, so only the settings test pins it. The last
+tests pin the errors of a prompt asset lookup and of a render.
 """
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from forge.engine import AssistantTurn, DialogueTrace, ToolCall, UserTurn
 from forge.harness import voter_request
 from forge.metrics import rubric_request
+from forge.prompts import get_prompt, render
 from forge.scenario import goal_request, slots_request
 from forge.seeds import split_seed
 from forge.validation import judge_requests
@@ -236,3 +238,14 @@ def test_single_prompt_sampling_settings(world):
         "rubric": (0.0, 8),
         "voter": (0.0, 8),
     }
+
+
+@pytest.mark.parametrize("asset_id", ["no_such_prompt:v1", "voter:v9", "voter"])
+def test_unknown_prompt_asset_is_key_error(asset_id):
+    with pytest.raises(KeyError, match="unknown prompt asset"):
+        get_prompt(asset_id)
+
+
+def test_missing_template_slot_is_key_error():
+    with pytest.raises(KeyError, match=r"slot \{\{goal\}\} not provided"):
+        render("{{persona}} wants {{goal}}", persona="p")

@@ -316,6 +316,14 @@ def test_thoughts_and_call_payloads_excluded():
     assert ttr == len(set(tokens)) / len(tokens)
 
 
+def test_malformed_turn_counts_its_raw_text():
+    trace = simple_trace(pairs=2, contents=["alpha beta", "unused"])
+    trace.messages[3] = AssistantTurn(thought=None, raw="alpha gamma delta")
+    ttr, ngd = lexical_metrics([trace])
+    assert ttr == 4 / 5  # alpha beta | alpha gamma delta
+    assert ngd[2] == 1.0
+
+
 def test_lexical_invariant_under_reordering():
     traces = [simple_trace(dialogue_id=f"d{i}", contents=[f"alpha beta {i}", "gamma delta"],
                            pairs=2) for i in range(6)]

@@ -10,6 +10,7 @@ from forge.scenario import (
     PersonaStore,
     Scenario,
     SlotTypeError,
+    _value_matches,
     build_scenario,
     goal_request,
     sample_gold_args,
@@ -178,6 +179,28 @@ def test_sample_gold_args_tolerates_code_fences(cat):
     gw = slots_backend(tool, "p", 5, {
         0: '```json\n{"orderId": "ORD-9"}\n```'})
     assert sample_gold_args(gw, tool, "p", 5) == {"orderId": "ORD-9"}
+
+
+def test_sample_gold_args_finds_an_embedded_object(cat):
+    tool = cat.get("fn_2231_logistics_order_tracking")
+    gw = slots_backend(tool, "p", 5, {
+        0: "Sure: {not json} as asked",
+        1: 'Here you go: {"orderId": "ORD-7"} as asked',
+    })
+    assert sample_gold_args(gw, tool, "p", 5) == {"orderId": "ORD-7"}
+
+
+@pytest.mark.parametrize("tag,value,matches", [
+    ("string", "x", True), ("string", 1, False),
+    ("integer", 3, True), ("integer", 2.5, False), ("integer", True, False),
+    ("number", 2.5, True), ("number", 3, True), ("number", False, False),
+    ("number", "2.5", False),
+    ("boolean", True, True), ("boolean", 1, False),
+    ("array", [1], True), ("array", (1,), False), ("array", {}, False),
+    ("object", {"a": 1}, True), ("object", [], False),
+])
+def test_value_matches_type_tag(tag, value, matches):
+    assert _value_matches(tag, value) is matches
 
 
 def test_build_scenario_full_scripted_run():

@@ -84,6 +84,17 @@ def test_mixed_payload_fails_format():
     assert not ok and "mixes" in reason
 
 
+@pytest.mark.parametrize("messages,reason", [
+    ([], "alternation: empty dialogue"),
+    ([UserTurn("  "), AssistantTurn(thought="t", content="x")], "user turn 0 is empty"),
+    ([UserTurn("hi"), AssistantTurn(thought=None, raw="no think block")],
+     "assistant turn 1 is malformed raw output"),
+])
+def test_format_rejects_with_reason(messages, reason):
+    t = DialogueTrace(dialogue_id="d", scenario_ref="s", messages=messages)
+    assert validate_format(t) == (False, reason)
+
+
 # ---------------------------------------------------------------------------
 # toolcall / toolargs validators
 
@@ -175,12 +186,17 @@ def test_unrecognized_judge_reply_counts_as_failure(world):
     assert len(failures) == 1 and failures[0][0] == "relevancy"
 
 
-def test_judge_infrastructure_error_after_retry(world):
-    # a scripted miss raises a GatewayError both times -> infra error
+def test_judge_infrastructure_error_after_retry(world, monkeypatch):
+    # a scripted miss is a GatewayError -> infra error, after one lookup
+    lookups = []
+    lookup = Transcript.lookup
+    monkeypatch.setattr(Transcript, "lookup",
+                        lambda self, fp, n: lookups.append(fp) or lookup(self, fp, n))
     judges = {"relevancy": scripted_backend("m-rel", Transcript()),
               "critique": scripted_backend("m-crit", Transcript())}
-    with pytest.raises(GatewayError, match="relevancy judge failed twice"):
+    with pytest.raises(GatewayError, match="^relevancy judge failed: no scripted reply"):
         validate_llm(world.expected_trace, world.scenario, world.cat, judges)
+    assert len(lookups) == 1
 
 
 def test_judge_timeout_retried_once_then_passes(world, loopback):
@@ -196,7 +212,7 @@ def test_judge_timeout_retried_once_then_passes(world, loopback):
 
     endpoint, _ = loopback(flaky)
     judge = BackendConfig(kind="remote", model_id="m", endpoint=endpoint,
-                          timeout=0.25, retry_limit=0)
+                          timeout=0.25, retry_limit=1)
     judges = {"relevancy": judge, "critique": judge}
     failures = validate_llm(world.expected_trace, world.scenario, world.cat, judges)
     assert failures == []
