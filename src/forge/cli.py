@@ -29,7 +29,7 @@ from .engine import (
 from .export import compute_stats, export, slice_dialogue
 from .gateway import BackendConfig, Transcript
 from .harness import EvalTask, VotingConfig, run_benchmark
-from .metrics import REPORT_METRICS, Reference, format_metric, score_corpus
+from .metrics import REPORT_METRICS, Reference, format_metric, grade_corpus, score_corpus
 from .retrieval import Embedder, HashEmbedder, RemoteEmbedder, nearest_distractors
 from .scenario import PersonaStore, Scenario, build_scenario
 from .seeds import split_seed
@@ -444,8 +444,9 @@ def cmd_score(args) -> int:
     judge = _load("backend config", args.judge, lambda p: _backends(
         {"judge": _json_object(p)}, Path(p).parent)["judge"]) if args.judge else None
     _out_files(args.out, args.csv)
+    grades = grade_corpus([trace for trace, _ in pairs], judge) if judge else None
     report = score_corpus([(trace, Reference(scn.seed_tool, scn.gold_args))
-                           for trace, scn in pairs], judge=judge)
+                           for trace, scn in pairs], grades)
     _write_report(args, report.to_dict(), report.to_csv_row)
     return _item_errors(report.per_dialogue)
 
@@ -461,8 +462,10 @@ def cmd_bench_run(args) -> int:
     write_jsonl(cfg.out_dir / "traces.jsonl", [d.to_dict() for d in traces])
     if report is not None:
         write_json(cfg.out_dir / "report.json", report.to_dict())
-    print(f"bench complete: {len(traces)} tasks -> {cfg.out_dir}")
-    return _item_errors(report.per_dialogue if report else failed)
+    rows = report.per_dialogue if report else failed
+    print(f"bench complete: tasks={len(cfg.tasks)} traces={len(traces)} "
+          f"errors={sum(1 for row in rows if 'error' in row)} -> {cfg.out_dir}")
+    return _item_errors(rows)
 
 
 def _bench_report(path: str | Path) -> dict:

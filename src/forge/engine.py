@@ -63,16 +63,25 @@ class RetrieverMissError(SynthesisRejected):
 DIALOGUE_ERRORS = (GatewayError, ScenarioError, AssistantFormatError)
 
 
-def run_items(fn, items, workers: int) -> list:
+def run_items(fn, items, workers: int, then=None, then_workers: int = 1) -> list:
     """``gateway.fan_out``, except that an item whose ``fn`` raises one of
-    ``DIALOGUE_ERRORS`` gets the exception in place of its result."""
-    def _one(item):
+    ``DIALOGUE_ERRORS`` gets the exception in place of its result.
+
+    With ``then`` (``fan_out``'s second stage), an item whose ``fn``
+    returned gets the pair (result, ``then(result)``), ``then``'s own
+    failure standing in for its value; an item whose ``fn`` failed still
+    gets the exception, and ``then`` never sees it."""
+    def caught(call, arg):
         try:
-            return fn(item)
+            return call(arg)
         except DIALOGUE_ERRORS as exc:
             return exc
 
-    return fan_out(_one, items, workers)
+    def paired(result):
+        return result if isinstance(result, Exception) else (result, caught(then, result))
+
+    return fan_out(lambda item: caught(fn, item), items, workers,
+                   paired if then is not None else None, then_workers)
 
 
 @dataclass(frozen=True)

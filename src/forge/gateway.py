@@ -17,20 +17,24 @@ while they stay recent, and memory does not grow with run length.
 
 A ``BackendConfig`` describes every remote endpoint, chat and embedding
 alike, and all network I/O goes through the one remote call,
-``post_json(cfg, body, decode)``. It imports the HTTP client, ``requests``,
-on the first remote call, so a scripted run never loads it. A global
+``post_json(cfg, body, decode)``. The first remote call imports
+``requests`` and creates the process's one transport adapter
+(``requests.adapters.HTTPAdapter``), so a scripted run never loads it. Each
+call prepares its request itself and hands it straight to the adapter:
+there is no ``Session``, so nothing is read from the environment (proxies,
+``~/.netrc``, CA bundle variables) and redirects are not followed. A global
 max-in-flight semaphore applies backpressure across threads and is held
-only around one HTTP round trip, so nested pools cannot deadlock on it.
-Inside it, each call borrows a ``requests.Session`` from a LIFO pool and
-returns it afterwards: a session is used by one thread at a time, the pool
-never holds more than ``MAX_IN_FLIGHT`` of them, and connections are
-reused across calls and across short-lived worker threads.
+only around one HTTP round trip, reply body included, so nested pools
+cannot deadlock on it and the adapter's LIFO connection pool never needs
+more than ``MAX_IN_FLIGHT`` connections; they are reused across calls and
+across short-lived worker threads.
 
-``fan_out`` is the package's one thread pool: results come back in item
-order, so replies, not their arrival, decide every output. Independent
-calls to one backend overlap only when it is remote (``call_width``); a
-scripted lookup is CPU-bound under the interpreter lock, so it stays
-inline.
+``fan_out`` runs the package's thread pools: results come back in item
+order, so replies, not their arrival, decide every output. Its optional
+second stage starts on each result as soon as that result is ready.
+Independent calls to one backend overlap only when it is remote
+(``call_width``); a scripted lookup is CPU-bound under the interpreter
+lock, so it stays inline.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -62,9 +67,11 @@ _MAX_BACKOFF_S = 5.0
 # dialogues synthesized at once
 FRAGMENT_CACHE_SIZE = 256
 
-# idle ``requests.Session`` objects, taken and returned under _in_flight;
-# last in, first out, so the sessions with warm connections are the ones reused
-_sessions: list = []
+# the one ``requests.adapters.HTTPAdapter`` and the headers every request
+# carries besides its own (requests' defaults), both made by the first remote call
+_adapter = None
+_base_headers: dict = {}
+_adapter_lock = threading.Lock()
 
 
 class GatewayError(Exception):
@@ -256,6 +263,19 @@ def _retry_delay(retry_after: str | None, backoff: float) -> float:
     return min(seconds, _MAX_BACKOFF_S) if seconds >= 0 else backoff
 
 
+def _transport():
+    """The process's one transport adapter, created by the first remote call."""
+    global _adapter
+    with _adapter_lock:
+        if _adapter is None:
+            from requests.adapters import HTTPAdapter
+            from requests.utils import default_headers
+
+            _base_headers.update(default_headers())
+            _adapter = HTTPAdapter(pool_maxsize=MAX_IN_FLIGHT)
+        return _adapter
+
+
 def post_json(cfg: BackendConfig, body: dict, decode):
     """``decode`` of the JSON reply to ``body`` POSTed to ``cfg``'s endpoint,
     with exponential backoff on transient failures.
@@ -266,9 +286,17 @@ def post_json(cfg: BackendConfig, body: dict, decode):
     (KeyError, IndexError, TypeError, ValueError), is a GatewayError and is
     not retried.
     """
-    import requests  # loaded by the first call, so a scripted run never pays for it
+    import requests  # imported here, so a scripted run never loads it
+    from requests.models import PreparedRequest
 
+    adapter = _adapter or _transport()
     url, timeout = cfg.endpoint, cfg.timeout
+    # only the parts the adapter reads: no cookies, auth or hooks to prepare
+    prep = PreparedRequest()
+    prep.prepare_method("POST")
+    prep.prepare_url(url, None)
+    prep.prepare_headers({**_base_headers, **_auth_headers(cfg.api_key_env)})
+    prep.prepare_body(json.dumps(body, allow_nan=False).encode("utf-8"), None)
     last_error: Exception | None = None
     delay = 0.0
     for attempt in range(cfg.retry_limit + 1):
@@ -277,15 +305,8 @@ def post_json(cfg: BackendConfig, body: dict, decode):
         delay = min(0.1 * (2 ** attempt), _MAX_BACKOFF_S)
         try:
             with _in_flight:
-                try:
-                    session = _sessions.pop()
-                except IndexError:
-                    session = requests.Session()
-                try:
-                    resp = session.post(url, json=body, headers=_auth_headers(cfg.api_key_env),
-                                        timeout=timeout)
-                finally:
-                    _sessions.append(session)
+                resp = adapter.send(prep, timeout=timeout)
+                resp.content  # read inside the limit, so the connection is pooled again
         except requests.Timeout as exc:
             last_error = GatewayTimeout(f"request to {url} timed out after {timeout}s")
             last_error.__cause__ = exc
@@ -356,10 +377,46 @@ def call_width(cfg: BackendConfig, width: int) -> int:
     return width if cfg.kind == "remote" else 1
 
 
-def fan_out(fn, items, workers: int) -> list:
-    """``fn`` over ``items``, results in item order; inline when
-    ``workers <= 1``, since a one-worker pool only adds a thread."""
-    if workers <= 1:
-        return [fn(item) for item in items]
+@contextmanager
+def _pool(workers: int):
+    """A thread pool whose queued calls are cancelled when any exception but
+    a GatewayError leaves the block, an interrupt included. After a
+    GatewayError they still run, so the calls that a failed call costs do
+    not depend on timing."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        try:
+            yield pool
+        except GatewayError:
+            raise
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def fan_out(fn, items, workers: int, then=None, then_workers: int = 1) -> list:
+    """``fn`` over ``items``, results in item order; inline when
+    ``workers <= 1``, since a one-worker pool only adds a thread. On a pool,
+    the first exception in item order is raised. A GatewayError lets the
+    queued items run, so the calls a failure costs do not depend on timing;
+    any other exception, an interrupt included, cancels them.
+
+    With ``then``, each item's result is ``then(fn(item))``, and ``then``
+    starts on a result as soon as ``fn`` returns it: on a second pool
+    ``then_workers`` wide, while the other items' ``fn`` calls go on, or
+    inline after ``fn`` when ``then_workers <= 1``. With a second pool,
+    ``fn`` runs on a pool too, one wide at least, so that both stages'
+    results are read, and their failures seen, in item order."""
+    if then is None:
+        if workers <= 1:
+            return [fn(item) for item in items]
+        with _pool(workers) as pool:
+            return [future.result() for future in [pool.submit(fn, item) for item in items]]
+    if then_workers <= 1:
+        return fan_out(lambda item: then(fn(item)), items, workers)
+
+    def first(item):
+        return stage.submit(then, fn(item))
+
+    with _pool(then_workers) as stage, _pool(max(workers, 1)) as pool:
+        staged = [pool.submit(first, item) for item in items]
+        return [future.result().result() for future in staged]

@@ -35,6 +35,7 @@ from .engine import (
     user_system_prompt,
 )
 from .gateway import (
+    MAX_IN_FLIGHT,
     BackendConfig,
     CompletionRequest,
     call_width,
@@ -43,7 +44,7 @@ from .gateway import (
     prompt_request,
     sample_n,
 )
-from .metrics import MetricReport, Reference, score_corpus
+from .metrics import MetricReport, Reference, conv_relevancy, score_corpus
 from .prompts import get_prompt, render
 from .scenario import Scenario
 from .seeds import split_seed
@@ -224,31 +225,46 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
                   ) -> tuple[MetricReport | None, list[DialogueTrace], list[dict]]:
     """Run every task, score the finished traces, return (report, traces, failed).
 
-    Every finished trace is returned for audit, including excluded ones;
-    exclusions (scenario ids) are only dropped from metric aggregation. Each
-    task whose rollout fails (``engine.DIALOGUE_ERRORS``) adds a
-    ``{"dialogue_id", "error"}`` row to ``failed`` and to the report's
-    ``per_dialogue``; the report is None when tasks failed and no finished
-    task is left to score.
+    Rollouts run ``concurrency`` at a time. A finished trace's rubric grading
+    starts as soon as its rollout returns, while the other rollouts go on, on
+    a judge stage ``MAX_IN_FLIGHT`` wide (inline for a scripted judge);
+    each dialogue still sums its grades in turn order. Every finished trace
+    is returned for audit, including excluded ones; exclusions (scenario
+    ids) are neither graded nor aggregated. Each task whose rollout fails
+    (``engine.DIALOGUE_ERRORS``) adds a ``{"dialogue_id", "error"}`` row to
+    ``failed`` and to the report's ``per_dialogue``; a failed grading keeps
+    its trace and gives its row a null conv_rel and an ``error``. The report
+    is None when tasks failed and no finished task is left to score.
     """
     if vcfg is None and any(task.gold_dialogue is None for task in tasks):
         raise ValueError("tasks without a gold dialogue require a voting config")
+    excluded = exclusions or set()
 
     def _run(task: EvalTask) -> DialogueTrace:
         if task.kind == "static":
             return eval_static(task, assistant, cat)
         return eval_dynamic(task.scenario, assistant, cat, vcfg, ecfg.t_max)
 
-    results = run_items(_run, tasks, concurrency)
-    traces = [d for d in results if isinstance(d, DialogueTrace)]
-    failed = [{"dialogue_id": f"{task.scenario.scenario_id}#{task.kind}", "error": str(exc)}
-              for task, exc in zip(tasks, results) if isinstance(exc, Exception)]
-    excluded = exclusions or set()
-    scored = [(d, Reference(task.scenario.seed_tool, task.scenario.gold_args))
-              for d, task in zip(results, tasks)
-              if isinstance(d, DialogueTrace) and d.scenario_ref not in excluded]
+    def _grade(d: DialogueTrace) -> float | None:
+        if judge is None or d.scenario_ref in excluded:
+            return None
+        return conv_relevancy(d, judge)
+
+    results = run_items(_run, tasks, concurrency, _grade,
+                        call_width(judge, MAX_IN_FLIGHT) if judge is not None else 1)
+    traces, failed, scored, grades = [], [], [], []
+    for task, result in zip(tasks, results):
+        if isinstance(result, Exception):
+            failed.append({"dialogue_id": f"{task.scenario.scenario_id}#{task.kind}",
+                           "error": str(result)})
+            continue
+        d, grade = result
+        traces.append(d)
+        if d.scenario_ref not in excluded:
+            scored.append((d, Reference(task.scenario.seed_tool, task.scenario.gold_args)))
+            grades.append(grade)
     if not scored and failed:
         return None, traces, failed
-    report = score_corpus(scored, judge=judge)
+    report = score_corpus(scored, grades if judge is not None else None)
     report.per_dialogue += failed
     return report, traces, failed

@@ -155,7 +155,8 @@ def rubric_request(d: DialogueTrace, t: int) -> CompletionRequest:
 def conv_relevancy(d: DialogueTrace, gw_judge: BackendConfig) -> float | None:
     """Mean rubric grade over assistant turns, mapped to [0, 1]; None (and
     no judge call) for a dialogue without an assistant turn, whose mean has
-    a zero denominator.
+    a zero denominator. This is one dialogue's grade for ``score_corpus``;
+    its calls run one after another and the grades are summed in turn order.
 
     The judge sees the user-visible prefix and the reply's public text;
     thoughts are excluded from both.
@@ -250,19 +251,26 @@ class MetricReport:
         return f"{header}\n{row}\n"
 
 
+def grade_corpus(traces: list[DialogueTrace], judge: BackendConfig) -> list:
+    """``conv_relevancy`` of each trace, in trace order, up to
+    ``MAX_IN_FLIGHT`` dialogues at a time with a remote judge (inline with a
+    scripted one); a grading that fails (``engine.DIALOGUE_ERRORS``) gives
+    its exception instead."""
+    return run_items(lambda d: conv_relevancy(d, judge), traces,
+                     call_width(judge, MAX_IN_FLIGHT))
+
+
 def score_corpus(pairs: list[tuple[DialogueTrace, Reference]],
-                 judge: BackendConfig | None = None) -> MetricReport:
+                 grades: list | None = None) -> MetricReport:
     """Full metric suite over a non-empty corpus of (trace, reference) pairs;
     the caller pairs each trace with its scenario's reference. A trace need
-    not alternate: it is scored as it stands.
+    not alternate: it is scored as it stands. No LLM is called here.
 
-    conv_rel is the mean over the dialogues a rubric judge graded (None
-    without a judge). A dialogue with no assistant turn has nothing to
-    grade: its row gets a null conv_rel and no error. One whose grading
-    fails (``engine.DIALOGUE_ERRORS``) gets a null conv_rel and an
-    ``error`` in its row. With a remote judge, up to ``MAX_IN_FLIGHT``
-    dialogues are graded at once; each dialogue still sums its grades in
-    turn order.
+    ``grades`` holds each pair's ``conv_relevancy`` as ``grade_corpus`` gives
+    it, or is None when there is no rubric judge. conv_rel is the mean over
+    the graded dialogues (None without grades). A dialogue with no assistant
+    turn has nothing to grade: its row gets a null conv_rel and no error. One
+    whose grading failed gets a null conv_rel and an ``error`` in its row.
     """
     if not pairs:
         raise ValueError("cannot score an empty corpus")
@@ -274,14 +282,11 @@ def score_corpus(pairs: list[tuple[DialogueTrace, Reference]],
         rows.append({"dialogue_id": d.dialogue_id, "acc": acc, "ftr": ftr, "tar": tar,
                      "t_dagger": record.t_dagger})
     ttr, ngd = lexical_metrics(traces)
-    if judge is not None:
-        values = run_items(lambda d: conv_relevancy(d, judge), traces,
-                           call_width(judge, MAX_IN_FLIGHT))
-        for row, value in zip(rows, values):
-            if isinstance(value, Exception):
-                row.update(conv_rel=None, error=str(value))
-            else:
-                row["conv_rel"] = value
+    for row, value in zip(rows, grades or ()):
+        if isinstance(value, Exception):
+            row.update(conv_rel=None, error=str(value))
+        else:
+            row["conv_rel"] = value
 
     def mean(key: str) -> float | None:
         values = [row[key] for row in rows if row.get(key) is not None]

@@ -194,6 +194,10 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
             self.wfile.write(data)
         except (BrokenPipeError, ConnectionResetError):
             pass  # the client gave up waiting (a timeout) and closed the connection
+        if self.server.drop_connections:  # close without a Connection: close header
+            self.close_connection = True
+            self.connection.shutdown(socket.SHUT_RDWR)
+            self.server.dropped.set()
 
     def log_message(self, *args):
         pass
@@ -207,12 +211,15 @@ def loopback():
     request's JSON body and gives the status, a dict of extra headers, the
     JSON payload and the seconds to wait before sending it (``chat`` adapts
     a chat responder); ``server.ports`` lists the client port of every
-    request received and ``server.headers`` its headers."""
+    request received and ``server.headers`` its headers. Setting
+    ``server.drop_connections`` makes the server drop each keep-alive
+    connection after its reply, setting ``server.dropped`` once it has."""
     servers = []
 
     def start(respond):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
         server.respond, server.ports, server.headers = respond, [], []
+        server.drop_connections, server.dropped = False, threading.Event()
         thread = threading.Thread(target=server.serve_forever,
                                   kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
@@ -220,10 +227,10 @@ def loopback():
         return f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", server
 
     yield start
-    # pooled sessions keep their connections open; close them so no socket
-    # outlives the server and its handler threads see end of stream
-    while gateway._sessions:
-        gateway._sessions.pop().close()
+    # the gateway's adapter keeps its pooled connections open; close them so
+    # no socket outlives the server and its handler threads see end of stream
+    if gateway._adapter is not None:
+        gateway._adapter.close()
     for server, thread in servers:
         server.shutdown()
         server.server_close()

@@ -19,8 +19,9 @@ from forge.engine import (
 )
 from forge.export import slice_dialogue
 from forge.gateway import Transcript, fingerprint
+from forge.harness import EvalTask, eval_static
 from forge.metrics import rubric_request
-from forge.scenario import goal_request, sample_persona
+from forge.scenario import Scenario, goal_request, sample_persona
 from forge.seeds import split_seed
 from forge.validation import judge_requests
 
@@ -512,6 +513,49 @@ def test_remote_replay_equals_scripted_replay(world, loopback, concurrency):
     assert scripted["rejected.jsonl"] and json.loads(scripted["report.json"])["conv_rel"]
     assert refused
 
+    # a static bench over the accepted corpus grades the same with the judge remote
+    _script_static_bench(world)
+    judged = _static_bench(world, {"kind": "scripted", "model_id": "m-rubric",
+                                   "transcript": "transcripts.json"}, concurrency)
+    assert json.loads(judged["report.json"])["conv_rel"] is not None
+    assert _static_bench(world, {**remote, "model_id": "m-rubric"}, concurrency) == judged
+
+
+def _script_static_bench(world) -> None:
+    """Script a static bench over the generated corpus: the ``m-cand``
+    candidate calls at its first turn and the ``m-rubric`` judge grades each
+    rollout. Writes the bench's scenario file, ``bench_scenarios.jsonl``."""
+    out = world.tmp_path / "out"
+    golds = {d.scenario_ref: d for d in cli.load_traces(out / "corpus.jsonl")}
+    scenarios = [scn for sid, scn in cli.load_scenarios(out / "scenarios.jsonl").items()
+                 if sid in golds]
+    for scn in scenarios:
+        gold = golds[scn.scenario_id]
+        cand = static_candidate(world, [RAW_A3_CALL] * len(gold.turns()), scn, gold)
+        world.transcript.replies.update(cand.transcript.replies)
+        trace = eval_static(EvalTask(scn, gold), cand, world.cat)
+        for t in range(1, len(trace.assistant_turns()) + 1):
+            grade = str(1 + (len(trace.dialogue_id) + t) % 3)
+            world.transcript.register(rubric_request(trace, t), grade, "m-rubric")
+    world.transcript.save(world.tmp_path / "transcripts.json")
+    (world.tmp_path / "bench_scenarios.jsonl").write_text(
+        "".join(json.dumps(scn.to_dict()) + "\n" for scn in scenarios), encoding="utf-8")
+
+
+def _static_bench(world, judge: dict, concurrency: int) -> dict[str, bytes]:
+    """The bytes of ``report.json`` and ``traces.jsonl`` of the scripted
+    static bench run with ``judge`` as its rubric judge."""
+    out_dir = world.tmp_path / f"bench-{judge['kind']}"
+    path = world.tmp_path / "bench.json"
+    path.write_text(json.dumps({
+        "mode": "static", "catalogue": "catalogue.json", "scenarios": "bench_scenarios.jsonl",
+        "gold_corpus": "out/corpus.jsonl", "rng_seed": 1, "out_dir": str(out_dir),
+        "concurrency": concurrency, "judge": judge,
+        "assistant": {"kind": "scripted", "model_id": "m-cand",
+                      "transcript": "transcripts.json"}}), encoding="utf-8")
+    assert run(["bench", "run", path]) == 0
+    return {name: (out_dir / name).read_bytes() for name in ("report.json", "traces.jsonl")}
+
 
 def test_score_with_scripted_rubric_judge(world):
     for t, grade in enumerate(("3", "3", "2"), start=1):
@@ -726,6 +770,68 @@ def test_bench_dynamic_failed_task_costs_one_task(world, capsys):
     assert [json.loads(line)["dialogue_id"] for line in traces] == [done["dialogue_id"]]
     assert json.loads(traces[0])["messages"]
     assert capsys.readouterr().err == f"error on {failed['dialogue_id']}: {failed['error']}\n"
+
+
+def test_bench_complete_line_counts_tasks_traces_and_errors(world, capsys):
+    """A static run over every generated scenario with only one candidate
+    reply scripted finishes one task; the others are error rows."""
+    assert run(["generate", "--config", world.config_path]) == 0
+    cand = static_candidate(world, (RAW_A1, RAW_A2_FILL, RAW_A3_CALL))
+    cand.transcript.save(world.tmp_path / "cand_transcript.json")
+    cfg_path = world.tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "static", "catalogue": "catalogue.json", "scenarios": "out/scenarios.jsonl",
+        "gold_corpus": "out/corpus.jsonl", "rng_seed": 1, "out_dir": "bench_out",
+        "assistant": {"kind": "scripted", "model_id": "m-cand",
+                      "transcript": "cand_transcript.json"}}), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["bench", "run", cfg_path]) == 1
+    tasks = len(CATALOGUE_TOOLS)
+    assert capsys.readouterr().out == (f"bench complete: tasks={tasks} traces=1 "
+                                       f"errors={tasks - 1} -> {world.tmp_path / 'bench_out'}\n")
+
+
+def test_bench_grades_each_task_as_its_rollout_ends(world, loopback):
+    """At concurrency 1 with a remote judge, the first task's rubric request
+    reaches the server before the second task's last assistant request."""
+    path = _bench_config(world, n_samples=1, scenarios="two.jsonl")
+    assert run(["generate", "--config", world.config_path]) == 0
+    lines = [line for line in (world.tmp_path / "out" / "scenarios.jsonl")
+             .read_text(encoding="utf-8").splitlines()
+             if json.loads(line)["seed_tool"] in (SEED_TOOL, "fn_4401_freight_rate_lookup")]
+    (world.tmp_path / "two.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    first, second = [Scenario.from_dict(json.loads(line)) for line in lines]
+    for scn in (first, second):
+        _script_dynamic_task(world, scn)
+    second_user = fingerprint("m-x", user_request(user_system_prompt(second, world.cat), [],
+                                                  split_seed(1, "gen:0")))
+    second_asst = fingerprint("m-x", assistant_request(
+        selection_system_prompt(world.cat, second.pool), [UserTurn(RAW_U3)],
+        split_seed(second.rng_seed, "dyn:asst:1")))
+    arrivals, lock = [], threading.Lock()
+
+    def respond(body):
+        fp = fingerprint(body["model"], chat_request(body))
+        with lock:
+            arrivals.append("judge" if body["model"] == "m-rubric" else fp)
+        if body["model"] == "m-rubric":
+            return 200, {}, chat_reply("3"), 0.0
+        # the second rollout waits on its user proxy: time for a grading to start
+        delay = 0.3 if fp == second_user else 0.0
+        return 200, {}, chat_reply(world.transcript.lookup(fp, 1)[0]), delay
+
+    endpoint, _ = loopback(respond)
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg.update({role: {"kind": "remote", "model_id": "m-x", "endpoint": endpoint}
+                for role in ("assistant", "user_proxy", "voter")},
+               judge={"kind": "remote", "model_id": "m-rubric", "endpoint": endpoint},
+               concurrency=1)
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["bench", "run", path]) == 0
+    assert arrivals.count("judge") == 2
+    assert arrivals.index("judge") < arrivals.index(second_asst)
+    report = json.loads((world.tmp_path / "bench_out" / "report.json").read_text("utf-8"))
+    assert report["conv_rel"] == 1.0
 
 
 def test_bench_refused_assistant_writes_traces_and_no_report(world, capsys, refused_endpoint):

@@ -331,6 +331,28 @@ def test_remote_calls_reuse_one_connection(loopback):
     assert len(set(server.ports)) == 1
 
 
+def test_dropped_keep_alive_connection_is_reopened(loopback):
+    """A pooled connection that the server closed after its reply is not
+    reused: the next call opens a new one, without a retry."""
+    endpoint, server = loopback(chat(lambda model_id, r: ("pong", 0.0)))
+    server.drop_connections = True
+    cfg = remote_cfg(endpoint, retry_limit=0)
+    assert complete(cfg, req()) == "pong"
+    assert server.dropped.wait(5)
+    assert complete(cfg, req()) == "pong"
+    assert len(server.ports) == 2 and len(set(server.ports)) == 2
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_redirect_is_not_followed(loopback, status):
+    """A redirect fails the call like any other non-200 status: it is not
+    followed (the body would be sent to the new location) and not retried."""
+    endpoint, server = loopback(lambda body: (status, {"Location": endpoint}, {}, 0.0))
+    with pytest.raises(GatewayError, match=f"HTTP {status}"):
+        complete(remote_cfg(endpoint), req())
+    assert len(server.ports) == 1
+
+
 def test_session_pool_stays_bounded_under_contention(loopback):
     endpoint, server = loopback(chat(lambda model_id, r: (str(r.seed), 0.005)))
     cfg = remote_cfg(endpoint)
@@ -341,9 +363,82 @@ def test_session_pool_stays_bounded_under_contention(loopback):
     finally:
         sys.setswitchinterval(interval)
     assert out == [str(i) for i in range(64)]
-    assert len(gateway._sessions) <= MAX_IN_FLIGHT
     assert len(set(server.ports)) <= MAX_IN_FLIGHT
 
+
+
+def test_fan_out_runs_every_item_when_one_fails():
+    """A failed call does not cancel the items queued behind it: the calls a
+    failure costs do not depend on how fast it failed."""
+    ran = []
+
+    def fn(i):
+        if i == 0:
+            raise GatewayError("first")
+        time.sleep(0.01)
+        ran.append(i)
+
+    with pytest.raises(GatewayError, match="first"):
+        fan_out(fn, range(6), 2)
+    assert sorted(ran) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("exc", [ValueError("fatal"), KeyboardInterrupt()])
+def test_fan_out_cancels_queued_items_on_any_other_failure(exc):
+    """Any other exception, an interrupt included, cancels the queued items:
+    only item 1, already running, and item 2, which the failed worker may
+    have taken before the cancel, can run."""
+    ran = []
+
+    def fn(i):
+        if i == 0:
+            raise exc
+        time.sleep(0.05)
+        ran.append(i)
+
+    with pytest.raises(type(exc)):
+        fan_out(fn, range(8), 2)
+    assert set(ran) <= {1, 2}
+
+
+def test_fan_out_second_stage_failure_cancels_queued_items():
+    """A failure in ``then`` is seen in item order, while the first stage
+    goes on, and cancels what both stages still have queued."""
+    ran = []
+
+    def fn(i):
+        time.sleep(0.02)
+        ran.append(i)
+        return i
+
+    def then(i):
+        if i == 0:
+            raise ValueError("fatal")
+        return i
+
+    with pytest.raises(ValueError, match="fatal"):
+        fan_out(fn, range(10), 1, then, 2)
+    assert len(ran) <= 3
+
+
+def test_fan_out_second_stage_starts_before_the_first_ends():
+    """``then`` runs on each result while later items are still running,
+    and results come back in item order."""
+    events, lock = [], threading.Lock()
+
+    def fn(i):
+        time.sleep(0.05 * i)
+        with lock:
+            events.append(("fn", i))
+        return i
+
+    def then(i):
+        with lock:
+            events.append(("then", i))
+        return -i
+
+    assert fan_out(fn, range(3), 1, then, 2) == [0, -1, -2]
+    assert events.index(("then", 0)) < events.index(("fn", 2))
 
 
 def test_first_remote_call_loads_the_http_client_once(loopback):

@@ -28,7 +28,7 @@ from forge.harness import (
     vote_utterance,
     voter_request,
 )
-from forge.metrics import extract_call
+from forge.metrics import extract_call, rubric_request
 from forge.retrieval import DistractorSet
 from forge.scenario import Scenario
 from forge.seeds import split_seed
@@ -437,6 +437,28 @@ def test_exclusions_drop_from_scoring_but_not_traces(world):
                                       exclusions={excluded_id})
     assert len(traces) == 2
     assert len(report.per_dialogue) == 1
+
+
+def test_scripted_judge_grades_inline_and_skips_exclusions(world, no_thread_pool):
+    """With every backend scripted, grading runs inline after each rollout;
+    an excluded task's trace is kept and never sent to the judge."""
+    tasks, backends = [], []
+    for i in range(3):
+        scn = eval_scenario(rng_seed=3000 + i)
+        gold = _tiny_gold(scn)
+        tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
+        backends.append((scn, gold))
+    cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
+    grades, looked_up = Transcript(), []
+    for task, grade in zip(tasks, "23"):
+        grades.register(rubric_request(eval_static(task, cand, world.cat), 1), grade, "m-rubric")
+    grades.lookup = lambda fp, n: looked_up.append(fp) or Transcript.lookup(grades, fp, n)
+    report, traces, _ = run_benchmark(tasks, cand, world.cat, None,
+                                      scripted_backend("m-rubric", grades), world.ecfg,
+                                      exclusions={tasks[2].scenario.scenario_id})
+    assert len(traces) == 3 and len(looked_up) == 2
+    assert [row["conv_rel"] for row in report.per_dialogue] == [0.5, 1.0]
+    assert report.conv_rel == 0.75
 
 
 def test_concurrent_benchmark_matches_serial(world):

@@ -13,6 +13,7 @@ from forge.metrics import (
     corpus_prf,
     dialogue_indicators,
     extract_call,
+    grade_corpus,
     lexical_metrics,
     rubric_request,
     score_corpus,
@@ -256,10 +257,12 @@ def test_remote_rubric_grades_overlap_and_keep_dialogue_order(loopback):
         delays[fingerprint("m-rubric", req)] = 0.4 - 0.1 * i  # d0 is graded last
     endpoint, _ = loopback(transcript_responder(transcript, delays))
     start = time.perf_counter()
-    report = score_corpus(paired(traces, refs), judge=remote_backend("m-rubric", endpoint))
+    report = score_corpus(paired(traces, refs),
+                          grade_corpus(traces, remote_backend("m-rubric", endpoint)))
     elapsed = time.perf_counter() - start
     assert [row["conv_rel"] for row in report.per_dialogue] == [0.0, 0.5, 1.0]
-    scripted = score_corpus(paired(traces, refs), judge=scripted_backend("m-rubric", transcript))
+    scripted = score_corpus(paired(traces, refs),
+                            grade_corpus(traces, scripted_backend("m-rubric", transcript)))
     assert report.to_dict() == scripted.to_dict()
     assert elapsed < 2 * max(delays.values())
 
@@ -267,7 +270,7 @@ def test_remote_rubric_grades_overlap_and_keep_dialogue_order(loopback):
 def test_scripted_rubric_grading_starts_no_thread(no_thread_pool):
     trace = simple_trace(pairs=2)
     judge = grades_backend(trace, [3, 2])
-    assert score_corpus([(trace, REF)], judge=judge).conv_rel == 0.75
+    assert score_corpus([(trace, REF)], grade_corpus([trace], judge)).conv_rel == 0.75
 
 
 def test_rubric_prompt_excludes_thoughts():
