@@ -100,13 +100,11 @@ class Tool:
 class Catalogue:
     """Immutable collection of tools with a name index. Safe for concurrent reads.
 
-    ``_indexes`` caches one retrieval index per embedder identity; retrieval
-    writes each entry once, under a lock.
+    It holds no retrieval state: a command builds its ``retrieval.ToolIndex`` once.
     """
 
     tools: list[Tool]
     index: dict[str, int]
-    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.tools)

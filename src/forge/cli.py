@@ -1,7 +1,8 @@
 """Command-line entry point: generate, validate, export, stats, score, bench.
 
-Exit codes: 0 success, 1 validation failure or errored dialogues,
-2 configuration error, including a missing or unparseable input file.
+Exit codes: 0 success, 1 validation failure, errored dialogues or a failed
+embedding call while ``generate`` builds its retrieval indexes, 2
+configuration error, including a missing or unparseable input file.
 Every input file is read here, before the first LLM call, through ``_load``,
 so a fault in one is a ConfigError naming the file.
 All randomness flows from the config's rng_seed through derived per-dialogue
@@ -27,10 +28,11 @@ from .engine import (
     synthesize_dialogue,
 )
 from .export import compute_stats, export, slice_dialogue
-from .gateway import BackendConfig, Transcript
+from .gateway import BackendConfig, GatewayError, Transcript
 from .harness import EvalTask, VotingConfig, run_benchmark
 from .metrics import REPORT_METRICS, Reference, format_metric, grade_corpus, score_corpus
-from .retrieval import Embedder, HashEmbedder, RemoteEmbedder, nearest_distractors
+from .retrieval import (Embedder, HashEmbedder, RemoteEmbedder, ToolIndex, VectorIndex,
+                        nearest_distractors)
 from .scenario import PersonaStore, Scenario, build_scenario
 from .seeds import split_seed
 from .validation import JUDGES, ValidationReport, run_cascade
@@ -330,7 +332,13 @@ def cmd_catalogue_lint(args) -> int:
 def cmd_distractors(args) -> int:
     cat = load_catalogue(args.catalogue)
     try:
-        dset = nearest_distractors(cat, args.seed, args.k, HashEmbedder(dimension=args.dim))
+        emb = HashEmbedder(dimension=args.dim)
+        # the arguments are checked before the catalogue is embedded
+        if args.seed not in cat:
+            raise KeyError(f"unknown seed tool: {args.seed!r}")
+        if args.k < 1:
+            raise ValueError("k must be >= 1")
+        dset = nearest_distractors(ToolIndex(cat, emb), args.seed, args.k)
     except (KeyError, ValueError) as exc:
         raise ConfigError(exc.args[0]) from exc
     for name, score in dset.members:
@@ -358,14 +366,17 @@ def cmd_generate(args) -> int:
     else:
         names = cat.names()
 
+    out = _out_dir(cfg.out_dir)
+    # built once, before the first dialogue: a failed embedding here ends the command
+    tools, personas = ToolIndex(cat, emb), VectorIndex(store.personas, emb)
     built: dict[str, Scenario] = {}  # a dialogue whose scenario was never built has no line
 
     def _one(name: str) -> tuple[str, dict]:
         scn = built[name] = build_scenario(
-            cat, store, gw_goal, name, cfg.k, split_seed(cfg.rng_seed, f"dialogue:{name}"),
+            tools, personas, gw_goal, name, cfg.k, split_seed(cfg.rng_seed, f"dialogue:{name}"),
             persona_k=cfg.persona_k, slot_gw=cfg.backends.get("slots"))
         try:
-            trace = synthesize_dialogue(scn, cat, emb, gw_user, gw_asst, cfg.engine)
+            trace = synthesize_dialogue(scn, tools, gw_user, gw_asst, cfg.engine)
         except SynthesisRejected as exc:
             return "rejected", {"seed_tool": name, "reason": str(exc)}
         report = run_cascade(trace, scn, cat, cfg.judges)
@@ -373,7 +384,6 @@ def cmd_generate(args) -> int:
             return "accepted", trace.to_dict()
         return "rejected", {"dialogue": trace.to_dict(), "report": report.to_dict()}
 
-    out = _out_dir(cfg.out_dir)
     records: dict[str, list] = {"accepted": [], "rejected": [], "error": []}
     for name, outcome in zip(names, run_items(_one, names, cfg.concurrency)):
         if isinstance(outcome, Exception):
@@ -572,6 +582,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CatalogueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 1
+    except GatewayError as exc:  # a failed call outside any dialogue: an index build
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -29,7 +29,7 @@ from .catalogue import Catalogue, typed
 from .gateway import (BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete,
                       fan_out)
 from .prompts import get_prompt, render
-from .retrieval import Embedder, search_catalogue
+from .retrieval import ToolIndex, search_catalogue
 from .scenario import Scenario, ScenarioError
 from .seeds import split_seed
 
@@ -474,7 +474,7 @@ def _converse(scn: Scenario, label: str, sys_a: str, sys_u: str, messages: list,
         messages.append(UserTurn(_user_utterance(scn, label, sys_u, messages, gw_user)))
 
 
-def run_tool_selection(scn: Scenario, cat: Catalogue, emb: Embedder,
+def run_tool_selection(scn: Scenario, tools: ToolIndex,
                        gw_user: BackendConfig, gw_asst: BackendConfig,
                        cfg: EngineConfig) -> SelectionOutcome:
     """Run the selection stage.
@@ -484,11 +484,12 @@ def run_tool_selection(scn: Scenario, cat: Catalogue, emb: Embedder,
     Raises WrongToolError if the assistant commits to a distractor and
     RetrieverMissError when every attempt misses.
     """
+    cat = tools.cat
     sys_u = user_system_prompt(scn, cat)
     for attempt in range(cfg.regen_attempts):
         label = f"sel:{attempt}"
         opening = _user_utterance(scn, label, sys_u, [], gw_user)
-        retrieved = [name for name, _ in search_catalogue(cat, opening, len(scn.pool), emb)]
+        retrieved = [name for name, _ in search_catalogue(tools, opening, len(scn.pool))]
         if scn.seed_tool not in retrieved:
             continue
         presented = shuffled_candidates(retrieved, split_seed(scn.rng_seed, f"{label}:present"))
@@ -539,9 +540,9 @@ def run_param_filling(prefix: SelectionOutcome, scn: Scenario, cat: Catalogue,
     )
 
 
-def synthesize_dialogue(scn: Scenario, cat: Catalogue, emb: Embedder,
+def synthesize_dialogue(scn: Scenario, tools: ToolIndex,
                         gw_user: BackendConfig, gw_asst: BackendConfig,
                         cfg: EngineConfig) -> DialogueTrace:
     """Full two-phase synthesis for one scenario."""
-    prefix = run_tool_selection(scn, cat, emb, gw_user, gw_asst, cfg)
-    return run_param_filling(prefix, scn, cat, gw_user, gw_asst, cfg)
+    prefix = run_tool_selection(scn, tools, gw_user, gw_asst, cfg)
+    return run_param_filling(prefix, scn, tools.cat, gw_user, gw_asst, cfg)

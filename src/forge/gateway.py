@@ -282,9 +282,10 @@ def post_json(cfg: BackendConfig, body: dict, decode):
 
     Honours the global in-flight limit, reuses pooled connections, and
     waits as long as a 429 or 503 reply's ``Retry-After`` asks, up to the
-    backoff cap. A reply that is not JSON, or that ``decode`` cannot read
-    (KeyError, IndexError, TypeError, ValueError), is a GatewayError and is
-    not retried.
+    backoff cap. A timeout is a GatewayTimeout; any other transport failure
+    (a refused or dropped connection, a body cut short) is retried. A reply
+    that is not JSON, or that ``decode`` cannot read (KeyError, IndexError,
+    TypeError, ValueError), is a GatewayError and is not retried.
     """
     import requests  # imported here, so a scripted run never loads it
     from requests.models import PreparedRequest
@@ -311,7 +312,7 @@ def post_json(cfg: BackendConfig, body: dict, decode):
             last_error = GatewayTimeout(f"request to {url} timed out after {timeout}s")
             last_error.__cause__ = exc
             continue
-        except requests.ConnectionError as exc:
+        except requests.RequestException as exc:  # a failed connection or a cut-short body
             last_error = GatewayError(f"connection to {url} failed: {exc}")
             continue
         if resp.status_code in _RETRYABLE_STATUS:

@@ -12,12 +12,13 @@ Two embedder backends:
   ``gateway.post_json``, the package's one remote call.
 
 Similarity is the inner product of L2-normalized vectors (cosine). A
-catalogue or persona store is embedded once per embedder identity into a
-float32 ``VectorIndex``, ``_BLOCK_ROWS`` texts at a time through
-``Embedder.embed_many``. So the build holds no catalogue-wide temporary:
-beyond the matrix it keeps one block's tokens, bucket ids and int64 and
-float64 rows, under 1 MiB at d = 256. ``HashEmbedder.embed_many`` hashes a
-block's tokens in one C-level pass and counts them with one
+command builds each index it queries once, before the first dialogue, and
+every retrieval function takes the index: no cache or lock sits behind a
+query. A build embeds its texts into a float32 matrix, ``_BLOCK_ROWS`` at a
+time through ``Embedder.embed_many``, so it holds no catalogue-wide
+temporary: beyond the matrix it keeps one block's tokens, bucket ids and
+int64 and float64 rows, under 1 MiB at d = 256. ``HashEmbedder.embed_many``
+hashes a block's tokens in one C-level pass and counts them with one
 ``np.bincount``; its rows are byte-equal to ``embed``'s.
 
 A query scores every row with one matrix product, shortlists the rows
@@ -32,9 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 import zlib
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 from typing import Protocol
@@ -63,7 +62,6 @@ class Embedder(Protocol):
     """Frozen text encoder: same text always maps to the same vector."""
 
     dimension: int
-    identity: str
 
     def embed(self, text: str) -> np.ndarray: ...
 
@@ -119,7 +117,6 @@ class HashEmbedder:
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
-        self.identity = f"hash-bow-{dimension}"
 
     def _buckets(self, tokens, count: int) -> np.ndarray:
         """Bucket id of each token, hashed in C."""
@@ -158,7 +155,6 @@ class RemoteEmbedder:
         self.backend = gateway.BackendConfig("remote", model_id, endpoint, api_key_env,
                                              timeout=30.0)
         self.dimension = dimension
-        self.identity = f"remote-{model_id}"
 
     def embed(self, text: str) -> np.ndarray:
         body = {"model": self.backend.model_id, "input": [text]}
@@ -218,50 +214,33 @@ class VectorIndex:
         return [(row, -neg) for neg, _, row in scored[:k]]
 
 
-_INDEX_LOCK = threading.Lock()
+class ToolIndex(VectorIndex):
+    """A catalogue's tools embedded once: a ``VectorIndex`` over their
+    ``tool_text`` rows, keyed by tool name, that carries its catalogue."""
+
+    def __init__(self, cat: Catalogue, emb: Embedder):
+        super().__init__([tool_text(t) for t in cat.tools], emb, cat.names())
+        self.cat = cat
 
 
-def cached_index(owner, emb: Embedder, build: Callable[[], VectorIndex]) -> VectorIndex:
-    """The owner's index for this embedder identity, built on first use.
-
-    ``owner._indexes`` is written once per identity under a lock, so
-    concurrent first queries build one index.
-    """
-    with _INDEX_LOCK:
-        index = owner._indexes.get(emb.identity)
-        if index is None:
-            index = owner._indexes[emb.identity] = build()
-    return index
-
-
-def _catalogue_index(cat: Catalogue, emb: Embedder) -> VectorIndex:
-    return cached_index(
-        cat, emb, lambda: VectorIndex([tool_text(t) for t in cat.tools], emb, cat.names()))
-
-
-def nearest_distractors(cat: Catalogue, seed: str, k: int, emb: Embedder) -> DistractorSet:
+def nearest_distractors(tools: ToolIndex, seed: str, k: int) -> DistractorSet:
     """Top-k tools most similar to the seed, excluding the seed itself.
 
-    Exact over the whole catalogue; ties broken by ascending tool name.
+    Exact over the whole catalogue; ties broken by ascending tool name. An
+    unknown seed is a KeyError.
     """
-    if seed not in cat:
-        raise KeyError(f"unknown seed tool: {seed!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seed_vec = emb.embed(tool_text(cat.get(seed)))
-    top = _catalogue_index(cat, emb).top(seed_vec, k, exclude=cat.index[seed])
+    cat = tools.cat
+    seed_vec = tools.emb.embed(tool_text(cat.get(seed)))
+    top = tools.top(seed_vec, k, exclude=cat.index[seed])
     return DistractorSet(seed=seed, members=tuple((cat.tools[row].name, s) for row, s in top))
 
 
-def search_catalogue(cat: Catalogue, query: str, k: int, emb: Embedder) -> list[tuple[str, float]]:
+def search_catalogue(tools: ToolIndex, query: str, k: int) -> list[tuple[str, float]]:
     """Top-k tools for a free-text query (exact, name tie-break).
 
     This is the live retriever the assistant consults during synthesis.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    top = _catalogue_index(cat, emb).top(emb.embed(query), k)
-    return [(cat.tools[row].name, s) for row, s in top]
+    return [(tools.keys[row], s) for row, s in tools.top(tools.emb.embed(query), k)]
 
 
 def candidate_pool(seed: str, dset: DistractorSet, rng_seed: int) -> list[str]:

@@ -2,7 +2,8 @@
 for one seed tool.
 
 Persona selection uses top-k retrieval with seeded randomization over the
-persona store. Goal and slot values come from LLM generators behind the
+persona store's index, built once per command like the catalogue's
+``ToolIndex``. Goal and slot values come from LLM generators behind the
 gateway, each gated by a post-check with up to three regeneration attempts
 (every attempt uses a distinct derived seed, so scripted transcripts can
 replay regeneration paths).
@@ -13,18 +14,18 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .catalogue import Catalogue, Tool, required_args, typed
+from .catalogue import Tool, required_args, typed
 from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
 from .prompts import get_prompt, render
 from .retrieval import (
     DistractorSet,
     Embedder,
+    ToolIndex,
     VectorIndex,
-    cached_index,
     candidate_pool,
     nearest_distractors,
     tool_text,
@@ -51,7 +52,6 @@ class SlotTypeError(ScenarioError):
 class PersonaStore:
     personas: list[str]
     embedder: Embedder
-    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.personas, list) or not all(
@@ -119,15 +119,13 @@ class Scenario:
         )
 
 
-def sample_persona(store: PersonaStore, seed_tool: Tool, k: int, rng_seed: int) -> str:
+def sample_persona(personas: VectorIndex, seed_tool: Tool, k: int, rng_seed: int) -> str:
     """Pick a persona via top-k similarity then a uniform seeded draw.
 
     k clamps to the store size; top-k ties break by store order.
     """
-    emb = store.embedder
-    index = cached_index(store, emb, lambda: VectorIndex(store.personas, emb))
-    top = index.top(emb.embed(tool_text(seed_tool)), max(1, k))
-    return store.personas[top[random.Random(rng_seed).randrange(len(top))][0]]
+    top = personas.top(personas.emb.embed(tool_text(seed_tool)), max(1, k))
+    return personas.texts[top[random.Random(rng_seed).randrange(len(top))][0]]
 
 
 def goal_request(seed_tool: Tool, persona: str, rng_seed: int, attempt: int = 0) -> CompletionRequest:
@@ -222,7 +220,7 @@ def sample_gold_args(gw: BackendConfig, seed_tool: Tool, persona: str, rng_seed:
     )
 
 
-def build_scenario(cat: Catalogue, store: PersonaStore, gw: BackendConfig,
+def build_scenario(tools: ToolIndex, personas: VectorIndex, gw: BackendConfig,
                    seed_tool: str, k: int, rng_seed: int,
                    persona_k: int = 10, slot_gw: BackendConfig | None = None) -> Scenario:
     """Compose a full Scenario for one seed tool.
@@ -230,10 +228,10 @@ def build_scenario(cat: Catalogue, store: PersonaStore, gw: BackendConfig,
     Deterministic given (rng_seed, scripted transcripts): every random
     draw and every LLM request seed derives from rng_seed.
     """
-    tool = cat.get(seed_tool)
-    dset = nearest_distractors(cat, seed_tool, k, store.embedder)
+    tool = tools.cat.get(seed_tool)
+    dset = nearest_distractors(tools, seed_tool, k)
     pool = candidate_pool(seed_tool, dset, split_seed(rng_seed, "pool"))
-    persona = sample_persona(store, tool, persona_k, split_seed(rng_seed, "persona"))
+    persona = sample_persona(personas, tool, persona_k, split_seed(rng_seed, "persona"))
     goal = sample_goal(gw, tool, persona, rng_seed)
     gold_args = sample_gold_args(slot_gw or gw, tool, persona, rng_seed)
     return Scenario(

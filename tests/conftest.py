@@ -33,7 +33,8 @@ from forge.engine import (
 )
 from forge import gateway
 from forge.gateway import BackendConfig, ChatMessage, CompletionRequest, Transcript, fingerprint
-from forge.retrieval import HashEmbedder, candidate_pool, nearest_distractors, search_catalogue
+from forge.retrieval import (HashEmbedder, ToolIndex, VectorIndex, candidate_pool,
+                             nearest_distractors, search_catalogue)
 from forge.scenario import PersonaStore, Scenario, goal_request, sample_persona, slots_request
 from forge.seeds import split_seed
 from forge.validation import judge_requests
@@ -327,17 +328,18 @@ _SLOT_SAMPLES = {"string": "sample-value", "integer": 42, "number": 2.5,
                  "boolean": True, "array": [], "object": {}}
 
 
-def script_minimal_dialogue(transcript: Transcript, catalogue, embedder, store,
+def script_minimal_dialogue(transcript: Transcript, tools: ToolIndex, personas: VectorIndex,
                             tool_name: str, root_seed: int = ROOT_SEED) -> DialogueTrace:
     """Register a one-pair scripted dialogue for a seed tool: vague opening,
     immediate commitment, immediate call. Returns the expected trace."""
     from forge.catalogue import required_args
 
+    catalogue = tools.cat
     rng_seed = split_seed(root_seed, f"dialogue:{tool_name}")
     tool = catalogue.get(tool_name)
-    dset = nearest_distractors(catalogue, tool_name, 5, embedder)
+    dset = nearest_distractors(tools, tool_name, 5)
     pool = candidate_pool(tool_name, dset, split_seed(rng_seed, "pool"))
-    persona = sample_persona(store, tool, 10, split_seed(rng_seed, "persona"))
+    persona = sample_persona(personas, tool, 10, split_seed(rng_seed, "persona"))
     transcript.register(goal_request(tool, persona, rng_seed, 0), GENERIC_GOAL, "m-goal")
     gold_args = {p: _SLOT_SAMPLES[tool.params[p].type_tag] for p in required_args(tool)}
     if gold_args:
@@ -349,8 +351,7 @@ def script_minimal_dialogue(transcript: Transcript, catalogue, embedder, store,
     transcript.register(
         user_request(sys_u, [], split_seed(rng_seed, "sel:0:user:0")),
         GENERIC_OPENING, "m-user")
-    retrieved = [n for n, _ in
-                 search_catalogue(catalogue, GENERIC_OPENING, len(pool), embedder)]
+    retrieved = [n for n, _ in search_catalogue(tools, GENERIC_OPENING, len(pool))]
     assert tool_name in retrieved
     presented = shuffled_candidates(retrieved, split_seed(rng_seed, "sel:0:present"))
     msgs = [UserTurn(GENERIC_OPENING)]
@@ -386,14 +387,15 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
     catalogue = parse_catalogue(json.dumps(CATALOGUE_TOOLS))
     embedder = HashEmbedder()
     store = PersonaStore(personas=[TEST_PERSONA], embedder=embedder)
+    tools, personas = ToolIndex(catalogue, embedder), VectorIndex(store.personas, embedder)
     rng_seed = split_seed(ROOT_SEED, f"dialogue:{SEED_TOOL}")
     tool = catalogue.get(SEED_TOOL)
     transcript = Transcript()
 
     # scenario building ----------------------------------------------------
-    dset = nearest_distractors(catalogue, SEED_TOOL, 5, embedder)
+    dset = nearest_distractors(tools, SEED_TOOL, 5)
     pool = candidate_pool(SEED_TOOL, dset, split_seed(rng_seed, "pool"))
-    persona = sample_persona(store, tool, 10, split_seed(rng_seed, "persona"))
+    persona = sample_persona(personas, tool, 10, split_seed(rng_seed, "persona"))
     assert persona == TEST_PERSONA
     transcript.register(goal_request(tool, persona, rng_seed, 0), GOAL_TEXT, "m-goal")
     transcript.register(slots_request(tool, persona, rng_seed, 0),
@@ -414,7 +416,7 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
     _register_engine(
         user_request(sys_u, msgs, split_seed(rng_seed, "sel:0:user:0")),
         RAW_U1, "m-user")
-    retrieved = [n for n, _ in search_catalogue(catalogue, RAW_U1, len(pool), embedder)]
+    retrieved = [n for n, _ in search_catalogue(tools, RAW_U1, len(pool))]
     assert SEED_TOOL in retrieved
     presented = shuffled_candidates(retrieved, split_seed(rng_seed, "sel:0:present"))
     sys_sel = selection_system_prompt(catalogue, presented)
@@ -469,13 +471,14 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
     extra_traces = {}
     for other in catalogue.names():
         if other != SEED_TOOL:
-            extra_traces[other] = script_minimal_dialogue(
-                transcript, catalogue, embedder, store, other)
+            extra_traces[other] = script_minimal_dialogue(transcript, tools, personas, other)
 
     world = SimpleNamespace(
         cat=catalogue,
         emb=embedder,
         store=store,
+        tools=tools,
+        personas=personas,
         ecfg=EngineConfig(),
         rng_seed=rng_seed,
         scenario=scn,

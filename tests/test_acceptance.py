@@ -27,7 +27,7 @@ from forge.metrics import (
     lexical_metrics,
     score_corpus,
 )
-from forge.retrieval import HashEmbedder, nearest_distractors, tool_text
+from forge.retrieval import HashEmbedder, ToolIndex, nearest_distractors, tool_text
 from forge.validation import run_cascade
 from forge.catalogue import parse_catalogue
 
@@ -303,7 +303,7 @@ def test_retrieval_oracle_100_catalogues():
         cat = parse_catalogue(json.dumps(tools))
         seed = rng.choice(cat.names())
         k = rng.randrange(1, 9)
-        dset = nearest_distractors(cat, seed, k, emb)
+        dset = nearest_distractors(ToolIndex(cat, emb), seed, k)
         vectors = {t.name: emb.embed(tool_text(t)).tolist() for t in cat.tools}
         expected = naive_top_k(vectors, seed, k)
         assert dset.names() == [name for name, _ in expected], f"trial {trial}"

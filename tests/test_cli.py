@@ -76,6 +76,18 @@ def test_distractors_lists_k_neighbours(tmp_path, capsys):
     assert all("\t" in line for line in lines)
 
 
+@pytest.mark.parametrize("argv", [["no_such_tool"], [SEED_TOOL, "--k", "0"]],
+                         ids=["unknown-seed", "k-0"])
+def test_distractors_checks_arguments_before_embedding(tmp_path, monkeypatch, argv):
+    def no_build(*args):
+        raise AssertionError("the catalogue was embedded")
+
+    monkeypatch.setattr(retrieval.VectorIndex, "__init__", no_build)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(CATALOGUE_TOOLS), encoding="utf-8")
+    assert run(["distractors", path, *argv]) == 2
+
+
 # ---------------------------------------------------------------------------
 # generate -> validate -> export -> stats -> score
 
@@ -924,22 +936,13 @@ def test_backend_missing_kind_names_the_key(world, capsys):
     assert "missing key 'kind'" in err and str(world.config_path) in err
 
 
-@pytest.mark.parametrize("role, payload", [
-    ("embedder", {"object": "list"}),
-    ("embedder", [{"embedding": [1.0] * 16}]),
-    ("embedder", {"data": [{"embedding": [1.0] * 8}]}),
-    ("goal", chat_reply(None)),
-], ids=["embedder-no-data", "embedder-array", "embedder-wrong-dimension", "goal-null-content"])
-def test_generate_malformed_remote_reply_costs_one_dialogue(world, capsys, loopback, role,
-                                                            payload):
+@pytest.mark.parametrize("payload", [chat_reply(None)], ids=["goal-null-content"])
+def test_generate_malformed_remote_reply_costs_one_dialogue(world, capsys, loopback, payload):
     """A remote reply that cannot be decoded errors its dialogue, not the
     run: every dialogue gets its error line and all three files are written."""
     endpoint, server = loopback(lambda body: (200, {}, payload, 0.0))
     cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
-    if role == "embedder":
-        cfg["embedder"] = {"kind": "remote", "endpoint": endpoint, "dimension": 16}
-    else:
-        cfg["backends"]["goal"] = {"kind": "remote", "model_id": "m-goal", "endpoint": endpoint}
+    cfg["backends"]["goal"] = {"kind": "remote", "model_id": "m-goal", "endpoint": endpoint}
     world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
     capsys.readouterr()
     assert run(["generate", "--config", world.config_path]) == 1
@@ -951,6 +954,59 @@ def test_generate_malformed_remote_reply_costs_one_dialogue(world, capsys, loopb
     assert len(server.ports) == len(errors)  # a malformed reply is not retried
     for name in ("corpus.jsonl", "rejected.jsonl", "scenarios.jsonl"):
         assert (world.tmp_path / "out" / name).exists()
+
+
+@pytest.mark.parametrize("status, payload, requests", [
+    (503, {}, 4),
+    (200, {"object": "list"}, 1),
+    (200, [{"embedding": [1.0] * 16}], 1),
+    (200, {"data": [{"embedding": [1.0] * 8}]}, 1),
+], ids=["embedder-503", "embedder-no-data", "embedder-array", "embedder-wrong-dimension"])
+def test_generate_index_build_failure_stops_once(world, capsys, loopback, status, payload,
+                                                 requests):
+    """An embedding call that fails while the indexes are built belongs to
+    no dialogue: ``generate`` stops before the first one, with exit 1, one
+    ``error:`` line naming the endpoint and no output file. A 503 is retried
+    up to the embedder's retry limit of 3; a malformed reply is not retried."""
+    bodies = []
+
+    def respond(body):
+        bodies.append(body)
+        return status, {"Retry-After": "0"} if status == 503 else {}, payload, 0.0
+
+    endpoint, _ = loopback(respond)
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    cfg["embedder"] = {"kind": "remote", "endpoint": endpoint, "dimension": 16}
+    for role in ("goal", "user_proxy", "assistant"):  # a chat request would reach the server
+        cfg["backends"][role] = {"kind": "remote", "model_id": f"m-{role}", "endpoint": endpoint}
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["generate", "--config", world.config_path]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and endpoint in line
+    assert captured.out == ""
+    assert len(bodies) == requests
+    assert all("input" in body and "messages" not in body for body in bodies)
+    assert list((world.tmp_path / "out").iterdir()) == []
+
+
+def test_generate_embeds_each_tool_and_persona_once(world, monkeypatch):
+    """Each index is built once, in setup, however many workers run: every
+    tool and persona text passes through ``embed_many`` exactly once."""
+    rows = Counter()
+    embed_many = retrieval.HashEmbedder.embed_many
+
+    def counting(self, texts):
+        rows.update(texts)
+        return embed_many(self, texts)
+
+    monkeypatch.setattr(retrieval.HashEmbedder, "embed_many", counting)
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    world.config_path.write_text(json.dumps({**cfg, "concurrency": 4}), encoding="utf-8")
+    assert run(["generate", "--config", world.config_path]) == 0
+    assert rows == Counter([retrieval.tool_text(t) for t in world.cat.tools]
+                           + world.store.personas)
 
 
 def test_generate_one_judge_only_is_config_error(world, capsys):
@@ -1288,7 +1344,7 @@ def test_generate_errors_do_not_depend_on_concurrency(world, capsys):
     name = "fn_4401_freight_rate_lookup"
     rng_seed = split_seed(ROOT_SEED, f"dialogue:{name}")
     tool = world.cat.get(name)
-    persona = sample_persona(world.store, tool, 10, split_seed(rng_seed, "persona"))
+    persona = sample_persona(world.personas, tool, 10, split_seed(rng_seed, "persona"))
     del world.transcript.replies[fingerprint("m-goal", goal_request(tool, persona, rng_seed, 0))]
     del world.transcript.replies[fingerprint("m-asst", world.commit_request)]
     world.transcript.save(world.tmp_path / "transcripts.json")

@@ -169,7 +169,7 @@ def test_no_commitment_on_plain_reply():
 
 def test_selection_stage_replay():
     w = build_replay_world()
-    prefix = run_tool_selection(w.scenario, w.cat, w.emb,
+    prefix = run_tool_selection(w.scenario, w.tools,
                                 w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
     assert not prefix.capped
     # two user turns and one assistant turn survive; the committing message is gone
@@ -183,7 +183,7 @@ def test_selection_stage_replay():
 
 def test_full_synthesis_replay_matches_expected_trace():
     w = build_replay_world()
-    trace = synthesize_dialogue(w.scenario, w.cat, w.emb,
+    trace = synthesize_dialogue(w.scenario, w.tools,
                                 w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
     assert trace.to_dict() == w.expected_trace.to_dict()
     assert trace.pair_count() == 3
@@ -194,10 +194,10 @@ def test_full_synthesis_replay_matches_expected_trace():
 
 
 def test_synthesis_is_bit_deterministic():
-    t1 = synthesize_dialogue(*(lambda w: (w.scenario, w.cat, w.emb,
+    t1 = synthesize_dialogue(*(lambda w: (w.scenario, w.tools,
                                           w.backends["user_proxy"],
                                           w.backends["assistant"], w.ecfg))(build_replay_world()))
-    t2 = synthesize_dialogue(*(lambda w: (w.scenario, w.cat, w.emb,
+    t2 = synthesize_dialogue(*(lambda w: (w.scenario, w.tools,
                                           w.backends["user_proxy"],
                                           w.backends["assistant"], w.ecfg))(build_replay_world()))
     assert json.dumps(t1.to_dict()) == json.dumps(t2.to_dict())
@@ -205,7 +205,7 @@ def test_synthesis_is_bit_deterministic():
 
 def test_successful_trace_has_single_final_call_turn():
     w = build_replay_world()
-    trace = synthesize_dialogue(w.scenario, w.cat, w.emb,
+    trace = synthesize_dialogue(w.scenario, w.tools,
                                 w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
     call_turns = [i for i, m in enumerate(trace.messages)
                   if isinstance(m, AssistantTurn) and m.tool_calls]
@@ -221,7 +221,7 @@ def test_user_prompt_rendered_once_per_dialogue(monkeypatch):
 
     monkeypatch.setattr(engine, "user_system_prompt", counting)
     w = build_replay_world()
-    trace = synthesize_dialogue(w.scenario, w.cat, w.emb,
+    trace = synthesize_dialogue(w.scenario, w.tools,
                                 w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
     assert trace.terminated_by == "tool_call" and trace.phase_boundary == 2
     assert renders == [w.scenario.scenario_id]
@@ -246,7 +246,7 @@ def test_assistant_context_matches_expected_fingerprints(lookups):
     contexts the transcript was keyed with, in order: u1, a1, u2, the
     removed committing turn, then the filling turns."""
     w = build_replay_world()
-    synthesize_dialogue(w.scenario, w.cat, w.emb,
+    synthesize_dialogue(w.scenario, w.tools,
                         w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
     assert lookups == w.engine_fingerprints
     assert len(w.engine_fingerprints) == 7
@@ -265,7 +265,7 @@ def test_wrong_tool_commitment_rejects():
         _selection_prompt(w), msgs[:3], split_seed(w.rng_seed, "sel:0:asst:3"))
     w.transcript.register(sys_sel_fp_req, bad_commit, "m-asst")
     with pytest.raises(WrongToolError):
-        run_tool_selection(w.scenario, w.cat, w.emb,
+        run_tool_selection(w.scenario, w.tools,
                            w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
 
 
@@ -298,7 +298,7 @@ def test_retriever_miss_rejects_after_five_attempts():
             user_request(sys_u, [], split_seed(small.rng_seed, f"sel:{attempt}:user:0")),
             misleading, "m-user")
     with pytest.raises(RetrieverMissError):
-        run_tool_selection(small, w.cat, w.emb, gw_user, gw_asst, w.ecfg)
+        run_tool_selection(small, w.tools, gw_user, gw_asst, w.ecfg)
 
 
 def test_param_free_tool_calls_immediately():
@@ -321,7 +321,7 @@ def test_param_free_tool_calls_immediately():
                               shuffled_candidates)
     from forge.retrieval import search_catalogue
 
-    retrieved = [n for n, _ in search_catalogue(w.cat, opening, 2, w.emb)]
+    retrieved = [n for n, _ in search_catalogue(w.tools, opening, 2)]
     assert tool in retrieved
     presented = shuffled_candidates(retrieved, split_seed(123, "sel:0:present"))
     sys_sel = selection_system_prompt(w.cat, presented)
@@ -334,7 +334,7 @@ def test_param_free_tool_calls_immediately():
         assistant_request(sys_fill, msgs, split_seed(123, "fill:asst:1")),
         f'<think>No parameters needed.</think> [{{"name": "{tool}", "args": {{}}}}]',
         "m-asst")
-    trace = synthesize_dialogue(scn, w.cat, w.emb, gw_user, gw_asst, w.ecfg)
+    trace = synthesize_dialogue(scn, w.tools, gw_user, gw_asst, w.ecfg)
     assert trace.pair_count() == 1
     assert trace.phase_boundary == 1
     assert trace.terminated_by == "tool_call"
@@ -359,7 +359,7 @@ def test_turn_cap_terminates_filling():
                               shuffled_candidates)
     from forge.retrieval import search_catalogue
 
-    retrieved = [n for n, _ in search_catalogue(w.cat, opening, len(scn.pool), w.emb)]
+    retrieved = [n for n, _ in search_catalogue(w.tools, opening, len(scn.pool))]
     presented = shuffled_candidates(retrieved, split_seed(scn.rng_seed, "sel:0:present"))
     sys_sel = selection_system_prompt(w.cat, presented)
     msgs = [UserTurn(opening)]
@@ -380,7 +380,7 @@ def test_turn_cap_terminates_filling():
     transcript.register(
         assistant_request(sys_fill, msgs3, split_seed(scn.rng_seed, "fill:asst:3")),
         never_calls, "m-asst")
-    trace = synthesize_dialogue(scn, w.cat, w.emb, gw_user, gw_asst, ecfg)
+    trace = synthesize_dialogue(scn, w.tools, gw_user, gw_asst, ecfg)
     assert trace.terminated_by == "turn_cap"
     assert trace.pair_count() == 2
 
@@ -394,7 +394,7 @@ def test_turn_cap_terminates_selection(lookups):
     opening = "I want to keep watch over our transport activities."
     asking = "<think>Not sure yet.</think> Could you tell me more?"
     follow_up = "It is about the requests moving through one node."
-    retrieved = [n for n, _ in search_catalogue(w.cat, opening, len(scn.pool), w.emb)]
+    retrieved = [n for n, _ in search_catalogue(w.tools, opening, len(scn.pool))]
     assert scn.seed_tool in retrieved
     presented = shuffled_candidates(retrieved, split_seed(scn.rng_seed, "sel:0:present"))
     sys_u = user_system_prompt(scn, w.cat)
@@ -413,7 +413,7 @@ def test_turn_cap_terminates_selection(lookups):
     ]
     for req, reply, model_id in steps:
         transcript.register(req, reply, model_id)
-    trace = synthesize_dialogue(scn, w.cat, w.emb, scripted_backend("m-user", transcript),
+    trace = synthesize_dialogue(scn, w.tools, scripted_backend("m-user", transcript),
                                 scripted_backend("m-asst", transcript), EngineConfig(t_max=2))
     assert len(trace.messages) == 4
     assert trace.terminated_by == "turn_cap"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -351,6 +352,54 @@ def test_redirect_is_not_followed(loopback, status):
     with pytest.raises(GatewayError, match=f"HTTP {status}"):
         complete(remote_cfg(endpoint), req())
     assert len(server.ports) == 1
+
+
+def _serve_cut_short_bodies(listener: socket.socket, stop: threading.Event,
+                            requests_seen: list) -> None:
+    """Answer each request on ``listener`` with a 200 that promises a
+    100-byte body, send 10 bytes of it and close the connection."""
+    while not stop.is_set():
+        try:
+            conn, _ = listener.accept()
+        except TimeoutError:
+            continue
+        with conn:
+            conn.settimeout(5)
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += conn.recv(4096)
+            headers, _, body = head.partition(b"\r\n\r\n")
+            length = next(int(line.split(b":")[1]) for line in headers.split(b"\r\n")
+                          if line.lower().startswith(b"content-length:"))
+            while len(body) < length:
+                body += conn.recv(4096)
+            requests_seen.append(json.loads(body))
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                         b"Content-Length: 100\r\n\r\n" + b'{"choices":')
+
+
+def test_cut_short_reply_body_is_retried():
+    """A reply whose body ends before its Content-Length is a transport
+    failure like a dropped connection: retried, then RetryExhaustedError."""
+    requests_seen: list = []
+    stop = threading.Event()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        listener.settimeout(0.05)
+        server = threading.Thread(target=_serve_cut_short_bodies,
+                                  args=(listener, stop, requests_seen), daemon=True)
+        server.start()
+        endpoint = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat/completions"
+        try:
+            with pytest.raises(RetryExhaustedError, match="after 2 attempts"):
+                complete(remote_cfg(endpoint, retry_limit=1), req())
+        finally:
+            stop.set()
+            server.join(timeout=5)
+            gateway._adapter.close()  # no pooled socket outlives the test
+    assert not server.is_alive()
+    assert len(requests_seen) == 2
 
 
 def test_session_pool_stays_bounded_under_contention(loopback):

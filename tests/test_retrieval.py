@@ -15,6 +15,7 @@ from forge.retrieval import (
     DistractorSet,
     HashEmbedder,
     RemoteEmbedder,
+    ToolIndex,
     VectorIndex,
     candidate_pool,
     nearest_distractors,
@@ -77,7 +78,7 @@ def test_nearest_distractors_brute_force_small():
         ("far", "omega psi chi", []),
     ])
     emb = HashEmbedder()
-    dset = nearest_distractors(cat, "seed", 2, emb)
+    dset = nearest_distractors(ToolIndex(cat, emb), "seed", 2)
     vectors = {t.name: emb.embed(tool_text(t)).tolist() for t in cat.tools}
     expected = naive_top_k(vectors, "seed", 2)
     assert dset.names() == [name for name, _ in expected]
@@ -85,7 +86,7 @@ def test_nearest_distractors_brute_force_small():
 
 
 def test_k_larger_than_catalogue_truncates(cat, emb):
-    dset = nearest_distractors(cat, SEED_TOOL, 50, emb)
+    dset = nearest_distractors(ToolIndex(cat, emb), SEED_TOOL, 50)
     assert len(dset.members) == len(cat) - 1
     assert SEED_TOOL not in dset.names()
 
@@ -96,20 +97,20 @@ def test_textual_twin_ranks_first():
         ("twin", "retrieve transport logs for a node", []),
         ("other", "refresh delivery schedules", []),
     ])
-    dset = nearest_distractors(cat, "seed", 2, HashEmbedder())
+    dset = nearest_distractors(ToolIndex(cat, HashEmbedder()), "seed", 2)
     # identical description differs only in the name line; still maximal overlap
     assert dset.names()[0] == "twin"
 
 
 def test_scores_non_increasing(cat, emb):
-    dset = nearest_distractors(cat, SEED_TOOL, 5, emb)
+    dset = nearest_distractors(ToolIndex(cat, emb), SEED_TOOL, 5)
     scores = [s for _, s in dset.members]
     assert scores == sorted(scores, reverse=True)
 
 
 def test_unknown_seed_rejected(cat, emb):
     with pytest.raises(KeyError):
-        nearest_distractors(cat, "no_such_tool", 3, emb)
+        nearest_distractors(ToolIndex(cat, emb), "no_such_tool", 3)
 
 
 def test_retrieval_matches_exhaustive_scan_on_random_catalogues():
@@ -126,7 +127,7 @@ def test_retrieval_matches_exhaustive_scan_on_random_catalogues():
         cat = make_cat(entries)
         seed = rng.choice(cat.names())
         k = rng.randrange(1, n_tools + 2)
-        dset = nearest_distractors(cat, seed, k, emb)
+        dset = nearest_distractors(ToolIndex(cat, emb), seed, k)
         vectors = {t.name: emb.embed(tool_text(t)).tolist() for t in cat.tools}
         expected = naive_top_k(vectors, seed, k)
         assert dset.names() == [name for name, _ in expected]
@@ -163,7 +164,8 @@ def test_gold_position_roughly_uniform():
 
 
 def test_search_catalogue_orders_by_query_similarity(cat, emb):
-    hits = search_catalogue(cat, "review actions during transport requests", 3, emb)
+    hits = search_catalogue(ToolIndex(cat, emb), "review actions during transport requests",
+                            3)
     assert len(hits) == 3
     assert hits[0][0] == SEED_TOOL
 
@@ -298,9 +300,10 @@ def retrieval_case(draw):
 def test_index_top_k_equals_exhaustive_scan(case):
     emb = HashEmbedder(case["dimension"])
     cat, seed, k = case["cat"], case["seed"], case["k"]
-    dset = nearest_distractors(cat, seed, k, emb)
+    tools = ToolIndex(cat, emb)
+    dset = nearest_distractors(tools, seed, k)
     assert bits(dset.members) == bits(scan_distractors(cat, seed, k, emb))
-    assert (bits(search_catalogue(cat, case["query"], k, emb))
+    assert (bits(search_catalogue(tools, case["query"], k))
             == bits(scan_search(cat, case["query"], k, emb)))
 
     personas = case["personas"]
@@ -308,14 +311,14 @@ def test_index_top_k_equals_exhaustive_scan(case):
     query_vec = emb.embed(tool_text(tool))
     expected = scan_personas(personas, query_vec, k, emb)
     assert bits(VectorIndex(personas, emb).top(query_vec, max(1, k))) == bits(expected)
-    store = PersonaStore(personas=personas, embedder=emb)
+    index = VectorIndex(PersonaStore(personas=personas, embedder=emb).personas, emb)
     for rng_seed in range(3):
         pick = expected[random.Random(rng_seed).randrange(len(expected))][0]
-        assert sample_persona(store, tool, k, rng_seed) == personas[pick]
+        assert sample_persona(index, tool, k, rng_seed) == personas[pick]
 
 
 # ---------------------------------------------------------------------------
-# the index is built once per catalogue and embedder identity
+# a build embeds each text once; a query embeds itself and re-scores a shortlist
 
 
 class CountingEmbedder(HashEmbedder):
@@ -342,25 +345,25 @@ def test_queries_cost_one_build_plus_shortlists():
     cat = make_cat([(f"tool_{i}", " ".join(rng.choices(vocab, k=10)), ["id"])
                     for i in range(n_tools)])
     emb = CountingEmbedder()
-    VectorIndex([tool_text(t) for t in cat.tools], emb)
+    tools = ToolIndex(cat, emb)
     assert emb.calls == n_tools
 
-    emb = CountingEmbedder()
-    search_catalogue(cat, "term1 term2 term3", k, emb)
+    search_catalogue(tools, "term1 term2 term3", k)
     first = emb.calls
     assert n_tools < first <= n_tools + 1 + 3 * k
     for i in range(m):
         if i % 2:
-            search_catalogue(cat, " ".join(rng.choices(vocab, k=6)), k, emb)
+            search_catalogue(tools, " ".join(rng.choices(vocab, k=6)), k)
         else:
-            nearest_distractors(cat, f"tool_{i}", k, emb)
+            nearest_distractors(tools, f"tool_{i}", k)
     assert emb.calls - first <= m * (1 + 3 * k)
-    assert list(cat._indexes) == [emb.identity]
 
     store = PersonaStore.bundled(emb)
     before = emb.calls
+    personas = VectorIndex(store.personas, emb)
+    assert emb.calls - before == len(store.personas)
     for i in range(m):
-        sample_persona(store, cat.get(f"tool_{i}"), 10, i)
+        sample_persona(personas, cat.get(f"tool_{i}"), 10, i)
     assert emb.calls - before <= len(store.personas) + m * (1 + 3 * 10)
 
 
@@ -418,9 +421,11 @@ def test_remote_index_build_embeds_each_tool_once(embedding_server):
     n_tools = 40
     cat = make_cat([(f"tool_{i}", f"alpha beta w{i} w{i % 7}", []) for i in range(n_tools)])
     emb = RemoteEmbedder(embedding_server.endpoint, "stub-embed", 16)
-    hits = search_catalogue(cat, "alpha w3", 3, emb)
-    build = len(embedding_server.inputs)
-    assert n_tools < build < 2 * n_tools
-    search_catalogue(cat, "beta w5", 3, emb)
-    assert len(embedding_server.inputs) - build < n_tools
+    tools = ToolIndex(cat, emb)
+    assert len(embedding_server.inputs) == n_tools
+    hits = search_catalogue(tools, "alpha w3", 3)
+    first = len(embedding_server.inputs)
+    assert n_tools < first <= n_tools + 1 + 3 * 3
+    search_catalogue(tools, "beta w5", 3)
+    assert len(embedding_server.inputs) - first <= 1 + 3 * 3
     assert hits == scan_search(cat, "alpha w3", 3, emb)

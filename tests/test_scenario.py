@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from forge.gateway import Transcript
-from forge.retrieval import tool_text
+from forge.retrieval import VectorIndex, tool_text
 from forge.scenario import (
     GoalLeakError,
     PersonaStore,
@@ -26,6 +26,11 @@ def store(emb):
     return PersonaStore.bundled(emb)
 
 
+def index(store: PersonaStore) -> VectorIndex:
+    """The persona index a command builds once from its store."""
+    return VectorIndex(store.personas, store.embedder)
+
+
 def test_bundled_store_loads(store):
     assert len(store.personas) >= 50
 
@@ -42,14 +47,14 @@ def test_store_file_loader(tmp_path, emb):
 
 
 def test_singleton_store_always_selected(cat, emb):
-    store = PersonaStore(personas=["only one"], embedder=emb)
+    personas = index(PersonaStore(personas=["only one"], embedder=emb))
     for seed in range(5):
-        assert sample_persona(store, cat.get(SEED_TOOL), 10, seed) == "only one"
+        assert sample_persona(personas, cat.get(SEED_TOOL), 10, seed) == "only one"
 
 
 def test_sample_persona_reproducible(cat, store):
-    a = sample_persona(store, cat.get(SEED_TOOL), 3, 99)
-    b = sample_persona(store, cat.get(SEED_TOOL), 3, 99)
+    a = sample_persona(index(store), cat.get(SEED_TOOL), 3, 99)
+    b = sample_persona(index(store), cat.get(SEED_TOOL), 3, 99)
     assert a == b
 
 
@@ -60,8 +65,9 @@ def test_sample_persona_draws_from_top_k(cat, store):
         ((-float(np.dot(query, store.embedder.embed(p))), i)
          for i, p in enumerate(store.personas)))
     top3 = {store.personas[i] for _, i in scored[:3]}
+    personas = index(store)
     for seed in range(20):
-        assert sample_persona(store, tool, 3, seed) in top3
+        assert sample_persona(personas, tool, 3, seed) in top3
 
 
 def test_logistics_persona_in_top_k_for_logistics_tool(cat, emb):
@@ -84,7 +90,7 @@ def test_logistics_persona_in_top_k_for_logistics_tool(cat, emb):
         ((-float(np.dot(query, emb.embed(p))), i) for i, p in enumerate(personas)))
     top3 = {personas[i] for _, i in scored[:3]}
     assert personas[0] in top3
-    hits = {sample_persona(store, tool, 3, seed) for seed in range(50)}
+    hits = {sample_persona(index(store), tool, 3, seed) for seed in range(50)}
     assert hits <= top3
 
 
@@ -205,7 +211,7 @@ def test_value_matches_type_tag(tag, value, matches):
 
 def test_build_scenario_full_scripted_run():
     world = build_replay_world()
-    scn = build_scenario(world.cat, world.store, world.backends["goal"],
+    scn = build_scenario(world.tools, world.personas, world.backends["goal"],
                          SEED_TOOL, 5, world.rng_seed)
     assert scn.to_dict() == world.scenario.to_dict()
     assert len(scn.pool) == 6  # 1 gold + 5 distractors
@@ -216,15 +222,15 @@ def test_build_scenario_full_scripted_run():
 def test_build_scenario_replay_is_deterministic():
     w1 = build_replay_world()
     w2 = build_replay_world()
-    s1 = build_scenario(w1.cat, w1.store, w1.backends["goal"], SEED_TOOL, 5, w1.rng_seed)
-    s2 = build_scenario(w2.cat, w2.store, w2.backends["goal"], SEED_TOOL, 5, w2.rng_seed)
+    s1 = build_scenario(w1.tools, w1.personas, w1.backends["goal"], SEED_TOOL, 5, w1.rng_seed)
+    s2 = build_scenario(w2.tools, w2.personas, w2.backends["goal"], SEED_TOOL, 5, w2.rng_seed)
     assert s1.to_dict() == s2.to_dict()
 
 
 def test_build_scenario_pool_clamps_to_catalogue(cat, emb):
     # only 6 tools exist, so k=50 yields all 5 non-seed tools
     world = build_replay_world()
-    scn = build_scenario(world.cat, world.store, world.backends["goal"],
+    scn = build_scenario(world.tools, world.personas, world.backends["goal"],
                          SEED_TOOL, 5, world.rng_seed)
     assert len(scn.pool) == len(world.cat)
 
