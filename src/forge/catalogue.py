@@ -13,13 +13,20 @@ prompt rendering stays byte-reproducible.
 is encoded once (``Tool.json_text``); a list is spliced from those strings
 and is byte-equal to ``json.dumps([t.to_dict() ...], ensure_ascii=False,
 indent=2)``.
+
+``parse_catalogue`` runs with Python's cyclic garbage collector paused
+(``no_gc``) and then restores the caller's GC state. A 5,000-tool catalogue
+allocates about 17 containers per tool and no reference cycle, and each 700
+allocations would otherwise start a collection that walks the catalogue
+built so far.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,6 +54,27 @@ def fault(exc: Exception) -> str:
     """The text that reports a fault in a config file or a remote reply:
     a KeyError's is ``missing key 'name'``, since its own is the bare key."""
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def no_gc(fn):
+    """``fn`` run with the cyclic garbage collector paused; the caller's GC
+    state is restored after it, so the GC is re-enabled only if it was on.
+
+    For CPU-only bulk builders that allocate many containers and make no
+    reference cycle. The pause is process-wide, so a function that can make
+    a remote call or run dialogue work, which may run beside other threads,
+    is never wrapped.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 class ParamSpec(NamedTuple):
@@ -191,10 +219,11 @@ def load_catalogue(path: str | Path) -> Catalogue:
     return parse_catalogue(text)
 
 
+@no_gc
 def parse_catalogue(text: str) -> Catalogue:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise CatalogueError(f"malformed catalogue JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise CatalogueError("catalogue must be a JSON array of tool objects")

@@ -74,10 +74,11 @@ def _load(what: str, path: str | Path, load):
     """``load(path)``: the one way a command reads a file it names, so a
     missing, unreadable or malformed file is a ConfigError naming the file.
     A config reader raises ValueError or KeyError at the fault; the files it
-    loads in turn go through ``_load`` themselves and name their own path."""
+    loads in turn go through ``_load`` themselves and name their own path.
+    A RecursionError is JSON nested deeper than the interpreter allows."""
     try:
         return load(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot load {what} {path}: {fault(exc)}") from exc
 
 

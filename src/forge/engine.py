@@ -269,7 +269,7 @@ def parse_assistant_output(raw: str) -> AssistantTurn:
     if remainder.startswith("["):
         try:
             entries = json.loads(remainder)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise AssistantFormatError(f"unparseable tool-call JSON: {exc}") from exc
         if not isinstance(entries, list) or not entries:
             raise AssistantFormatError("tool-call list is empty")

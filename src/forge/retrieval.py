@@ -19,7 +19,10 @@ time through ``Embedder.embed_many``, so it holds no catalogue-wide
 temporary: beyond the matrix it keeps one block's tokens, bucket ids and
 int64 and float64 rows, under 1 MiB at d = 256. ``HashEmbedder.embed_many``
 hashes a block's tokens in one C-level pass and counts them with one
-``np.bincount``; its rows are byte-equal to ``embed``'s.
+``np.bincount``; its rows are byte-equal to ``embed``'s. It runs with
+Python's cyclic garbage collector paused (``catalogue.no_gc``) and then
+restores the caller's GC state; ``VectorIndex`` itself, which may drive a
+``RemoteEmbedder``, never pauses it.
 
 A query scores every row with one matrix product, shortlists the rows
 within a margin of the k-th score, and re-scores the shortlist with the
@@ -41,7 +44,7 @@ from typing import Protocol
 import numpy as np
 
 from . import gateway
-from .catalogue import Catalogue, Tool, typed
+from .catalogue import Catalogue, Tool, no_gc, typed
 
 # every byte outside ASCII a-z0-9 becomes a space; each byte of a multi-byte
 # UTF-8 sequence is >= 0x80, so the tokens are those of re "[a-z0-9]+"
@@ -131,6 +134,7 @@ class HashEmbedder:
         # dividing by np.linalg.norm of the float64 counts
         return counts / math.sqrt(counts @ counts)
 
+    @no_gc
     def embed_many(self, texts: list[str]) -> np.ndarray:
         d, rows = self.dimension, len(texts)
         tokens = list(map(_tokens, texts))

@@ -187,15 +187,16 @@ def _extract_json_object(text: str) -> dict | None:
     if cleaned.startswith("```"):
         cleaned = re.sub(r"^```[a-zA-Z]*\n?", "", cleaned)
         cleaned = re.sub(r"\n?```$", "", cleaned).strip()
+    # RecursionError: a reply nested deeper than the recursion limit
     try:
         obj = json.loads(cleaned)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         match = re.search(r"\{.*\}", cleaned, re.DOTALL)
         if not match:
             return None
         try:
             obj = json.loads(match.group(0))
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             return None
     return obj if isinstance(obj, dict) else None
 

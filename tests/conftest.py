@@ -153,6 +153,8 @@ RAW_U3 = "Sure, the node is 437292 and the transport request number is 957841."
 RAW_A3_CALL = ('<think>I have both identifiers; time to raise the call.</think> '
                '[{"name": "fn_1126_cloud_transport_management", '
                '"args": {"nodeId": 437292, "transportRequestId": 957841}}]')
+# a bracket-led reply nested past the interpreter's recursion limit
+RAW_NESTED_CALLS = "<think>x</think> " + "[" * 5000 + "]" * 5000
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 
 import pytest
@@ -109,15 +111,65 @@ def _with_param(**change):
     (_with_param(description=""), "tool 't': parameter 'p' description must be non-empty"),
     (_with_param(required="yes"), "tool 't': parameter 'p' required must be boolean"),
     ([_TOOL, _TOOL], "duplicate tool name: 't'"),
+    ("[" * 5000, "malformed catalogue JSON: maximum recursion depth exceeded while "
+                 "decoding a JSON array from a unicode string"),
 ], ids=["entry-not-object", "missing-name", "missing-description", "missing-parameters",
         "empty-name", "description-not-string", "parameters-not-object", "param-not-object",
         "param-missing-type", "param-missing-description", "param-missing-required",
         "unknown-type", "list-type", "empty-param-description", "required-not-boolean",
-        "duplicate-name"])
+        "duplicate-name", "nested-past-recursion-limit"])
 def test_catalogue_error_messages(entries, message):
+    """Each fault's message; a str row is the file text itself."""
     with pytest.raises(CatalogueError) as exc:
-        parse_catalogue(json.dumps(entries))
+        parse_catalogue(entries if isinstance(entries, str) else json.dumps(entries))
     assert str(exc.value) == message
+
+
+def _wide_catalogue(n_tools: int) -> list[dict]:
+    """``n_tools`` tools of four parameters each, the shape of a paper-scale catalogue."""
+    return [{"name": f"tool_{i}", "description": f"does thing {i} for the operator",
+             "parameters": {f"p{j}": {"type": TYPE_TAGS[(i + j) % len(TYPE_TAGS)],
+                                      "description": f"value {j}", "required": j < 2}
+                            for j in range(4)}}
+            for i in range(n_tools)]
+
+
+def test_parse_catalogue_runs_no_gc_collection():
+    """A 5,000-tool parse allocates about 17 containers per tool and makes no
+    cycle: with the collector paused it starts no collection."""
+    text = json.dumps(_wide_catalogue(5000))
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(note)
+    try:
+        cat = parse_catalogue(text)
+    finally:
+        gc.callbacks.remove(note)
+    assert len(cat) == 5000 and starts == []
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(CATALOGUE_TOOLS),
+    json.dumps(CATALOGUE_TOOLS + CATALOGUE_TOOLS[:1]),
+    "[" * 5000,
+], ids=["valid", "duplicate-last-tool", "nested-past-recursion-limit"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_parse_catalogue_restores_the_callers_gc_state(text, enabled):
+    """The pause re-enables the collector only if the caller had it on, also
+    when a CatalogueError leaves the paused region."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(CatalogueError):
+            parse_catalogue(text)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert after is enabled
 
 
 def test_required_args_filters_flags(cat):

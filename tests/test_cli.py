@@ -11,6 +11,7 @@ import pytest
 from forge import cli, gateway, retrieval
 from forge.cli import load_pipeline_config, main
 from forge.engine import (
+    AssistantTurn,
     UserTurn,
     assistant_request,
     selection_system_prompt,
@@ -30,6 +31,7 @@ from conftest import (
     RAW_A1,
     RAW_A2_FILL,
     RAW_A3_CALL,
+    RAW_NESTED_CALLS,
     RAW_U3,
     ROOT_SEED,
     SEED_TOOL,
@@ -759,6 +761,64 @@ def _script_dynamic_task(world, scn) -> None:
     world.transcript.save(world.tmp_path / "transcripts.json")
 
 
+def _run_with_assistant_reply(world, capsys, command: str, reply: str) -> tuple:
+    """(exit code, stdout, stderr, output file bytes) of a replay-world
+    ``generate`` whose committing reply is ``reply``, or of a dynamic
+    ``bench run`` whose first assistant reply is ``reply`` and whose second
+    pair ends the rollout with a call."""
+    if command == "generate":
+        world.transcript.register(world.commit_request, reply, "m-asst")
+        world.transcript.save(world.tmp_path / "transcripts.json")
+        argv, out = ["generate", "--config", world.config_path], world.tmp_path / "out"
+    else:
+        argv, out = ["bench", "run", _bench_config(world, n_samples=1, t_max=2)], \
+            world.tmp_path / "bench_out"
+        scn = world.scenario
+        sys_a = selection_system_prompt(world.cat, scn.pool)
+        _script_dynamic_task(world, scn)
+        messages = [UserTurn(RAW_U3)]
+        world.transcript.register(assistant_request(
+            sys_a, messages, split_seed(scn.rng_seed, "dyn:asst:1")), reply, "m-x")
+        messages += [AssistantTurn(thought=None, raw=reply)]
+        world.transcript.register(user_request(user_system_prompt(scn, world.cat), messages,
+                                               split_seed(1, "gen:2")), RAW_U3, "m-x")
+        world.transcript.register(assistant_request(
+            sys_a, messages + [UserTurn(RAW_U3)], split_seed(scn.rng_seed, "dyn:asst:2")),
+            RAW_A3_CALL, "m-x")
+        world.transcript.save(world.tmp_path / "transcripts.json")
+    capsys.readouterr()
+    code = run(argv)
+    stdout, stderr = capsys.readouterr()
+    return code, stdout, stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_nested_assistant_reply_is_one_unparseable_reply(tmp_path, capsys, command):
+    """A tool-call reply nested past the recursion limit costs what a bare
+    ``[`` reply costs: the generate dialogue, or the bench turn, which keeps
+    the raw text."""
+    bare = "<think>x</think> ["
+    runs = {reply: _run_with_assistant_reply(build_replay_world(tmp_path / str(i)), capsys,
+                                             command, reply)
+            for i, reply in enumerate((bare, RAW_NESTED_CALLS))}
+    code, stdout, stderr, files = runs[bare]
+    nested_code, nested_stdout, nested_stderr, nested_files = runs[RAW_NESTED_CALLS]
+    assert (nested_code, nested_stdout) == (code, stdout.replace(str(tmp_path / "0"),
+                                                                 str(tmp_path / "1")))
+    if command == "generate":
+        head = f"error on {SEED_TOOL}: unparseable tool-call JSON: "
+        assert code == 1 and "errors=1" in stdout
+        assert stderr.startswith(head) and stderr.count("\n") == 1
+        assert nested_stderr.startswith(head + "maximum recursion depth")
+        assert nested_stderr.count("\n") == 1
+    else:
+        assert code == 0 and stderr == nested_stderr == ""
+        assert json.dumps(bare).encode("utf-8") in files["traces.jsonl"]
+        nested_files["traces.jsonl"] = nested_files["traces.jsonl"].replace(
+            json.dumps(RAW_NESTED_CALLS).encode("utf-8"), json.dumps(bare).encode("utf-8"))
+    assert nested_files == files
+
+
 def test_bench_dynamic_failed_task_costs_one_task(world, capsys):
     """A dynamic task whose user proxy has no scripted reply adds an error row
     to the report; the finished task keeps its trace and row."""
@@ -1099,16 +1159,28 @@ def test_bad_input_is_config_error(world, capsys, command, change, message):
     assert path is None or str(path) in err
 
 
-@pytest.mark.parametrize("command", ["generate", "bench"])
-def test_invalid_catalogue_is_exit_1(world, capsys, command):
-    """A catalogue that exists but fails its own checks is invalid input, not
-    a config error, even when a config file names it."""
-    argv = (["bench", "run", _bench_config(world)] if command == "bench"
-            else ["generate", "--config", world.config_path])
-    (world.tmp_path / "catalogue.json").write_text('[{"name": "t"}]', encoding="utf-8")
+@pytest.mark.parametrize("command, text", [
+    ("generate", '[{"name": "t"}]'),
+    ("bench", '[{"name": "t"}]'),
+    ("generate", "[" * 5000),
+    ("bench", "[" * 5000),
+    ("lint", "[" * 5000),
+], ids=["generate", "bench", "generate-nested", "bench-nested", "lint-nested"])
+def test_invalid_catalogue_is_exit_1(world, capsys, command, text):
+    """A catalogue that exists but fails its own checks, or is nested past
+    the recursion limit, is invalid input, not a config error, even when a
+    config file names it."""
+    path = world.tmp_path / "catalogue.json"
+    argv = {"bench": lambda: ["bench", "run", _bench_config(world)],
+            "generate": lambda: ["generate", "--config", world.config_path],
+            "lint": lambda: ["catalogue", "lint", path]}[command]()
+    path.write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert run(argv) == 1
-    assert capsys.readouterr().err.startswith("invalid input:")
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:")
+    if text.startswith("[["):
+        assert err.startswith("invalid input: malformed catalogue JSON: maximum recursion depth")
 
 
 def _unreadable_input(world, case: str):
@@ -1134,6 +1206,12 @@ def _unreadable_input(world, case: str):
     if case == "config-not-object":
         config.write_text("[]", encoding="utf-8")
         return generate, config
+    if case in ("config-nested", "bench-config-nested"):
+        argv, path = generate, config
+        if case == "bench-config-nested":
+            argv, path = ["bench", "run", _bench_config(world)], tmp / "bench.json"
+        path.write_text('{"a": ' * 5000 + "1" + "}" * 5000, encoding="utf-8")
+        return argv, path
     if case in ("generate-outdir-file", "bench-outdir-file"):
         blocker = tmp / "blocker.txt"
         blocker.write_text("", encoding="utf-8")
@@ -1283,7 +1361,8 @@ DISTRACTOR_CASES = {"distractor-seed-number": "distractors seed must be a string
     "transcript-reply-number", "personas-not-array",
     "validate-corpus-missing", "export-corpus-missing", "stats-corpus-missing",
     "score-refs-missing", "bench-exclusions-missing", "bench-gold-missing",
-    "config-not-object", "bench-exclusions-not-array", "bench-catalogue-missing",
+    "config-not-object", "config-nested", "bench-config-nested", "bench-exclusions-not-array",
+    "bench-catalogue-missing",
     "bench-report-not-object", "bench-report-ngd-number", "bench-report-metric-text",
     "bench-report-metric-bool", "bench-report-ngd-value-text",
     "bench-report-per-dialogue-object", "scenario-missing-seed-tool", "scenario-line-array",
@@ -1303,6 +1382,9 @@ def test_unreadable_input_is_config_error(world, capsys, case):
         assert not (world.tmp_path / "bench_out").exists()
     if case == "bench-gold-odd":
         assert "'gold-odd'" in err
+    if case in ("config-nested", "bench-config-nested"):
+        what = "bench config" if case == "bench-config-nested" else "config"
+        assert err.startswith(f"config error: cannot load {what} {path}: maximum recursion")
     if case == "critique-transcript-missing":
         assert not (world.tmp_path / "out").exists()
     if case in DISTRACTOR_CASES:

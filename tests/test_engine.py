@@ -36,6 +36,7 @@ from conftest import (
     RAW_A1,
     RAW_A2_COMMIT,
     RAW_A3_CALL,
+    RAW_NESTED_CALLS,
     SEED_TOOL,
     build_replay_world,
     scripted_backend,
@@ -67,6 +68,13 @@ def test_parse_missing_think_block():
 def test_parse_unparseable_call_json():
     with pytest.raises(AssistantFormatError, match="unparseable"):
         parse_assistant_output("<think>x</think> [{broken")
+
+
+def test_parse_nested_call_json_is_unparseable():
+    """JSON nested past the recursion limit is one unparseable reply."""
+    with pytest.raises(AssistantFormatError, match="unparseable tool-call JSON: maximum "
+                                                   "recursion depth exceeded"):
+        parse_assistant_output(RAW_NESTED_CALLS)
 
 
 def test_parse_empty_payload():

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forge import retrieval
 from forge.catalogue import parse_catalogue
-from forge.gateway import GatewayError
+from forge.gateway import ChatMessage, CompletionRequest, GatewayError, complete
 from forge.retrieval import (
     DistractorSet,
     HashEmbedder,
@@ -24,7 +26,7 @@ from forge.retrieval import (
 )
 from forge.scenario import PersonaStore, sample_persona
 
-from conftest import SEED_TOOL
+from conftest import SEED_TOOL, chat, remote_backend
 from oracles import naive_hash_embed, naive_top_k
 
 
@@ -373,11 +375,13 @@ def test_queries_cost_one_build_plus_shortlists():
 
 @pytest.fixture
 def embedding_server(loopback):
-    """A loopback embeddings endpoint; ``.inputs`` lists each request's texts."""
-    inputs = []
+    """A loopback embeddings endpoint; ``.inputs`` lists each request's texts
+    and ``.gc_enabled`` whether the collector was on when it arrived."""
+    inputs, gc_enabled = [], []
 
     def respond(body):
         inputs.append(body["input"])
+        gc_enabled.append(gc.isenabled())
         # unnormalized: the client must normalize
         data = [{"index": i, "embedding": (3.0 * HashEmbedder(16).embed(t)).tolist()}
                 for i, t in enumerate(body["input"])]
@@ -385,7 +389,7 @@ def embedding_server(loopback):
 
     _, server = loopback(respond)
     return SimpleNamespace(endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings",
-                           inputs=inputs)
+                           inputs=inputs, gc_enabled=gc_enabled)
 
 
 def test_remote_embed_normalizes_one_text_per_request(embedding_server):
@@ -415,6 +419,42 @@ def test_remote_embed_malformed_reply_is_gateway_error(loopback, payload, messag
     with pytest.raises(GatewayError, match=message):
         emb.embed("alpha")
     assert len(server.ports) == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_hash_embed_many_pauses_the_gc_and_restores_it(monkeypatch, enabled):
+    tokens, during = retrieval._tokens, []
+
+    def recording(text):
+        during.append(gc.isenabled())
+        return tokens(text)
+
+    monkeypatch.setattr(retrieval, "_tokens", recording)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        HashEmbedder(16).embed_many(["alpha beta", "gamma"])
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert during == [False, False] and after is enabled
+
+
+def test_remote_calls_run_with_the_gc_enabled(embedding_server, loopback):
+    """The GC pause never covers a remote call: a remote index build and a
+    remote ``complete`` reach the server with the collector on."""
+    cat = make_cat([(f"tool_{i}", f"alpha w{i}", []) for i in range(70)])
+    ToolIndex(cat, RemoteEmbedder(embedding_server.endpoint, "stub-embed", 16))
+    assert embedding_server.gc_enabled == [True] * 70
+    seen = []
+
+    def respond(model_id, req):
+        seen.append(gc.isenabled())
+        return "hello", 0.0
+
+    endpoint, _ = loopback(chat(respond))
+    req = CompletionRequest(messages=(ChatMessage("user", "hi"),))
+    assert complete(remote_backend("m", endpoint), req) == "hello"
+    assert seen == [True]
 
 
 def test_remote_index_build_embeds_each_tool_once(embedding_server):

@@ -170,6 +170,18 @@ def test_sample_gold_args_gives_up_after_three_mismatches(cat):
         sample_gold_args(gw, tool, "p", 5)
 
 
+def test_sample_gold_args_nested_reply_costs_one_attempt(cat):
+    """A reply nested past the recursion limit, bare or inside the braces the
+    fallback search finds, is one unreadable attempt."""
+    tool = cat.get("fn_2231_logistics_order_tracking")
+    gw = slots_backend(tool, "p", 5, {
+        0: "[" * 5000 + "]" * 5000,
+        1: '{"orderId": ' + '{"a": ' * 5000 + "1" + "}" * 5001,
+        2: '{"orderId": "ORD-12"}',
+    })
+    assert sample_gold_args(gw, tool, "p", 5) == {"orderId": "ORD-12"}
+
+
 def test_sample_gold_args_requires_exact_key_set(cat):
     tool = cat.get(SEED_TOOL)
     gw = slots_backend(tool, "p", 5, {
