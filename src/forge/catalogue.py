@@ -56,6 +56,15 @@ def fault(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+def parse_json(text: str | bytes):
+    """``json.loads``, whose only failure is a ValueError: JSON nested past
+    the recursion limit raises one with RecursionError's message."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def no_gc(fn):
     """``fn`` run with the cyclic garbage collector paused; the caller's GC
     state is restored after it, so the GC is re-enabled only if it was on.
@@ -207,11 +216,8 @@ def parse_tool(raw: object) -> Tool:
 
 
 def load_catalogue(path: str | Path) -> Catalogue:
-    """Load and validate a tool catalogue from a JSON file.
-
-    Raises CatalogueError on malformed JSON, schema violations, duplicate
-    tool names, or an empty catalogue. Pure function of the file bytes.
-    """
+    """``parse_catalogue`` of a JSON file's text; a file that cannot be
+    read is a CatalogueError too."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -221,9 +227,12 @@ def load_catalogue(path: str | Path) -> Catalogue:
 
 @no_gc
 def parse_catalogue(text: str) -> Catalogue:
+    """Parse and validate a tool catalogue: CatalogueError on JSON that
+    ``parse_json`` cannot read, schema violations, duplicate tool names or
+    an empty catalogue. Pure function of the text."""
     try:
-        raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        raw = parse_json(text)
+    except ValueError as exc:
         raise CatalogueError(f"malformed catalogue JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise CatalogueError("catalogue must be a JSON array of tool objects")

@@ -16,9 +16,10 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
-from .catalogue import CatalogueError, fault, load_catalogue, typed
+from .catalogue import CatalogueError, fault, load_catalogue, parse_json, typed
 from .engine import (
     DialogueTrace,
     EngineConfig,
@@ -73,24 +74,23 @@ class BenchConfig:
 def _load(what: str, path: str | Path, load):
     """``load(path)``: the one way a command reads a file it names, so a
     missing, unreadable or malformed file is a ConfigError naming the file.
-    A config reader raises ValueError or KeyError at the fault; the files it
-    loads in turn go through ``_load`` themselves and name their own path.
-    A RecursionError is JSON nested deeper than the interpreter allows."""
+    A reader raises ValueError (``parse_json``'s for bad JSON) or KeyError at
+    the fault; a file it loads in turn goes through ``_load`` and names itself."""
     try:
         return load(path)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load {what} {path}: {fault(exc)}") from exc
 
 
 def _json_object(path: str | Path) -> dict:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = parse_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("expected a JSON object")
     return raw
 
 
 def _json_strings(path: str | Path) -> list[str]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = parse_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
         raise ValueError("expected a JSON array of strings")
     return raw
@@ -98,7 +98,7 @@ def _json_strings(path: str | Path) -> list[str]:
 
 def _jsonl(path: str | Path, from_dict) -> list:
     with open(path, encoding="utf-8") as fh:
-        return [from_dict(json.loads(line)) for line in fh if line.strip()]
+        return [from_dict(parse_json(line)) for line in fh if line.strip()]
 
 
 def load_scenarios(path: str | Path) -> dict[str, Scenario]:
@@ -510,6 +510,7 @@ def cmd_bench_report(args) -> int:
 # parser
 
 
+@cache  # one parser per process: each one is a cluster of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -518,40 +519,40 @@ def build_parser() -> argparse.ArgumentParser:
     cat_sub = p_cat.add_subparsers(dest="subcommand", required=True)
     p_lint = cat_sub.add_parser("lint", help="validate a catalogue file")
     p_lint.add_argument("path")
-    p_lint.set_defaults(func=cmd_catalogue_lint)
+    p_lint.set_defaults(func="cmd_catalogue_lint")
 
     p_dis = sub.add_parser("distractors", help="nearest distractors for a seed tool")
     p_dis.add_argument("catalogue")
     p_dis.add_argument("seed")
     p_dis.add_argument("--k", type=int, default=5)
     p_dis.add_argument("--dim", type=int, default=256)
-    p_dis.set_defaults(func=cmd_distractors)
+    p_dis.set_defaults(func="cmd_distractors")
 
     p_gen = sub.add_parser("generate", help="synthesize and validate dialogues")
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--seed-tools", help="comma-separated seed tool names (default: all)")
-    p_gen.set_defaults(func=cmd_generate)
+    p_gen.set_defaults(func="cmd_generate")
 
     p_val = sub.add_parser("validate", help="run the validator cascade over a corpus")
     p_val.add_argument("corpus")
     p_val.add_argument("--config", required=True)
     p_val.add_argument("--scenarios", required=True)
     p_val.add_argument("--out")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func="cmd_validate")
 
     p_exp = sub.add_parser("export", help="turn-slice a corpus into training samples")
     p_exp.add_argument("corpus")
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--scenarios", required=True)
     p_exp.add_argument("--out-dir", required=True)
-    p_exp.set_defaults(func=cmd_export)
+    p_exp.set_defaults(func="cmd_export")
 
     p_sta = sub.add_parser("stats", help="corpus histograms")
     p_sta.add_argument("corpus")
     p_sta.add_argument("--scenarios", required=True)
     p_sta.add_argument("--out")
     p_sta.add_argument("--csv")
-    p_sta.set_defaults(func=cmd_stats)
+    p_sta.set_defaults(func="cmd_stats")
 
     p_sco = sub.add_parser("score", help="metric report for a trace corpus")
     p_sco.add_argument("corpus")
@@ -559,25 +560,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sco.add_argument("--judge", help="backend config JSON for the rubric judge")
     p_sco.add_argument("--out")
     p_sco.add_argument("--csv")
-    p_sco.set_defaults(func=cmd_score)
+    p_sco.set_defaults(func="cmd_score")
 
     p_ben = sub.add_parser("bench", help="benchmark a candidate assistant backend")
     ben_sub = p_ben.add_subparsers(dest="subcommand", required=True)
     p_run = ben_sub.add_parser("run", help="run a benchmark config")
     p_run.add_argument("config")
-    p_run.set_defaults(func=cmd_bench_run)
+    p_run.set_defaults(func="cmd_bench_run")
     p_rep = ben_sub.add_parser("report", help="print a results directory summary")
     p_rep.add_argument("dir")
-    p_rep.set_defaults(func=cmd_bench_report)
+    p_rep.set_defaults(func="cmd_bench_report")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)  # by name, so the cached parser runs a rebound cmd_*
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

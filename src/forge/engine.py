@@ -25,7 +25,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .catalogue import Catalogue, typed
+from .catalogue import Catalogue, parse_json, typed
 from .gateway import (BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete,
                       fan_out)
 from .prompts import get_prompt, render
@@ -268,8 +268,8 @@ def parse_assistant_output(raw: str) -> AssistantTurn:
         raise AssistantFormatError("assistant payload is empty")
     if remainder.startswith("["):
         try:
-            entries = json.loads(remainder)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+            entries = parse_json(remainder)
+        except ValueError as exc:
             raise AssistantFormatError(f"unparseable tool-call JSON: {exc}") from exc
         if not isinstance(entries, list) or not entries:
             raise AssistantFormatError("tool-call list is empty")
@@ -298,10 +298,8 @@ def _as_number(value: object) -> int | float | None:
         return value
     if isinstance(value, str):
         text = value.strip()
-        if _INT_RE.fullmatch(text):
-            return int(text)
-        try:
-            number = float(text)
+        try:  # an integer string too long for int() compares as text
+            number = int(text) if _INT_RE.fullmatch(text) else float(text)
         except ValueError:
             return None
         # "nan" parses but never equals itself; compare it as text instead.

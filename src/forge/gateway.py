@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .catalogue import fault, typed
+from .catalogue import fault, parse_json, typed
 
 MAX_IN_FLIGHT = 8
 
@@ -233,7 +233,7 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = parse_json(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("transcript must be a JSON object")
         replies = {k: [v] if isinstance(v, str) else v for k, v in raw.items()}
@@ -283,9 +283,10 @@ def post_json(cfg: BackendConfig, body: dict, decode):
     Honours the global in-flight limit, reuses pooled connections, and
     waits as long as a 429 or 503 reply's ``Retry-After`` asks, up to the
     backoff cap. A timeout is a GatewayTimeout; any other transport failure
-    (a refused or dropped connection, a body cut short) is retried. A reply
-    that is not JSON, or that ``decode`` cannot read (KeyError, IndexError,
-    TypeError, ValueError), is a GatewayError and is not retried.
+    (a refused or dropped connection, a body cut short) is retried. A body
+    that ``parse_json`` cannot read (not UTF-8 JSON, or nested too deep), or
+    a reply ``decode`` cannot read (KeyError, IndexError, TypeError,
+    ValueError), is a GatewayError and is not retried.
     """
     import requests  # imported here, so a scripted run never loads it
     from requests.models import PreparedRequest
@@ -323,7 +324,7 @@ def post_json(cfg: BackendConfig, body: dict, decode):
         if resp.status_code != 200:
             raise GatewayError(f"{url} returned HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            return decode(resp.json())
+            return decode(parse_json(resp.content))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise GatewayError(f"{url} returned a malformed reply: {fault(exc)}") from exc
     if isinstance(last_error, GatewayTimeout):

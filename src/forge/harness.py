@@ -103,9 +103,10 @@ def pool_votes(votes: list[int]) -> int:
 def _parse_vote(reply: str, n: int) -> int | None:
     """First integer in the reply if it is a valid 1..n position."""
     match = re.search(r"\d+", reply)
-    if not match:
+    try:
+        value = int(match.group(0)) if match else 0
+    except ValueError:  # more digits than int() reads: never a valid position
         return None
-    value = int(match.group(0))
     return value if 1 <= value <= n else None
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .catalogue import Tool, required_args, typed
+from .catalogue import Tool, parse_json, required_args, typed
 from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
 from .prompts import get_prompt, render
 from .retrieval import (
@@ -64,13 +64,12 @@ class PersonaStore:
 
     @classmethod
     def load(cls, path: str | Path, embedder: Embedder) -> "PersonaStore":
-        return cls(personas=json.loads(Path(path).read_text(encoding="utf-8")),
-                   embedder=embedder)
+        return cls(parse_json(Path(path).read_text(encoding="utf-8")), embedder)
 
     @classmethod
     def bundled(cls, embedder: Embedder) -> "PersonaStore":
         text = resources.files("forge").joinpath("assets/personas.json").read_text(encoding="utf-8")
-        return cls(personas=json.loads(text), embedder=embedder)
+        return cls(parse_json(text), embedder)
 
 
 @dataclass
@@ -187,16 +186,15 @@ def _extract_json_object(text: str) -> dict | None:
     if cleaned.startswith("```"):
         cleaned = re.sub(r"^```[a-zA-Z]*\n?", "", cleaned)
         cleaned = re.sub(r"\n?```$", "", cleaned).strip()
-    # RecursionError: a reply nested deeper than the recursion limit
     try:
-        obj = json.loads(cleaned)
-    except (json.JSONDecodeError, RecursionError):
+        obj = parse_json(cleaned)
+    except ValueError:
         match = re.search(r"\{.*\}", cleaned, re.DOTALL)
         if not match:
             return None
         try:
-            obj = json.loads(match.group(0))
-        except (json.JSONDecodeError, RecursionError):
+            obj = parse_json(match.group(0))
+        except ValueError:
             return None
     return obj if isinstance(obj, dict) else None
 

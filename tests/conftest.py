@@ -155,6 +155,8 @@ RAW_A3_CALL = ('<think>I have both identifiers; time to raise the call.</think> 
                '"args": {"nodeId": 437292, "transportRequestId": 957841}}]')
 # a bracket-led reply nested past the interpreter's recursion limit
 RAW_NESTED_CALLS = "<think>x</think> " + "[" * 5000 + "]" * 5000
+# a tool-call payload holding an integer past Python's 4,300-digit limit
+RAW_LONG_INT_CALLS = "<think>x</think> [" + "1" * 5000 + "]"
 
 
 @pytest.fixture
@@ -186,7 +188,7 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
         status, headers, payload, delay = self.server.respond(body)
         if delay:  # a test may patch time.sleep to record the client's waits
             time.sleep(delay)
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         try:
             self.send_response(status)
             for name, value in headers.items():
@@ -212,11 +214,12 @@ def loopback():
     returns ``(endpoint, server)``, the endpoint being a chat-completions URL
     (the server answers every path alike). ``respond(body)`` gets each
     request's JSON body and gives the status, a dict of extra headers, the
-    JSON payload and the seconds to wait before sending it (``chat`` adapts
-    a chat responder); ``server.ports`` lists the client port of every
-    request received and ``server.headers`` its headers. Setting
-    ``server.drop_connections`` makes the server drop each keep-alive
-    connection after its reply, setting ``server.dropped`` once it has."""
+    JSON payload (or ``bytes`` sent as they are) and the seconds to wait
+    before sending it (``chat`` adapts a chat responder); ``server.ports``
+    lists the client port of every request received and ``server.headers``
+    its headers. Setting ``server.drop_connections`` makes the server drop
+    each keep-alive connection after its reply, setting ``server.dropped``
+    once it has."""
     servers = []
 
     def start(respond):

@@ -1,10 +1,13 @@
+import ast
 import contextlib
 import gc
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forge import catalogue
 from forge.catalogue import (TYPE_TAGS, CatalogueError, load_catalogue, parse_catalogue,
                              required_args)
 
@@ -113,16 +116,45 @@ def _with_param(**change):
     ([_TOOL, _TOOL], "duplicate tool name: 't'"),
     ("[" * 5000, "malformed catalogue JSON: maximum recursion depth exceeded while "
                  "decoding a JSON array from a unicode string"),
+    ("[" + "1" * 5000 + "]", "malformed catalogue JSON: Exceeds the limit (4300 digits) for "
+                             "integer string conversion: value has 5000 digits; use "
+                             "sys.set_int_max_str_digits() to increase the limit"),
 ], ids=["entry-not-object", "missing-name", "missing-description", "missing-parameters",
         "empty-name", "description-not-string", "parameters-not-object", "param-not-object",
         "param-missing-type", "param-missing-description", "param-missing-required",
         "unknown-type", "list-type", "empty-param-description", "required-not-boolean",
-        "duplicate-name", "nested-past-recursion-limit"])
+        "duplicate-name", "nested-past-recursion-limit", "integer-past-digit-limit"])
 def test_catalogue_error_messages(entries, message):
     """Each fault's message; a str row is the file text itself."""
     with pytest.raises(CatalogueError) as exc:
         parse_catalogue(entries if isinstance(entries, str) else json.dumps(entries))
     assert str(exc.value) == message
+
+
+def test_parse_json_is_the_one_decoder_of_outside_json():
+    """In ``src/forge``, only ``parse_json`` calls ``json.loads`` or names
+    RecursionError, and nothing calls a reply's ``.json()``: what malformed
+    JSON raises is decided in one place."""
+    found = []
+    for path in sorted(Path(catalogue.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for top in tree.body
+                  if path.name == "catalogue.py" and isinstance(top, ast.FunctionDef)
+                  and top.name == "parse_json" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr == "loads"
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(f"{path.name}:{node.lineno}: json.loads")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(f"{path.name}:{node.lineno}: from json import")
+            elif isinstance(node, ast.Name) and node.id == "RecursionError":
+                found.append(f"{path.name}:{node.lineno}: RecursionError")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "json"):
+                found.append(f"{path.name}:{node.lineno}: .json()")
+    assert found == []
 
 
 def _wide_catalogue(n_tools: int) -> list[dict]:

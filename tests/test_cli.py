@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import shutil
 import subprocess
@@ -31,6 +33,7 @@ from conftest import (
     RAW_A1,
     RAW_A2_FILL,
     RAW_A3_CALL,
+    RAW_LONG_INT_CALLS,
     RAW_NESTED_CALLS,
     RAW_U3,
     ROOT_SEED,
@@ -60,6 +63,31 @@ def test_catalogue_lint_ok(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(CATALOGUE_TOOLS), encoding="utf-8")
     assert run(["catalogue", "lint", path]) == 0
+
+
+def test_main_leaves_no_parser_as_cyclic_garbage(tmp_path):
+    """``main`` builds its argument parser once per process, so calls do not
+    leave a parser's reference cycles for the cyclic GC to find."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(CATALOGUE_TOOLS), encoding="utf-8")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert [run(["catalogue", "lint", path]) for _ in range(2)] == [0, 0]
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert parsers == []
+
+
+def test_main_runs_the_command_bound_at_call_time(tmp_path, monkeypatch):
+    """The parser is built once, yet each call runs the ``cmd_*`` function
+    the module binds when it is made, as a tracer that rebinds it expects."""
+    assert run(["catalogue", "lint", tmp_path / "missing.json"]) == 1
+    monkeypatch.setattr(cli, "cmd_catalogue_lint", lambda args: 7)
+    assert run(["catalogue", "lint", tmp_path / "missing.json"]) == 7
 
 
 def test_catalogue_lint_bad_file(tmp_path, capsys):
@@ -794,29 +822,37 @@ def _run_with_assistant_reply(world, capsys, command: str, reply: str) -> tuple:
 
 @pytest.mark.parametrize("command", ["generate", "bench"])
 def test_nested_assistant_reply_is_one_unparseable_reply(tmp_path, capsys, command):
-    """A tool-call reply nested past the recursion limit costs what a bare
-    ``[`` reply costs: the generate dialogue, or the bench turn, which keeps
-    the raw text."""
+    """A tool-call reply nested past the recursion limit, or holding an
+    integer past Python's digit limit, costs what a bare ``[`` reply costs:
+    the generate dialogue, or the bench turn, which keeps the raw text."""
     bare = "<think>x</think> ["
+    replies = {bare: "", RAW_NESTED_CALLS: "maximum recursion depth",
+               RAW_LONG_INT_CALLS: "Exceeds the limit (4300 digits)"}
     runs = {reply: _run_with_assistant_reply(build_replay_world(tmp_path / str(i)), capsys,
                                              command, reply)
-            for i, reply in enumerate((bare, RAW_NESTED_CALLS))}
+            for i, reply in enumerate(replies)}
     code, stdout, stderr, files = runs[bare]
-    nested_code, nested_stdout, nested_stderr, nested_files = runs[RAW_NESTED_CALLS]
-    assert (nested_code, nested_stdout) == (code, stdout.replace(str(tmp_path / "0"),
-                                                                 str(tmp_path / "1")))
-    if command == "generate":
-        head = f"error on {SEED_TOOL}: unparseable tool-call JSON: "
-        assert code == 1 and "errors=1" in stdout
-        assert stderr.startswith(head) and stderr.count("\n") == 1
-        assert nested_stderr.startswith(head + "maximum recursion depth")
-        assert nested_stderr.count("\n") == 1
-    else:
-        assert code == 0 and stderr == nested_stderr == ""
-        assert json.dumps(bare).encode("utf-8") in files["traces.jsonl"]
-        nested_files["traces.jsonl"] = nested_files["traces.jsonl"].replace(
-            json.dumps(RAW_NESTED_CALLS).encode("utf-8"), json.dumps(bare).encode("utf-8"))
-    assert nested_files == files
+    for i, (reply, message) in enumerate(list(replies.items())[1:], start=1):
+        nested_code, nested_stdout, nested_stderr, nested_files = runs[reply]
+        assert (nested_code, nested_stdout) == (code, stdout.replace(str(tmp_path / "0"),
+                                                                     str(tmp_path / str(i))))
+        if command == "generate":
+            head = f"error on {SEED_TOOL}: unparseable tool-call JSON: "
+            assert code == 1 and "errors=1" in stdout
+            assert stderr.startswith(head) and stderr.count("\n") == 1
+            assert nested_stderr.startswith(head + message)
+            assert nested_stderr.count("\n") == 1
+        else:
+            assert code == 0 and stderr == nested_stderr == ""
+            assert json.dumps(bare).encode("utf-8") in files["traces.jsonl"]
+            nested_files["traces.jsonl"] = nested_files["traces.jsonl"].replace(
+                json.dumps(reply).encode("utf-8"), json.dumps(bare).encode("utf-8"))
+            if reply == RAW_LONG_INT_CALLS:  # the lexical metrics read its digits as a word
+                got, want = ({k: v for k, v in json.loads(f["report.json"]).items()
+                              if k not in ("ttr", "ngd")} for f in (nested_files, files))
+                assert got == want
+                nested_files["report.json"] = files["report.json"]
+        assert nested_files == files
 
 
 def test_bench_dynamic_failed_task_costs_one_task(world, capsys):
@@ -1159,17 +1195,24 @@ def test_bad_input_is_config_error(world, capsys, command, change, message):
     assert path is None or str(path) in err
 
 
+_LONG_INT_CATALOGUE = "[" + "1" * 5000 + "]"
+
+
 @pytest.mark.parametrize("command, text", [
     ("generate", '[{"name": "t"}]'),
     ("bench", '[{"name": "t"}]'),
     ("generate", "[" * 5000),
     ("bench", "[" * 5000),
     ("lint", "[" * 5000),
-], ids=["generate", "bench", "generate-nested", "bench-nested", "lint-nested"])
+    ("generate", _LONG_INT_CATALOGUE),
+    ("bench", _LONG_INT_CATALOGUE),
+    ("lint", _LONG_INT_CATALOGUE),
+], ids=["generate", "bench", "generate-nested", "bench-nested", "lint-nested",
+        "generate-long-int", "bench-long-int", "lint-long-int"])
 def test_invalid_catalogue_is_exit_1(world, capsys, command, text):
-    """A catalogue that exists but fails its own checks, or is nested past
-    the recursion limit, is invalid input, not a config error, even when a
-    config file names it."""
+    """A catalogue that exists but fails its own checks, is nested past the
+    recursion limit or holds an integer past Python's digit limit, is
+    invalid input, not a config error, even when a config file names it."""
     path = world.tmp_path / "catalogue.json"
     argv = {"bench": lambda: ["bench", "run", _bench_config(world)],
             "generate": lambda: ["generate", "--config", world.config_path],
@@ -1181,6 +1224,9 @@ def test_invalid_catalogue_is_exit_1(world, capsys, command, text):
     assert err.startswith("invalid input:")
     if text.startswith("[["):
         assert err.startswith("invalid input: malformed catalogue JSON: maximum recursion depth")
+    if text == _LONG_INT_CATALOGUE:
+        assert err.startswith("invalid input: malformed catalogue JSON: Exceeds the limit "
+                              "(4300 digits)")
 
 
 def _unreadable_input(world, case: str):

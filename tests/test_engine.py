@@ -36,6 +36,7 @@ from conftest import (
     RAW_A1,
     RAW_A2_COMMIT,
     RAW_A3_CALL,
+    RAW_LONG_INT_CALLS,
     RAW_NESTED_CALLS,
     SEED_TOOL,
     build_replay_world,
@@ -71,10 +72,14 @@ def test_parse_unparseable_call_json():
 
 
 def test_parse_nested_call_json_is_unparseable():
-    """JSON nested past the recursion limit is one unparseable reply."""
+    """JSON nested past the recursion limit, or holding an integer past
+    Python's digit limit, is one unparseable reply."""
     with pytest.raises(AssistantFormatError, match="unparseable tool-call JSON: maximum "
                                                    "recursion depth exceeded"):
         parse_assistant_output(RAW_NESTED_CALLS)
+    with pytest.raises(AssistantFormatError, match=r"unparseable tool-call JSON: Exceeds "
+                                                   r"the limit \(4300 digits\)"):
+        parse_assistant_output(RAW_LONG_INT_CALLS)
 
 
 def test_parse_empty_payload():
@@ -487,3 +492,12 @@ def test_nan_spelling_compares_as_text():
     assert canonical_equal("NAN", "NAN")
     assert canonical_equal(" nan", "nan ")
     assert not canonical_equal("nan", "NaN")
+
+
+def test_integer_string_past_the_digit_limit_compares_as_text():
+    """A digit string too long for int() is compared as text, never raises."""
+    digits = "1" * 5000
+    assert canonical_equal(digits, f" {digits} ")
+    assert not canonical_equal(digits, "x")
+    assert not canonical_equal(digits, digits + "1")
+    assert not canonical_equal(digits, 1)

@@ -266,6 +266,19 @@ def test_remote_reply_without_text_is_gateway_error(stub, text):
     assert stub.calls == 1
 
 
+@pytest.mark.parametrize("body, message", [
+    (b'{"choices": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth"),
+    (b'{"choices": [{"message": {"content": "caf\xe9"}}]}', "'utf-8' codec can't decode"),
+], ids=["nested-past-recursion-limit", "not-utf-8"])
+def test_remote_malformed_chat_reply_is_gateway_error(loopback, body, message):
+    """A chat reply body that is not UTF-8 JSON is a GatewayError after one
+    request: it is not retried."""
+    endpoint, server = loopback(lambda request: (200, {}, body, 0.0))
+    with pytest.raises(GatewayError, match=f"malformed reply: {message}"):
+        complete(remote_cfg(endpoint), req())
+    assert len(server.ports) == 1
+
+
 def test_remote_timeout(stub):
     stub.script = [(200, "slow", 1.0)]
     with pytest.raises(GatewayTimeout):

@@ -157,6 +157,16 @@ def test_out_of_range_votes_discarded_with_fallback(world, caplog):
     assert any("discarded" in rec.message for rec in caplog.records)
 
 
+def test_vote_past_the_digit_limit_is_discarded(world):
+    """A vote too long for int() is discarded like an out-of-range one."""
+    candidates = ["first option", "second option", "third option"]
+    scn, vcfg = voting_fixture(world, candidates,
+                               bad_votes=["9" * 5000, "placeholder", "0" * 4999 + "1"])
+    perm1, req = voter_request(scn, [], candidates, 777, 1)
+    vcfg.voter.transcript.register(req, str(perm1.index(2) + 1), "m-voter")
+    assert vote_utterance(scn, user_system_prompt(scn, world.cat), [], vcfg) == "third option"
+
+
 def test_partial_votes_still_pool(world):
     candidates = ["first option", "second option", "third option"]
     # voters 0 and 2 invalid, voter 1 picks original candidate 2

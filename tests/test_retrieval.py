@@ -410,7 +410,8 @@ def test_remote_embed_rejects_wrong_dimension(embedding_server):
     ({"object": "list"}, "missing key 'data'"),
     ([{"embedding": [1.0] * 16}], "list indices"),
     ({"data": [{"embedding": [float("nan")] * 16}]}, "finite values"),
-], ids=["no-data", "top-level-array", "nan"])
+    (b'{"data": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth"),
+], ids=["no-data", "top-level-array", "nan", "nested-past-recursion-limit"])
 def test_remote_embed_malformed_reply_is_gateway_error(loopback, payload, message):
     """A reply the embedder cannot read is a GatewayError, the failure that
     costs one dialogue, and is not retried."""

@@ -171,12 +171,19 @@ def test_sample_gold_args_gives_up_after_three_mismatches(cat):
 
 
 def test_sample_gold_args_nested_reply_costs_one_attempt(cat):
-    """A reply nested past the recursion limit, bare or inside the braces the
-    fallback search finds, is one unreadable attempt."""
+    """A reply nested past the recursion limit, or holding an integer past
+    Python's digit limit, bare or inside the braces the fallback search
+    finds, is one unreadable attempt."""
     tool = cat.get("fn_2231_logistics_order_tracking")
     gw = slots_backend(tool, "p", 5, {
         0: "[" * 5000 + "]" * 5000,
         1: '{"orderId": ' + '{"a": ' * 5000 + "1" + "}" * 5001,
+        2: '{"orderId": "ORD-12"}',
+    })
+    assert sample_gold_args(gw, tool, "p", 5) == {"orderId": "ORD-12"}
+    gw = slots_backend(tool, "p", 5, {
+        0: '{"orderId": ' + "1" * 5000 + "}",
+        1: 'args: {"orderId": ' + "1" * 5000 + "}",
         2: '{"orderId": "ORD-12"}',
     })
     assert sample_gold_args(gw, tool, "p", 5) == {"orderId": "ORD-12"}
