@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -256,10 +257,11 @@ def _out_files(*paths: str | None) -> None:
         _out_dir(path.parent)
 
 
-def write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+def write_jsonl(fh, record: dict) -> None:
+    """``record`` as one JSON line on the open file ``fh``, flushed to the
+    OS, so a finished item's lines are readable before the run ends."""
+    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    fh.flush()
 
 
 def write_json(path: str | Path | None, obj) -> None:
@@ -370,32 +372,40 @@ def cmd_generate(args) -> int:
     out = _out_dir(cfg.out_dir)
     # built once, before the first dialogue: a failed embedding here ends the command
     tools, personas = ToolIndex(cat, emb), VectorIndex(store.personas, emb)
-    built: dict[str, Scenario] = {}  # a dialogue whose scenario was never built has no line
 
-    def _one(name: str) -> tuple[str, dict]:
-        scn = built[name] = build_scenario(
+    def _scenario(name: str) -> Scenario:
+        return build_scenario(
             tools, personas, gw_goal, name, cfg.k, split_seed(cfg.rng_seed, f"dialogue:{name}"),
             persona_k=cfg.persona_k, slot_gw=cfg.backends.get("slots"))
+
+    def _dialogue(scn: Scenario) -> tuple[str, dict]:
         try:
             trace = synthesize_dialogue(scn, tools, gw_user, gw_asst, cfg.engine)
         except SynthesisRejected as exc:
-            return "rejected", {"seed_tool": name, "reason": str(exc)}
+            return "rejected", {"seed_tool": scn.seed_tool, "reason": str(exc)}
         report = run_cascade(trace, scn, cat, cfg.judges)
         if report.accepted:
             return "accepted", trace.to_dict()
         return "rejected", {"dialogue": trace.to_dict(), "report": report.to_dict()}
 
-    records: dict[str, list] = {"accepted": [], "rejected": [], "error": []}
-    for name, outcome in zip(names, run_items(_one, names, cfg.concurrency)):
-        if isinstance(outcome, Exception):
-            outcome = "error", {"dialogue_id": name, "error": outcome}
-        records[outcome[0]].append(outcome[1])
-    write_jsonl(out / "corpus.jsonl", records["accepted"])
-    write_jsonl(out / "rejected.jsonl", records["rejected"])
-    write_jsonl(out / "scenarios.jsonl", [built[n].to_dict() for n in names if n in built])
-    print(f"accepted={len(records['accepted'])} rejected={len(records['rejected'])} "
-          f"errors={len(records['error'])} -> {out}")
-    return _item_errors(records["error"])
+    counts, errors = Counter(), []
+    with open(out / "corpus.jsonl", "w", encoding="utf-8") as corpus, \
+            open(out / "rejected.jsonl", "w", encoding="utf-8") as rejected, \
+            open(out / "scenarios.jsonl", "w", encoding="utf-8") as scenarios:
+        files = {"accepted": corpus, "rejected": rejected}
+        # a scenario line exists exactly when the item's first stage returned
+        for name, result in zip(names, run_items(_scenario, names, cfg.concurrency, _dialogue)):
+            if not isinstance(result, Exception):
+                scn, result = result
+                write_jsonl(scenarios, scn.to_dict())
+            if isinstance(result, Exception):
+                errors.append({"dialogue_id": name, "error": result})
+            else:
+                counts[result[0]] += 1
+                write_jsonl(files[result[0]], result[1])
+    print(f"accepted={counts['accepted']} rejected={counts['rejected']} "
+          f"errors={len(errors)} -> {out}")
+    return _item_errors(errors)
 
 
 def cmd_validate(args) -> int:
@@ -405,18 +415,18 @@ def cmd_validate(args) -> int:
     _check_tools(args.scenarios, (scn for _, scn in pairs), cat)
     _out_files(args.out)
     results = run_items(lambda pair: run_cascade(*pair, cat, cfg.judges), pairs, cfg.concurrency)
-    errors, reports = [], []
-    for (trace, _), report in zip(pairs, results):
-        if isinstance(report, Exception):
-            errors.append({"dialogue_id": trace.dialogue_id, "error": report})
-            report = ValidationReport(trace.dialogue_id, "error", [("judges", str(report))])
-        reports.append(report.to_dict())
-    if args.out:
-        write_jsonl(Path(args.out), reports)
-    print(f"validated {len(reports)} dialogues; "
-          f"rejected {sum(1 for r in reports if r['verdict'] == 'reject')}")
+    errors, verdicts = [], Counter()
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
+        for (trace, _), report in zip(pairs, results):
+            if isinstance(report, Exception):
+                errors.append({"dialogue_id": trace.dialogue_id, "error": report})
+                report = ValidationReport(trace.dialogue_id, "error", [("judges", str(report))])
+            verdicts[report.verdict] += 1
+            if out:
+                write_jsonl(out, report.to_dict())
+    print(f"validated {len(pairs)} dialogues; rejected {verdicts['reject']}")
     _item_errors(errors)  # an errored dialogue is not accepted: it exits 1 below
-    return 0 if all(r["verdict"] == "accept" for r in reports) else 1
+    return 0 if verdicts["accept"] == len(pairs) else 1
 
 
 def cmd_export(args) -> int:
@@ -466,11 +476,11 @@ def cmd_bench_run(args) -> int:
     cfg = _load("bench config", args.config, _bench_config)
     cat = load_catalogue(cfg.catalogue)
     _check_tools(cfg.scenarios, (task.scenario for task in cfg.tasks), cat)
-    _out_dir(cfg.out_dir)
-    report, traces, failed = run_benchmark(
-        cfg.tasks, cfg.backends["assistant"], cat, cfg.voting, cfg.backends.get("judge"),
-        cfg.engine, concurrency=cfg.concurrency, exclusions=cfg.exclusions)
-    write_jsonl(cfg.out_dir / "traces.jsonl", [d.to_dict() for d in traces])
+    with open(_out_dir(cfg.out_dir) / "traces.jsonl", "w", encoding="utf-8") as fh:
+        report, traces, failed = run_benchmark(
+            cfg.tasks, cfg.backends["assistant"], cat, cfg.voting, cfg.backends.get("judge"),
+            cfg.engine, concurrency=cfg.concurrency, exclusions=cfg.exclusions,
+            on_trace=lambda d: write_jsonl(fh, d.to_dict()))
     if report is not None:
         write_json(cfg.out_dir / "report.json", report.to_dict())
     rows = report.per_dialogue if report else failed

@@ -42,6 +42,9 @@ TERMINATED_TURN_CAP = "turn_cap"
 AGENT_TEMPERATURE = 0.7
 AGENT_MAX_TOKENS = 1024
 
+# what the user proxy is shown for an empty assistant reply (a malformed turn)
+EMPTY_REPLY = "(empty reply)"
+
 
 class AssistantFormatError(ValueError):
     """Raw assistant output does not follow the think/response wire format."""
@@ -59,13 +62,18 @@ class RetrieverMissError(SynthesisRejected):
     """Live retrieval failed to surface the seed tool in every attempt."""
 
 
+class BlankUtteranceError(Exception):
+    """The user proxy's reply holds nothing but whitespace."""
+
+
 # Failures that cost one dialogue, not the whole run; caught only in ``run_items``.
-DIALOGUE_ERRORS = (GatewayError, ScenarioError, AssistantFormatError)
+DIALOGUE_ERRORS = (GatewayError, ScenarioError, AssistantFormatError, BlankUtteranceError)
 
 
-def run_items(fn, items, workers: int, then=None, then_workers: int = 1) -> list:
+def run_items(fn, items, workers: int, then=None, then_workers: int = 1):
     """``gateway.fan_out``, except that an item whose ``fn`` raises one of
-    ``DIALOGUE_ERRORS`` gets the exception in place of its result.
+    ``DIALOGUE_ERRORS`` gets the exception in place of its result; any
+    other exception ends the iteration at its item.
 
     With ``then`` (``fan_out``'s second stage), an item whose ``fn``
     returned gets the pair (result, ``then(result)``), ``then``'s own
@@ -277,9 +285,11 @@ def parse_assistant_output(raw: str) -> AssistantTurn:
         for entry in entries:
             if not isinstance(entry, dict) or "name" not in entry or "args" not in entry:
                 raise AssistantFormatError(f"malformed tool-call entry: {entry!r}")
+            if not isinstance(entry["name"], str):
+                raise AssistantFormatError("tool-call name must be a string")
             if not isinstance(entry["args"], dict):
                 raise AssistantFormatError("tool-call args must be an object")
-            calls.append(ToolCall(name=str(entry["name"]), args=dict(entry["args"])))
+            calls.append(ToolCall(name=entry["name"], args=dict(entry["args"])))
         return AssistantTurn(thought=thought, content="", tool_calls=calls)
     return AssistantTurn(thought=thought, content=remainder, tool_calls=None)
 
@@ -412,14 +422,14 @@ def assistant_request(sys_prompt: str, messages: list, seed: int,
 def user_request(sys_prompt: str, messages: list, seed: int,
                  cfg=None) -> CompletionRequest:
     """Context h^u_t from the proxy's perspective: its own utterances appear
-    as assistant turns, the assistant's public replies as user turns;
-    thoughts stay hidden."""
+    as assistant turns, the assistant's public replies as user turns
+    (``EMPTY_REPLY`` for an empty malformed one); thoughts stay hidden."""
     chat = [ChatMessage("system", sys_prompt)]
     for m in messages:
         if isinstance(m, UserTurn):
             chat.append(ChatMessage("assistant", m.text))
         else:
-            chat.append(ChatMessage("user", m.public_text()))
+            chat.append(ChatMessage("user", m.public_text() or EMPTY_REPLY))
     return CompletionRequest(messages=tuple(chat), temperature=AGENT_TEMPERATURE,
                              seed=seed, max_tokens=AGENT_MAX_TOKENS)
 
@@ -448,10 +458,19 @@ class SelectionOutcome:
     capped: bool = False
 
 
+def utterance(reply: str) -> str:
+    """A user-proxy reply as the text of a user turn: stripped, and a
+    BlankUtteranceError when nothing is left."""
+    text = reply.strip()
+    if not text:
+        raise BlankUtteranceError("user proxy reply is blank")
+    return text
+
+
 def _user_utterance(scn: Scenario, label: str, sys_u: str, messages: list,
                     gw_user: BackendConfig) -> str:
-    return complete(gw_user, user_request(
-        sys_u, messages, split_seed(scn.rng_seed, f"{label}:user:{len(messages)}"))).strip()
+    return utterance(complete(gw_user, user_request(
+        sys_u, messages, split_seed(scn.rng_seed, f"{label}:user:{len(messages)}"))))
 
 
 def _converse(scn: Scenario, label: str, sys_a: str, sys_u: str, messages: list,

@@ -29,9 +29,9 @@ cannot deadlock on it and the adapter's LIFO connection pool never needs
 more than ``MAX_IN_FLIGHT`` connections; they are reused across calls and
 across short-lived worker threads.
 
-``fan_out`` runs the package's thread pools: results come back in item
-order, so replies, not their arrival, decide every output. Its optional
-second stage starts on each result as soon as that result is ready.
+``fan_out`` runs the package's thread pools: it yields results in item
+order as they finish, so replies, not their arrival, decide every output.
+Its optional second stage starts on each result as soon as it is ready.
 Independent calls to one backend overlap only when it is remote
 (``call_width``); a scripted lookup is CPU-bound under the interpreter
 lock, so it stays inline.
@@ -351,7 +351,7 @@ def _replies(cfg: BackendConfig, req: CompletionRequest, n: int) -> list[str]:
     if cfg.kind == "scripted":
         return cfg.transcript.lookup(fingerprint(cfg.model_id, req), n)
     subs = [req if req.seed is None else replace(req, seed=req.seed + i) for i in range(n)]
-    return fan_out(lambda sub: _remote_complete(cfg, sub), subs, n)
+    return list(fan_out(lambda sub: _remote_complete(cfg, sub), subs, n))
 
 
 def complete(cfg: BackendConfig, req: CompletionRequest) -> str:
@@ -395,12 +395,15 @@ def _pool(workers: int):
             raise
 
 
-def fan_out(fn, items, workers: int, then=None, then_workers: int = 1) -> list:
-    """``fn`` over ``items``, results in item order; inline when
-    ``workers <= 1``, since a one-worker pool only adds a thread. On a pool,
-    the first exception in item order is raised. A GatewayError lets the
-    queued items run, so the calls a failure costs do not depend on timing;
-    any other exception, an interrupt included, cancels them.
+def fan_out(fn, items, workers: int, then=None, then_workers: int = 1):
+    """``fn`` over ``items``, yielding each result in item order as soon as
+    it and every earlier one are done (``list()`` it for all); inline when
+    ``workers <= 1``, since a one-worker pool only adds a thread. On a pool
+    the futures, read in item order, are the reorder buffer, and the first
+    exception in item order is raised. A GatewayError lets the queued items
+    run, so the calls a failure costs do not depend on timing; any other
+    exception, an interrupt included, cancels them, as does closing the
+    iterator early.
 
     With ``then``, each item's result is ``then(fn(item))``, and ``then``
     starts on a result as soon as ``fn`` returns it: on a second pool
@@ -408,17 +411,18 @@ def fan_out(fn, items, workers: int, then=None, then_workers: int = 1) -> list:
     inline after ``fn`` when ``then_workers <= 1``. With a second pool,
     ``fn`` runs on a pool too, one wide at least, so that both stages'
     results are read, and their failures seen, in item order."""
-    if then is None:
-        if workers <= 1:
-            return [fn(item) for item in items]
+    if then is not None and then_workers <= 1:
+        yield from fan_out(lambda item: then(fn(item)), items, workers)
+    elif then is not None:
+        def first(item):
+            return stage.submit(then, fn(item))
+
+        with _pool(then_workers) as stage, _pool(max(workers, 1)) as pool:
+            for future in [pool.submit(first, item) for item in items]:
+                yield future.result().result()
+    elif workers <= 1:
+        yield from map(fn, items)
+    else:
         with _pool(workers) as pool:
-            return [future.result() for future in [pool.submit(fn, item) for item in items]]
-    if then_workers <= 1:
-        return fan_out(lambda item: then(fn(item)), items, workers)
-
-    def first(item):
-        return stage.submit(then, fn(item))
-
-    with _pool(then_workers) as stage, _pool(max(workers, 1)) as pool:
-        staged = [pool.submit(first, item) for item in items]
-        return [future.result().result() for future in staged]
+            for future in [pool.submit(fn, item) for item in items]:
+                yield future.result()

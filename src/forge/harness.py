@@ -33,6 +33,7 @@ from .engine import (
     selection_system_prompt,
     user_request,
     user_system_prompt,
+    utterance,
 )
 from .gateway import (
     MAX_IN_FLIGHT,
@@ -151,8 +152,8 @@ def vote_utterance(scn: Scenario, user_prompt: str, messages: list,
         return candidates[0]
     ballots = [voter_request(scn, messages, candidates, vcfg.rng_seed, j)
                for j in range(vcfg.m_voters)]
-    replies = fan_out(lambda ballot: complete(vcfg.voter, ballot[1]), ballots,
-                      call_width(vcfg.voter, vcfg.m_voters))
+    replies = list(fan_out(lambda ballot: complete(vcfg.voter, ballot[1]), ballots,
+                           call_width(vcfg.voter, vcfg.m_voters)))
     votes = []
     for (perm, _), reply in zip(ballots, replies):
         position = _parse_vote(reply, vcfg.n_samples)
@@ -214,7 +215,7 @@ def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
     def next_user(messages: list) -> str | None:
         if len(messages) >= 2 * t_max or (messages and messages[-1].tool_calls):
             return None
-        return vote_utterance(scn, sys_u, messages, vcfg)
+        return utterance(vote_utterance(scn, sys_u, messages, vcfg))
 
     return _rollout(scn, assistant, cat, "dynamic", "dyn", next_user)
 
@@ -222,7 +223,7 @@ def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
 def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogue,
                   vcfg: VotingConfig | None, judge: BackendConfig | None,
                   ecfg: EngineConfig, concurrency: int = 1,
-                  exclusions: set[str] | None = None,
+                  exclusions: set[str] | None = None, on_trace=None,
                   ) -> tuple[MetricReport | None, list[DialogueTrace], list[dict]]:
     """Run every task, score the finished traces, return (report, traces, failed).
 
@@ -236,6 +237,8 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
     ``failed`` and to the report's ``per_dialogue``; a failed grading keeps
     its trace and gives its row a null conv_rel and an ``error``. The report
     is None when tasks failed and no finished task is left to score.
+    ``on_trace(d)``, if given, gets each finished trace in task order as
+    soon as its task and every earlier one are done.
     """
     if vcfg is None and any(task.gold_dialogue is None for task in tasks):
         raise ValueError("tasks without a gold dialogue require a voting config")
@@ -261,6 +264,8 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
             continue
         d, grade = result
         traces.append(d)
+        if on_trace is not None:
+            on_trace(d)
         if d.scenario_ref not in excluded:
             scored.append((d, Reference(task.scenario.seed_tool, task.scenario.gold_args)))
             grades.append(grade)

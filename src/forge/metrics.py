@@ -256,8 +256,8 @@ def grade_corpus(traces: list[DialogueTrace], judge: BackendConfig) -> list:
     ``MAX_IN_FLIGHT`` dialogues at a time with a remote judge (inline with a
     scripted one); a grading that fails (``engine.DIALOGUE_ERRORS``) gives
     its exception instead."""
-    return run_items(lambda d: conv_relevancy(d, judge), traces,
-                     call_width(judge, MAX_IN_FLIGHT))
+    return list(run_items(lambda d: conv_relevancy(d, judge), traces,
+                          call_width(judge, MAX_IN_FLIGHT)))
 
 
 def score_corpus(pairs: list[tuple[DialogueTrace, Reference]],

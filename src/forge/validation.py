@@ -162,7 +162,7 @@ def validate_llm(d: DialogueTrace, scn: Scenario, cat: Catalogue,
 
     workers = max(call_width(judges[name], len(JUDGES)) for name in JUDGES)
     failures = []
-    for name, (ok, reason) in zip(JUDGES, fan_out(_run, JUDGES, workers)):
+    for name, (ok, reason) in zip(JUDGES, list(fan_out(_run, JUDGES, workers))):
         if not ok:
             failures.append((name, reason))
     return failures

@@ -1,13 +1,20 @@
 """The traced benchmark run requires every binding in ``bench/run.py``'s
 ``EXPECTED`` to fire; a binding that no longer names a forge function can
-never fire, so it is caught here rather than in a traced run."""
+never fire, so it is caught here rather than in a traced run. A short
+traced run of two workloads checks that they do fire."""
 
 import importlib
 import inspect
+import json
 import runpy
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import forge
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,3 +52,32 @@ def test_traced_methods_name_forge_functions():
     for owner, attr, name in forge_methods:
         fn = inspect.getattr_static(owner, attr, None)
         assert inspect.isfunction(fn) and fn.__module__.startswith("forge."), name
+
+
+def test_traced_bench_smoke(tmp_path):
+    """``bench/run.py --trace 1`` passes its gate, every ``EXPECTED`` binding
+    firing, on ``pipeline-deep`` and ``bench-dynamic-loopback``, and a
+    ``--corrupt`` run fails it. The three runs go at once, from a copy of
+    ``bench/`` beside a link to the forge under test, so their work files
+    stay in ``tmp_path``."""
+    shutil.copytree(BENCH, tmp_path / "bench",
+                    ignore=shutil.ignore_patterns(".work", "__pycache__"))
+    shutil.copy(BENCH.parent / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(Path(forge.__file__).resolve().parents[1])
+    runs = {"pipeline-deep": ["--trace", "1"], "bench-dynamic-loopback": ["--trace", "1"],
+            "pipeline-deep --corrupt": ["--corrupt"]}
+    procs = {label: subprocess.Popen(
+        [sys.executable, "bench/run.py", "--workload", label.split()[0], "--seed", "3",
+         "--seconds", "0.01", *extra], cwd=tmp_path, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE) for label, extra in runs.items()}
+    try:
+        for label, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=300)
+            verdict = json.loads(stdout.splitlines()[-1]) if stdout.strip() else {}
+            assert (proc.returncode, verdict.get("correct")) == (
+                (1, False) if "corrupt" in label else (0, True)), (label, stderr[-2000:])
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()

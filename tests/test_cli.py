@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from forge import cli, gateway, retrieval
+from forge import cli, gateway, harness, retrieval, scenario
 from forge.cli import load_pipeline_config, main
 from forge.engine import (
     AssistantTurn,
@@ -24,12 +24,13 @@ from forge.export import slice_dialogue
 from forge.gateway import Transcript, fingerprint
 from forge.harness import EvalTask, eval_static
 from forge.metrics import rubric_request
-from forge.scenario import Scenario, goal_request, sample_persona
+from forge.scenario import Scenario, goal_request, sample_persona, slots_request
 from forge.seeds import split_seed
 from forge.validation import judge_requests
 
 from conftest import (
     CATALOGUE_TOOLS,
+    GOLD_ARGS,
     RAW_A1,
     RAW_A2_FILL,
     RAW_A3_CALL,
@@ -43,6 +44,7 @@ from conftest import (
     chat_request,
     child_env,
     static_candidate,
+    transcript_responder,
 )
 
 
@@ -1507,3 +1509,218 @@ def test_relative_paths_resolve_against_config_dir(world):
     assert cfg.catalogue.exists()
     loaded = Transcript.load(world.tmp_path / "transcripts.json")
     assert cfg.backends["assistant"].transcript.replies == loaded.replies
+
+
+# ---------------------------------------------------------------------------
+# item-ordered output: each item's lines land as soon as it finishes
+
+GENERATE_OUTPUTS = ("corpus.jsonl", "rejected.jsonl", "scenarios.jsonl")
+
+
+def _reject_seed_dialogue(world) -> None:
+    """The critique judge fails the seed dialogue, so rejected.jsonl is not empty."""
+    critique = judge_requests(world.expected_trace, world.scenario, world.cat)["critique"]
+    world.transcript.register(critique, "FAIL: the user volunteered every value", "m-crit")
+    world.transcript.save(world.tmp_path / "transcripts.json")
+
+
+def _set_config(world, **changes) -> None:
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    world.config_path.write_text(json.dumps({**cfg, **changes}), encoding="utf-8")
+
+
+def _outputs(out) -> dict[str, bytes]:
+    """The bytes of each generate output in ``out`` that exists."""
+    return {name: (out / name).read_bytes() for name in GENERATE_OUTPUTS
+            if (out / name).exists()}
+
+
+def _generated(world, names=None) -> dict[str, bytes]:
+    """The bytes of each output of a generate run over ``names`` (default:
+    every catalogue tool), which must exit 0."""
+    seed_tools = ["--seed-tools", ",".join(names)] if names is not None else []
+    assert run(["generate", "--config", world.config_path, *seed_tools]) == 0
+    return _outputs(world.tmp_path / "out")
+
+
+def _opening(world, name: str) -> str:
+    """The fingerprint of the user proxy's opening request for seed tool
+    ``name``, read from the last generate run's scenario file."""
+    scn = next(s for s in cli.load_scenarios(world.tmp_path / "out" / "scenarios.jsonl").values()
+               if s.seed_tool == name)
+    return fingerprint("m-user", user_request(user_system_prompt(scn, world.cat), [],
+                                              split_seed(scn.rng_seed, "sel:0:user:0")))
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_generate_over_a_partition_of_seed_tools_joins_to_the_whole_run(world, concurrency):
+    """M7: generate over each part of a split of the seed tools, the parts'
+    files joined in order, gives the whole run's bytes."""
+    _reject_seed_dialogue(world)
+    _set_config(world, concurrency=concurrency)
+    names = world.cat.names()
+    whole = _generated(world)
+    assert all(whole.values())
+    for cuts in ((3,), (1, 5), (1, 2, 3, 4, 5)):
+        parts = [_generated(world, names[a:b])
+                 for a, b in zip((0, *cuts), (*cuts, len(names)))]
+        assert {name: b"".join(part[name] for part in parts) for name in GENERATE_OUTPUTS} == whole
+
+
+K = 4  # the item that fails in the tests below, counted from 1
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_generate_uncaught_error_keeps_the_finished_prefix(world, monkeypatch, concurrency):
+    """Item K failing outside the dialogue errors ends generate; each file
+    then holds exactly the lines of items 1..K-1, the first lines of the
+    uninterrupted run's file."""
+    _reject_seed_dialogue(world)
+    _set_config(world, concurrency=concurrency)
+    names = world.cat.names()
+    whole, head = _generated(world), _generated(world, names[:K - 1])
+    synthesize = cli.synthesize_dialogue
+
+    def failing(scn, *args):
+        if scn.seed_tool == names[K - 1]:
+            raise RuntimeError("not a dialogue error")
+        return synthesize(scn, *args)
+
+    monkeypatch.setattr(cli, "synthesize_dialogue", failing)
+    shutil.rmtree(world.tmp_path / "out")
+    with pytest.raises(RuntimeError, match="not a dialogue error"):
+        run(["generate", "--config", world.config_path])
+    assert _outputs(world.tmp_path / "out") == head
+    assert all(whole[name].startswith(head[name]) for name in GENERATE_OUTPUTS)
+    assert head["scenarios.jsonl"].count(b"\n") == K - 1 and head["rejected.jsonl"]
+
+
+def _interrupted_lines(path, argv, fail) -> tuple[list[bytes], bytes]:
+    """The lines of ``path`` after an uninterrupted ``argv`` run, and its
+    bytes after a second run, once ``fail(dialogue_id)`` has made the item
+    of the K-th line raise a RuntimeError."""
+    assert run(argv) == 0
+    whole = path.read_bytes().splitlines(keepends=True)
+    fail(json.loads(whole[K - 1])["dialogue_id"])
+    with pytest.raises(RuntimeError, match="not a dialogue error"):
+        run(argv)
+    return whole, path.read_bytes()
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_validate_uncaught_error_keeps_the_finished_prefix(world, monkeypatch, concurrency):
+    out = world.tmp_path / "out"
+    _generated(world)
+    _set_config(world, concurrency=concurrency)
+    reports = world.tmp_path / "reports.jsonl"
+    cascade = cli.run_cascade
+
+    def fail(dialogue_id):
+        def failing(trace, *args):
+            if trace.dialogue_id == dialogue_id:
+                raise RuntimeError("not a dialogue error")
+            return cascade(trace, *args)
+        monkeypatch.setattr(cli, "run_cascade", failing)
+
+    whole, kept = _interrupted_lines(reports, [
+        "validate", out / "corpus.jsonl", "--config", world.config_path,
+        "--scenarios", out / "scenarios.jsonl", "--out", reports], fail)
+    assert len(whole) == 6 and kept == b"".join(whole[:K - 1])
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_bench_uncaught_error_keeps_the_finished_prefix(world, monkeypatch, concurrency):
+    _generated(world)
+    _script_static_bench(world)
+    path = world.tmp_path / "bench.json"
+    path.write_text(json.dumps({
+        "mode": "static", "catalogue": "catalogue.json", "scenarios": "bench_scenarios.jsonl",
+        "gold_corpus": "out/corpus.jsonl", "rng_seed": 1, "out_dir": "bench-out",
+        "concurrency": concurrency,
+        "assistant": {"kind": "scripted", "model_id": "m-cand",
+                      "transcript": "transcripts.json"}}), encoding="utf-8")
+    eval_static = harness.eval_static
+
+    def fail(dialogue_id):
+        def failing(task, *args):
+            if f"{task.scenario.scenario_id}#static" == dialogue_id:
+                raise RuntimeError("not a dialogue error")
+            return eval_static(task, *args)
+        monkeypatch.setattr(harness, "eval_static", failing)
+
+    whole, kept = _interrupted_lines(world.tmp_path / "bench-out" / "traces.jsonl",
+                                     ["bench", "run", path], fail)
+    assert len(whole) == 6 and kept == b"".join(whole[:K - 1])
+
+
+def test_finished_lines_are_readable_while_a_later_item_runs(world, loopback):
+    """At concurrency 2, while the server holds back the last dialogue's
+    opening, a separate reader sees every earlier dialogue's lines."""
+    names = world.cat.names()
+    head, whole = _generated(world, names[:-1]), _generated(world)
+    held, release = _opening(world, names[-1]), threading.Event()
+    replay = transcript_responder(world.transcript, {})
+
+    def respond(body):
+        if fingerprint(body["model"], chat_request(body)) == held:
+            release.wait(10)
+        return replay(body)
+
+    endpoint, _ = loopback(respond)
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    _set_config(world, concurrency=2, out_dir="remote-out", backends={
+        role: {"kind": "remote", "endpoint": endpoint, "model_id": spec["model_id"]}
+        for role, spec in cfg["backends"].items()})
+    codes = []
+    thread = threading.Thread(
+        target=lambda: codes.append(run(["generate", "--config", world.config_path])))
+    thread.start()
+    out, deadline = world.tmp_path / "remote-out", time.monotonic() + 10
+    try:
+        while _outputs(out) != head and time.monotonic() < deadline:
+            time.sleep(0.01)
+        seen = _outputs(out)
+    finally:
+        release.set()
+        thread.join(30)
+    assert seen == head
+    assert codes == [0] and _outputs(out) == whole
+
+
+def test_blank_user_proxy_reply_costs_one_dialogue(world, capsys):
+    """A user-proxy opening that strips to nothing costs its dialogue, not
+    the run: the other dialogues keep their lines."""
+    names = world.cat.names()
+    head, whole = _generated(world, names[:-1]), _generated(world)
+    world.transcript.replies[_opening(world, names[-1])] = ["   "]
+    world.transcript.save(world.tmp_path / "transcripts.json")
+    capsys.readouterr()
+    assert run(["generate", "--config", world.config_path]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert "accepted=5 rejected=0 errors=1" in stdout
+    assert stderr == f"error on {names[-1]}: user proxy reply is blank\n"
+    out = _outputs(world.tmp_path / "out")
+    assert out["corpus.jsonl"] == head["corpus.jsonl"]
+    assert out["scenarios.jsonl"] == whole["scenarios.jsonl"]  # the scenario was built
+
+
+def test_generate_slots_role_supplies_the_gold_arguments(world, monkeypatch):
+    """A ``slots`` backend with its own model id answers the slot request;
+    the goal backend gets none."""
+    tool, persona = world.cat.get(SEED_TOOL), world.scenario.persona
+    request = slots_request(tool, persona, world.rng_seed, 0)
+    del world.transcript.replies[fingerprint("m-goal", request)]
+    world.transcript.register(request, json.dumps(GOLD_ARGS), "m-slots")
+    world.transcript.save(world.tmp_path / "transcripts.json")
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    _set_config(world, backends={**cfg["backends"], "slots": {
+        "kind": "scripted", "model_id": "m-slots", "transcript": "transcripts.json"}})
+    calls, complete = [], scenario.complete
+    monkeypatch.setattr(scenario, "complete",
+                        lambda backend, req: calls.append((backend.model_id, req))
+                        or complete(backend, req))
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 0
+    [line] = (world.tmp_path / "out" / "scenarios.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["gold_args"] == GOLD_ARGS
+    assert calls == [("m-goal", goal_request(tool, persona, world.rng_seed, 0)),
+                     ("m-slots", request)]

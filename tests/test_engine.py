@@ -103,6 +103,27 @@ def test_parse_rejects_malformed_output(raw, reason):
         parse_assistant_output(raw)
 
 
+@pytest.mark.parametrize("name", [None, ["a"], 3])
+def test_parse_non_string_tool_name_is_malformed(name):
+    """A call whose name is not a string is not coerced into one."""
+    raw = "<think>x</think> " + json.dumps([{"name": name, "args": {}}])
+    with pytest.raises(AssistantFormatError, match="tool-call name must be a string"):
+        parse_assistant_output(raw)
+
+
+def test_blank_proxy_reply_is_a_dialogue_error():
+    assert engine.utterance("  hi \n") == "hi"
+    with pytest.raises(engine.BlankUtteranceError, match="user proxy reply is blank"):
+        engine.utterance(" \n\t")
+    assert engine.BlankUtteranceError in engine.DIALOGUE_ERRORS
+
+
+def test_proxy_is_shown_a_placeholder_for_an_empty_reply():
+    req = user_request("sys", [UserTurn("hi"), AssistantTurn(thought=None, raw="")], 1)
+    assert req.messages[-1].role == "user"
+    assert req.messages[-1].content == engine.EMPTY_REPLY == "(empty reply)"
+
+
 def test_serialize_round_trip_content():
     turn = parse_assistant_output("<think>reasoning</think> a reply")
     assert parse_assistant_output(serialize_assistant_turn(turn)) == turn

@@ -421,7 +421,7 @@ def test_session_pool_stays_bounded_under_contention(loopback):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = fan_out(lambda i: complete(cfg, req(seed=i)), range(64), 2 * MAX_IN_FLIGHT)
+        out = list(fan_out(lambda i: complete(cfg, req(seed=i)), range(64), 2 * MAX_IN_FLIGHT))
     finally:
         sys.setswitchinterval(interval)
     assert out == [str(i) for i in range(64)]
@@ -441,7 +441,7 @@ def test_fan_out_runs_every_item_when_one_fails():
         ran.append(i)
 
     with pytest.raises(GatewayError, match="first"):
-        fan_out(fn, range(6), 2)
+        list(fan_out(fn, range(6), 2))
     assert sorted(ran) == [1, 2, 3, 4, 5]
 
 
@@ -459,8 +459,37 @@ def test_fan_out_cancels_queued_items_on_any_other_failure(exc):
         ran.append(i)
 
     with pytest.raises(type(exc)):
-        fan_out(fn, range(8), 2)
+        list(fan_out(fn, range(8), 2))
     assert set(ran) <= {1, 2}
+
+
+def test_fan_out_yields_each_result_once_it_and_every_earlier_one_are_done():
+    """Results come in item order, each before a later item has finished."""
+    release = threading.Event()
+
+    def fn(i):
+        if i == 2:
+            assert release.wait(5)
+        return i
+
+    results = fan_out(fn, range(4), 2)
+    assert [next(results), next(results)] == [0, 1]  # item 2 is still held
+    release.set()
+    assert list(results) == [2, 3]
+
+
+def test_fan_out_consumer_that_stops_early_cancels_queued_items():
+    ran = []
+
+    def fn(i):
+        time.sleep(0.05)
+        ran.append(i)
+        return i
+
+    results = fan_out(fn, range(8), 2)
+    assert next(results) == 0
+    results.close()
+    assert len(ran) <= 4  # items 0 and 1, and what the two workers took before the cancel
 
 
 def test_fan_out_second_stage_failure_cancels_queued_items():
@@ -479,7 +508,7 @@ def test_fan_out_second_stage_failure_cancels_queued_items():
         return i
 
     with pytest.raises(ValueError, match="fatal"):
-        fan_out(fn, range(10), 1, then, 2)
+        list(fan_out(fn, range(10), 1, then, 2))
     assert len(ran) <= 3
 
 
@@ -499,7 +528,7 @@ def test_fan_out_second_stage_starts_before_the_first_ends():
             events.append(("then", i))
         return -i
 
-    assert fan_out(fn, range(3), 1, then, 2) == [0, -1, -2]
+    assert list(fan_out(fn, range(3), 1, then, 2)) == [0, -1, -2]
     assert events.index(("then", 0)) < events.index(("fn", 2))
 
 

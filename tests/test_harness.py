@@ -353,6 +353,31 @@ def test_benchmark_dynamic_turn_cap_is_engine_t_max(world):
     assert traces[0].terminated_by == "turn_cap"
 
 
+def test_dynamic_empty_reply_is_a_malformed_turn(world):
+    """An empty candidate reply is kept as a malformed turn and the rollout
+    goes on: the proxy is shown ``EMPTY_REPLY`` for it."""
+    steps = [("I need to check transports.", ""), ("Node 1, request 2.", GOLD_CALL)]
+    scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=893)
+    report, traces, failed = run_benchmark([EvalTask(scenario=scn)], cand, world.cat,
+                                           vcfg, None, EngineConfig(t_max=4))
+    [trace] = traces
+    assert failed == [] and trace.pair_count() == 2
+    assert trace.messages[1].malformed and trace.messages[1].raw == ""
+    assert trace.terminated_by == "tool_call" and report.per_dialogue[0]["acc"] == 1
+
+
+def test_blank_winning_candidate_costs_one_task(world):
+    """A blank candidate that wins the vote costs its task, not the run."""
+    scn, vcfg = voting_fixture(world, ["", "second option", "third option"],
+                               desired_original=0)
+    report, traces, failed = run_benchmark([EvalTask(scenario=scn)],
+                                           scripted_backend("m-cand", Transcript()),
+                                           world.cat, vcfg, None, EngineConfig())
+    assert report is None and traces == []
+    assert failed == [{"dialogue_id": f"{scn.scenario_id}#dynamic",
+                       "error": "user proxy reply is blank"}]
+
+
 def test_dynamic_is_deterministic(world):
     steps = [("I need to check transports.", ASKING),
              ("Node 1, request 2.", GOLD_CALL)]
