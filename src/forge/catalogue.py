@@ -30,9 +30,12 @@ from functools import cached_property, wraps
 from pathlib import Path
 from typing import NamedTuple
 
+# the Python types a JSON value of each parameter type tag decodes to
+TAG_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool,
+             "array": list, "object": dict}
 # a tuple, not a set: membership compares with ==, so an unhashable
 # (list-valued) type is reported as unknown rather than raising TypeError
-TYPE_TAGS = ("string", "integer", "number", "boolean", "array", "object")
+TYPE_TAGS = tuple(TAG_TYPES)
 _PARAM_KEYS = ("type", "description", "required")
 _TOOL_KEYS = ("name", "description", "parameters")
 

@@ -296,8 +296,8 @@ def _check_tools(scenarios_path: str | Path, scenarios, cat) -> None:
 
 
 def _check_turns(corpus: str | Path, traces) -> None:
-    """A ConfigError naming the corpus and the dialogue unless every trace's
-    messages alternate (``DialogueTrace.turns``)."""
+    """A ConfigError naming the corpus and the dialogue unless every trace
+    has ``DialogueTrace.turns``' shape: alternating, no blank user turn."""
     for trace in traces:
         try:
             trace.turns()
@@ -358,8 +358,10 @@ def cmd_generate(args) -> int:
     store = (_load("persona file", cfg.personas, lambda p: PersonaStore.load(p, emb))
              if cfg.personas else PersonaStore.bundled(emb))
 
-    if args.seed_tools:
+    if args.seed_tools is not None:
         names = [n.strip() for n in args.seed_tools.split(",") if n.strip()]
+        if not names:
+            raise ConfigError(f"--seed-tools {args.seed_tools!r} names no tool")
         unknown = [n for n in names if n not in cat]
         if unknown:
             raise ConfigError(f"unknown seed tools: {unknown}")

@@ -25,7 +25,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .catalogue import Catalogue, parse_json, typed
+from .catalogue import Catalogue, fault, parse_json, typed
 from .gateway import (BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete,
                       fan_out)
 from .prompts import get_prompt, render
@@ -191,7 +191,8 @@ class DialogueTrace:
     def turns(self) -> list[tuple[UserTurn, AssistantTurn]]:
         """The (user, assistant) pairs, ``[]`` for no messages. The one owner
         of the trace-shape rule: raises ValueError at the first message out
-        of alternation, else when the last message is a user turn."""
+        of alternation, else when the last message is a user turn, else at
+        the first user turn whose text is blank (no request can send it)."""
         msgs = self.messages
         for i, msg in enumerate(msgs):
             if i % 2 == 0 and not isinstance(msg, UserTurn):
@@ -200,6 +201,9 @@ class DialogueTrace:
                 raise ValueError(f"alternation: message {i} should be an assistant turn")
         if len(msgs) % 2:
             raise ValueError("alternation: dialogue must end with an assistant turn")
+        for i in range(0, len(msgs), 2):
+            if not msgs[i].text.strip():
+                raise ValueError(f"user turn {i} is empty")
         return list(zip(msgs[::2], msgs[1::2]))
 
     def to_dict(self) -> dict:
@@ -281,15 +285,10 @@ def parse_assistant_output(raw: str) -> AssistantTurn:
             raise AssistantFormatError(f"unparseable tool-call JSON: {exc}") from exc
         if not isinstance(entries, list) or not entries:
             raise AssistantFormatError("tool-call list is empty")
-        calls = []
-        for entry in entries:
-            if not isinstance(entry, dict) or "name" not in entry or "args" not in entry:
-                raise AssistantFormatError(f"malformed tool-call entry: {entry!r}")
-            if not isinstance(entry["name"], str):
-                raise AssistantFormatError("tool-call name must be a string")
-            if not isinstance(entry["args"], dict):
-                raise AssistantFormatError("tool-call args must be an object")
-            calls.append(ToolCall(name=entry["name"], args=dict(entry["args"])))
+        try:
+            calls = [_call_from_dict(entry) for entry in entries]
+        except (KeyError, ValueError) as exc:
+            raise AssistantFormatError(f"malformed tool-call entry: {fault(exc)}") from exc
         return AssistantTurn(thought=thought, content="", tool_calls=calls)
     return AssistantTurn(thought=thought, content=remainder, tool_calls=None)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .catalogue import Tool, parse_json, required_args, typed
+from .catalogue import TAG_TYPES, Tool, parse_json, required_args, typed
 from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
 from .prompts import get_prompt, render
 from .retrieval import (
@@ -169,15 +169,10 @@ def sample_goal(gw: BackendConfig, seed_tool: Tool, persona: str, rng_seed: int)
     )
 
 
-# the Python types a JSON value of each parameter type tag decodes to
-_TAG_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool,
-              "array": list, "object": dict}
-
-
 def _value_matches(type_tag: str, value: object) -> bool:
     """Whether ``value`` has ``type_tag``'s JSON type. A bool is an int to
     Python, but JSON keeps it apart: it matches only ``boolean``."""
-    return (isinstance(value, _TAG_TYPES[type_tag])
+    return (isinstance(value, TAG_TYPES[type_tag])
             and isinstance(value, bool) == (type_tag == "boolean"))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
-from .engine import AssistantTurn, DialogueTrace, UserTurn, canonical_equal, render_history
+from .engine import AssistantTurn, DialogueTrace, canonical_equal, render_history
 from .gateway import (
     BackendConfig,
     CompletionRequest,
@@ -53,18 +53,16 @@ class ValidationReport:
 
 def validate_format(d: DialogueTrace) -> tuple[bool, str | None]:
     """Structural checks: a non-empty dialogue, ``DialogueTrace.turns``'
-    alternation rule, non-empty thoughts and the three-section assistant schema."""
+    trace-shape rule (alternation, no blank user turn), then non-empty
+    thoughts and the three-section assistant schema."""
     if not d.messages:
         return False, "alternation: empty dialogue"
     try:
         d.turns()
     except ValueError as exc:
         return False, str(exc)
-    for i, msg in enumerate(d.messages):
-        if isinstance(msg, UserTurn):
-            if not msg.text.strip():
-                return False, f"user turn {i} is empty"
-            continue
+    for i in range(1, len(d.messages), 2):
+        msg = d.messages[i]
         if msg.malformed:
             return False, f"assistant turn {i} is malformed raw output"
         if not (msg.thought or "").strip():

@@ -165,6 +165,19 @@ def test_generate_duplicate_seed_tool_is_config_error(world, capsys):
     assert not (world.tmp_path / "out").exists()  # stopped before any dialogue
 
 
+@pytest.mark.parametrize("seed_tools", ["", " , "])
+def test_generate_seed_tools_naming_no_tool_is_config_error(world, capsys, seed_tools):
+    """An empty list is not "every tool": it exits 2 before the output
+    directory is touched, so the previous run's files stay as they were."""
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 0
+    out = world.tmp_path / "out"
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    assert run(["generate", "--config", world.config_path, "--seed-tools", seed_tools]) == 2
+    assert f"config error: --seed-tools {seed_tools!r} names no tool" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
 def test_validate_command_accepts_generated_corpus(world):
     run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])
     out = world.tmp_path / "out"
@@ -348,6 +361,48 @@ def test_export_rejects_a_trace_that_does_not_alternate(world, capsys):
         json.loads, (out / "reports.jsonl").read_text(encoding="utf-8").splitlines())}
     assert reports[bad_id]["verdict"] == "reject"
     assert [stage for stage, _ in reports[bad_id]["failures"]] == ["format"]
+
+
+@pytest.mark.parametrize("text", ["", "  "])
+def test_a_blank_gold_user_turn_is_refused_where_the_trace_is_read(world, capsys, monkeypatch,
+                                                                   text):
+    """No request can send a blank user message, so every command that serves
+    or trains on the trace exits 2 naming the corpus and dialogue before any
+    output or LLM call; ``validate`` rejects it at ``format`` and ``score``,
+    which sends nothing, scores it."""
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 0
+    out = world.tmp_path / "out"
+    corpus, scenarios = out / "corpus.jsonl", out / "scenarios.jsonl"
+    [record] = map(json.loads, corpus.read_text(encoding="utf-8").splitlines())
+    record["messages"][0]["content"] = text
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    fault = (f"config error: corpus {corpus}: dialogue {record['dialogue_id']!r}: "
+             "user turn 0 is empty")
+    monkeypatch.setattr(harness, "complete", lambda backend, req: pytest.fail("LLM call"))
+    cfg_path = world.tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "static", "catalogue": "catalogue.json", "scenarios": "out/scenarios.jsonl",
+        "gold_corpus": "out/corpus.jsonl", "rng_seed": 1, "out_dir": "bench_out",
+        "assistant": {"kind": "scripted", "model_id": "m-cand",
+                      "transcript": "transcripts.json"}}), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["bench", "run", cfg_path]) == 2
+    assert fault in capsys.readouterr().err
+    assert not (world.tmp_path / "bench_out").exists()
+    assert run(["export", corpus, "--config", world.config_path,
+                "--scenarios", scenarios, "--out-dir", out / "sft"]) == 2
+    assert fault in capsys.readouterr().err
+    assert run(["stats", corpus, "--scenarios", scenarios, "--out", out / "stats.json"]) == 2
+    assert fault in capsys.readouterr().err
+    assert sorted(f.name for f in out.iterdir()) == [
+        "corpus.jsonl", "rejected.jsonl", "scenarios.jsonl"]
+
+    assert run(["validate", corpus, "--config", world.config_path,
+                "--scenarios", scenarios, "--out", out / "reports.jsonl"]) == 1
+    [report] = map(json.loads, (out / "reports.jsonl").read_text(encoding="utf-8").splitlines())
+    assert report["failures"] == [["format", "user turn 0 is empty"]]
+    assert run(["score", corpus, "--refs", scenarios, "--out", out / "report.json"]) == 0
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["acc"] == 1.0
 
 
 def test_scripted_pipeline_never_loads_the_http_client(world):

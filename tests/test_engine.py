@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,8 +109,75 @@ def test_parse_rejects_malformed_output(raw, reason):
 def test_parse_non_string_tool_name_is_malformed(name):
     """A call whose name is not a string is not coerced into one."""
     raw = "<think>x</think> " + json.dumps([{"name": name, "args": {}}])
-    with pytest.raises(AssistantFormatError, match="tool-call name must be a string"):
+    with pytest.raises(AssistantFormatError, match="tool call name must be a string"):
         parse_assistant_output(raw)
+
+
+@pytest.mark.parametrize("entry", [
+    {"name": "t", "args": {"a": 1}},
+    {"name": None, "args": {}},
+    {"name": ["a"], "args": {}},
+    {"name": 3, "args": {}},
+    {"args": {}},
+    {"name": "t"},
+    {"name": "t", "args": [1]},
+    {"name": "t", "args": None},
+    "t",
+    {"name": "t", "args": {}, "extra": 1},
+], ids=["valid", "name-null", "name-list", "name-int", "name-missing", "args-missing",
+        "args-list", "args-null", "not-an-object", "extra-keys"])
+def test_wire_and_trace_readers_accept_the_same_calls(entry):
+    """A model reply and a stored trace read tool calls through one reader,
+    so a call object is refused by both or by neither. (A trace missing a
+    key raises KeyError, which ``cli.load_traces`` reports as ``missing key``.)"""
+    record = {"dialogue_id": "d", "scenario_ref": "s", "messages": [
+        {"role": "user", "content": "hi"},
+        {"role": "assistant", "thought": "x", "content": "", "tool_calls": [entry]}]}
+    try:
+        trace = DialogueTrace.from_dict(record)
+    except (KeyError, ValueError):
+        trace = None
+    raw = "<think>x</think> " + json.dumps([entry])
+    if trace is None:
+        with pytest.raises(AssistantFormatError, match="^malformed tool-call entry: "):
+            parse_assistant_output(raw)
+    else:
+        assert parse_assistant_output(raw).tool_calls == trace.messages[1].tool_calls
+
+
+def test_each_message_rule_has_one_owner():
+    """In ``src/forge``, only ``engine._call_from_dict`` builds a ``ToolCall``
+    (a model reply and a stored trace read calls the same way), and
+    ``validation.py`` reads no ``UserTurn`` text (``DialogueTrace.turns``
+    owns the blank-user-turn rule)."""
+    found = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for top in tree.body
+                  if path.name == "engine.py" and isinstance(top, ast.FunctionDef)
+                  and top.name == "_call_from_dict" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ToolCall"):
+                found.append(f"{path.name}:{node.lineno}: ToolCall(...)")
+            elif path.name == "validation.py" and (
+                    isinstance(node, ast.Name) and node.id == "UserTurn"
+                    or isinstance(node, ast.Attribute) and node.attr == "text"):
+                found.append(f"{path.name}:{node.lineno}: user turn text")
+    assert found == []
+
+
+@pytest.mark.parametrize("text", ["", "  \n"])
+def test_trace_pairs_reject_a_blank_user_turn(text):
+    """No request can send a blank user message, so a trace holding one has
+    no turns to serve or train on."""
+    t = DialogueTrace(dialogue_id="d", scenario_ref="s", messages=[
+        UserTurn("hi"), AssistantTurn(thought="t", content="x"),
+        UserTurn(text), AssistantTurn(thought="t", content="y")])
+    with pytest.raises(ValueError, match="^user turn 2 is empty$"):
+        t.turns()
 
 
 def test_blank_proxy_reply_is_a_dialogue_error():

@@ -89,6 +89,9 @@ def test_mixed_payload_fails_format():
     ([UserTurn("  "), AssistantTurn(thought="t", content="x")], "user turn 0 is empty"),
     ([UserTurn("hi"), AssistantTurn(thought=None, raw="no think block")],
      "assistant turn 1 is malformed raw output"),
+    # the trace-shape rule, blank user turns included, comes before assistant faults
+    ([UserTurn("hi"), AssistantTurn(thought=None, raw="no think block"),
+      UserTurn(""), AssistantTurn(thought="t", content="x")], "user turn 2 is empty"),
 ])
 def test_format_rejects_with_reason(messages, reason):
     t = DialogueTrace(dialogue_id="d", scenario_ref="s", messages=messages)
