@@ -10,9 +10,15 @@ but otherwise ignored. Parameter order is preserved from the file so that
 prompt rendering stays byte-reproducible.
 
 ``Catalogue.render`` owns the JSON that prompts show for tools. Each tool
-is encoded once (``Tool.json_text``); a list is spliced from those strings
-and is byte-equal to ``json.dumps([t.to_dict() ...], ensure_ascii=False,
-indent=2)``.
+is encoded once (``Tool.json_text``, through ``dump_json``); a list is
+spliced from those strings and is byte-equal to ``json.dumps([t.to_dict()
+...], ensure_ascii=False, indent=2)``.
+
+``dump_json`` is forge's one writer of indented JSON, beside ``parse_json``,
+its one reader. It splices ``json.dumps(value, ensure_ascii=False,
+indent=2)`` from leaves that json's C encoder escapes, because ``indent``
+sends ``json.dumps`` to its pure-Python encoder, which is slower and leaves
+a cycle of closures for the garbage collector on every call.
 
 ``parse_catalogue`` runs with Python's cyclic garbage collector paused
 (``no_gc``) and then restores the caller's GC state. A 5,000-tool catalogue
@@ -66,6 +72,38 @@ def parse_json(text: str | bytes):
         return json.loads(text)
     except RecursionError as exc:
         raise ValueError(str(exc)) from exc
+
+
+# the C string escaper ``json.dumps(..., ensure_ascii=False)`` uses, and one
+# C-backed encoder for every other JSON scalar
+encode_str = json.encoder.encode_basestring
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def dump_json(value) -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` for JSON-decoded
+    data (string keys; a key of any other type raises TypeError), spliced
+    from C-encoded leaves."""
+    return _dump(value, "\n")
+
+
+def _dump(value, pad: str) -> str:
+    """``value`` as ``dump_json`` writes it at the nesting level whose line
+    break and indent are ``pad``."""
+    if isinstance(value, str):
+        return encode_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_str(k) + ": " + _dump(v, inner) for k, v in value.items()]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_dump(v, inner) for v in value]) + pad + "]"
+    return _encode_scalar(value)
 
 
 def no_gc(fn):
@@ -130,10 +168,10 @@ class Tool:
 
     @cached_property
     def json_text(self) -> str:
-        """``to_dict()`` as indented JSON, encoded once per tool (the
-        cache writes the instance ``__dict__``, which a frozen dataclass
-        allows)."""
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
+        """``dump_json(to_dict())``: indented JSON, encoded once per tool
+        (the cache writes the instance ``__dict__``, which a frozen
+        dataclass allows)."""
+        return dump_json(self.to_dict())
 
 
 @dataclass
@@ -163,9 +201,9 @@ class Catalogue:
     def render(self, names: list[str]) -> str:
         """The named tools, in order, as an indented JSON array.
 
-        Splices the cached per-tool strings, indented one more level; this
-        is byte-equal to encoding the list whole, because a JSON string
-        never holds a raw newline.
+        Splices the cached per-tool ``dump_json`` strings, indented one more
+        level; this is byte-equal to ``dump_json`` of the list whole,
+        because a JSON string never holds a raw newline.
         """
         if not names:
             return "[]"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
-from .catalogue import CatalogueError, fault, load_catalogue, parse_json, typed
+from .catalogue import CatalogueError, dump_json, fault, load_catalogue, parse_json, typed
 from .engine import (
     DialogueTrace,
     EngineConfig,
@@ -266,7 +266,7 @@ def write_jsonl(fh, record: dict) -> None:
 
 def write_json(path: str | Path | None, obj) -> None:
     """Pretty-printed JSON to ``path``, or to stdout when ``path`` is None."""
-    text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    text = dump_json(obj) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -25,7 +25,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .catalogue import Catalogue, fault, parse_json, typed
+from .catalogue import Catalogue, dump_json, fault, parse_json, typed
 from .gateway import (BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete,
                       fan_out)
 from .prompts import get_prompt, render
@@ -392,7 +392,7 @@ def user_system_prompt(scn: Scenario, cat: Catalogue, cfg=None) -> str:
         get_prompt("user_proxy:v1"),
         user_persona=persona,
         gold_tool=cat.get(scn.seed_tool).json_text,
-        parameter_values=json.dumps(scn.gold_args, ensure_ascii=False, indent=2),
+        parameter_values=dump_json(scn.gold_args),
         distractor_tools=cat.render(scn.distractors.names()),
     )
 

@@ -12,12 +12,12 @@ masking is the trainer's job downstream.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .catalogue import encode_str
 from .engine import DialogueTrace, assistant_context
 
 # Reference fine-tuning settings shipped in the manifest for documentation.
@@ -41,7 +41,9 @@ class SftSample:
 
     dialogue_id: str
     turn_index: int
-    messages: list[dict]  # {"role", "content", "learn"}; exactly one learn=True
+    # {"role": str, "content": str, "learn": bool}, keys in that order;
+    # exactly one learn=True
+    messages: list[dict]
 
     def to_dict(self) -> dict:
         return {
@@ -64,6 +66,11 @@ def slice_dialogue(d: DialogueTrace, sys_prompt: str) -> list[SftSample]:
     ]
 
 
+def _message_json(role: str, content: str, learn: bool) -> str:
+    return (f'{{"role": {encode_str(role)}, "content": {encode_str(content)}, '
+            f'"learn": {"true" if learn else "false"}}}')
+
+
 def export(samples: Iterable[SftSample], path: str | Path) -> dict:
     """Write samples to disk and return the export manifest.
 
@@ -72,19 +79,37 @@ def export(samples: Iterable[SftSample], path: str | Path) -> dict:
     iterable: each line is written and hashed as it is made, into a sibling
     temporary file that replaces ``path`` only once every sample is written,
     so memory stays bounded and a failed export leaves ``path`` as it was.
+
+    Each line is ``json.dumps(s.to_dict(), ensure_ascii=False)`` plus a
+    newline. A dialogue's samples repeat each other's context, so the line
+    is spliced from the encodings of its ``dialogue_id`` and of its
+    messages, which are kept, by (role, content, learn), until
+    ``dialogue_id`` changes.
     """
     path = Path(path)
     partial = path.with_name(path.name + ".part")
     digest = hashlib.sha256()
     count, dialogues = 0, set()
+    current, head, encoded = None, "", {}
     try:
         with open(partial, "wb") as fh:
             for s in samples:
-                line = (json.dumps(s.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
+                if s.dialogue_id != current:
+                    current, encoded = s.dialogue_id, {}
+                    head = f'{{"dialogue_id": {encode_str(current)}, "turn_index": '
+                    dialogues.add(current)
+                parts = []
+                for m in s.messages:
+                    key = (m["role"], m["content"], m["learn"])
+                    text = encoded.get(key)
+                    if text is None:
+                        text = encoded[key] = _message_json(*key)
+                    parts.append(text)
+                line = (f'{head}{s.turn_index}, "messages": [{", ".join(parts)}]}}\n'
+                        ).encode("utf-8")
                 fh.write(line)
                 digest.update(line)
                 count += 1
-                dialogues.add(s.dialogue_id)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

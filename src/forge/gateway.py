@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .catalogue import fault, parse_json, typed
+from .catalogue import dump_json, fault, parse_json, typed
 
 MAX_IN_FLIGHT = 8
 
@@ -227,9 +227,7 @@ class Transcript:
         return entry[:n]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.replies, ensure_ascii=False, indent=2), encoding="utf-8"
-        )
+        Path(path).write_text(dump_json(self.replies), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":

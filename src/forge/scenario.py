@@ -11,14 +11,13 @@ replay regeneration paths).
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .catalogue import TAG_TYPES, Tool, parse_json, required_args, typed
+from .catalogue import TAG_TYPES, Tool, dump_json, parse_json, required_args, typed
 from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
 from .prompts import get_prompt, render
 from .retrieval import (
@@ -144,7 +143,7 @@ def slots_request(seed_tool: Tool, persona: str, rng_seed: int, attempt: int = 0
     prompt = render(
         get_prompt("slot_gen:v1"),
         persona=persona,
-        param_specs=json.dumps(specs, ensure_ascii=False, indent=2),
+        param_specs=dump_json(specs),
     )
     return prompt_request(prompt, split_seed(rng_seed, f"slots:{attempt}"), GEN_TEMPERATURE, 512)
 

@@ -4,11 +4,13 @@ chat-completions server for remote backends."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import socket
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -261,6 +263,32 @@ def no_thread_pool(monkeypatch):
         raise AssertionError("scripted calls must run inline")
 
     monkeypatch.setattr(gateway, "ThreadPoolExecutor", refuse)
+
+
+def json_encoder_garbage(fn) -> list[str]:
+    """What ``fn()`` leaves the cyclic collector of json's pure-Python
+    encoder, one line per object: each ``JSONEncoder``, ``json.encoder``
+    function, and cell holding either."""
+    def from_encoder(obj) -> bool:
+        if isinstance(obj, types.CellType):
+            try:
+                obj = obj.cell_contents
+            except ValueError:  # an empty cell
+                return False
+        return isinstance(obj, json.JSONEncoder) or (
+            isinstance(obj, types.FunctionType) and obj.__module__ == "json.encoder")
+
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+        return [f"{type(o).__name__} {getattr(o, '__qualname__', '')}".strip()
+                for o in gc.garbage if from_encoder(o)]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
 
 
 def child_env() -> dict[str, str]:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forge import catalogue
-from forge.catalogue import (TYPE_TAGS, CatalogueError, load_catalogue, parse_catalogue,
-                             required_args)
+from forge.catalogue import (TYPE_TAGS, CatalogueError, dump_json, load_catalogue,
+                             parse_catalogue, required_args)
 
-from conftest import CATALOGUE_TOOLS, SEED_TOOL
+from conftest import CATALOGUE_TOOLS, SEED_TOOL, json_encoder_garbage
 
 
 def write_catalogue(tmp_path, tools):
@@ -157,6 +157,25 @@ def test_parse_json_is_the_one_decoder_of_outside_json():
     assert found == []
 
 
+def test_dump_json_is_the_one_writer_of_indented_json():
+    """In ``src/forge`` no call passes ``indent=`` to ``json.dumps`` or
+    ``JSONEncoder``, which would select json's pure-Python encoder, and
+    ``export.py`` calls no ``json.dumps``: it splices each line from
+    per-message encodings."""
+    found = []
+    for path in sorted(Path(catalogue.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dumps", "JSONEncoder") and any(k.arg == "indent" for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno}: {name}(indent=...)")
+            elif path.name == "export.py" and name == "dumps":
+                found.append(f"{path.name}:{node.lineno}: dumps")
+    assert found == []
+
+
 def _wide_catalogue(n_tools: int) -> list[dict]:
     """``n_tools`` tools of four parameters each, the shape of a paper-scale catalogue."""
     return [{"name": f"tool_{i}", "description": f"does thing {i} for the operator",
@@ -247,8 +266,9 @@ def test_extra_fields_preserved_on_round_trip():
 # rendering: the spliced per-tool strings against one whole-list encoding
 
 _text = st.text(alphabet=st.characters(codec="utf-8"), max_size=12)
+# a catalogue file may hold NaN, which json.loads accepts
 _json = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _text,
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
     max_leaves=6)
 _param = st.fixed_dictionaries(
@@ -280,6 +300,35 @@ def test_render_matches_whole_list_encoding(drawn):
     for n in names:
         assert cat.get(n).json_text == json.dumps(cat.get(n).to_dict(),
                                                   ensure_ascii=False, indent=2)
+
+
+# keys and strings that need escaping: quote, backslash, control characters,
+# U+2028, non-ASCII and non-BMP characters
+_escaped = st.text(alphabet=st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600')
+                   | st.characters(codec="utf-8"), max_size=8)
+_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _escaped
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 2**64, -2**64 - 1,
+                       10**30]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_escaped, inner, max_size=4),
+    max_leaves=16)
+
+
+@given(_value)
+def test_dump_json_matches_indented_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+
+def test_dump_json_refuses_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError):
+        dump_json({1: "a key that JSON-decoded data never holds"})
+
+
+def test_rendering_every_tool_leaves_no_json_encoder_garbage():
+    """``Tool.json_text`` encodes through ``dump_json``, which leaves no
+    closure cycle of json's pure-Python encoder for the cyclic GC."""
+    cat = parse_catalogue(json.dumps(CATALOGUE_TOOLS + _wide_catalogue(50)))
+    assert json_encoder_garbage(lambda: render_all(cat)) == []
 
 
 def test_render_edge_cases():

@@ -43,6 +43,7 @@ from conftest import (
     chat_reply,
     chat_request,
     child_env,
+    json_encoder_garbage,
     static_candidate,
     transcript_responder,
 )
@@ -82,6 +83,17 @@ def test_main_leaves_no_parser_as_cyclic_garbage(tmp_path):
         gc.set_debug(0)
         gc.garbage.clear()
     assert parsers == []
+
+
+def test_generate_leaves_no_json_encoder_garbage(world):
+    """One in-process ``generate`` writes its indented texts (tool JSON,
+    parameter values) through ``catalogue.dump_json``, so it leaves no
+    closure cycle of json's pure-Python encoder for the cyclic GC."""
+    codes = []
+    garbage = json_encoder_garbage(lambda: codes.append(
+        run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL])))
+    assert codes == [0]
+    assert garbage == []
 
 
 def test_main_runs_the_command_bound_at_call_time(tmp_path, monkeypatch):

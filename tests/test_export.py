@@ -1,10 +1,18 @@
+import copy
 import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge.engine import (
+    AssistantTurn,
+    DialogueTrace,
+    ToolCall,
+    UserTurn,
     assistant_request,
     parse_assistant_output,
     selection_system_prompt,
@@ -156,6 +164,65 @@ def test_streamed_export_hashes_the_written_file(tmp_path):
     assert manifest["sample_count"] == len(samples)
     assert manifest["dialogue_count"] == len(traces)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.jsonl"]
+
+
+# texts that need escaping: quote, backslash, control characters, U+2028,
+# non-ASCII and non-BMP characters
+_text = st.text(alphabet=st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600')
+                | st.characters(codec="utf-8"), max_size=8)
+
+
+@st.composite
+def _assistant_turns(draw):
+    thought = draw(_text)
+    if draw(st.booleans()):
+        return AssistantTurn(thought=thought, content=draw(_text))
+    return AssistantTurn(thought=thought,
+                         tool_calls=[ToolCall(draw(_text), {draw(_text): draw(_text)})])
+
+
+@st.composite
+def _corpora(draw):
+    """(system prompt, traces): 2-4 dialogues of 1-5 pairs on one system
+    prompt, each opening with the user turn the one before it opened with;
+    ids alternate, so a third dialogue reuses the first one's id."""
+    sys_prompt, opening = draw(_text), "u" + draw(_text)
+    ids = [f"d0{draw(_text)}", f"d1{draw(_text)}"]
+    traces = []
+    for i in range(draw(st.integers(2, 4))):
+        messages = []
+        for t in range(draw(st.integers(1, 5))):
+            messages.append(UserTurn(opening if t == 0 else "u" + draw(_text)))
+            messages.append(draw(_assistant_turns()))
+        traces.append(DialogueTrace(dialogue_id=ids[i % 2], scenario_ref="s", messages=messages))
+    return sys_prompt, traces
+
+
+@settings(deadline=None)
+@given(_corpora(), st.data())
+def test_export_lines_are_json_dumps_of_each_sample(corpus, data):
+    """Every line is ``json.dumps(s.to_dict(), ensure_ascii=False)``, whatever
+    the texts hold and however dialogues share messages and ids, and the
+    manifest hashes exactly those bytes. A lone surrogate, which UTF-8
+    cannot encode, fails the export and leaves no file behind."""
+    sys_prompt, traces = corpus
+    samples = [s for d in traces for s in slice_dialogue(d, sys_prompt)]
+    expected = b"".join((json.dumps(s.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
+                        for s in samples)
+    bad = copy.deepcopy(samples)
+    sample = data.draw(st.sampled_from(bad))
+    data.draw(st.sampled_from(sample.messages))["content"] += "\ud800"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.jsonl"
+        manifest = export(iter(samples), path)
+        assert path.read_bytes() == expected
+        assert manifest["sha256"] == hashlib.sha256(expected).hexdigest()
+        assert (manifest["sample_count"], manifest["dialogue_count"]) == (
+            len(samples), len({d.dialogue_id for d in traces}))
+        path.unlink()
+        with pytest.raises(UnicodeEncodeError):
+            export(iter(bad), path)
+        assert list(Path(tmp).iterdir()) == []
 
 
 def test_empty_export_writes_an_empty_file(tmp_path):
