@@ -30,7 +30,9 @@ more than ``MAX_IN_FLIGHT`` connections; they are reused across calls and
 across short-lived worker threads.
 
 ``fan_out`` runs the package's thread pools: it yields results in item
-order as they finish, so replies, not their arrival, decide every output.
+order as they finish, so replies, not their arrival, decide every output,
+and keeps only a window of items a few times the pool's width ahead of its
+reader, so its memory does not grow with the number of items.
 Its optional second stage starts on each result as soon as it is ready.
 Independent calls to one backend overlap only when it is remote
 (``call_width``); a scripted lookup is CPU-bound under the interpreter
@@ -46,9 +48,11 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -393,22 +397,44 @@ def _pool(workers: int):
             raise
 
 
+def _in_order(pool, fn, items, ahead: int, read=Future.result):
+    """``read`` of ``pool.submit(fn, item)`` for each item, in item order,
+    with at most ``ahead`` items submitted and not yet read; each future is
+    dropped once read, so memory does not grow with the number of items. A
+    GatewayError submits every remaining item before it is re-raised, so
+    that, as ``_pool`` lets them run, the calls a failure costs do not
+    depend on timing."""
+    items = iter(items)
+    window = deque(pool.submit(fn, item) for item in islice(items, ahead))
+    while window:
+        try:
+            result = read(window.popleft())
+        except GatewayError:
+            for item in items:
+                pool.submit(fn, item)
+            raise
+        window.extend(pool.submit(fn, item) for item in islice(items, 1))
+        yield result
+
+
 def fan_out(fn, items, workers: int, then=None, then_workers: int = 1):
     """``fn`` over ``items``, yielding each result in item order as soon as
     it and every earlier one are done (``list()`` it for all); inline when
     ``workers <= 1``, since a one-worker pool only adds a thread. On a pool
-    the futures, read in item order, are the reorder buffer, and the first
-    exception in item order is raised. A GatewayError lets the queued items
-    run, so the calls a failure costs do not depend on timing; any other
-    exception, an interrupt included, cancels them, as does closing the
-    iterator early.
+    the futures, read in item order, are the reorder buffer, at most
+    ``2 * workers`` items ahead of the reader, and the first exception in
+    item order is raised. A GatewayError lets the remaining items run, so
+    the calls a failure costs do not depend on timing; any other exception,
+    an interrupt included, cancels the queued ones and submits no more, as
+    does closing the iterator early.
 
     With ``then``, each item's result is ``then(fn(item))``, and ``then``
     starts on a result as soon as ``fn`` returns it: on a second pool
     ``then_workers`` wide, while the other items' ``fn`` calls go on, or
     inline after ``fn`` when ``then_workers <= 1``. With a second pool,
     ``fn`` runs on a pool too, one wide at least, so that both stages'
-    results are read, and their failures seen, in item order."""
+    results are read, and their failures seen, in item order; the reader
+    is then ``workers + then_workers`` items ahead at most."""
     if then is not None and then_workers <= 1:
         yield from fan_out(lambda item: then(fn(item)), items, workers)
     elif then is not None:
@@ -416,11 +442,10 @@ def fan_out(fn, items, workers: int, then=None, then_workers: int = 1):
             return stage.submit(then, fn(item))
 
         with _pool(then_workers) as stage, _pool(max(workers, 1)) as pool:
-            for future in [pool.submit(first, item) for item in items]:
-                yield future.result().result()
+            yield from _in_order(pool, first, items, max(workers, 1) + then_workers,
+                                 lambda future: future.result().result())
     elif workers <= 1:
         yield from map(fn, items)
     else:
         with _pool(workers) as pool:
-            for future in [pool.submit(fn, item) for item in items]:
-                yield future.result()
+            yield from _in_order(pool, fn, items, 2 * workers)

@@ -15,21 +15,36 @@ Similarity is the inner product of L2-normalized vectors (cosine). A
 command builds each index it queries once, before the first dialogue, and
 every retrieval function takes the index: no cache or lock sits behind a
 query. A build embeds its texts into a float32 matrix, ``_BLOCK_ROWS`` at a
-time through ``Embedder.embed_many``, so it holds no catalogue-wide
-temporary: beyond the matrix it keeps one block's tokens, bucket ids and
-int64 and float64 rows, under 1 MiB at d = 256. ``HashEmbedder.embed_many``
-hashes a block's tokens in one C-level pass and counts them with one
-``np.bincount``; its rows are byte-equal to ``embed``'s. It runs with
-Python's cyclic garbage collector paused (``catalogue.no_gc``) and then
-restores the caller's GC state; ``VectorIndex`` itself, which may drive a
+time, so it holds no catalogue-wide temporary: beyond what the index keeps
+it holds one block's tokens, bucket ids and int64 and float64 rows, under
+1 MiB at d = 256. ``HashEmbedder.count_many`` hashes a block's tokens in
+one C-level pass, counts them with one ``np.bincount`` and returns the
+counts with each row's exact norm; ``embed_many`` divides the two, and its
+rows are byte-equal to ``embed``'s. ``count_many`` runs with Python's
+cyclic garbage collector paused (``catalogue.no_gc``) and then restores the
+caller's GC state; ``VectorIndex`` itself, which may drive a
 ``RemoteEmbedder``, never pauses it.
+
+An index gives back each row's exact float64 embedding, bitwise
+``embed(text)``, without calling the embedder again:
+
+* a hash row is its integer counts c over their norm n. The index keeps n
+  (8 bytes a row, 40 KB at 5,000 texts) and restores the row as
+  ``rint(float64(matrix row) * n) / n``: the float32 row errs by at most
+  c * 2**-24 relative to c / n, so while every count is below 2**22
+  (``_EXACT_COUNT``, checked at build) the product rounds back to c;
+* any other row -- a ``RemoteEmbedder``'s, or a hash index with a count
+  past the bound -- is kept as the float64 row received, N * d * 8 bytes
+  beside the float32 matrix (10 MB at 5,000 texts and d = 256).
 
 A query scores every row with one matrix product, shortlists the rows
 within a margin of the k-th score, and re-scores the shortlist with the
-float64 embedding, so rankings and score floats equal those of an
+rows' float64 embeddings, so rankings and score floats equal those of an
 exhaustive float64 scan. The margin: a float32 dot product of
 length d errs by at most (d + 2) * 2**-24 * |q| * |v|, so a margin of
 (d + 4) * 2**-23 * |q| * max|v| keeps every row that can reach the k-th score.
+A free-text search or a persona draw embeds its query once; a distractor
+query reads the seed tool's row and embeds nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +69,10 @@ _TABLE = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
 # texts per VectorIndex build step; 512 raised a 5,000-tool generate's
 # peak RSS by ~5 MB
 _BLOCK_ROWS = 64
+
+# a hash row whose bucket counts all stay below this is restored bitwise
+# from its float32 row and its norm (module docstring)
+_EXACT_COUNT = 2 ** 22
 
 
 def _tokens(text: str) -> list[bytes]:
@@ -135,7 +154,9 @@ class HashEmbedder:
         return counts / math.sqrt(counts @ counts)
 
     @no_gc
-    def embed_many(self, texts: list[str]) -> np.ndarray:
+    def count_many(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each text's int64 bucket counts, shape (len(texts), dimension),
+        and each row's exact L2 norm, 1.0 for a zero-token row."""
         d, rows = self.dimension, len(texts)
         tokens = list(map(_tokens, texts))
         lengths = np.fromiter(map(len, tokens), np.int64, count=rows)
@@ -146,6 +167,10 @@ class HashEmbedder:
         # exact integer squared norms; a zero-token row divides 0 by 1
         norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
         norms[norms == 0] = 1.0
+        return counts, norms
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        counts, norms = self.count_many(texts)
         return counts / norms[:, None]
 
 
@@ -183,20 +208,48 @@ class VectorIndex:
 
     ``top`` orders rows by their float64 score descending, then by ``keys``
     ascending (row position when no keys are given), exactly as a full scan
-    that re-embeds every text would.
+    that re-embeds every text would. ``rows`` gives back texts' float64
+    embeddings without embedding them again.
     """
 
     def __init__(self, texts: list[str], emb: Embedder, keys: list | None = None):
+        n = len(texts)
         self.texts = texts
         self.emb = emb
-        self.keys = range(len(texts)) if keys is None else keys
-        self.matrix = np.empty((len(texts), emb.dimension), dtype=np.float32)
+        self.keys = range(n) if keys is None else keys
+        self.matrix = np.empty((n, emb.dimension), dtype=np.float32)
+        # hash rows are restored from the matrix and their norms, any other
+        # row is kept as received (module docstring)
+        self._norms = np.empty(n) if isinstance(emb, HashEmbedder) else None
+        self._rows = None if self._norms is not None else np.empty((n, emb.dimension))
         peak = 0.0
-        for start in range(0, len(texts), _BLOCK_ROWS):
-            block = emb.embed_many(texts[start:start + _BLOCK_ROWS])
-            self.matrix[start:start + len(block)] = block
+        for start in range(0, n, _BLOCK_ROWS):
+            chunk = texts[start:start + _BLOCK_ROWS]
+            stop = start + len(chunk)
+            if self._norms is None:
+                block = emb.embed_many(chunk)
+            else:
+                counts, norms = emb.count_many(chunk)
+                block = counts / norms[:, None]
+                if counts.max() < _EXACT_COUNT:
+                    self._norms[start:stop] = norms
+                else:  # float64 rows from here on, the rows built so far restored
+                    rows = np.empty((n, emb.dimension))
+                    rows[:start] = self.rows(slice(start))
+                    self._rows, self._norms = rows, None
+            self.matrix[start:stop] = block
+            if self._rows is not None:
+                self._rows[start:stop] = block
             peak = max(peak, float(np.einsum("ij,ij->i", block, block).max()))
         self._max_norm = math.sqrt(peak)
+
+    def rows(self, which) -> np.ndarray:
+        """The float64 embeddings of the rows ``which`` (an index array or a
+        slice), each bitwise ``emb.embed`` of its text."""
+        if self._norms is None:
+            return self._rows[which]
+        norms = self._norms[which, None]
+        return np.rint(self.matrix[which] * norms) / norms
 
     def top(self, query: np.ndarray, k: int, exclude: int | None = None) -> list[tuple[int, float]]:
         """The k best (row, score) pairs for a float64 query, ``exclude`` left out."""
@@ -211,9 +264,11 @@ class VectorIndex:
         # twice the float32 error bound on any score (module docstring)
         margin = ((self.matrix.shape[1] + 4) * 2.0 ** -23
                   * float(np.linalg.norm(query)) * self._max_norm)
+        shortlist = np.flatnonzero(approx >= kth - margin)
+        # one dot product per row, as in the exhaustive scan
         scored = sorted(
-            (-float(np.dot(query, self.emb.embed(self.texts[row]))), self.keys[row], row)
-            for row in np.flatnonzero(approx >= kth - margin).tolist()
+            (-float(np.dot(query, vec)), self.keys[row], row)
+            for row, vec in zip(shortlist.tolist(), self.rows(shortlist))
         )
         return [(row, -neg) for neg, _, row in scored[:k]]
 
@@ -234,8 +289,8 @@ def nearest_distractors(tools: ToolIndex, seed: str, k: int) -> DistractorSet:
     unknown seed is a KeyError.
     """
     cat = tools.cat
-    seed_vec = tools.emb.embed(tool_text(cat.get(seed)))
-    top = tools.top(seed_vec, k, exclude=cat.index[seed])
+    row = cat.index[cat.get(seed).name]  # an unknown seed fails in cat.get
+    top = tools.top(tools.rows([row])[0], k, exclude=row)
     return DistractorSet(seed=seed, members=tuple((cat.tools[row].name, s) for row, s in top))
 
 

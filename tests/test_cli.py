@@ -1158,15 +1158,15 @@ def test_generate_index_build_failure_stops_once(world, capsys, loopback, status
 
 def test_generate_embeds_each_tool_and_persona_once(world, monkeypatch):
     """Each index is built once, in setup, however many workers run: every
-    tool and persona text passes through ``embed_many`` exactly once."""
+    tool and persona text passes through ``count_many`` exactly once."""
     rows = Counter()
-    embed_many = retrieval.HashEmbedder.embed_many
+    count_many = retrieval.HashEmbedder.count_many
 
     def counting(self, texts):
         rows.update(texts)
-        return embed_many(self, texts)
+        return count_many(self, texts)
 
-    monkeypatch.setattr(retrieval.HashEmbedder, "embed_many", counting)
+    monkeypatch.setattr(retrieval.HashEmbedder, "count_many", counting)
     cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
     world.config_path.write_text(json.dumps({**cfg, "concurrency": 4}), encoding="utf-8")
     assert run(["generate", "--config", world.config_path]) == 0

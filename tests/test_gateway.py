@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -530,6 +531,35 @@ def test_fan_out_second_stage_starts_before_the_first_ends():
 
     assert list(fan_out(fn, range(3), 1, then, 2)) == [0, -1, -2]
     assert events.index(("then", 0)) < events.index(("fn", 2))
+
+
+class _Result:
+    def __init__(self, i):
+        self.i = i
+
+
+@pytest.mark.parametrize("two_stage", [False, True], ids=["one-stage", "two-stage"])
+@pytest.mark.parametrize("workers", [2, 8])
+def test_fan_out_keeps_a_bounded_window_of_results(workers, two_stage):
+    """However far the workers could run ahead of a slow reader, at most
+    ``2 * workers`` results wait unread, plus the one being read; the two
+    stages share that window when ``then_workers == workers``."""
+    refs, lock = [], threading.Lock()
+
+    def fn(i):
+        result = _Result(i)
+        with lock:
+            refs.append(weakref.ref(result))
+        return result
+
+    then = (lambda result: result) if two_stage else None
+    most, order = 0, []
+    for result in fan_out(fn, range(200), workers, then, workers if two_stage else 1):
+        time.sleep(0.001)  # let the workers run ahead of the reader
+        order.append(result.i)
+        most = max(most, sum(ref() is not None for ref in refs))
+    assert order == list(range(200))
+    assert most <= 2 * workers + 1
 
 
 def test_first_remote_call_loads_the_http_client_once(loopback):

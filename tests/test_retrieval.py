@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from forge import retrieval
 from forge.catalogue import parse_catalogue
@@ -320,10 +320,12 @@ def test_index_top_k_equals_exhaustive_scan(case):
 
 
 # ---------------------------------------------------------------------------
-# a build embeds each text once; a query embeds itself and re-scores a shortlist
+# a build embeds each text once; a query embeds only its free text
 
 
 class CountingEmbedder(HashEmbedder):
+    """Counts ``embed`` calls and the rows of the block builder."""
+
     def __init__(self, dimension: int = 256):
         super().__init__(dimension)
         self.calls = 0
@@ -334,13 +336,15 @@ class CountingEmbedder(HashEmbedder):
             self.calls += 1
         return super().embed(text)
 
-    def embed_many(self, texts):
+    def count_many(self, texts):
         with self._lock:
             self.calls += len(texts)
-        return super().embed_many(texts)
+        return super().count_many(texts)
 
 
 def test_queries_cost_one_build_plus_shortlists():
+    """The shortlist is re-scored from the rows the build kept: a search
+    and a persona draw embed their query once, a distractor query nothing."""
     rng = random.Random(11)
     vocab = [f"term{i}" for i in range(80)]
     n_tools, k, m = 400, 5, 40
@@ -350,15 +354,14 @@ def test_queries_cost_one_build_plus_shortlists():
     tools = ToolIndex(cat, emb)
     assert emb.calls == n_tools
 
-    search_catalogue(tools, "term1 term2 term3", k)
-    first = emb.calls
-    assert n_tools < first <= n_tools + 1 + 3 * k
     for i in range(m):
+        before = emb.calls
         if i % 2:
             search_catalogue(tools, " ".join(rng.choices(vocab, k=6)), k)
+            assert emb.calls - before == 1
         else:
             nearest_distractors(tools, f"tool_{i}", k)
-    assert emb.calls - first <= m * (1 + 3 * k)
+            assert emb.calls == before
 
     store = PersonaStore.bundled(emb)
     before = emb.calls
@@ -366,7 +369,47 @@ def test_queries_cost_one_build_plus_shortlists():
     assert emb.calls - before == len(store.personas)
     for i in range(m):
         sample_persona(personas, cat.get(f"tool_{i}"), 10, i)
-    assert emb.calls - before <= len(store.personas) + m * (1 + 3 * 10)
+    assert emb.calls - before == len(store.personas) + m
+
+
+# ---------------------------------------------------------------------------
+# an index gives back each row's exact float64 embedding
+
+
+def rows_bytes(index):
+    """Each row's bytes, read one row at a time and all at once."""
+    rows = [index.rows([i])[0].tobytes() for i in range(len(index.texts))]
+    assert [row.tobytes() for row in index.rows(slice(None))] == rows
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(dimension=st.sampled_from([7, 8, 256]), texts=st.lists(_EMBED_TEXT, min_size=1,
+                                                               max_size=70))
+@example(dimension=8, texts=["", "naïve K\u212a 日本語", "\ud800", "ab " * 40, "!!"])
+def test_index_rows_are_bitwise_embeds(dimension, texts):
+    emb = HashEmbedder(dimension)
+    index = VectorIndex(texts, emb)
+    assert index._rows is None  # restored from the float32 matrix and the norms
+    assert rows_bytes(index) == [emb.embed(text).tobytes() for text in texts]
+    query = emb.embed(texts[0])
+    assert bits(index.top(query, 5)) == bits(scan_personas(texts, query, 5, emb))
+
+
+@pytest.mark.parametrize("past", [0, 3, 64, 100], ids=lambda row: f"row{row}")
+def test_index_with_a_count_past_the_bound_keeps_float64_rows(monkeypatch, past):
+    """A hash row with a count at the bound cannot be restored from float32:
+    the index then keeps float64 rows, those before the row's block too."""
+    monkeypatch.setattr(retrieval, "_EXACT_COUNT", 4)
+    descriptions = [f"alpha beta w{i} w{i % 3}" for i in range(130)]
+    descriptions[past] = "alpha " * 4 + "naïve"
+    cat = make_cat([(f"t{i:03d}", desc, []) for i, desc in enumerate(descriptions)])
+    emb = HashEmbedder(16)
+    tools = ToolIndex(cat, emb)
+    assert tools._norms is None
+    assert rows_bytes(tools) == [emb.embed(text).tobytes() for text in tools.texts]
+    dset = nearest_distractors(tools, "t001", 5)
+    assert bits(dset.members) == bits(scan_distractors(cat, "t001", 5, emb))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +508,16 @@ def test_remote_index_build_embeds_each_tool_once(embedding_server):
     tools = ToolIndex(cat, emb)
     assert len(embedding_server.inputs) == n_tools
     hits = search_catalogue(tools, "alpha w3", 3)
-    first = len(embedding_server.inputs)
-    assert n_tools < first <= n_tools + 1 + 3 * 3
+    assert embedding_server.inputs[n_tools:] == [["alpha w3"]]
     search_catalogue(tools, "beta w5", 3)
-    assert len(embedding_server.inputs) - first <= 1 + 3 * 3
+    dset = nearest_distractors(tools, "tool_4", 3)
+    assert embedding_server.inputs[n_tools:] == [["alpha w3"], ["beta w5"]]
     assert hits == scan_search(cat, "alpha w3", 3, emb)
+    assert dset.members == tuple(scan_distractors(cat, "tool_4", 3, emb))
+
+
+def test_remote_index_rows_equal_re_embedding(embedding_server):
+    texts = [f"alpha beta w{i} w{i % 7}" for i in range(70)] + ["", "naïve"]
+    emb = RemoteEmbedder(embedding_server.endpoint, "stub-embed", 16)
+    index = VectorIndex(texts, emb)
+    assert rows_bytes(index) == [emb.embed(text).tobytes() for text in texts]
