@@ -1,8 +1,9 @@
 """Command-line entry point: generate, validate, export, stats, score, bench.
 
-Exit codes: 0 success, 1 validation failure, errored dialogues or a failed
-embedding call while ``generate`` builds its retrieval indexes, 2
-configuration error, including a missing or unparseable input file.
+Exit codes: 0 success, 1 validation failure, errored dialogues, an invalid
+catalogue (``invalid input: ...``) or a failed embedding call while
+``generate`` builds its retrieval indexes, 2 configuration error, including
+a missing or unparseable input file or an output file that is a directory.
 Every input file is read here, before the first LLM call, through ``_load``,
 so a fault in one is a ConfigError naming the file.
 All randomness flows from the config's rng_seed through derived per-dialogue
@@ -248,8 +249,8 @@ def _out_dir(path: Path) -> Path:
     return path
 
 
-def _out_files(*paths: str | None) -> None:
-    """``_out_dir`` for the parent of each output file a command names (None
+def _out_files(*paths: str | Path | None) -> None:
+    """``_out_dir`` for the parent of each output file a command writes (None
     when not named); a path that names a directory is a ConfigError too."""
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
@@ -371,7 +372,8 @@ def cmd_generate(args) -> int:
     else:
         names = cat.names()
 
-    out = _out_dir(cfg.out_dir)
+    out = cfg.out_dir
+    _out_files(out / "corpus.jsonl", out / "rejected.jsonl", out / "scenarios.jsonl")
     # built once, before the first dialogue: a failed embedding here ends the command
     tools, personas = ToolIndex(cat, emb), VectorIndex(store.personas, emb)
 
@@ -438,7 +440,8 @@ def cmd_export(args) -> int:
     # check every trace and scenario before writing anything
     _check_turns(args.corpus, (trace for trace, _ in pairs))
     _check_tools(args.scenarios, (scn for _, scn in pairs), cat)
-    out_dir = _out_dir(Path(args.out_dir))
+    out_dir = Path(args.out_dir)
+    _out_files(out_dir / "samples.jsonl", out_dir / "manifest.json")
     # sliced lazily: export writes each sample as it comes
     samples = (sample for trace, scn in pairs
                for sample in slice_dialogue(trace, selection_system_prompt(cat, scn.pool)))
@@ -478,7 +481,8 @@ def cmd_bench_run(args) -> int:
     cfg = _load("bench config", args.config, _bench_config)
     cat = load_catalogue(cfg.catalogue)
     _check_tools(cfg.scenarios, (task.scenario for task in cfg.tasks), cat)
-    with open(_out_dir(cfg.out_dir) / "traces.jsonl", "w", encoding="utf-8") as fh:
+    _out_files(cfg.out_dir / "traces.jsonl", cfg.out_dir / "report.json")
+    with open(cfg.out_dir / "traces.jsonl", "w", encoding="utf-8") as fh:
         report, traces, failed = run_benchmark(
             cfg.tasks, cfg.backends["assistant"], cat, cfg.voting, cfg.backends.get("judge"),
             cfg.engine, concurrency=cfg.concurrency, exclusions=cfg.exclusions,

@@ -17,25 +17,25 @@ every retrieval function takes the index: no cache or lock sits behind a
 query. A build embeds its texts into a float32 matrix, ``_BLOCK_ROWS`` at a
 time, so it holds no catalogue-wide temporary: beyond what the index keeps
 it holds one block's tokens, bucket ids and int64 and float64 rows, under
-1 MiB at d = 256. ``HashEmbedder.count_many`` hashes a block's tokens in
-one C-level pass, counts them with one ``np.bincount`` and returns the
-counts with each row's exact norm; ``embed_many`` divides the two, and its
-rows are byte-equal to ``embed``'s. ``count_many`` runs with Python's
-cyclic garbage collector paused (``catalogue.no_gc``) and then restores the
-caller's GC state; ``VectorIndex`` itself, which may drive a
-``RemoteEmbedder``, never pauses it.
+1 MiB at d = 256. A hash index builds each block through
+``HashEmbedder.count_many``, which hashes the block's tokens in one C-level
+pass, counts them with one ``np.bincount`` and returns the counts with each
+row's exact norm; any other embedder's block is ``embed`` of each text.
+``count_many`` runs with Python's cyclic garbage collector paused
+(``catalogue.no_gc``) and then restores the caller's GC state;
+``VectorIndex`` itself, which may drive a ``RemoteEmbedder``, never pauses it.
 
 An index gives back each row's exact float64 embedding, bitwise
-``embed(text)``, without calling the embedder again:
-
-* a hash row is its integer counts c over their norm n. The index keeps n
-  (8 bytes a row, 40 KB at 5,000 texts) and restores the row as
-  ``rint(float64(matrix row) * n) / n``: the float32 row errs by at most
-  c * 2**-24 relative to c / n, so while every count is below 2**22
-  (``_EXACT_COUNT``, checked at build) the product rounds back to c;
-* any other row -- a ``RemoteEmbedder``'s, or a hash index with a count
-  past the bound -- is kept as the float64 row received, N * d * 8 bytes
-  beside the float32 matrix (10 MB at 5,000 texts and d = 256).
+``embed(text)``, without calling the embedder again. It starts with one
+norm a row (8 bytes, 40 KB at 5,000 texts): a hash row is its integer
+counts c over their norm n, restored as ``rint(float64(matrix row) * n) / n``
+-- the float32 row errs by at most c * 2**-24 relative to c / n, so while
+every count is below 2**22 (``_EXACT_COUNT``) the product rounds back to c.
+One rule covers every other row: the first block that cannot be restored
+from its norms -- any non-hash block, or a hash block with a count at or
+past the bound -- switches the index to float64 rows, restoring the rows
+built before it, N * d * 8 bytes beside the float32 matrix (10 MB at 5,000
+texts and d = 256).
 
 A query scores every row with one matrix product, shortlists the rows
 within a margin of the k-th score, and re-scores the shortlist with the
@@ -43,8 +43,8 @@ rows' float64 embeddings, so rankings and score floats equal those of an
 exhaustive float64 scan. The margin: a float32 dot product of
 length d errs by at most (d + 2) * 2**-24 * |q| * |v|, so a margin of
 (d + 4) * 2**-23 * |q| * max|v| keeps every row that can reach the k-th score.
-A free-text search or a persona draw embeds its query once; a distractor
-query reads the seed tool's row and embeds nothing.
+A free-text search embeds its query once; a distractor query and a persona
+draw read the seed tool's row and embed nothing.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class Embedder(Protocol):
     dimension: int
 
     def embed(self, text: str) -> np.ndarray: ...
-
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        """float64 array of shape (len(texts), dimension); row i equals embed(texts[i])."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -169,10 +165,6 @@ class HashEmbedder:
         norms[norms == 0] = 1.0
         return counts, norms
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        counts, norms = self.count_many(texts)
-        return counts / norms[:, None]
-
 
 class RemoteEmbedder:
     """Embedder backed by a remote embedding endpoint."""
@@ -198,10 +190,6 @@ class RemoteEmbedder:
                              f"values, got shape {vec.shape}")
         return vec
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        # one request per text: batching waits for a documented server cap
-        return np.array([self.embed(t) for t in texts]).reshape(len(texts), self.dimension)
-
 
 class VectorIndex:
     """Texts embedded once into a float32 matrix, queried with exact scores.
@@ -218,28 +206,27 @@ class VectorIndex:
         self.emb = emb
         self.keys = range(n) if keys is None else keys
         self.matrix = np.empty((n, emb.dimension), dtype=np.float32)
-        # hash rows are restored from the matrix and their norms, any other
-        # row is kept as received (module docstring)
-        self._norms = np.empty(n) if isinstance(emb, HashEmbedder) else None
-        self._rows = None if self._norms is not None else np.empty((n, emb.dimension))
+        # one norm a row until a block cannot be restored from its norms
+        # (module docstring); then float64 rows, marked by _norms is None
+        self._norms, self._rows = np.empty(n), None
         peak = 0.0
         for start in range(0, n, _BLOCK_ROWS):
             chunk = texts[start:start + _BLOCK_ROWS]
             stop = start + len(chunk)
-            if self._norms is None:
-                block = emb.embed_many(chunk)
-            else:
+            if isinstance(emb, HashEmbedder):
                 counts, norms = emb.count_many(chunk)
-                block = counts / norms[:, None]
-                if counts.max() < _EXACT_COUNT:
-                    self._norms[start:stop] = norms
-                else:  # float64 rows from here on, the rows built so far restored
-                    rows = np.empty((n, emb.dimension))
-                    rows[:start] = self.rows(slice(start))
-                    self._rows, self._norms = rows, None
-            self.matrix[start:stop] = block
-            if self._rows is not None:
+                block, exact = counts / norms[:, None], counts.max() < _EXACT_COUNT
+            else:  # one request per text: batching waits for a documented server cap
+                block, exact = np.array([emb.embed(t) for t in chunk]), False
+            if self._norms is not None and not exact:  # the rows built so far restored
+                rows = np.empty((n, emb.dimension))
+                rows[:start] = self.rows(slice(start))
+                self._rows, self._norms = rows, None
+            if self._norms is not None:
+                self._norms[start:stop] = norms
+            else:
                 self._rows[start:stop] = block
+            self.matrix[start:stop] = block
             peak = max(peak, float(np.einsum("ij,ij->i", block, block).max()))
         self._max_norm = math.sqrt(peak)
 

@@ -3,10 +3,11 @@ for one seed tool.
 
 Persona selection uses top-k retrieval with seeded randomization over the
 persona store's index, built once per command like the catalogue's
-``ToolIndex``. Goal and slot values come from LLM generators behind the
-gateway, each gated by a post-check with up to three regeneration attempts
-(every attempt uses a distinct derived seed, so scripted transcripts can
-replay regeneration paths).
+``ToolIndex``; its query is the seed tool's row of that ``ToolIndex``. Goal
+and slot values come from LLM generators behind the gateway, each gated by
+a post-check with up to three regeneration attempts (every attempt uses a
+distinct derived seed, so scripted transcripts can replay regeneration
+paths).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .catalogue import TAG_TYPES, Tool, dump_json, parse_json, required_args, typed
 from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
@@ -117,12 +120,13 @@ class Scenario:
         )
 
 
-def sample_persona(personas: VectorIndex, seed_tool: Tool, k: int, rng_seed: int) -> str:
-    """Pick a persona via top-k similarity then a uniform seeded draw.
+def sample_persona(personas: VectorIndex, query: np.ndarray, k: int, rng_seed: int) -> str:
+    """Pick a persona via top-k similarity to the float64 ``query`` (the
+    seed tool's embedding) then a uniform seeded draw.
 
     k clamps to the store size; top-k ties break by store order.
     """
-    top = personas.top(personas.emb.embed(tool_text(seed_tool)), max(1, k))
+    top = personas.top(query, max(1, k))
     return personas.texts[top[random.Random(rng_seed).randrange(len(top))][0]]
 
 
@@ -219,12 +223,16 @@ def build_scenario(tools: ToolIndex, personas: VectorIndex, gw: BackendConfig,
     """Compose a full Scenario for one seed tool.
 
     Deterministic given (rng_seed, scripted transcripts): every random
-    draw and every LLM request seed derives from rng_seed.
+    draw and every LLM request seed derives from rng_seed. ``tools`` and
+    ``personas`` must share one embedder (``cli`` builds both from the
+    config's): the persona query is the seed tool's row of ``tools``,
+    bitwise ``embed(tool_text(tool))``, so the draw embeds nothing.
     """
     tool = tools.cat.get(seed_tool)
     dset = nearest_distractors(tools, seed_tool, k)
     pool = candidate_pool(seed_tool, dset, split_seed(rng_seed, "pool"))
-    persona = sample_persona(personas, tool, persona_k, split_seed(rng_seed, "persona"))
+    query = tools.rows([tools.cat.index[seed_tool]])[0]
+    persona = sample_persona(personas, query, persona_k, split_seed(rng_seed, "persona"))
     goal = sample_goal(gw, tool, persona, rng_seed)
     gold_args = sample_gold_args(slot_gw or gw, tool, persona, rng_seed)
     return Scenario(

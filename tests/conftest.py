@@ -372,7 +372,8 @@ def script_minimal_dialogue(transcript: Transcript, tools: ToolIndex, personas: 
     tool = catalogue.get(tool_name)
     dset = nearest_distractors(tools, tool_name, 5)
     pool = candidate_pool(tool_name, dset, split_seed(rng_seed, "pool"))
-    persona = sample_persona(personas, tool, 10, split_seed(rng_seed, "persona"))
+    persona = sample_persona(personas, tools.rows([catalogue.index[tool_name]])[0], 10,
+                             split_seed(rng_seed, "persona"))
     transcript.register(goal_request(tool, persona, rng_seed, 0), GENERIC_GOAL, "m-goal")
     gold_args = {p: _SLOT_SAMPLES[tool.params[p].type_tag] for p in required_args(tool)}
     if gold_args:
@@ -428,7 +429,8 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
     # scenario building ----------------------------------------------------
     dset = nearest_distractors(tools, SEED_TOOL, 5)
     pool = candidate_pool(SEED_TOOL, dset, split_seed(rng_seed, "pool"))
-    persona = sample_persona(personas, tool, 10, split_seed(rng_seed, "persona"))
+    persona = sample_persona(personas, tools.rows([catalogue.index[SEED_TOOL]])[0], 10,
+                             split_seed(rng_seed, "persona"))
     assert persona == TEST_PERSONA
     transcript.register(goal_request(tool, persona, rng_seed, 0), GOAL_TEXT, "m-goal")
     transcript.register(slots_request(tool, persona, rng_seed, 0),

@@ -37,10 +37,11 @@ def test_bench_world_retrieves_as_forge_does(inputs, seed):
     for name in rng.sample(world.cat.names(), 20):
         dset = nearest_distractors(tools, name, inputs["K_DISTRACTORS"])
         assert bits(world.distractors(name).members) == bits(dset.members)
-        tool = world.cat.get(name)
+        # the planner embeds the tool's text, forge reads the tool's index row
+        row = tools.rows([world.cat.index[name]])[0]
         for rng_seed in range(3):
-            assert (world.persona(tool, rng_seed)
-                    == sample_persona(personas, tool, inputs["PERSONA_K"], rng_seed))
+            assert (world.persona(world.cat.get(name), rng_seed)
+                    == sample_persona(personas, row, inputs["PERSONA_K"], rng_seed))
 
     # a query with no token scores every tool 0, so only the name tie-break orders it
     queries = [inputs["words"](rng, rng.randrange(1, 10)) for _ in range(20)] + ["!!! ???"]

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from forge import cli, gateway, harness, retrieval, scenario
+from forge import cli, engine, gateway, harness, retrieval, scenario
 from forge.cli import load_pipeline_config, main
 from forge.engine import (
     AssistantTurn,
@@ -1158,20 +1158,33 @@ def test_generate_index_build_failure_stops_once(world, capsys, loopback, status
 
 def test_generate_embeds_each_tool_and_persona_once(world, monkeypatch):
     """Each index is built once, in setup, however many workers run: every
-    tool and persona text passes through ``count_many`` exactly once."""
-    rows = Counter()
-    count_many = retrieval.HashEmbedder.count_many
+    tool and persona text passes through ``count_many`` exactly once, and
+    after that only a live search's free text is embedded."""
+    rows, embeds, searches = Counter(), [], []
+    count_many, embed = retrieval.HashEmbedder.count_many, retrieval.HashEmbedder.embed
+    search = engine.search_catalogue
 
     def counting(self, texts):
         rows.update(texts)
         return count_many(self, texts)
 
+    def embedding(self, text):
+        embeds.append(text)
+        return embed(self, text)
+
+    def searching(tools, query, k):
+        searches.append(query)
+        return search(tools, query, k)
+
     monkeypatch.setattr(retrieval.HashEmbedder, "count_many", counting)
+    monkeypatch.setattr(retrieval.HashEmbedder, "embed", embedding)
+    monkeypatch.setattr(engine, "search_catalogue", searching)
     cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
     world.config_path.write_text(json.dumps({**cfg, "concurrency": 4}), encoding="utf-8")
     assert run(["generate", "--config", world.config_path]) == 0
     assert rows == Counter([retrieval.tool_text(t) for t in world.cat.tools]
                            + world.store.personas)
+    assert searches and Counter(embeds) == Counter(searches)
 
 
 def test_generate_one_judge_only_is_config_error(world, capsys):
@@ -1509,6 +1522,39 @@ def test_unreadable_input_is_config_error(world, capsys, case):
         assert not any((world.tmp_path / d).exists() for d in ("reports", "sft", "bench_out"))
 
 
+@pytest.mark.parametrize("command, name", [
+    ("generate", "corpus.jsonl"), ("generate", "rejected.jsonl"),
+    ("generate", "scenarios.jsonl"), ("export", "samples.jsonl"), ("export", "manifest.json"),
+    ("bench", "traces.jsonl"), ("bench", "report.json")])
+def test_output_file_that_is_a_directory_is_config_error(world, capsys, monkeypatch,
+                                                         command, name):
+    """Every file a command writes is checked before its work starts: one
+    that is an existing directory exits 2 naming it, with no index built, no
+    LLM call made and nothing written beside it."""
+    tmp = world.tmp_path
+    if command == "generate":
+        argv, out_dir = ["generate", "--config", world.config_path], tmp / "out"
+    elif command == "export":
+        assert run(["generate", "--config", world.config_path]) == 0
+        out_dir = tmp / "sft"
+        argv = ["export", tmp / "out" / "corpus.jsonl", "--config", world.config_path,
+                "--scenarios", tmp / "out" / "scenarios.jsonl", "--out-dir", out_dir]
+    else:
+        argv, out_dir = ["bench", "run", _bench_config(world)], tmp / "bench_out"
+    blocker = out_dir / name
+    blocker.mkdir(parents=True)
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(retrieval.HashEmbedder, "count_many", no_work)
+    monkeypatch.setattr(Transcript, "lookup", no_work)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"config error: output file {blocker} is a directory\n"
+    assert list(out_dir.iterdir()) == [blocker]
+
+
 def test_roles_share_one_transcript(world, monkeypatch):
     cfg = load_pipeline_config(world.config_path)
     assert cfg.backends["goal"].transcript is cfg.backends["critique"].transcript
@@ -1541,7 +1587,8 @@ def test_generate_errors_do_not_depend_on_concurrency(world, capsys):
     name = "fn_4401_freight_rate_lookup"
     rng_seed = split_seed(ROOT_SEED, f"dialogue:{name}")
     tool = world.cat.get(name)
-    persona = sample_persona(world.personas, tool, 10, split_seed(rng_seed, "persona"))
+    persona = sample_persona(world.personas, world.tools.rows([world.cat.index[name]])[0], 10,
+                             split_seed(rng_seed, "persona"))
     del world.transcript.replies[fingerprint("m-goal", goal_request(tool, persona, rng_seed, 0))]
     del world.transcript.replies[fingerprint("m-asst", world.commit_request)]
     world.transcript.save(world.tmp_path / "transcripts.json")

@@ -1,9 +1,11 @@
+import ast
 import gc
 import json
 import math
 import random
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -219,7 +221,9 @@ def test_block_build_equals_single_embeds(n, dimension):
     names = [f"t{i:03d}" for i in range(n)]
     index = VectorIndex(texts, emb, names)
     vectors = {name: emb.embed(text) for name, text in zip(names, texts)}
-    assert emb.embed_many(texts).tobytes() == np.array(list(vectors.values())).tobytes()
+    counts, norms = emb.count_many(texts)
+    assert (counts / norms[:, None]).tobytes() == np.array(list(vectors.values())).tobytes()
+    assert index._norms.tobytes() == norms.tobytes()
     for row, name in enumerate(names):
         assert index.matrix[row].tobytes() == vectors[name].astype(np.float32).tobytes()
         assert index._max_norm >= np.linalg.norm(vectors[name])
@@ -316,7 +320,8 @@ def test_index_top_k_equals_exhaustive_scan(case):
     index = VectorIndex(PersonaStore(personas=personas, embedder=emb).personas, emb)
     for rng_seed in range(3):
         pick = expected[random.Random(rng_seed).randrange(len(expected))][0]
-        assert sample_persona(index, tool, k, rng_seed) == personas[pick]
+        assert sample_persona(index, tools.rows([cat.index[seed]])[0], k,
+                              rng_seed) == personas[pick]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +349,8 @@ class CountingEmbedder(HashEmbedder):
 
 def test_queries_cost_one_build_plus_shortlists():
     """The shortlist is re-scored from the rows the build kept: a search
-    and a persona draw embed their query once, a distractor query nothing."""
+    embeds its query once, a distractor query and a persona draw from a
+    tool's row nothing."""
     rng = random.Random(11)
     vocab = [f"term{i}" for i in range(80)]
     n_tools, k, m = 400, 5, 40
@@ -368,8 +374,35 @@ def test_queries_cost_one_build_plus_shortlists():
     personas = VectorIndex(store.personas, emb)
     assert emb.calls - before == len(store.personas)
     for i in range(m):
-        sample_persona(personas, cat.get(f"tool_{i}"), 10, i)
-    assert emb.calls - before == len(store.personas) + m
+        sample_persona(personas, tools.rows([i])[0], 10, i)
+    assert emb.calls - before == len(store.personas)
+
+
+def test_an_index_row_has_one_way_in_and_one_way_out():
+    """In ``src/forge`` no ``embed_many`` is defined or named, only
+    ``VectorIndex.__init__`` calls ``count_many``, and ``scenario.py`` calls
+    no ``.embed``: a persona draw reads the seed tool's index row."""
+    found = []
+    for path in sorted(Path(retrieval.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builder = {id(node) for top in tree.body
+                   if path.name == "retrieval.py" and isinstance(top, ast.ClassDef)
+                   and top.name == "VectorIndex" for fn in top.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = (node.name if isinstance(node, ast.FunctionDef)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            called = (node.func.attr if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute) else None)
+            if name == "embed_many":
+                found.append(f"{path.name}:{node.lineno}: embed_many")
+            elif called == "count_many" and id(node) not in builder:
+                found.append(f"{path.name}:{node.lineno}: count_many()")
+            elif called == "embed" and path.name == "scenario.py":
+                found.append(f"{path.name}:{node.lineno}: .embed()")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +499,7 @@ def test_remote_embed_malformed_reply_is_gateway_error(loopback, payload, messag
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_hash_embed_many_pauses_the_gc_and_restores_it(monkeypatch, enabled):
+def test_hash_count_many_pauses_the_gc_and_restores_it(monkeypatch, enabled):
     tokens, during = retrieval._tokens, []
 
     def recording(text):
@@ -476,7 +509,7 @@ def test_hash_embed_many_pauses_the_gc_and_restores_it(monkeypatch, enabled):
     monkeypatch.setattr(retrieval, "_tokens", recording)
     (gc.enable if enabled else gc.disable)()
     try:
-        HashEmbedder(16).embed_many(["alpha beta", "gamma"])
+        HashEmbedder(16).count_many(["alpha beta", "gamma"])
         after = gc.isenabled()
     finally:
         gc.enable()

@@ -48,13 +48,15 @@ def test_store_file_loader(tmp_path, emb):
 
 def test_singleton_store_always_selected(cat, emb):
     personas = index(PersonaStore(personas=["only one"], embedder=emb))
+    query = emb.embed(tool_text(cat.get(SEED_TOOL)))
     for seed in range(5):
-        assert sample_persona(personas, cat.get(SEED_TOOL), 10, seed) == "only one"
+        assert sample_persona(personas, query, 10, seed) == "only one"
 
 
 def test_sample_persona_reproducible(cat, store):
-    a = sample_persona(index(store), cat.get(SEED_TOOL), 3, 99)
-    b = sample_persona(index(store), cat.get(SEED_TOOL), 3, 99)
+    query = store.embedder.embed(tool_text(cat.get(SEED_TOOL)))
+    a = sample_persona(index(store), query, 3, 99)
+    b = sample_persona(index(store), query, 3, 99)
     assert a == b
 
 
@@ -67,7 +69,7 @@ def test_sample_persona_draws_from_top_k(cat, store):
     top3 = {store.personas[i] for _, i in scored[:3]}
     personas = index(store)
     for seed in range(20):
-        assert sample_persona(personas, tool, 3, seed) in top3
+        assert sample_persona(personas, query, 3, seed) in top3
 
 
 def test_logistics_persona_in_top_k_for_logistics_tool(cat, emb):
@@ -90,7 +92,7 @@ def test_logistics_persona_in_top_k_for_logistics_tool(cat, emb):
         ((-float(np.dot(query, emb.embed(p))), i) for i, p in enumerate(personas)))
     top3 = {personas[i] for _, i in scored[:3]}
     assert personas[0] in top3
-    hits = {sample_persona(index(store), tool, 3, seed) for seed in range(50)}
+    hits = {sample_persona(index(store), query, 3, seed) for seed in range(50)}
     assert hits <= top3
 
 
