@@ -111,9 +111,11 @@ def no_gc(fn):
     state is restored after it, so the GC is re-enabled only if it was on.
 
     For CPU-only bulk builders that allocate many containers and make no
-    reference cycle. The pause is process-wide, so a function that can make
-    a remote call or run dialogue work, which may run beside other threads,
-    is never wrapped.
+    reference cycle. The pause is process-wide and not safe for overlapping
+    calls (A disables, B reads "off", A re-enables, B disables for good), so
+    a function that can make a remote call or run dialogue work, which may
+    run beside other threads, is never wrapped: ``HashEmbedder`` pauses
+    for index blocks only, never for ``embed``.
     """
     @wraps(fn)
     def paused(*args, **kwargs):

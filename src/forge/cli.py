@@ -103,9 +103,18 @@ def _jsonl(path: str | Path, from_dict) -> list:
         return [from_dict(parse_json(line)) for line in fh if line.strip()]
 
 
+def _keyed(items, key, repeat: str) -> dict:
+    """``items`` by ``key(item)``; a repeated key is a ValueError naming it."""
+    keyed = {}
+    for item in items:
+        if keyed.setdefault(key(item), item) is not item:
+            raise ValueError(f"{repeat} {key(item)!r}")
+    return keyed
+
+
 def load_scenarios(path: str | Path) -> dict[str, Scenario]:
-    scenarios = _load("scenario file", path, lambda p: _jsonl(p, Scenario.from_dict))
-    return {scn.scenario_id: scn for scn in scenarios}
+    return _load("scenario file", path, lambda p: _keyed(
+        _jsonl(p, Scenario.from_dict), lambda scn: scn.scenario_id, "repeated scenario id"))
 
 
 def load_traces(path: str | Path) -> list[DialogueTrace]:
@@ -213,7 +222,8 @@ def _bench_config(path: str | Path) -> BenchConfig:
         gold_path = _path(base, "gold_corpus", raw["gold_corpus"])
         golds = load_traces(gold_path)
         _check_turns(gold_path, golds)
-        gold = {d.scenario_ref: d for d in golds}
+        gold = _keyed(golds, lambda d: d.scenario_ref,
+                      f"gold corpus {gold_path} repeats a dialogue for scenario")
         missing = [sid for sid in scenarios if sid not in gold]
         if missing:
             raise ValueError(f"no gold dialogue for scenario {missing[0]!r}")
@@ -238,24 +248,17 @@ def _bench_config(path: str | Path) -> BenchConfig:
         **_integers(raw, {"concurrency": 1}))
 
 
-def _out_dir(path: Path) -> Path:
-    """``path``, created as the directory a command writes to, or a
-    ConfigError naming it. Called once every input has been read and before
-    the first LLM call, so an unusable directory costs no finished work."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-    return path
-
-
 def _out_files(*paths: str | Path | None) -> None:
-    """``_out_dir`` for the parent of each output file a command writes (None
-    when not named); a path that names a directory is a ConfigError too."""
+    """Create the parent of each output file a command writes (None when not
+    named) before the first LLM call; a path that is a directory, or a parent
+    that cannot be created, is a ConfigError naming it."""
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise ConfigError(f"output file {path} is a directory")
-        _out_dir(path.parent)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path.parent}: {exc}") from exc
 
 
 def write_jsonl(fh, record: dict) -> None:
@@ -483,14 +486,14 @@ def cmd_bench_run(args) -> int:
     _check_tools(cfg.scenarios, (task.scenario for task in cfg.tasks), cat)
     _out_files(cfg.out_dir / "traces.jsonl", cfg.out_dir / "report.json")
     with open(cfg.out_dir / "traces.jsonl", "w", encoding="utf-8") as fh:
-        report, traces, failed = run_benchmark(
+        report, failed = run_benchmark(
             cfg.tasks, cfg.backends["assistant"], cat, cfg.voting, cfg.backends.get("judge"),
             cfg.engine, concurrency=cfg.concurrency, exclusions=cfg.exclusions,
             on_trace=lambda d: write_jsonl(fh, d.to_dict()))
     if report is not None:
         write_json(cfg.out_dir / "report.json", report.to_dict())
     rows = report.per_dialogue if report else failed
-    print(f"bench complete: tasks={len(cfg.tasks)} traces={len(traces)} "
+    print(f"bench complete: tasks={len(cfg.tasks)} traces={len(cfg.tasks) - len(failed)} "
           f"errors={sum(1 for row in rows if 'error' in row)} -> {cfg.out_dir}")
     return _item_errors(rows)
 

@@ -333,8 +333,15 @@ def canonical_equal(a: object, b: object) -> bool:
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(canonical_equal(x, y) for x, y in zip(a, b))
     if isinstance(a, dict) and isinstance(b, dict):
-        return set(a) == set(b) and all(canonical_equal(a[k], b[k]) for k in a)
+        return not any(arg_faults(a, b))
     return a == b
+
+
+def arg_faults(args: dict, gold: dict) -> tuple[set, set, set]:
+    """The one rule for argument maps: the ``gold`` keys ``args`` misses, the
+    keys it adds, and the shared keys whose values are not ``canonical_equal``."""
+    wrong = {k for k in args.keys() & gold.keys() if not canonical_equal(args[k], gold[k])}
+    return gold.keys() - args.keys(), args.keys() - gold.keys(), wrong
 
 
 def committed_tool(turn: AssistantTurn) -> str | None:

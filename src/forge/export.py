@@ -116,7 +116,7 @@ def export(samples: Iterable[SftSample], path: str | Path) -> dict:
         raise
     return {
         "format": "chat-jsonl",
-        "path": str(path),
+        "path": str(path.resolve()),  # the same however --out-dir was spelled
         "sample_count": count,
         "dialogue_count": len(dialogues),
         "sha256": digest.hexdigest(),

@@ -224,21 +224,21 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
                   vcfg: VotingConfig | None, judge: BackendConfig | None,
                   ecfg: EngineConfig, concurrency: int = 1,
                   exclusions: set[str] | None = None, on_trace=None,
-                  ) -> tuple[MetricReport | None, list[DialogueTrace], list[dict]]:
-    """Run every task, score the finished traces, return (report, traces, failed).
+                  ) -> tuple[MetricReport | None, list[dict]]:
+    """Run every task, score the finished traces, return (report, failed).
 
     Rollouts run ``concurrency`` at a time. A finished trace's rubric grading
     starts as soon as its rollout returns, while the other rollouts go on, on
     a judge stage ``MAX_IN_FLIGHT`` wide (inline for a scripted judge);
-    each dialogue still sums its grades in turn order. Every finished trace
-    is returned for audit, including excluded ones; exclusions (scenario
-    ids) are neither graded nor aggregated. Each task whose rollout fails
-    (``engine.DIALOGUE_ERRORS``) adds a ``{"dialogue_id", "error"}`` row to
-    ``failed`` and to the report's ``per_dialogue``; a failed grading keeps
-    its trace and gives its row a null conv_rel and an ``error``. The report
-    is None when tasks failed and no finished task is left to score.
-    ``on_trace(d)``, if given, gets each finished trace in task order as
-    soon as its task and every earlier one are done.
+    each dialogue still sums its grades in turn order. ``on_trace(d)`` is
+    the one way out for finished traces, excluded ones included: it gets
+    each in task order once its task and every earlier one are done.
+    Exclusions (scenario ids) are neither graded nor aggregated. Each task
+    whose rollout fails (``engine.DIALOGUE_ERRORS``) adds a ``{"dialogue_id",
+    "error"}`` row to ``failed`` and to the report's ``per_dialogue``; a
+    failed grading keeps its trace and gives its row a null conv_rel and an
+    ``error``. The report is None when tasks failed and no finished task is
+    left to score.
     """
     if vcfg is None and any(task.gold_dialogue is None for task in tasks):
         raise ValueError("tasks without a gold dialogue require a voting config")
@@ -256,21 +256,20 @@ def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogu
 
     results = run_items(_run, tasks, concurrency, _grade,
                         call_width(judge, MAX_IN_FLIGHT) if judge is not None else 1)
-    traces, failed, scored, grades = [], [], [], []
+    failed, scored, grades = [], [], []
     for task, result in zip(tasks, results):
         if isinstance(result, Exception):
             failed.append({"dialogue_id": f"{task.scenario.scenario_id}#{task.kind}",
                            "error": str(result)})
             continue
         d, grade = result
-        traces.append(d)
         if on_trace is not None:
             on_trace(d)
         if d.scenario_ref not in excluded:
             scored.append((d, Reference(task.scenario.seed_tool, task.scenario.gold_args)))
             grades.append(grade)
     if not scored and failed:
-        return None, traces, failed
+        return None, failed
     report = score_corpus(scored, grades if judge is not None else None)
     report.per_dialogue += failed
-    return report, traces, failed
+    return report, failed

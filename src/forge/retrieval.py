@@ -17,13 +17,14 @@ every retrieval function takes the index: no cache or lock sits behind a
 query. A build embeds its texts into a float32 matrix, ``_BLOCK_ROWS`` at a
 time, so it holds no catalogue-wide temporary: beyond what the index keeps
 it holds one block's tokens, bucket ids and int64 and float64 rows, under
-1 MiB at d = 256. A hash index builds each block through
-``HashEmbedder.count_many``, which hashes the block's tokens in one C-level
-pass, counts them with one ``np.bincount`` and returns the counts with each
-row's exact norm; any other embedder's block is ``embed`` of each text.
-``count_many`` runs with Python's cyclic garbage collector paused
-(``catalogue.no_gc``) and then restores the caller's GC state;
-``VectorIndex`` itself, which may drive a ``RemoteEmbedder``, never pauses it.
+1 MiB at d = 256. ``HashEmbedder``'s one counter hashes a list of texts'
+tokens in one C-level pass, counts them with one ``np.bincount`` and
+returns the counts with each row's exact norm. A hash index builds each
+block through it as ``count_many``, the one caller that pauses Python's
+cyclic GC (``catalogue.no_gc``); ``embed(text)``, its row for ``[text]``
+over that row's norm, runs on dialogue threads, where the pause is unsafe.
+Any other embedder's block is ``embed`` of each text; ``VectorIndex``,
+which may drive a ``RemoteEmbedder``, never pauses the GC.
 
 An index gives back each row's exact float64 embedding, bitwise
 ``embed(text)``, without calling the embedder again. It starts with one
@@ -136,34 +137,27 @@ class HashEmbedder:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
 
-    def _buckets(self, tokens, count: int) -> np.ndarray:
-        """Bucket id of each token, hashed in C."""
-        return np.fromiter(map(zlib.crc32, tokens), np.int64, count=count) % self.dimension
-
-    def embed(self, text: str) -> np.ndarray:
-        tokens = _tokens(text)
-        if not tokens:
-            return np.zeros(self.dimension)
-        counts = np.bincount(self._buckets(tokens, len(tokens)), minlength=self.dimension)
-        # the squared norm of integer counts is exact, so this equals
-        # dividing by np.linalg.norm of the float64 counts
-        return counts / math.sqrt(counts @ counts)
-
-    @no_gc
-    def count_many(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _counts(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """Each text's int64 bucket counts, shape (len(texts), dimension),
         and each row's exact L2 norm, 1.0 for a zero-token row."""
         d, rows = self.dimension, len(texts)
         tokens = list(map(_tokens, texts))
-        lengths = np.fromiter(map(len, tokens), np.int64, count=rows)
-        # row r's tokens count into the flat buckets [r * d, (r + 1) * d)
-        buckets = self._buckets(chain.from_iterable(tokens), int(lengths.sum()))
+        lengths = list(map(len, tokens))
+        # row r's tokens hash in C and count into the flat buckets [r * d, (r + 1) * d)
+        buckets = np.fromiter(map(zlib.crc32, chain.from_iterable(tokens)), np.int64,
+                              count=sum(lengths)) % d
         buckets += np.repeat(np.arange(0, rows * d, d, dtype=np.int64), lengths)
         counts = np.bincount(buckets, minlength=rows * d).reshape(rows, d)
         # exact integer squared norms; a zero-token row divides 0 by 1
-        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
-        norms[norms == 0] = 1.0
+        norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", counts, counts), 1))
         return counts, norms
+
+    def embed(self, text: str) -> np.ndarray:
+        # the unpaused counter: a query runs on dialogue threads (no_gc)
+        counts, norms = self._counts([text])
+        return counts[0] / norms[0]
+
+    count_many = no_gc(_counts)
 
 
 class RemoteEmbedder:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
-from .engine import AssistantTurn, DialogueTrace, canonical_equal, render_history
+from .engine import AssistantTurn, DialogueTrace, arg_faults, render_history
 from .gateway import (
     BackendConfig,
     CompletionRequest,
@@ -92,17 +92,11 @@ def validate_toolcall(d: DialogueTrace, scn: Scenario) -> tuple[bool, str | None
 
 def validate_toolargs(d: DialogueTrace, scn: Scenario) -> tuple[bool, str | None]:
     """Final call arguments must equal the gold map exactly."""
-    call = d.messages[-1].tool_calls[0]
-    gold = scn.gold_args
-    missing = set(gold) - set(call.args)
-    if missing:
-        return False, f"missing required args: {sorted(missing)}"
-    extra = set(call.args) - set(gold)
-    if extra:
-        return False, f"superfluous args: {sorted(extra)}"
-    wrong = [k for k in gold if not canonical_equal(call.args[k], gold[k])]
-    if wrong:
-        return False, f"wrong values for args: {sorted(wrong)}"
+    faults = arg_faults(d.messages[-1].tool_calls[0].args, scn.gold_args)
+    for label, keys in zip(("missing required args", "superfluous args",
+                            "wrong values for args"), faults):
+        if keys:
+            return False, f"{label}: {sorted(keys)}"
     return True, None
 
 

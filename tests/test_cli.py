@@ -332,6 +332,22 @@ def test_export_is_byte_deterministic(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_manifest_does_not_depend_on_how_the_out_dir_is_spelled(world, monkeypatch):
+    """One out-dir named relative, absolute and from another working
+    directory gives byte-equal ``manifest.json``, with the resolved path."""
+    tmp, out = world.tmp_path, world.tmp_path / "out"
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 0
+    manifests = []
+    for cwd, out_dir in ((tmp, "sft"), (tmp, tmp / "sft"), (out, "../sft")):
+        monkeypatch.chdir(cwd)
+        assert run(["export", out / "corpus.jsonl", "--config", world.config_path,
+                    "--scenarios", out / "scenarios.jsonl", "--out-dir", out_dir]) == 0
+        manifests.append((tmp / "sft" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1] == manifests[2]
+    path = json.loads(manifests[0])["path"]
+    assert path == str((tmp / "sft" / "samples.jsonl").resolve())
+
+
 def test_failed_export_leaves_no_samples_file(world, monkeypatch):
     assert run(["generate", "--config", world.config_path]) == 0
     out = world.tmp_path / "out"
@@ -1553,6 +1569,49 @@ def test_output_file_that_is_a_directory_is_config_error(world, capsys, monkeypa
     assert run(argv) == 2
     assert capsys.readouterr().err == f"config error: output file {blocker} is a directory\n"
     assert list(out_dir.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("command, repeated", [
+    ("validate", "scenario"), ("export", "scenario"), ("stats", "scenario"),
+    ("score", "scenario"), ("static", "scenario"), ("dynamic", "scenario"),
+    ("static", "gold")])
+def test_repeated_scenario_id_is_config_error(world, capsys, monkeypatch, command, repeated):
+    """A scenario file that repeats a scenario id, or a static gold corpus
+    with two dialogues for one scenario, exits 2 naming the file and the id
+    before any output or LLM call: no later line silently replaces an
+    earlier one (here, one with other gold args)."""
+    tmp, out = world.tmp_path, world.tmp_path / "out"
+    # writes the bench config and generates the scenario and its dialogue
+    bench = _bench_config(world, out_dir="sft", **(
+        {"mode": "static", "gold_corpus": "out/corpus.jsonl"} if command == "static" else {}))
+    path = out / ("corpus.jsonl" if repeated == "gold" else "scenarios.jsonl")
+    [line] = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(line)
+    if repeated == "gold":
+        record["dialogue_id"] += "-again"
+        message = (f"cannot load bench config {bench}: gold corpus {path} repeats a dialogue "
+                   f"for scenario {record['scenario_ref']!r}")
+    else:
+        record["gold_args"] = {}
+        message = f"cannot load scenario file {path}: repeated scenario id {record['scenario_id']!r}"
+    path.write_text(f"{line}\n{json.dumps(record)}\n", encoding="utf-8")
+    corpus = [out / "corpus.jsonl", "--scenarios", out / "scenarios.jsonl"]
+    argv = {"validate": ["validate", *corpus, "--config", world.config_path,
+                         "--out", tmp / "sft" / "reports.jsonl"],
+            "export": ["export", *corpus, "--config", world.config_path, "--out-dir", tmp / "sft"],
+            "stats": ["stats", *corpus, "--out", tmp / "sft" / "stats.json"],
+            "score": ["score", out / "corpus.jsonl", "--refs", out / "scenarios.jsonl",
+                      "--out", tmp / "sft" / "score.json"],
+            }.get(command, ["bench", "run", bench])
+
+    def no_call(*args):
+        raise AssertionError("LLM call made")
+
+    monkeypatch.setattr(Transcript, "lookup", no_call)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp / "sft").exists()
 
 
 def test_roles_share_one_transcript(world, monkeypatch):

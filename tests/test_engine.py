@@ -15,6 +15,7 @@ from forge.engine import (
     ToolCall,
     UserTurn,
     WrongToolError,
+    arg_faults,
     assistant_request,
     canonical_equal,
     committed_tool,
@@ -169,6 +170,33 @@ def test_each_message_rule_has_one_owner():
     assert found == []
 
 
+def test_hash_counts_and_argument_maps_have_one_owner():
+    """In ``retrieval.py`` only ``HashEmbedder._counts`` names ``crc32`` or
+    ``bincount`` (a query and an index block count tokens one way), and
+    ``validation.py`` names no ``canonical_equal`` and takes no key-set
+    difference (``engine.arg_faults`` decides when two argument maps are
+    equal)."""
+    src, found = Path(engine.__file__).parent, []
+    tree = ast.parse((src / "retrieval.py").read_text(encoding="utf-8"))
+    counter = {id(node) for top in tree.body
+               if isinstance(top, ast.ClassDef) and top.name == "HashEmbedder"
+               for fn in top.body if isinstance(fn, ast.FunctionDef) and fn.name == "_counts"
+               for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("crc32", "bincount")
+                and id(node) not in counter):
+            found.append(f"retrieval.py:{node.lineno}: {node.attr}")
+    for node in ast.walk(ast.parse((src / "validation.py").read_text(encoding="utf-8"))):
+        if "canonical_equal" in (getattr(node, "id", None), getattr(node, "name", None)):
+            found.append(f"validation.py:{node.lineno}: canonical_equal")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and any(
+                isinstance(side, ast.Call) and (getattr(side.func, "id", None) == "set"
+                                                or getattr(side.func, "attr", None) == "keys")
+                for side in (node.left, node.right)):
+            found.append(f"validation.py:{node.lineno}: key-set difference")
+    assert found == []
+
+
 @pytest.mark.parametrize("text", ["", "  \n"])
 def test_trace_pairs_reject_a_blank_user_turn(text):
     """No request can send a blank user message, so a trace holding one has
@@ -246,6 +274,13 @@ def test_args_equal_rejects_superset_and_subset():
     assert canonical_equal({"a": 1, "b": 2}, gold)
     assert not canonical_equal({"a": 1}, gold)
     assert not canonical_equal({"a": 1, "b": 2, "c": 3}, gold)
+
+
+def test_arg_faults_names_missing_extra_and_wrong_keys():
+    gold = {"a": 1, "b": "x", "c": [1]}
+    assert arg_faults({"a": "1.0", "b": " x ", "c": ["1"]}, gold) == (set(), set(), set())
+    assert arg_faults({"a": 2, "c": [1], "d": 0}, gold) == ({"b"}, {"d"}, {"a"})
+    assert arg_faults({}, {}) == (set(), set(), set())
 
 
 # ---------------------------------------------------------------------------

@@ -347,8 +347,9 @@ def test_dynamic_never_calling_assistant_hits_cap(world):
 def test_benchmark_dynamic_turn_cap_is_engine_t_max(world):
     steps = [(f"utterance {i}", ASKING) for i in range(2)]
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=891)
-    _, traces, _ = run_benchmark([EvalTask(scenario=scn)], cand, world.cat,
-                                 vcfg, None, EngineConfig(t_max=2))
+    traces = []
+    run_benchmark([EvalTask(scenario=scn)], cand, world.cat, vcfg, None,
+                  EngineConfig(t_max=2), on_trace=traces.append)
     assert traces[0].pair_count() == 2
     assert traces[0].terminated_by == "turn_cap"
 
@@ -358,8 +359,9 @@ def test_dynamic_empty_reply_is_a_malformed_turn(world):
     goes on: the proxy is shown ``EMPTY_REPLY`` for it."""
     steps = [("I need to check transports.", ""), ("Node 1, request 2.", GOLD_CALL)]
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=893)
-    report, traces, failed = run_benchmark([EvalTask(scenario=scn)], cand, world.cat,
-                                           vcfg, None, EngineConfig(t_max=4))
+    traces = []
+    report, failed = run_benchmark([EvalTask(scenario=scn)], cand, world.cat,
+                                   vcfg, None, EngineConfig(t_max=4), on_trace=traces.append)
     [trace] = traces
     assert failed == [] and trace.pair_count() == 2
     assert trace.messages[1].malformed and trace.messages[1].raw == ""
@@ -370,9 +372,10 @@ def test_blank_winning_candidate_costs_one_task(world):
     """A blank candidate that wins the vote costs its task, not the run."""
     scn, vcfg = voting_fixture(world, ["", "second option", "third option"],
                                desired_original=0)
-    report, traces, failed = run_benchmark([EvalTask(scenario=scn)],
-                                           scripted_backend("m-cand", Transcript()),
-                                           world.cat, vcfg, None, EngineConfig())
+    traces = []
+    report, failed = run_benchmark([EvalTask(scenario=scn)],
+                                   scripted_backend("m-cand", Transcript()),
+                                   world.cat, vcfg, None, EngineConfig(), on_trace=traces.append)
     assert report is None and traces == []
     assert failed == [{"dialogue_id": f"{scn.scenario_id}#dynamic",
                        "error": "user proxy reply is blank"}]
@@ -400,7 +403,9 @@ def test_perfect_assistant_benchmark(world):
         tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
-    report, traces, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
+    traces = []
+    report, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
+                              on_trace=traces.append)
     assert report.acc == 1.0
     assert report.ftr == 0.0
     assert report.tar == 0.0
@@ -439,7 +444,7 @@ def test_mixed_benchmark_hand_computed(world):
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends,
                                    reply_for=lambda scn: replies[scn.rng_seed])
-    report, _, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
+    report, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
     assert report.acc == pytest.approx(1 / 3)
     assert report.ftr == pytest.approx(1 / 3)
     assert report.tar == pytest.approx(1 / 3)
@@ -468,8 +473,9 @@ def test_exclusions_drop_from_scoring_but_not_traces(world):
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
     excluded_id = tasks[0].scenario.scenario_id
-    report, traces, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
-                                      exclusions={excluded_id})
+    traces = []
+    report, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
+                              exclusions={excluded_id}, on_trace=traces.append)
     assert len(traces) == 2
     assert len(report.per_dialogue) == 1
 
@@ -488,9 +494,11 @@ def test_scripted_judge_grades_inline_and_skips_exclusions(world, no_thread_pool
     for task, grade in zip(tasks, "23"):
         grades.register(rubric_request(eval_static(task, cand, world.cat), 1), grade, "m-rubric")
     grades.lookup = lambda fp, n: looked_up.append(fp) or Transcript.lookup(grades, fp, n)
-    report, traces, _ = run_benchmark(tasks, cand, world.cat, None,
-                                      scripted_backend("m-rubric", grades), world.ecfg,
-                                      exclusions={tasks[2].scenario.scenario_id})
+    traces = []
+    report, _ = run_benchmark(tasks, cand, world.cat, None,
+                              scripted_backend("m-rubric", grades), world.ecfg,
+                              exclusions={tasks[2].scenario.scenario_id},
+                              on_trace=traces.append)
     assert len(traces) == 3 and len(looked_up) == 2
     assert [row["conv_rel"] for row in report.per_dialogue] == [0.5, 1.0]
     assert report.conv_rel == 0.75
@@ -504,9 +512,10 @@ def test_concurrent_benchmark_matches_serial(world):
         tasks.append(EvalTask(scenario=scn, gold_dialogue=gold))
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
-    report1, traces1, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
-                                        concurrency=1)
-    report4, traces4, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
-                                        concurrency=4)
+    traces1, traces4 = [], []
+    report1, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
+                               concurrency=1, on_trace=traces1.append)
+    report4, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
+                               concurrency=4, on_trace=traces4.append)
     assert [t.to_dict() for t in traces1] == [t.to_dict() for t in traces4]
     assert report1.to_dict() == report4.to_dict()

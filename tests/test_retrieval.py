@@ -516,6 +516,20 @@ def test_hash_count_many_pauses_the_gc_and_restores_it(monkeypatch, enabled):
     assert during == [False, False] and after is enabled
 
 
+def test_hash_embed_never_pauses_the_gc(monkeypatch):
+    """A query runs inside dialogues on worker threads, where ``no_gc``'s
+    save/restore is not safe for overlapping calls, so ``embed`` counts
+    with the unpaused counter; ``count_many``, the index-block path, pauses."""
+    disabled = []
+    monkeypatch.setattr(gc, "disable", lambda: disabled.append("count_many"))
+    emb = HashEmbedder(16)
+    emb.embed("alpha beta")
+    emb.embed("")
+    assert disabled == []
+    emb.count_many(["alpha beta"])
+    assert disabled == ["count_many"]
+
+
 def test_remote_calls_run_with_the_gc_enabled(embedding_server, loopback):
     """The GC pause never covers a remote call: a remote index build and a
     remote ``complete`` reach the server with the collector on."""
