@@ -18,7 +18,12 @@ spliced from those strings and is byte-equal to ``json.dumps([t.to_dict()
 its one reader. It splices ``json.dumps(value, ensure_ascii=False,
 indent=2)`` from leaves that json's C encoder escapes, because ``indent``
 sends ``json.dumps`` to its pure-Python encoder, which is slower and leaves
-a cycle of closures for the garbage collector on every call.
+a cycle of closures for the garbage collector on every call. Strings go
+through json's C escaper (``encode_str``); ``_scalar`` writes ``null``,
+``true``, ``false`` and the repr of an exact ``int`` or finite ``float``
+itself, as json does, and hands only NaN, the infinities and subclasses to
+a JSON encoder, so a tool's ``required`` flags and integer leaves build no
+encoder object.
 
 ``parse_catalogue`` runs with Python's cyclic garbage collector paused
 (``no_gc``) and then restores the caller's GC state. A 5,000-tool catalogue
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from pathlib import Path
@@ -75,9 +81,29 @@ def parse_json(text: str | bytes):
 
 
 # the C string escaper ``json.dumps(..., ensure_ascii=False)`` uses, and one
-# C-backed encoder for every other JSON scalar
+# C-backed encoder for the scalars ``_scalar`` does not write itself
 encode_str = json.encoder.encode_basestring
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _scalar(value) -> str:
+    """``value``, a JSON scalar other than a string, as json writes it:
+    the literal of ``None``, ``True`` or ``False``, and the repr of an exact
+    ``int`` or finite ``float`` (json's own text for both). NaN, the
+    infinities, subclasses and other types go through ``_encode_scalar``,
+    which builds an encoder object on every call."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _encode_scalar(value)
 
 
 def dump_json(value) -> str:
@@ -103,7 +129,7 @@ def _dump(value, pad: str) -> str:
             return "[]"
         inner = pad + "  "
         return "[" + inner + ("," + inner).join([_dump(v, inner) for v in value]) + pad + "]"
-    return _encode_scalar(value)
+    return _scalar(value)
 
 
 def no_gc(fn):

@@ -9,11 +9,20 @@ Two backend kinds:
   the whole pipeline runs offline in tests. There is no record mode:
   transcripts are built ahead of a run (ROADMAP.md, open item 3).
 
-A fingerprint is the sha256 of ``canonical_request``'s bytes, which stay
-the reference. ``fingerprint`` streams the same bytes into the hash in
-pieces: each message's fragment comes from a bounded LRU cache, so the
-system prompt and history a dialogue re-sends every turn are encoded once
-while they stay recent, and memory does not grow with run length.
+A fingerprint is the sha256 of ``canonical_request``'s UTF-8 bytes, which
+stay the reference that tests hash against. ``fingerprint`` streams the
+same bytes into the hash in pieces: each message's fragment comes from a
+bounded LRU cache, so the system prompt and history a dialogue re-sends
+every turn are encoded once while they stay recent, and memory does not
+grow with run length. A fragment is spliced from the content's UTF-8
+bytes: when they hold no byte below 0x20 but ``\\n``, three
+``bytes.replace`` calls escape ``\\``, ``"`` and ``\\n`` as json does; any
+other text goes through json's C escaper (``catalogue.encode_str``). The
+``model`` / ``seed`` / ``temperature`` tail is written from ``encode_str``
+and ``catalogue._scalar``, so no JSON encoder object is built per call.
+Text that UTF-8 cannot encode (a lone surrogate) has no fingerprint, so
+the gateway refuses it where it enters: in a transcript's replies, a
+backend's ``model_id`` and a remote reply's content.
 
 A ``BackendConfig`` describes every remote endpoint, chat and embedding
 alike, and all network I/O goes through the one remote call,
@@ -56,7 +65,7 @@ from itertools import islice
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .catalogue import dump_json, fault, parse_json, typed
+from .catalogue import _scalar, dump_json, encode_str, fault, parse_json, typed
 
 MAX_IN_FLIGHT = 8
 
@@ -76,6 +85,18 @@ FRAGMENT_CACHE_SIZE = 256
 _adapter = None
 _base_headers: dict = {}
 _adapter_lock = threading.Lock()
+
+
+def _encodable(name: str, text: str) -> str:
+    """``text``, which field ``name`` must hold as text that UTF-8 can encode,
+    as a fingerprint hashes it; else a ValueError naming the field. A JSON
+    escape of a lone surrogate (``"\\ud83d"``) decodes to text that it cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{name} cannot be encoded as UTF-8: lone surrogate "
+                         f"{text[exc.start]!r} at index {exc.start}") from None
+    return text
 
 
 class GatewayError(Exception):
@@ -138,7 +159,7 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("remote", "scripted"):
             raise ValueError(f"unknown backend kind: {self.kind!r}")
-        typed("model_id", self.model_id, str, "a string")
+        _encodable("model_id", typed("model_id", self.model_id, str, "a string"))
         typed("api_key_env", self.api_key_env, (str, type(None)), "a string or null")
         if self.kind == "remote":
             url = urlsplit(typed("endpoint", self.endpoint, str, "a URL string"))
@@ -180,13 +201,20 @@ def canonical_request(model_id: str, req: CompletionRequest) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-# the encoder settings of ``canonical_request``, built once
-_canonical = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+# the control bytes json escapes besides ``\n``: a text holding one goes
+# through json's escaper instead of ``_message_fragment``'s bytes.replace calls
+_ESCAPED_CONTROLS = bytes(range(0x0a)) + bytes(range(0x0b, 0x20))
 
 
 @functools.lru_cache(maxsize=FRAGMENT_CACHE_SIZE)
 def _message_fragment(role: str, content: str) -> bytes:
-    return _canonical({"role": role, "content": content}).encode("utf-8")
+    text = content.encode("utf-8")
+    if len(text.translate(None, _ESCAPED_CONTROLS)) == len(text):
+        text = b'"' + text.replace(b"\\", b"\\\\").replace(b'"', b'\\"').replace(
+            b"\n", b"\\n") + b'"'
+    else:
+        text = encode_str(content).encode("utf-8")
+    return b'{"content":' + text + b',"role":"' + role.encode("utf-8") + b'"}'
 
 
 def fingerprint(model_id: str, req: CompletionRequest) -> str:
@@ -196,8 +224,8 @@ def fingerprint(model_id: str, req: CompletionRequest) -> str:
     tail. Only the tail is encoded on every call."""
     digest = hashlib.sha256(b'{"messages":[')
     digest.update(b",".join([_message_fragment(m.role, m.content) for m in req.messages]))
-    tail = _canonical({"model": model_id, "seed": req.seed, "temperature": req.temperature})
-    digest.update(b"]," + tail[1:].encode("utf-8"))
+    digest.update(('],"model":' + encode_str(model_id) + ',"seed":' + _scalar(req.seed)
+                   + ',"temperature":' + _scalar(req.temperature) + "}").encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -242,6 +270,8 @@ class Transcript:
         for fp, entry in replies.items():
             if not isinstance(entry, list) or not all(isinstance(r, str) for r in entry):
                 raise ValueError(f"replies for {fp} must be a string or an array of strings")
+            for reply in entry:
+                _encodable(f"a reply for {fp}", reply)
         return cls(replies)
 
 
@@ -345,8 +375,8 @@ def _remote_complete(cfg: BackendConfig, req: CompletionRequest) -> str:
     }
     if req.seed is not None:
         body["seed"] = req.seed
-    return post_json(cfg, body, lambda reply: typed(
-        "completion content", reply["choices"][0]["message"]["content"], str, "a string"))
+    return post_json(cfg, body, lambda reply: _encodable("completion content", typed(
+        "completion content", reply["choices"][0]["message"]["content"], str, "a string")))
 
 
 def _replies(cfg: BackendConfig, req: CompletionRequest, n: int) -> list[str]:

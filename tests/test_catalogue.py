@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from forge import catalogue
 from forge.catalogue import (TYPE_TAGS, CatalogueError, dump_json, load_catalogue,
@@ -315,6 +315,10 @@ _value = st.recursive(
 
 
 @given(_value)
+@example([None, True, False, -0.0, float("nan"), float("inf"), float("-inf"), 2**64,
+          -2**64 - 1, 0, 1.5e300])
+@example({"required": True, "default": None, "minimum": -0.0, "maximum": 2**64 + 1})
+@example(float("nan"))
 def test_dump_json_matches_indented_json_dumps(value):
     assert dump_json(value) == json.dumps(value, ensure_ascii=False, indent=2)
 

@@ -40,6 +40,7 @@ from conftest import (
     ROOT_SEED,
     SEED_TOOL,
     build_replay_world,
+    chat,
     chat_reply,
     chat_request,
     child_env,
@@ -525,6 +526,35 @@ def test_generate_wrong_tool_rejected(world, capsys):
     assert len(rejected) == 1
     assert "fn_2231_logistics_order_tracking" in rejected[0]["reason"]
     assert "accepted=0 rejected=1" in capsys.readouterr().out
+
+
+def _reply_ends_in_a_lone_surrogate(world):
+    transcripts = world.tmp_path / "transcripts.json"
+    raw = json.loads(transcripts.read_text(encoding="utf-8"))
+    fp = world.engine_fingerprints[0]  # the user proxy's first reply
+    raw[fp] = [raw[fp][0] + "\ud83d"]
+    transcripts.write_text(json.dumps(raw), encoding="utf-8")  # as the escape "\ud83d"
+    return f"a reply for {fp} cannot be encoded as UTF-8: lone surrogate '\\ud83d'"
+
+
+def _model_id_ends_in_a_lone_surrogate(world):
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    cfg["backends"]["goal"]["model_id"] = "m-goal\ud800"
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    return "model_id cannot be encoded as UTF-8: lone surrogate '\\ud800' at index 6"
+
+
+@pytest.mark.parametrize("spoil", [_reply_ends_in_a_lone_surrogate,
+                                   _model_id_ends_in_a_lone_surrogate],
+                         ids=["transcript-reply", "model-id"])
+def test_text_that_utf8_cannot_encode_is_config_error(world, capsys, spoil):
+    """A scripted reply or a model id that UTF-8 cannot encode would end a
+    run in the fingerprint that hashes it; it is refused where it is read,
+    exit 2 before any output."""
+    message = spoil(world)
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 2
+    assert message in capsys.readouterr().err
+    assert not (world.tmp_path / "out" / "corpus.jsonl").exists()
 
 
 def test_generate_full_catalogue_all_accepted(world):
@@ -1875,6 +1905,35 @@ def test_blank_user_proxy_reply_costs_one_dialogue(world, capsys):
     out = _outputs(world.tmp_path / "out")
     assert out["corpus.jsonl"] == head["corpus.jsonl"]
     assert out["scenarios.jsonl"] == whole["scenarios.jsonl"]  # the scenario was built
+
+
+def test_remote_reply_utf8_cannot_encode_costs_one_dialogue(world, capsys, loopback):
+    """A remote user proxy whose reply ends in the JSON escape of a lone
+    surrogate gives a malformed reply, which costs its dialogue, not the
+    run: the other dialogues keep their lines."""
+    names = world.cat.names()
+    head, whole = _generated(world, names[:-1]), _generated(world)
+    opening = _opening(world, names[-1])
+
+    def respond(model_id, request):
+        fp = fingerprint(model_id, request)
+        reply = world.transcript.lookup(fp, 1)[0]
+        return (reply + "\ud83d" if fp == opening else reply), 0.0
+
+    endpoint, _ = loopback(chat(respond))
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    cfg["backends"]["user_proxy"] = {"kind": "remote", "model_id": "m-user",
+                                     "endpoint": endpoint, "retry_limit": 2}
+    world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["generate", "--config", world.config_path]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert "accepted=5 rejected=0 errors=1" in stdout
+    assert stderr.startswith(f"error on {names[-1]}: {endpoint} returned a malformed reply: "
+                             "completion content cannot be encoded as UTF-8: lone surrogate")
+    out = _outputs(world.tmp_path / "out")
+    assert out["corpus.jsonl"] == head["corpus.jsonl"]
+    assert out["scenarios.jsonl"] == whole["scenarios.jsonl"]
 
 
 def test_generate_slots_role_supplies_the_gold_arguments(world, monkeypatch):

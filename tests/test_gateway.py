@@ -6,11 +6,13 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from forge import gateway
+from forge.catalogue import dump_json
 from forge.gateway import (
     FRAGMENT_CACHE_SIZE,
     MAX_IN_FLIGHT,
@@ -29,7 +31,7 @@ from forge.gateway import (
     sample_n,
 )
 
-from conftest import chat, chat_reply, child_env
+from conftest import CATALOGUE_TOOLS, chat, chat_reply, child_env
 
 
 def req(text="hello", seed=1, temperature=0.0):
@@ -100,9 +102,13 @@ def test_fingerprint_stable_across_processes():
     assert len(fp) == 64
 
 
+# texts up to a few hundred characters that reach both paths of
+# ``gateway._message_fragment``: any control character U+0000-U+001F but
+# ``\n`` sends a text to json's escaper, anything else is escaped as bytes
 _content = st.text(st.characters(codec="utf-8")
-                   | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\u00e9\u2603\U0001f600'),
-                   max_size=20)
+                   | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\u00e9\u2603\U0001f600')
+                   | st.characters(max_codepoint=0x1f),
+                   max_size=300)
 
 
 @st.composite
@@ -122,9 +128,53 @@ def chat_requests(draw):
 
 @settings(deadline=None)
 @given(_content, chat_requests())
+@example("m", req("line 1\nline 2\n"))
+@example("m", req("line 1\r\nline 2"))
+@example("m", req("col 1\tcol 2"))
+@example('m "quoted" \\', req('"\\'))
+@example("m", req("\x7f"))
+@example("m", req("\u2028 and \u2029"))
+@example("m-\U0001f600", req("\U0001f600\U0010ffff \u00e9\n\x1f", seed=None, temperature=0.5))
 def test_fingerprint_hashes_the_canonical_request(model_id, request):
     reference = hashlib.sha256(canonical_request(model_id, request).encode("utf-8"))
     assert fingerprint(model_id, request) == reference.hexdigest()
+
+
+@pytest.mark.parametrize("model_id, text", [
+    ("m", "ends in half a pair \ud83d"),
+    ("m", "\udc00 with a tab\t, so json escapes it"),
+    ("m-\ud800", "hello"),
+])
+def test_fingerprint_of_a_lone_surrogate_is_an_encode_error(model_id, text):
+    """Text that UTF-8 cannot encode has no canonical bytes, so it has no
+    fingerprint either."""
+    with pytest.raises(UnicodeEncodeError):
+        canonical_request(model_id, req(text)).encode("utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        fingerprint(model_id, req(text))
+
+
+def test_fingerprint_and_dump_json_build_no_json_encoder(monkeypatch):
+    """Neither a fingerprint nor an indented JSON text constructs one of
+    json's C encoder objects: fragments are spliced from escaped bytes and
+    scalars are written by ``catalogue._scalar``."""
+    made = []
+    make = json.encoder.c_make_encoder
+
+    def counting(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
+    for seed, temperature in [(7, 0), (None, 0), (2**70, 0.7), (None, 1.5)]:
+        fingerprint("m-guard", req(f"fresh text {seed} {temperature}\n\"\\", seed, temperature))
+        fingerprint("m-guard", req(f"fresh text {seed} {temperature}\t", seed, temperature))
+    dump_json(CATALOGUE_TOOLS[0])
+    dump_json({"required": [True, False], "default": None, "range": [-1, 2**64, 0.5, -0.0]})
+    assert made == []
+    assert "JSONEncoder" not in Path(gateway.__file__).read_text(encoding="utf-8")
+    json.dumps({"seed": 7})  # the counter sees an encoder that is built
+    assert len(made) == 1
 
 
 def test_fingerprint_cache_stays_bounded():
@@ -270,10 +320,13 @@ def test_remote_reply_without_text_is_gateway_error(stub, text):
 @pytest.mark.parametrize("body, message", [
     (b'{"choices": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth"),
     (b'{"choices": [{"message": {"content": "caf\xe9"}}]}', "'utf-8' codec can't decode"),
-], ids=["nested-past-recursion-limit", "not-utf-8"])
+    (b'{"choices": [{"message": {"content": "caf\\ud83d"}}]}',
+     "completion content cannot be encoded as UTF-8: lone surrogate '\\\\ud83d' at index 3"),
+], ids=["nested-past-recursion-limit", "not-utf-8", "lone-surrogate"])
 def test_remote_malformed_chat_reply_is_gateway_error(loopback, body, message):
-    """A chat reply body that is not UTF-8 JSON is a GatewayError after one
-    request: it is not retried."""
+    """A chat reply body that is not UTF-8 JSON, or whose content UTF-8
+    cannot encode (a fingerprint could not hash it), is a GatewayError after
+    one request: it is not retried."""
     endpoint, server = loopback(lambda request: (200, {}, body, 0.0))
     with pytest.raises(GatewayError, match=f"malformed reply: {message}"):
         complete(remote_cfg(endpoint), req())
