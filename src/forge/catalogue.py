@@ -37,6 +37,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from pathlib import Path
@@ -71,13 +72,30 @@ def fault(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+# the JSON escape of a UTF-16 surrogate: only a text that holds one can
+# decode to a lone surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def parse_json(text: str | bytes):
     """``json.loads``, whose only failure is a ValueError: JSON nested past
-    the recursion limit raises one with RecursionError's message."""
+    the recursion limit raises one with RecursionError's message. Bytes
+    must be UTF-8, and a value that holds a lone surrogate (the JSON escape
+    ``"\\ud83d"`` decodes to one) is refused, since UTF-8 cannot encode it:
+    a fingerprint, a prompt or a written line would fail on it later."""
+    if isinstance(text, bytes):
+        # what json.loads does with UTF-8, but strict: it passes encoded surrogates
+        text = text.decode("utf-8-sig")
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
     except RecursionError as exc:
         raise ValueError(str(exc)) from exc
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"JSON text holds a lone surrogate {exc.object[exc.start]!r}, "
+                         "which UTF-8 cannot encode") from None
+    return value
 
 
 # the C string escaper ``json.dumps(..., ensure_ascii=False)`` uses, and one

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from forge import catalogue
-from forge.catalogue import (TYPE_TAGS, CatalogueError, dump_json, load_catalogue,
+from forge.catalogue import (TYPE_TAGS, CatalogueError, dump_json, load_catalogue, parse_json,
                              parse_catalogue, required_args)
 
 from conftest import CATALOGUE_TOOLS, SEED_TOOL, json_encoder_garbage
@@ -129,6 +129,29 @@ def test_catalogue_error_messages(entries, message):
     with pytest.raises(CatalogueError) as exc:
         parse_catalogue(entries if isinstance(entries, str) else json.dumps(entries))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    '"caf\\ud83d"', '["ok", {"k": "\\udc00 first"}]', '{"\\ud800": 1}',
+    '"\\ude00\\ud83d"', b'"caf\\ud83d"', b'"caf\xed\xa0\xbd"',
+], ids=["high-escape", "nested-low-escape", "key", "pair-in-the-wrong-order", "bytes-escape",
+        "bytes-encoded-surrogate"])
+def test_parse_json_refuses_a_lone_surrogate(text):
+    """UTF-8 cannot encode a lone surrogate, so a fingerprint, a prompt or
+    a written line would fail on it: ``parse_json`` refuses one, whether a
+    JSON escape or (in bytes) an encoded surrogate brings it in."""
+    with pytest.raises(ValueError, match="lone surrogate|can't decode"):
+        parse_json(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ('"\\ud83d\\ude00 \\u00e9"', "\U0001f600 \u00e9"),
+    ('"\\\\ud83d"', "\\ud83d"),  # an escaped backslash, then plain text
+    (b'"\xf0\x9f\x98\x80"', "\U0001f600"),
+    (b'\xef\xbb\xbf"\xc3\xa9"', "\u00e9"),  # json.loads skips a UTF-8 BOM on bytes too
+], ids=["surrogate-pair-escape", "escaped-backslash", "bytes", "bytes-with-utf8-bom"])
+def test_parse_json_reads_text_utf8_can_encode(text, value):
+    assert parse_json(text) == value
 
 
 def test_parse_json_is_the_one_decoder_of_outside_json():

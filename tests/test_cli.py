@@ -528,31 +528,53 @@ def test_generate_wrong_tool_rejected(world, capsys):
     assert "accepted=0 rejected=1" in capsys.readouterr().out
 
 
+_LONE = "JSON text holds a lone surrogate '\\ud83d', which UTF-8 cannot encode"
+
+
 def _reply_ends_in_a_lone_surrogate(world):
     transcripts = world.tmp_path / "transcripts.json"
     raw = json.loads(transcripts.read_text(encoding="utf-8"))
     fp = world.engine_fingerprints[0]  # the user proxy's first reply
     raw[fp] = [raw[fp][0] + "\ud83d"]
     transcripts.write_text(json.dumps(raw), encoding="utf-8")  # as the escape "\ud83d"
-    return f"a reply for {fp} cannot be encoded as UTF-8: lone surrogate '\\ud83d'"
+    return 2, f"config error: cannot load transcript {transcripts}: {_LONE}"
 
 
 def _model_id_ends_in_a_lone_surrogate(world):
     cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
-    cfg["backends"]["goal"]["model_id"] = "m-goal\ud800"
+    cfg["backends"]["goal"]["model_id"] = "m-goal\ud83d"
     world.config_path.write_text(json.dumps(cfg), encoding="utf-8")
-    return "model_id cannot be encoded as UTF-8: lone surrogate '\\ud800' at index 6"
+    return 2, f"config error: cannot load config {world.config_path}: {_LONE}"
+
+
+def _tool_description_ends_in_a_lone_surrogate(world):
+    catalogue = world.tmp_path / "catalogue.json"
+    tools = json.loads(catalogue.read_text(encoding="utf-8"))
+    tools[0]["description"] += "\ud83d"
+    catalogue.write_text(json.dumps(tools), encoding="utf-8")
+    return 1, f"invalid input: malformed catalogue JSON: {_LONE}"
+
+
+def _persona_ends_in_a_lone_surrogate(world):
+    personas = world.tmp_path / "personas.json"
+    texts = json.loads(personas.read_text(encoding="utf-8"))
+    texts[0] += "\ud83d"
+    personas.write_text(json.dumps(texts), encoding="utf-8")
+    return 2, f"{personas}: {_LONE}"
 
 
 @pytest.mark.parametrize("spoil", [_reply_ends_in_a_lone_surrogate,
-                                   _model_id_ends_in_a_lone_surrogate],
-                         ids=["transcript-reply", "model-id"])
+                                   _model_id_ends_in_a_lone_surrogate,
+                                   _tool_description_ends_in_a_lone_surrogate,
+                                   _persona_ends_in_a_lone_surrogate],
+                         ids=["transcript-reply", "model-id", "catalogue", "personas"])
 def test_text_that_utf8_cannot_encode_is_config_error(world, capsys, spoil):
-    """A scripted reply or a model id that UTF-8 cannot encode would end a
-    run in the fingerprint that hashes it; it is refused where it is read,
-    exit 2 before any output."""
-    message = spoil(world)
-    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 2
+    """A JSON escape of a lone surrogate in any file a run reads would end
+    the run in the fingerprint that hashes the text; ``parse_json`` refuses
+    it where the file is read, before any output: a config error (exit 2),
+    or invalid input (exit 1) for the catalogue, as any malformed one is."""
+    code, message = spoil(world)
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == code
     assert message in capsys.readouterr().err
     assert not (world.tmp_path / "out" / "corpus.jsonl").exists()
 
@@ -1930,7 +1952,7 @@ def test_remote_reply_utf8_cannot_encode_costs_one_dialogue(world, capsys, loopb
     stdout, stderr = capsys.readouterr()
     assert "accepted=5 rejected=0 errors=1" in stdout
     assert stderr.startswith(f"error on {names[-1]}: {endpoint} returned a malformed reply: "
-                             "completion content cannot be encoded as UTF-8: lone surrogate")
+                             + _LONE)
     out = _outputs(world.tmp_path / "out")
     assert out["corpus.jsonl"] == head["corpus.jsonl"]
     assert out["scenarios.jsonl"] == whole["scenarios.jsonl"]

@@ -100,6 +100,9 @@ def test_parse_malformed_call_entry():
     ("<think>never closed [", "missing </think>"),
     ("<think>x</think> []", "tool-call list is empty"),
     ('<think>x</think> [{"name": "t", "args": [1]}]', "args must be an object"),
+    # UTF-8 cannot encode the value, so the next request's fingerprint could not hash it
+    ('<think>x</think> [{"name": "t", "args": {"a": "caf\\ud83d"}}]',
+     "unparseable tool-call JSON: JSON text holds a lone surrogate"),
 ])
 def test_parse_rejects_malformed_output(raw, reason):
     with pytest.raises(AssistantFormatError, match=reason):

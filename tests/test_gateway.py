@@ -321,8 +321,10 @@ def test_remote_reply_without_text_is_gateway_error(stub, text):
     (b'{"choices": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth"),
     (b'{"choices": [{"message": {"content": "caf\xe9"}}]}', "'utf-8' codec can't decode"),
     (b'{"choices": [{"message": {"content": "caf\\ud83d"}}]}',
-     "completion content cannot be encoded as UTF-8: lone surrogate '\\\\ud83d' at index 3"),
-], ids=["nested-past-recursion-limit", "not-utf-8", "lone-surrogate"])
+     "JSON text holds a lone surrogate '\\\\ud83d', which UTF-8 cannot encode"),
+    (b'{"choices": [{"message": {"content": "caf\xed\xa0\xbd"}}]}',
+     "'utf-8' codec can't decode byte 0xed"),
+], ids=["nested-past-recursion-limit", "not-utf-8", "lone-surrogate", "encoded-surrogate"])
 def test_remote_malformed_chat_reply_is_gateway_error(loopback, body, message):
     """A chat reply body that is not UTF-8 JSON, or whose content UTF-8
     cannot encode (a fingerprint could not hash it), is a GatewayError after
