@@ -79,10 +79,10 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 def parse_json(text: str | bytes):
     """``json.loads``, whose only failure is a ValueError: JSON nested past
-    the recursion limit raises one with RecursionError's message. Bytes
-    must be UTF-8, and a value that holds a lone surrogate (the JSON escape
-    ``"\\ud83d"`` decodes to one) is refused, since UTF-8 cannot encode it:
-    a fingerprint, a prompt or a written line would fail on it later."""
+    the recursion limit raises one with RecursionError's message. Bytes (as
+    every input file and remote reply arrives) must be UTF-8, a leading BOM
+    skipped. A value holding a lone surrogate (the escape ``"\\ud83d"``) is
+    refused: UTF-8 cannot encode it, so a fingerprint or prompt would fail."""
     if isinstance(text, bytes):
         # what json.loads does with UTF-8, but strict: it passes encoded surrogates
         text = text.decode("utf-8-sig")
@@ -303,20 +303,20 @@ def parse_tool(raw: object) -> Tool:
 
 
 def load_catalogue(path: str | Path) -> Catalogue:
-    """``parse_catalogue`` of a JSON file's text; a file that cannot be
+    """``parse_catalogue`` of a JSON file's bytes; a file that cannot be
     read is a CatalogueError too."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CatalogueError(f"cannot read catalogue file {path}: {exc}") from exc
-    return parse_catalogue(text)
+    return parse_catalogue(data)
 
 
 @no_gc
-def parse_catalogue(text: str) -> Catalogue:
-    """Parse and validate a tool catalogue: CatalogueError on JSON that
-    ``parse_json`` cannot read, schema violations, duplicate tool names or
-    an empty catalogue. Pure function of the text."""
+def parse_catalogue(text: str | bytes) -> Catalogue:
+    """Parse and validate a tool catalogue's JSON text or bytes: CatalogueError
+    on JSON that ``parse_json`` cannot read, schema violations, duplicate tool
+    names or an empty catalogue. Pure function of its input."""
     try:
         raw = parse_json(text)
     except ValueError as exc:

@@ -85,21 +85,21 @@ def _load(what: str, path: str | Path, load):
 
 
 def _json_object(path: str | Path) -> dict:
-    raw = parse_json(Path(path).read_text(encoding="utf-8"))
+    raw = parse_json(Path(path).read_bytes())
     if not isinstance(raw, dict):
         raise ValueError("expected a JSON object")
     return raw
 
 
 def _json_strings(path: str | Path) -> list[str]:
-    raw = parse_json(Path(path).read_text(encoding="utf-8"))
+    raw = parse_json(Path(path).read_bytes())
     if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
         raise ValueError("expected a JSON array of strings")
     return raw
 
 
 def _jsonl(path: str | Path, from_dict) -> list:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return [from_dict(parse_json(line)) for line in fh if line.strip()]
 
 

@@ -254,7 +254,7 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
-        raw = parse_json(Path(path).read_text(encoding="utf-8"))
+        raw = parse_json(Path(path).read_bytes())
         if not isinstance(raw, dict):
             raise ValueError("transcript must be a JSON object")
         replies = {k: [v] if isinstance(v, str) else v for k, v in raw.items()}

@@ -66,12 +66,12 @@ class PersonaStore:
 
     @classmethod
     def load(cls, path: str | Path, embedder: Embedder) -> "PersonaStore":
-        return cls(parse_json(Path(path).read_text(encoding="utf-8")), embedder)
+        return cls(parse_json(Path(path).read_bytes()), embedder)
 
     @classmethod
     def bundled(cls, embedder: Embedder) -> "PersonaStore":
-        text = resources.files("forge").joinpath("assets/personas.json").read_text(encoding="utf-8")
-        return cls(parse_json(text), embedder)
+        data = resources.files("forge").joinpath("assets/personas.json").read_bytes()
+        return cls(parse_json(data), embedder)
 
 
 @dataclass
@@ -105,11 +105,12 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         """The scenario a ``to_dict`` record describes; a field of the wrong
-        JSON type is a ValueError naming the field."""
+        JSON type, or a ``scenario_id`` other than the one its fields derive,
+        is a ValueError naming the field."""
         pool = typed("scenario pool", d["pool"], list, "an array of tool names")
         if not all(isinstance(name, str) for name in pool):
             raise ValueError(f"scenario pool must be an array of tool names, got {pool!r}")
-        return cls(
+        scn = cls(
             seed_tool=typed("scenario seed_tool", d["seed_tool"], str, "a string"),
             persona=typed("scenario persona", d["persona"], str, "a string"),
             goal=typed("scenario goal", d["goal"], str, "a string"),
@@ -118,6 +119,10 @@ class Scenario:
             gold_args=dict(typed("scenario gold_args", d["gold_args"], dict, "a JSON object")),
             rng_seed=typed("scenario rng_seed", d["rng_seed"], int, "an integer"),
         )
+        if d["scenario_id"] != scn.scenario_id:
+            raise ValueError(f"scenario scenario_id must be {scn.scenario_id!r}, "
+                             f"got {d['scenario_id']!r}")
+        return scn
 
 
 def sample_persona(personas: VectorIndex, query: np.ndarray, k: int, rng_seed: int) -> str:

@@ -180,6 +180,29 @@ def test_parse_json_is_the_one_decoder_of_outside_json():
     assert found == []
 
 
+def test_no_module_reads_an_input_file_as_text():
+    """In ``src/forge`` nothing calls ``.read_text(`` and no ``open`` reads in
+    text mode (a mode with none of ``b``, ``w``, ``a`` or ``x``): every input
+    reaches ``parse_json`` as bytes, so its UTF-8 and BOM rules have one owner."""
+    found = []
+    for path in sorted(Path(catalogue.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "read_text":
+                found.append(f"{path.name}:{node.lineno}: .read_text()")
+            elif name == "open":
+                # open(file, mode) takes the mode second, Path.open(mode) first
+                args = node.args[1:] if isinstance(func, ast.Name) else node.args
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            args[0] if args else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("bwax")):
+                    found.append(f"{path.name}:{node.lineno}: open() in text mode")
+    assert found == []
+
+
 def test_dump_json_is_the_one_writer_of_indented_json():
     """In ``src/forge`` no call passes ``indent=`` to ``json.dumps`` or
     ``JSONEncoder``, which would select json's pure-Python encoder, and

@@ -1346,6 +1346,9 @@ def test_bad_input_is_config_error(world, capsys, command, change, message):
 
 
 _LONG_INT_CATALOGUE = "[" + "1" * 5000 + "]"
+# a description holding "\xff" (y with diaeresis), written as Latin-1
+_NOT_UTF8_CATALOGUE = json.dumps(CATALOGUE_TOOLS).replace(
+    '"description": "', '"description": "\xff', 1).encode("latin-1")
 
 
 @pytest.mark.parametrize("command, text", [
@@ -1357,26 +1360,93 @@ _LONG_INT_CATALOGUE = "[" + "1" * 5000 + "]"
     ("generate", _LONG_INT_CATALOGUE),
     ("bench", _LONG_INT_CATALOGUE),
     ("lint", _LONG_INT_CATALOGUE),
+    ("generate", _NOT_UTF8_CATALOGUE),
+    ("lint", _NOT_UTF8_CATALOGUE),
 ], ids=["generate", "bench", "generate-nested", "bench-nested", "lint-nested",
-        "generate-long-int", "bench-long-int", "lint-long-int"])
+        "generate-long-int", "bench-long-int", "lint-long-int", "generate-not-utf8",
+        "lint-not-utf8"])
 def test_invalid_catalogue_is_exit_1(world, capsys, command, text):
     """A catalogue that exists but fails its own checks, is nested past the
-    recursion limit or holds an integer past Python's digit limit, is
-    invalid input, not a config error, even when a config file names it."""
+    recursion limit, holds an integer past Python's digit limit or is not
+    UTF-8, is invalid input, not a config error, even when a config file
+    names it; no output file is written."""
     path = world.tmp_path / "catalogue.json"
     argv = {"bench": lambda: ["bench", "run", _bench_config(world)],
             "generate": lambda: ["generate", "--config", world.config_path],
             "lint": lambda: ["catalogue", "lint", path]}[command]()
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     capsys.readouterr()
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input:")
-    if text.startswith("[["):
+    if command == "generate":
+        assert not (world.tmp_path / "out").exists()
+    if text == _NOT_UTF8_CATALOGUE:
+        assert err.startswith("invalid input: malformed catalogue JSON: 'utf-8' codec "
+                              "can't decode byte 0xff")
+    if text == "[" * 5000:
         assert err.startswith("invalid input: malformed catalogue JSON: maximum recursion depth")
     if text == _LONG_INT_CATALOGUE:
         assert err.startswith("invalid input: malformed catalogue JSON: Exceeds the limit "
                               "(4300 digits)")
+
+
+def _bom_case(world, kind: str):
+    """(argv, the input file of ``kind`` it reads, the directory it writes
+    or None) for one command that succeeds on the replay world."""
+    tmp, config = world.tmp_path, world.config_path
+    generate = ["generate", "--config", config, "--seed-tools", SEED_TOOL]
+    if kind in ("config", "transcript", "personas", "catalogue"):
+        path = {"config": config, "transcript": tmp / "transcripts.json",
+                "personas": tmp / "personas.json", "catalogue": tmp / "catalogue.json"}[kind]
+        return generate, path, tmp / "out"
+    if kind == "judge":
+        for t, grade in enumerate(("3", "3", "2"), start=1):
+            world.transcript.register(rubric_request(world.expected_trace, t), grade, "m-rubric")
+        world.transcript.save(tmp / "transcripts.json")
+        (tmp / "judge.json").write_text(json.dumps(
+            {"kind": "scripted", "model_id": "m-rubric", "transcript": "transcripts.json"}),
+            encoding="utf-8")
+    assert run(generate) == 0
+    corpus, scenarios = tmp / "out" / "corpus.jsonl", tmp / "out" / "scenarios.jsonl"
+    if kind in ("scenarios", "corpus"):
+        return (["export", corpus, "--config", config, "--scenarios", scenarios,
+                 "--out-dir", tmp / "sft"], corpus if kind == "corpus" else scenarios, tmp / "sft")
+    if kind == "judge":
+        return (["score", corpus, "--refs", scenarios, "--judge", tmp / "judge.json",
+                 "--out", tmp / "score" / "report.json"], tmp / "judge.json", tmp / "score")
+    static_candidate(world, (RAW_A1, RAW_A2_FILL, RAW_A3_CALL)).transcript.save(
+        tmp / "cand_transcript.json")
+    (tmp / "exclusions.json").write_text('["no-such-scenario"]', encoding="utf-8")
+    bench_run = ["bench", "run", _bench_config(
+        world, mode="static", gold_corpus="out/corpus.jsonl", exclusions="exclusions.json",
+        assistant={"kind": "scripted", "model_id": "m-cand", "transcript": "cand_transcript.json"})]
+    if kind == "bench-report":
+        assert run(bench_run) == 0
+        return ["bench", "report", tmp / "bench_out"], tmp / "bench_out" / "report.json", None
+    return bench_run, {"gold-corpus": corpus, "exclusions": tmp / "exclusions.json"}[kind], \
+        tmp / "bench_out"
+
+
+@pytest.mark.parametrize("kind", [
+    "config", "transcript", "personas", "catalogue", "scenarios", "corpus", "gold-corpus",
+    "exclusions", "judge", "bench-report"])
+def test_leading_bom_is_skipped_in_every_input_file(world, capsys, kind):
+    """A UTF-8 BOM at the start of any input file is skipped, as in a remote
+    reply: the command exits, prints and writes as it does without one."""
+    argv, path, out = _bom_case(world, kind)
+    seen = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + path.read_bytes())
+        if out is not None:
+            shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        code = run(argv)
+        written = {} if out is None else {
+            str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+        seen.append((code, capsys.readouterr().out, written))
+    assert seen[0][0] == 0
+    assert seen[1] == seen[0]
 
 
 def _unreadable_input(world, case: str):
@@ -1445,6 +1515,7 @@ def _unreadable_input(world, case: str):
         scn = world.scenario.to_dict()
         if case == "validate-unknown-seed-tool":
             scn["seed_tool"] = "no_such_tool"
+            scn["scenario_id"] = f"no_such_tool@{scn['rng_seed']}"
         elif case == "export-unknown-pool-tool":
             scn["pool"].append("no_such_tool")
         else:
@@ -1493,6 +1564,13 @@ def _unreadable_input(world, case: str):
                 "messages": [{"role": "user", "content": "hello"}]}
         bad.write_text(json.dumps(gold) + "\n", encoding="utf-8")
         return ["bench", "run", _bench_config(world, mode="static", gold_corpus=bad.name)], bad
+    if case == "score-renamed-scenario-id":
+        scenarios = tmp / "scenarios.jsonl"
+        scenarios.write_text(json.dumps({**world.scenario.to_dict(), "scenario_id": "custom-0"})
+                             + "\n", encoding="utf-8")
+        trace = {**world.expected_trace.to_dict(), "scenario_ref": "custom-0"}
+        bad.write_text(json.dumps(trace) + "\n", encoding="utf-8")
+        return ["score", bad, "--refs", scenarios], scenarios
     if case in ("stats-unknown-scenario", "score-unknown-scenario"):
         trace = {**world.expected_trace.to_dict(), "scenario_ref": "unknown"}
         bad.write_text(json.dumps(trace) + "\n", encoding="utf-8")
@@ -1563,7 +1641,8 @@ DISTRACTOR_CASES = {"distractor-seed-number": "distractors seed must be a string
     "bench-report-metric-bool", "bench-report-ngd-value-text",
     "bench-report-per-dialogue-object", "scenario-missing-seed-tool", "scenario-line-array",
     "scenario-seed-text", "corpus-role-tool", "stats-unknown-scenario",
-    "score-unknown-scenario", "stats-cut-short", "stats-null-boundary", "score-empty-corpus",
+    "score-unknown-scenario", "score-renamed-scenario-id", "stats-cut-short",
+    "stats-null-boundary", "score-empty-corpus",
     "bench-gold-odd", "generate-outdir-file", "bench-outdir-file", "bench-empty-scenarios",
     "bench-all-excluded", "score-out-parent-file", "validate-out-parent-file",
     "stats-out-directory", "corpus-content-number", "corpus-call-args-array",
@@ -1578,6 +1657,9 @@ def test_unreadable_input_is_config_error(world, capsys, case):
         assert not (world.tmp_path / "bench_out").exists()
     if case == "bench-gold-odd":
         assert "'gold-odd'" in err
+    if case == "score-renamed-scenario-id":
+        assert (f"scenario scenario_id must be {world.scenario.scenario_id!r}, "
+                "got 'custom-0'") in err
     if case in ("config-nested", "bench-config-nested"):
         what = "bench config" if case == "bench-config-nested" else "config"
         assert err.startswith(f"config error: cannot load {what} {path}: maximum recursion")
