@@ -154,12 +154,12 @@ def no_gc(fn):
     """``fn`` run with the cyclic garbage collector paused; the caller's GC
     state is restored after it, so the GC is re-enabled only if it was on.
 
-    For CPU-only bulk builders that allocate many containers and make no
-    reference cycle. The pause is process-wide and not safe for overlapping
-    calls (A disables, B reads "off", A re-enables, B disables for good), so
-    a function that can make a remote call or run dialogue work, which may
-    run beside other threads, is never wrapped: ``HashEmbedder`` pauses
-    for index blocks only, never for ``embed``.
+    Its one caller is ``parse_catalogue``, which keeps every container it
+    allocates and makes no reference cycle; an index block frees what it
+    makes, so a pause there would save no collection. The pause is
+    process-wide and not safe for overlapping calls (A disables, B reads
+    "off", A re-enables, B disables for good), so a function that can make
+    a remote call or run dialogue work is never wrapped.
     """
     @wraps(fn)
     def paused(*args, **kwargs):

@@ -301,8 +301,6 @@ _INT_RE = re.compile(r"[+-]?\d+")
 
 
 def _as_number(value: object) -> int | float | None:
-    if isinstance(value, bool):
-        return None
     if isinstance(value, (int, float)):
         return value
     if isinstance(value, str):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import random
-import re
 from dataclasses import dataclass
 
 from .catalogue import Catalogue
@@ -45,7 +44,7 @@ from .gateway import (
     prompt_request,
     sample_n,
 )
-from .metrics import MetricReport, Reference, conv_relevancy, score_corpus
+from .metrics import MetricReport, Reference, conv_relevancy, read_choice, score_corpus
 from .prompts import get_prompt, render
 from .scenario import Scenario
 from .seeds import split_seed
@@ -101,16 +100,6 @@ def pool_votes(votes: list[int]) -> int:
     return min(v for v, c in counts.items() if c == best)
 
 
-def _parse_vote(reply: str, n: int) -> int | None:
-    """First integer in the reply if it is a valid 1..n position."""
-    match = re.search(r"\d+", reply)
-    try:
-        value = int(match.group(0)) if match else 0
-    except ValueError:  # more digits than int() reads: never a valid position
-        return None
-    return value if 1 <= value <= n else None
-
-
 def voter_request(scn: Scenario, messages: list, candidates: list[str], rng_seed: int,
                   j: int) -> tuple[list[int], CompletionRequest]:
     """Voter j's seeded permutation and its exact request (public so
@@ -156,7 +145,7 @@ def vote_utterance(scn: Scenario, user_prompt: str, messages: list,
                            call_width(vcfg.voter, vcfg.m_voters)))
     votes = []
     for (perm, _), reply in zip(ballots, replies):
-        position = _parse_vote(reply, vcfg.n_samples)
+        position = read_choice(reply, vcfg.n_samples)
         if position is not None:
             votes.append(invert_vote(perm, position))
     if not votes:

@@ -132,11 +132,21 @@ def corpus_prf(pairs: list[tuple[CallRecord, Reference]]) -> tuple[
 # conversational quality
 
 
+def read_choice(reply: str, n: int) -> int | None:
+    """The reply's first integer if it is in 1..n (a grade, a vote), else None."""
+    match = re.search(r"\d+", reply)
+    try:
+        value = int(match.group(0)) if match else 0
+    except ValueError:  # more digits than int() reads: never a valid choice
+        return None
+    return value if 1 <= value <= n else None
+
+
 def parse_grade(reply: str) -> int:
-    match = re.search(r"[123]", reply)
-    if not match:
+    grade = read_choice(reply, 3)
+    if grade is None:
         raise GatewayError(f"rubric judge returned no grade: {reply[:120]!r}")
-    return int(match.group(0))
+    return grade
 
 
 def rubric_request(d: DialogueTrace, t: int) -> CompletionRequest:

@@ -17,14 +17,14 @@ every retrieval function takes the index: no cache or lock sits behind a
 query. A build embeds its texts into a float32 matrix, ``_BLOCK_ROWS`` at a
 time, so it holds no catalogue-wide temporary: beyond what the index keeps
 it holds one block's tokens, bucket ids and int64 and float64 rows, under
-1 MiB at d = 256. ``HashEmbedder``'s one counter hashes a list of texts'
-tokens in one C-level pass, counts them with one ``np.bincount`` and
-returns the counts with each row's exact norm. A hash index builds each
-block through it as ``count_many``, the one caller that pauses Python's
-cyclic GC (``catalogue.no_gc``); ``embed(text)``, its row for ``[text]``
-over that row's norm, runs on dialogue threads, where the pause is unsafe.
-Any other embedder's block is ``embed`` of each text; ``VectorIndex``,
-which may drive a ``RemoteEmbedder``, never pauses the GC.
+1 MiB at d = 256. ``HashEmbedder.count_many``, its one counter, hashes a
+list of texts' tokens in one C-level pass, counts them with one
+``np.bincount`` and returns the counts with each row's exact norm. A hash
+index builds each block through it, and ``embed(text)`` is its row for
+``[text]`` over that row's norm. Any other embedder's block is ``embed`` of
+each text. Neither a build nor a query pauses Python's cyclic GC: a block
+frees every container it makes before it returns, so a pause there would
+save no collection.
 
 An index gives back each row's exact float64 embedding, bitwise
 ``embed(text)``, without calling the embedder again. It starts with one
@@ -60,7 +60,7 @@ from typing import Protocol
 import numpy as np
 
 from . import gateway
-from .catalogue import Catalogue, Tool, no_gc, typed
+from .catalogue import Catalogue, Tool, typed
 
 # every byte outside ASCII a-z0-9 becomes a space; each byte of a multi-byte
 # UTF-8 sequence is >= 0x80, so the tokens are those of re "[a-z0-9]+"
@@ -137,7 +137,7 @@ class HashEmbedder:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
 
-    def _counts(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def count_many(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """Each text's int64 bucket counts, shape (len(texts), dimension),
         and each row's exact L2 norm, 1.0 for a zero-token row."""
         d, rows = self.dimension, len(texts)
@@ -153,11 +153,8 @@ class HashEmbedder:
         return counts, norms
 
     def embed(self, text: str) -> np.ndarray:
-        # the unpaused counter: a query runs on dialogue threads (no_gc)
-        counts, norms = self._counts([text])
+        counts, norms = self.count_many([text])
         return counts[0] / norms[0]
-
-    count_many = no_gc(_counts)
 
 
 class RemoteEmbedder:

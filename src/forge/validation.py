@@ -12,6 +12,7 @@ costs the dialogue, not a verdict.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .catalogue import Catalogue
@@ -31,6 +32,8 @@ from .seeds import dialogue_seed
 
 JUDGE_TEMPERATURE = 0.0
 JUDGES = ("relevancy", "critique")
+# a verdict's leading word (FAIL, FAILED, FAILURE, ...) and optional colon
+_VERDICT_WORD = re.compile(r"\w+:?")
 
 
 @dataclass
@@ -105,7 +108,7 @@ def _parse_verdict(reply: str) -> tuple[bool, str | None]:
     if text.upper().startswith("PASS"):
         return True, None
     if text.upper().startswith("FAIL"):
-        reason = text[4:].lstrip(":").strip() or "judge flagged the dialogue"
+        reason = text[_VERDICT_WORD.match(text).end():].strip() or "judge flagged the dialogue"
         return False, reason
     return False, f"unrecognized judge verdict: {text[:120]}"
 

@@ -250,6 +250,26 @@ def test_parse_catalogue_runs_no_gc_collection():
     assert len(cat) == 5000 and starts == []
 
 
+def test_only_the_catalogue_parse_pauses_the_gc():
+    """In ``src/forge`` only ``catalogue.py`` imports ``gc`` or names
+    ``no_gc``, and there ``no_gc`` decorates ``parse_catalogue`` alone: an
+    index block frees what it makes, so a pause there saves no collection."""
+    found = []
+    for path in sorted(Path(catalogue.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = path.name == "catalogue.py"
+        decorators = {id(dec) for fn in tree.body if home and isinstance(fn, ast.FunctionDef)
+                      and fn.name == "parse_catalogue" for dec in fn.decorator_list}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.module if isinstance(node, ast.ImportFrom) else None)
+            if name == "gc" and not home or name == "no_gc" and id(node) not in decorators:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
 @pytest.mark.parametrize("text", [
     json.dumps(CATALOGUE_TOOLS),
     json.dumps(CATALOGUE_TOOLS + CATALOGUE_TOOLS[:1]),

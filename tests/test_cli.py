@@ -756,10 +756,11 @@ def test_score_with_scripted_rubric_judge(world):
     assert report["per_dialogue"][0]["conv_rel"] == pytest.approx(2.5 / 3)
 
 
-@pytest.mark.parametrize("reply", [None, "hello"])
+@pytest.mark.parametrize("reply", [None, "hello", "10", "4/3"])
 def test_score_judge_failure_costs_one_dialogue(world, capsys, reply):
-    """A rubric call with no scripted reply, or a reply with no grade, costs
-    only its dialogue's conv_rel: the report is written and score exits 1."""
+    """A rubric call with no scripted reply, or a reply whose first integer
+    is not 1, 2 or 3, costs only its dialogue's conv_rel: the report is
+    written and score exits 1."""
     for t, grade in enumerate(("3", "3", "2"), start=1):
         world.transcript.register(rubric_request(world.expected_trace, t), grade, "m-rubric")
     graded_last = list(world.extra_traces.values())[-1]
@@ -1227,7 +1228,8 @@ def test_generate_index_build_failure_stops_once(world, capsys, loopback, status
 def test_generate_embeds_each_tool_and_persona_once(world, monkeypatch):
     """Each index is built once, in setup, however many workers run: every
     tool and persona text passes through ``count_many`` exactly once, and
-    after that only a live search's free text is embedded."""
+    after that only a live search's free text is embedded, through
+    ``count_many`` too."""
     rows, embeds, searches = Counter(), [], []
     count_many, embed = retrieval.HashEmbedder.count_many, retrieval.HashEmbedder.embed
     search = engine.search_catalogue
@@ -1251,7 +1253,7 @@ def test_generate_embeds_each_tool_and_persona_once(world, monkeypatch):
     world.config_path.write_text(json.dumps({**cfg, "concurrency": 4}), encoding="utf-8")
     assert run(["generate", "--config", world.config_path]) == 0
     assert rows == Counter([retrieval.tool_text(t) for t in world.cat.tools]
-                           + world.store.personas)
+                           + world.store.personas + embeds)
     assert searches and Counter(embeds) == Counter(searches)
 
 

@@ -174,7 +174,7 @@ def test_each_message_rule_has_one_owner():
 
 
 def test_hash_counts_and_argument_maps_have_one_owner():
-    """In ``retrieval.py`` only ``HashEmbedder._counts`` names ``crc32`` or
+    """In ``retrieval.py`` only ``HashEmbedder.count_many`` names ``crc32`` or
     ``bincount`` (a query and an index block count tokens one way), and
     ``validation.py`` names no ``canonical_equal`` and takes no key-set
     difference (``engine.arg_faults`` decides when two argument maps are
@@ -183,7 +183,7 @@ def test_hash_counts_and_argument_maps_have_one_owner():
     tree = ast.parse((src / "retrieval.py").read_text(encoding="utf-8"))
     counter = {id(node) for top in tree.body
                if isinstance(top, ast.ClassDef) and top.name == "HashEmbedder"
-               for fn in top.body if isinstance(fn, ast.FunctionDef) and fn.name == "_counts"
+               for fn in top.body if isinstance(fn, ast.FunctionDef) and fn.name == "count_many"
                for node in ast.walk(fn)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in ("crc32", "bincount")

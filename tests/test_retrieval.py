@@ -329,17 +329,12 @@ def test_index_top_k_equals_exhaustive_scan(case):
 
 
 class CountingEmbedder(HashEmbedder):
-    """Counts ``embed`` calls and the rows of the block builder."""
+    """Counts the rows of the one counter, which ``embed`` passes through."""
 
     def __init__(self, dimension: int = 256):
         super().__init__(dimension)
         self.calls = 0
         self._lock = threading.Lock()
-
-    def embed(self, text):
-        with self._lock:
-            self.calls += 1
-        return super().embed(text)
 
     def count_many(self, texts):
         with self._lock:
@@ -380,15 +375,17 @@ def test_queries_cost_one_build_plus_shortlists():
 
 def test_an_index_row_has_one_way_in_and_one_way_out():
     """In ``src/forge`` no ``embed_many`` is defined or named, only
-    ``VectorIndex.__init__`` calls ``count_many``, and ``scenario.py`` calls
-    no ``.embed``: a persona draw reads the seed tool's index row."""
+    ``VectorIndex.__init__`` and ``HashEmbedder.embed`` call ``count_many``,
+    and ``scenario.py`` calls no ``.embed``: a persona draw reads the seed
+    tool's index row."""
     found = []
+    callers = {("VectorIndex", "__init__"), ("HashEmbedder", "embed")}
     for path in sorted(Path(retrieval.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         builder = {id(node) for top in tree.body
                    if path.name == "retrieval.py" and isinstance(top, ast.ClassDef)
-                   and top.name == "VectorIndex" for fn in top.body
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                   for fn in top.body
+                   if isinstance(fn, ast.FunctionDef) and (top.name, fn.name) in callers
                    for node in ast.walk(fn)}
         for node in ast.walk(tree):
             name = (node.name if isinstance(node, ast.FunctionDef)
@@ -498,36 +495,19 @@ def test_remote_embed_malformed_reply_is_gateway_error(loopback, payload, messag
     assert len(server.ports) == 1
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_hash_count_many_pauses_the_gc_and_restores_it(monkeypatch, enabled):
-    tokens, during = retrieval._tokens, []
-
-    def recording(text):
-        during.append(gc.isenabled())
-        return tokens(text)
-
-    monkeypatch.setattr(retrieval, "_tokens", recording)
-    (gc.enable if enabled else gc.disable)()
-    try:
-        HashEmbedder(16).count_many(["alpha beta", "gamma"])
-        after = gc.isenabled()
-    finally:
-        gc.enable()
-    assert during == [False, False] and after is enabled
-
-
 def test_hash_embed_never_pauses_the_gc(monkeypatch):
-    """A query runs inside dialogues on worker threads, where ``no_gc``'s
-    save/restore is not safe for overlapping calls, so ``embed`` counts
-    with the unpaused counter; ``count_many``, the index-block path, pauses."""
+    """A query runs inside dialogues on worker threads, where a GC pause's
+    save/restore is not safe for overlapping calls, and an index block frees
+    what it makes, so a pause there saves no collection: neither ``embed``
+    nor ``count_many`` disables the collector."""
     disabled = []
-    monkeypatch.setattr(gc, "disable", lambda: disabled.append("count_many"))
+    monkeypatch.setattr(gc, "disable", lambda: disabled.append("disable"))
     emb = HashEmbedder(16)
     emb.embed("alpha beta")
     emb.embed("")
+    emb.count_many(["alpha beta", "gamma"])
+    VectorIndex([f"w{i} alpha" for i in range(130)], emb)
     assert disabled == []
-    emb.count_many(["alpha beta"])
-    assert disabled == ["count_many"]
 
 
 def test_remote_calls_run_with_the_gc_enabled(embedding_server, loopback):

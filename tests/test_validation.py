@@ -166,12 +166,15 @@ def test_scripted_judges_pass(world):
     assert validate_llm(world.expected_trace, world.scenario, world.cat, judges) == []
 
 
-def test_critique_failure_rejects(world):
+@pytest.mark.parametrize("verdict", ["FAIL:", "FAILED:", "FAILURE:", "failed"],
+                         ids=["FAIL", "FAILED", "FAILURE", "failed-no-colon"])
+def test_critique_failure_rejects(world, verdict):
+    """The reason is the text after the verdict word and its optional colon."""
     transcript = Transcript()
     reqs = judge_requests(world.expected_trace, world.scenario, world.cat)
     transcript.register(reqs["relevancy"], "PASS", "m-rel")
     transcript.register(reqs["critique"],
-                        "FAIL: user revealed all slots unprompted", "m-crit")
+                        f"{verdict} user revealed all slots unprompted", "m-crit")
     judges = {"relevancy": scripted_backend("m-rel", transcript),
               "critique": scripted_backend("m-crit", transcript)}
     failures = validate_llm(world.expected_trace, world.scenario, world.cat, judges)
