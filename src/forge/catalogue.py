@@ -325,15 +325,13 @@ def parse_catalogue(text: str | bytes) -> Catalogue:
         raise CatalogueError("catalogue must be a JSON array of tool objects")
     if not raw:
         raise CatalogueError("catalogue must contain at least one tool")
-    tools: list[Tool] = []
     index: dict[str, int] = {}
-    for entry in raw:
-        tool = parse_tool(entry)
+    for i, entry in enumerate(raw):
+        raw[i] = tool = parse_tool(entry)  # each raw entry is freed once parsed
         if tool.name in index:
             raise CatalogueError(f"duplicate tool name: {tool.name!r}")
-        index[tool.name] = len(tools)
-        tools.append(tool)
-    return Catalogue(tools=tools, index=index)
+        index[tool.name] = i
+    return Catalogue(tools=raw, index=index)
 
 
 def required_args(tool: Tool) -> list[str]:

@@ -359,9 +359,12 @@ def committed_tool(turn: AssistantTurn) -> str | None:
 # unread and stays only while the benchmark's input generator still passes
 # an EngineConfig positionally. Tool JSON comes from
 # the catalogue (``Tool.json_text``, ``Catalogue.render``), encoded once per
-# tool however many prompts show it. ``assistant_context`` is the one owner
-# of the assistant's context: ``assistant_request`` sends it and
-# ``export.slice_dialogue`` trains on it.
+# tool however many prompts show it. ``_assistant_view`` is the one owner of
+# how the assistant sees a message: ``assistant_request`` sends it and
+# ``assistant_context``, which ``export.slice_dialogue`` trains on, lists it.
+# A turn's request extends an earlier turn's (``parent``), and a request
+# built from scratch extends the system-only root, so each builder has one
+# path and the same request either way.
 
 
 def render_history(messages: list, thoughts: bool = False) -> str:
@@ -402,40 +405,55 @@ def user_system_prompt(scn: Scenario, cat: Catalogue, cfg=None) -> str:
     )
 
 
+def _assistant_view(m: UserTurn | AssistantTurn) -> tuple[str, str]:
+    if isinstance(m, UserTurn):
+        return ("user", m.text)
+    return ("assistant", serialize_assistant_turn(m))
+
+
 def assistant_context(sys_prompt: str, messages: list) -> list[tuple[str, str]]:
     """Context h^a_t as (role, content) pairs: the system prompt, then the
     full history with assistant turns in their wire format, thoughts kept."""
-    context = [("system", sys_prompt)]
-    for m in messages:
-        if isinstance(m, UserTurn):
-            context.append(("user", m.text))
-        else:
-            context.append(("assistant", serialize_assistant_turn(m)))
-    return context
+    return [("system", sys_prompt), *map(_assistant_view, messages)]
 
 
-def assistant_request(sys_prompt: str, messages: list, seed: int,
-                      cfg=None) -> CompletionRequest:
-    """The assistant's request for context h^a_t, ending on a user turn."""
-    chat = tuple(ChatMessage(role, content)
-                 for role, content in assistant_context(sys_prompt, messages))
-    return CompletionRequest(messages=chat, temperature=AGENT_TEMPERATURE,
-                             seed=seed, max_tokens=AGENT_MAX_TOKENS)
+def _proxy_view(m: UserTurn | AssistantTurn) -> ChatMessage:
+    if isinstance(m, UserTurn):
+        return ChatMessage("assistant", m.text)
+    return ChatMessage("user", m.public_text() or EMPTY_REPLY)
 
 
-def user_request(sys_prompt: str, messages: list, seed: int,
-                 cfg=None) -> CompletionRequest:
+def _root(sys_prompt: str) -> CompletionRequest:
+    """The system-only request that an agent's requests in one context extend."""
+    return CompletionRequest((ChatMessage("system", sys_prompt),),
+                             temperature=AGENT_TEMPERATURE, max_tokens=AGENT_MAX_TOKENS)
+
+
+def _agent_request(sys_prompt: str, messages: list, seed: int,
+                   parent: CompletionRequest | None, view) -> CompletionRequest:
+    """``parent``, else the system-only root, extended by ``view`` of each
+    message of ``messages`` that it does not hold yet."""
+    if parent is None:
+        parent = _root(sys_prompt)
+    return parent.extend(tuple(map(view, messages[len(parent.messages) - 1:])), seed)
+
+
+def assistant_request(sys_prompt: str, messages: list, seed: int, cfg=None, *,
+                      parent: CompletionRequest | None = None) -> CompletionRequest:
+    """The assistant's request for context h^a_t, ending on a user turn.
+    ``parent``, an earlier turn's request of the same context, is extended
+    by the messages added since it (the same request, fingerprinted faster)."""
+    return _agent_request(sys_prompt, messages, seed, parent,
+                          lambda m: ChatMessage(*_assistant_view(m)))
+
+
+def user_request(sys_prompt: str, messages: list, seed: int, cfg=None, *,
+                 parent: CompletionRequest | None = None) -> CompletionRequest:
     """Context h^u_t from the proxy's perspective: its own utterances appear
     as assistant turns, the assistant's public replies as user turns
-    (``EMPTY_REPLY`` for an empty malformed one); thoughts stay hidden."""
-    chat = [ChatMessage("system", sys_prompt)]
-    for m in messages:
-        if isinstance(m, UserTurn):
-            chat.append(ChatMessage("assistant", m.text))
-        else:
-            chat.append(ChatMessage("user", m.public_text() or EMPTY_REPLY))
-    return CompletionRequest(messages=tuple(chat), temperature=AGENT_TEMPERATURE,
-                             seed=seed, max_tokens=AGENT_MAX_TOKENS)
+    (``EMPTY_REPLY`` for an empty malformed one); thoughts stay hidden.
+    ``parent`` is extended as in ``assistant_request``."""
+    return _agent_request(sys_prompt, messages, seed, parent, _proxy_view)
 
 
 def shuffled_candidates(names: list[str], rng_seed: int) -> list[str]:
@@ -453,12 +471,13 @@ def shuffled_candidates(names: list[str], rng_seed: int) -> list[str]:
 class SelectionOutcome:
     """Retained prefix after a successful commitment (ends with a pending
     user turn), or a complete capped trace when no commitment happened.
-    ``user_prompt`` is the scenario's rendered user-proxy system prompt,
-    which filling reuses."""
+    ``user_request`` is the user proxy's request for the last user turn:
+    its system message is the scenario's rendered user-proxy prompt, and
+    filling extends it."""
 
     messages: list
     presented: list[str]
-    user_prompt: str
+    user_request: CompletionRequest
     capped: bool = False
 
 
@@ -471,28 +490,36 @@ def utterance(reply: str) -> str:
     return text
 
 
-def _user_utterance(scn: Scenario, label: str, sys_u: str, messages: list,
-                    gw_user: BackendConfig) -> str:
-    return utterance(complete(gw_user, user_request(
-        sys_u, messages, split_seed(scn.rng_seed, f"{label}:user:{len(messages)}"))))
+def _user_utterance(scn: Scenario, label: str, messages: list, gw_user: BackendConfig,
+                    parent: CompletionRequest) -> tuple[CompletionRequest, str]:
+    """The proxy's request on ``messages``, extending ``parent`` (an earlier
+    request of its context), and the utterance it replies."""
+    req = user_request(parent.messages[0].content, messages,
+                       split_seed(scn.rng_seed, f"{label}:user:{len(messages)}"), parent=parent)
+    return req, utterance(complete(gw_user, req))
 
 
-def _converse(scn: Scenario, label: str, sys_a: str, sys_u: str, messages: list,
-              gw_user: BackendConfig, gw_asst: BackendConfig, t_max: int,
-              ends_stage) -> AssistantTurn | None:
-    """Alternate assistant and user turns on ``messages``, which ends on a
-    user turn. Returns the first assistant turn for which ``ends_stage``
-    holds, without appending it, or None once ``t_max`` pairs are reached."""
+def _converse(scn: Scenario, label: str, sys_a: str, user_req: CompletionRequest,
+              messages: list, gw_user: BackendConfig, gw_asst: BackendConfig, t_max: int,
+              ends_stage) -> tuple[AssistantTurn | None, CompletionRequest]:
+    """Alternate assistant and user turns on ``messages``, which ends on the
+    user turn that ``user_req`` asked for. Returns the first assistant turn
+    for which ``ends_stage`` holds, without appending it, or None once
+    ``t_max`` pairs are reached, paired with the proxy's last request.
+    Each turn's request extends the previous turn's."""
+    asst_req = None
     while True:
-        raw = complete(gw_asst, assistant_request(
-            sys_a, messages, split_seed(scn.rng_seed, f"{label}:asst:{len(messages)}")))
-        turn = parse_assistant_output(raw)
+        asst_req = assistant_request(
+            sys_a, messages, split_seed(scn.rng_seed, f"{label}:asst:{len(messages)}"),
+            parent=asst_req)
+        turn = parse_assistant_output(complete(gw_asst, asst_req))
         if ends_stage(turn):
-            return turn
+            return turn, user_req
         messages.append(turn)
         if len(messages) // 2 >= t_max:
-            return None
-        messages.append(UserTurn(_user_utterance(scn, label, sys_u, messages, gw_user)))
+            return None, user_req
+        user_req, text = _user_utterance(scn, label, messages, gw_user, user_req)
+        messages.append(UserTurn(text))
 
 
 def run_tool_selection(scn: Scenario, tools: ToolIndex,
@@ -506,28 +533,28 @@ def run_tool_selection(scn: Scenario, tools: ToolIndex,
     RetrieverMissError when every attempt misses.
     """
     cat = tools.cat
-    sys_u = user_system_prompt(scn, cat)
+    root = _root(user_system_prompt(scn, cat))  # every attempt's opening extends it
     for attempt in range(cfg.regen_attempts):
         label = f"sel:{attempt}"
-        opening = _user_utterance(scn, label, sys_u, [], gw_user)
+        user_req, opening = _user_utterance(scn, label, [], gw_user, root)
         retrieved = [name for name, _ in search_catalogue(tools, opening, len(scn.pool))]
         if scn.seed_tool not in retrieved:
             continue
         presented = shuffled_candidates(retrieved, split_seed(scn.rng_seed, f"{label}:present"))
         messages: list = [UserTurn(opening)]
         # a tool call named "" is still a commitment, so test for None
-        commit = _converse(scn, label, selection_system_prompt(cat, presented), sys_u,
-                           messages, gw_user, gw_asst, cfg.t_max,
-                           lambda turn: committed_tool(turn) is not None)
+        commit, user_req = _converse(scn, label, selection_system_prompt(cat, presented),
+                                     user_req, messages, gw_user, gw_asst, cfg.t_max,
+                                     lambda turn: committed_tool(turn) is not None)
         if commit is None:
             return SelectionOutcome(messages=messages, presented=presented,
-                                    user_prompt=sys_u, capped=True)
+                                    user_request=user_req, capped=True)
         chosen = committed_tool(commit)
         if chosen != scn.seed_tool:
             raise WrongToolError(
                 f"assistant committed to {chosen!r}, expected {scn.seed_tool!r}")
         # correct commitment: the committing message is dropped, the prefix kept
-        return SelectionOutcome(messages=messages, presented=presented, user_prompt=sys_u)
+        return SelectionOutcome(messages=messages, presented=presented, user_request=user_req)
     raise RetrieverMissError(
         f"seed tool {scn.seed_tool!r} absent from retrieval in "
         f"{cfg.regen_attempts} attempts")
@@ -548,8 +575,8 @@ def run_param_filling(prefix: SelectionOutcome, scn: Scenario, cat: Catalogue,
     boundary = sum(1 for m in messages if isinstance(m, UserTurn))
     call = None if prefix.capped else _converse(
         scn, "fill", filling_system_prompt(cat, prefix.presented, scn.seed_tool),
-        prefix.user_prompt, messages, gw_user, gw_asst, cfg.t_max,
-        lambda turn: bool(turn.tool_calls))
+        prefix.user_request, messages, gw_user, gw_asst, cfg.t_max,
+        lambda turn: bool(turn.tool_calls))[0]
     if call is not None:
         messages.append(call)
     return DialogueTrace(

@@ -10,19 +10,34 @@ Two backend kinds:
   transcripts are built ahead of a run (ROADMAP.md, open item 3).
 
 A fingerprint is the sha256 of ``canonical_request``'s UTF-8 bytes, which
-stay the reference that tests hash against. ``fingerprint`` streams the
-same bytes into the hash in pieces: each message's fragment comes from a
-bounded LRU cache, so the system prompt and history a dialogue re-sends
-every turn are encoded once while they stay recent, and memory does not
-grow with run length. A fragment is spliced from the content's UTF-8
-bytes: when they hold no byte below 0x20 but ``\\n``, three
-``bytes.replace`` calls escape ``\\``, ``"`` and ``\\n`` as json does; any
-other text goes through json's C escaper (``catalogue.encode_str``). The
-byte path is why both exist: a ``pipeline-deep`` round's 1,200 requests
-fingerprint in ~28 ms with it and ~40 ms when every fragment splices
-``encode_str``'s output (2-core Xeon, Python 3.11). The ``model`` /
-``seed`` / ``temperature`` tail is written from ``encode_str`` and
-``catalogue._scalar``, so no JSON encoder object is built per call.
+stay the reference that tests hash against and are the same bytes
+whichever way a request was built. ``fingerprint`` streams them into the
+hash in pieces: ``{"messages":[``, the message fragments joined by ``,``,
+then the ``model`` / ``seed`` / ``temperature`` tail, written from
+``encode_str`` and ``catalogue._scalar`` so no JSON encoder object is built
+per call. A dialogue re-sends its whole context every turn, so a turn's
+request is built with ``CompletionRequest.extend`` from the request of an
+earlier turn. Such a request hashes its prefix (everything before the tail)
+lazily, on its first fingerprint: it copies its parent's prefix state and
+feeds it only the fragments of the messages added since, so a dialogue
+hashes each message once rather than once per later turn, and a remote run,
+which fingerprints nothing, hashes nothing. The states are shared without a
+lock: a stored state is only ever copied, never updated, and two threads
+that compute one prefix at once store equal states, so computing it twice
+is harmless.
+
+A request built from scratch (the benchmark's stub and planner, tests,
+``dataclasses.replace``) hashes all its fragments. Every fragment comes
+from a bounded LRU cache, so the history that requests built from scratch
+re-send, or that the filling stage's first request re-sends under a new
+system prompt, is encoded once while it stays recent, and memory does not
+grow with run length. A fragment is spliced from the content's UTF-8 bytes: when
+they hold no byte below 0x20 but ``\\n``, three ``bytes.replace`` calls
+escape ``\\``, ``"`` and ``\\n`` as json does; any other text goes through
+json's C escaper (``catalogue.encode_str``). The byte path is why both
+exist: a ``pipeline-deep`` round's 1,200 requests fingerprinted from
+scratch take ~28 ms with it and ~40 ms when every fragment splices
+``encode_str``'s output (2-core Xeon, Python 3.11).
 Text that UTF-8 cannot encode (a lone surrogate) has no fingerprint;
 ``catalogue.parse_json``, which reads every JSON text from outside the
 program, refuses it, so no transcript, config or remote reply brings one in.
@@ -124,6 +139,12 @@ class CompletionRequest:
     temperature: float = 0.0
     seed: int | None = None
     max_tokens: int = 1024
+    # the request this one extends, until ``_prefix`` has read it, and the
+    # sha256 state of the fingerprint bytes before the tail; neither is a
+    # part of the request, so equality, hash, repr and ``replace`` ignore them
+    _parent: CompletionRequest | None = field(default=None, init=False, repr=False,
+                                              compare=False)
+    _state: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.messages:
@@ -135,6 +156,34 @@ class CompletionRequest:
         for i, msg in enumerate(self.messages):
             if msg.role == "system" and i != 0:
                 raise ValueError("system message only allowed in first position")
+
+    def extend(self, messages: tuple[ChatMessage, ...], seed: int | None) -> "CompletionRequest":
+        """This request's messages followed by ``messages``, sent with
+        ``seed`` and this request's sampling settings; its fingerprint
+        hashes only the added messages' fragments after this request's
+        prefix."""
+        child = CompletionRequest(self.messages + messages, self.temperature, seed,
+                                  self.max_tokens)
+        object.__setattr__(child, "_parent", self)
+        return child
+
+    def _prefix(self):
+        """The sha256 state of ``{"messages":[`` and the message fragments
+        joined by ``,``, computed on first use and kept (see the module
+        docstring for why no lock guards it)."""
+        state = self._state
+        if state is None:
+            parent = self._parent
+            if parent is None:
+                state = hashlib.sha256(b'{"messages":[' + b",".join(
+                    [_message_fragment(m.role, m.content) for m in self.messages]))
+            else:
+                state = parent._prefix().copy()
+                for m in self.messages[len(parent.messages):]:
+                    state.update(b"," + _message_fragment(m.role, m.content))
+            object.__setattr__(self, "_state", state)
+            object.__setattr__(self, "_parent", None)
+        return state
 
 
 @dataclass
@@ -210,11 +259,9 @@ def _message_fragment(role: str, content: str) -> bytes:
 
 def fingerprint(model_id: str, req: CompletionRequest) -> str:
     """sha256 hex digest of ``canonical_request(model_id, req)``'s UTF-8
-    bytes, fed in pieces: ``{"messages":[``, the cached message fragments
-    joined by ``,``, then the sorted ``model`` / ``seed`` / ``temperature``
-    tail. Only the tail is encoded on every call."""
-    digest = hashlib.sha256(b'{"messages":[')
-    digest.update(b",".join([_message_fragment(m.role, m.content) for m in req.messages]))
+    bytes: a copy of the request's prefix state fed the sorted ``model`` /
+    ``seed`` / ``temperature`` tail. Only the tail is encoded on every call."""
+    digest = req._prefix().copy()
     digest.update(('],"model":' + encode_str(model_id) + ',"seed":' + _scalar(req.seed)
                    + ',"temperature":' + _scalar(req.temperature) + "}").encode("utf-8"))
     return digest.hexdigest()

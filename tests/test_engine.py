@@ -368,6 +368,31 @@ def test_user_prompt_rendered_once_per_dialogue(monkeypatch):
     assert renders == [w.scenario.scenario_id]
 
 
+def test_each_turn_builds_its_request_once(monkeypatch):
+    """``assistant_request`` runs once per assistant turn, the dropped
+    committing turn included, and ``user_request`` once per user turn: the
+    benchmark counts turns by these calls. Each call's request is the one
+    sent."""
+    built, sent = [], []
+    for name in ("assistant_request", "user_request"):
+        def counting(*args, _build=getattr(engine, name), _name=name, **kwargs):
+            built.append((_name, _build(*args, **kwargs)))
+            return built[-1][1]
+
+        monkeypatch.setattr(engine, name, counting)
+    complete = engine.complete
+    monkeypatch.setattr(engine, "complete",
+                        lambda cfg, req: sent.append((cfg.model_id, req)) or complete(cfg, req))
+    w = build_replay_world()
+    trace = synthesize_dialogue(w.scenario, w.tools,
+                                w.backends["user_proxy"], w.backends["assistant"], w.ecfg)
+    assert trace.pair_count() == 3 and len(trace.messages) == 6
+    roles = {"assistant_request": "m-asst", "user_request": "m-user"}
+    assert [(roles[name], req) for name, req in built] == sent
+    assert [name for name, _ in built] == ["user_request", "assistant_request"] * 2 + [
+        "assistant_request", "user_request", "assistant_request"]
+
+
 @pytest.fixture
 def lookups(monkeypatch):
     """Every fingerprint looked up in any scripted transcript, in order."""

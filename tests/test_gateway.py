@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from forge import gateway
 from forge.catalogue import dump_json
+from forge.engine import AssistantTurn, ToolCall, UserTurn, assistant_request, user_request
 from forge.gateway import (
     FRAGMENT_CACHE_SIZE,
     MAX_IN_FLIGHT,
@@ -184,6 +185,47 @@ def test_fingerprint_cache_stays_bounded():
         fingerprint("m", req(f"message {i}"))
         assert gateway._message_fragment.cache_info().currsize <= FRAGMENT_CACHE_SIZE
     assert fingerprint("m", first) == expected  # evicted, then encoded again
+
+
+@st.composite
+def dialogue_turns(draw):
+    """Alternating user and assistant turns over ``_content``'s texts; an
+    assistant turn is a reply, a tool call or malformed output, empty
+    included."""
+    turns = []
+    for _ in range(draw(st.integers(1, 6))):
+        turns.append(UserTurn(draw(_content.filter(bool))))
+        kind = draw(st.sampled_from(["reply", "call", "malformed"]))
+        if kind == "reply":
+            turns.append(AssistantTurn(thought=draw(st.none() | _content), content=draw(_content)))
+        elif kind == "call":
+            call = ToolCall(draw(_content), {draw(_content): draw(_content | st.integers())})
+            turns.append(AssistantTurn(thought=draw(_content), tool_calls=[call]))
+        else:
+            turns.append(AssistantTurn(thought=None, raw=draw(st.just("") | _content)))
+    return turns
+
+
+@settings(deadline=None, max_examples=60)
+@given(_content, _content.filter(bool), dialogue_turns(), st.data())
+def test_a_request_extended_from_its_parent_is_the_request_built_from_scratch(
+        model_id, sys_prompt, turns, data):
+    """Each builder's chain of requests, every one extended from the one
+    before (by zero, one or several messages), equals the requests built
+    from scratch, and each fingerprints as its canonical bytes whatever
+    order the chain is fingerprinted in."""
+    for build in (assistant_request, user_request):
+        ends = data.draw(st.lists(st.integers(0, len(turns)), unique=True).map(sorted))
+        chain, parent = [], None
+        for end in ends:
+            seed = data.draw(st.integers(-2**63, 2**63))
+            parent = build(sys_prompt, turns[:end], seed, parent=parent)
+            scratch = build(sys_prompt, turns[:end], seed)
+            assert parent == scratch and repr(parent) == repr(scratch)
+            chain.append(parent)
+        for i in data.draw(st.permutations(range(len(chain)))):
+            reference = hashlib.sha256(canonical_request(model_id, chain[i]).encode("utf-8"))
+            assert fingerprint(model_id, chain[i]) == reference.hexdigest()
 
 
 def test_transcript_file_round_trip(tmp_path):
