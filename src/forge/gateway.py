@@ -26,12 +26,13 @@ lock: a stored state is only ever copied, never updated, and two threads
 that compute one prefix at once store equal states, so computing it twice
 is harmless.
 
-A request built from scratch (the benchmark's stub and planner, tests,
-``dataclasses.replace``) hashes all its fragments. Every fragment comes
-from a bounded LRU cache, so the history that requests built from scratch
-re-send, or that the filling stage's first request re-sends under a new
-system prompt, is encoded once while it stays recent, and memory does not
-grow with run length. A fragment is spliced from the content's UTF-8 bytes: when
+A request built from scratch hashes all its fragments and encodes each of
+them again. The benchmark's stub and planner, tests and
+``dataclasses.replace`` build requests so, and so does the filling stage's
+first request, which re-sends the selection history under a new system
+prompt. No fragment is cached: the prefix states are the only cache, so a
+request its caller drops keeps none of its text alive here.
+A fragment is spliced from the content's UTF-8 bytes: when
 they hold no byte below 0x20 but ``\\n``, three ``bytes.replace`` calls
 escape ``\\``, ``"`` and ``\\n`` as json does; any other text goes through
 json's C escaper (``catalogue.encode_str``). The byte path is why both
@@ -68,10 +69,8 @@ lock, so it stays inline.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
-import math
 import os
 import threading
 import time
@@ -92,11 +91,9 @@ _in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _RETRY_AFTER_STATUS = {429, 503}
 _MAX_BACKOFF_S = 5.0
-
-# distinct (role, content) fragments ``fingerprint`` keeps encoded: room for
-# the whole context (2 * t_max + 1 = 25 messages at the default t_max) of 8
-# dialogues synthesized at once
-FRAGMENT_CACHE_SIZE = 256
+# the longest ``BackendConfig.timeout``, one day: the transport fails on a
+# far larger one (1e10 s overflows time_t, a 400-digit integer a float)
+MAX_TIMEOUT_S = 86400
 
 # the one ``requests.adapters.HTTPAdapter`` and the headers every request
 # carries besides its own (requests' defaults), both made by the first remote call
@@ -209,9 +206,9 @@ class BackendConfig:
         if not 0 <= typed("retry_limit", self.retry_limit, int, "an integer") <= 10:
             raise ValueError(f"retry_limit must be between 0 and 10, got {self.retry_limit}")
         if (isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float))
-                or not 0 < self.timeout < math.inf):
-            raise ValueError(f"timeout must be a positive number of seconds, "
-                             f"got {self.timeout!r}")
+                or not 0 < self.timeout <= MAX_TIMEOUT_S):
+            raise ValueError(f"timeout must be a positive number of seconds up to "
+                             f"{MAX_TIMEOUT_S}, got {self.timeout!r}")
         if self.kind == "scripted" and self.transcript is None:
             raise ValueError("scripted backend requires a transcript")
 
@@ -246,7 +243,6 @@ def canonical_request(model_id: str, req: CompletionRequest) -> str:
 _ESCAPED_CONTROLS = bytes(range(0x0a)) + bytes(range(0x0b, 0x20))
 
 
-@functools.lru_cache(maxsize=FRAGMENT_CACHE_SIZE)
 def _message_fragment(role: str, content: str) -> bytes:
     text = content.encode("utf-8")
     if len(text.translate(None, _ESCAPED_CONTROLS)) == len(text):

@@ -113,8 +113,12 @@ class DistractorSet:
                 raise ValueError(f"distractor member must be {pair}, got {member!r}")
             typed("distractor name", member[0], str, "a string")
             typed("distractor score", member[1], (int, float), "a number")
-        return cls(seed=typed("distractors seed", d["seed"], str, "a string"),
-                   members=tuple((name, float(score)) for name, score in members))
+        try:
+            scored = tuple((name, float(score)) for name, score in members)
+        except OverflowError:
+            raise ValueError("distractor score must be a number within float range, "
+                             "got a larger integer") from None
+        return cls(seed=typed("distractors seed", d["seed"], str, "a string"), members=scored)
 
 
 def tool_text(tool: Tool) -> str:

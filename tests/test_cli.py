@@ -1292,6 +1292,8 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("backend", {"retry_limit": -1}, "retry_limit must be between 0 and 10"),
     ("backend", {"timeout": "60"}, "timeout must be a positive number"),
     ("backend", {"timeout": 0}, "timeout must be a positive number"),
+    ("backend", {"timeout": 1e10}, "timeout must be a positive number"),
+    ("backend", {"timeout": 10**400}, "timeout must be a positive number"),
     ("backend", {"kind": "remote", "endpoint": "localhost:8080/v1/chat/completions"},
      "http or https URL"),
     ("backend", {"api_key_env": 5}, "api_key_env must be a string or null"),
@@ -1313,7 +1315,8 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
         "embedder-not-object", "embedder-dimension-string", "embedder-dimension-float",
         "embedder-dimension-true", "backends-array", "catalogue-number", "out-dir-number",
         "personas-number", "transcript-number", "retry-limit-string", "retry-limit-negative",
-        "timeout-string", "timeout-0", "endpoint-no-scheme", "api-key-env-number",
+        "timeout-string", "timeout-0", "timeout-1e10", "timeout-huge-int",
+        "endpoint-no-scheme", "api-key-env-number",
         "model-id-array", "embedder-endpoint-no-scheme", "bench-concurrency-negative",
         "bench-n-samples-string",
         "bench-rng-seed-string", "bench-rng-seed-null", "validate-embedder-kind",
@@ -1549,7 +1552,8 @@ def _unreadable_input(world, case: str):
             distractors["seed"] = 5
         else:
             member = {"distractor-score-bool": ["t", True], "distractor-score-text": ["t", "0.5"],
-                      "distractor-member-triple": ["t", 0.5, 1]}[case]
+                      "distractor-member-triple": ["t", 0.5, 1],
+                      "distractor-score-huge-int": ["t", 10**400]}[case]
             distractors["members"].append(member)
         bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
         return ["stats", empty, "--scenarios", bad], bad
@@ -1629,7 +1633,9 @@ UNKNOWN_TOOL_CASES = ("validate-unknown-seed-tool", "export-unknown-pool-tool",
 DISTRACTOR_CASES = {"distractor-seed-number": "distractors seed must be a string",
                     "distractor-score-bool": "distractor score must be a number",
                     "distractor-score-text": "distractor score must be a number",
-                    "distractor-member-triple": "distractor member must be a [name, score] pair"}
+                    "distractor-member-triple": "distractor member must be a [name, score] pair",
+                    "distractor-score-huge-int": "distractor score must be a number within "
+                                                 "float range"}
 
 
 @pytest.mark.parametrize("case", [

@@ -15,7 +15,6 @@ from forge import gateway
 from forge.catalogue import dump_json
 from forge.engine import AssistantTurn, ToolCall, UserTurn, assistant_request, user_request
 from forge.gateway import (
-    FRAGMENT_CACHE_SIZE,
     MAX_IN_FLIGHT,
     BackendConfig,
     ChatMessage,
@@ -178,13 +177,18 @@ def test_fingerprint_and_dump_json_build_no_json_encoder(monkeypatch):
     assert len(made) == 1
 
 
-def test_fingerprint_cache_stays_bounded():
-    first = req("message 0")
-    expected = hashlib.sha256(canonical_request("m", first).encode("utf-8")).hexdigest()
-    for i in range(2 * FRAGMENT_CACHE_SIZE):
-        fingerprint("m", req(f"message {i}"))
-        assert gateway._message_fragment.cache_info().currsize <= FRAGMENT_CACHE_SIZE
-    assert fingerprint("m", first) == expected  # evicted, then encoded again
+def test_a_dropped_request_keeps_no_text_alive():
+    """Fingerprinting caches no message text: once a request, built from
+    scratch or extended from a parent, is fingerprinted and dropped, its
+    content has only the references it had before."""
+    content = " ".join(["fresh", "text"])  # a new string, interned nowhere
+    before = sys.getrefcount(content)
+    fingerprint("m", req(content))
+    extended = CompletionRequest((ChatMessage("system", "s"),)).extend(
+        (ChatMessage("user", content), ChatMessage("assistant", content)), 7)
+    fingerprint("m", extended)
+    del extended
+    assert sys.getrefcount(content) == before
 
 
 @st.composite
@@ -251,9 +255,12 @@ def test_remote_requires_endpoint():
 def test_retry_limit_cap():
     for key, value in [("retry_limit", 11), ("retry_limit", -1), ("timeout", 0),
                        ("timeout", -1.5), ("timeout", "60"), ("timeout", True),
-                       ("timeout", float("nan")), ("timeout", float("inf"))]:
+                       ("timeout", float("nan")), ("timeout", float("inf")),
+                       ("timeout", 1e10), ("timeout", 10**400)]:
         with pytest.raises(ValueError, match=key):
             BackendConfig(kind="remote", model_id="m", endpoint="http://x", **{key: value})
+    BackendConfig(kind="remote", model_id="m", endpoint="http://x",
+                  timeout=gateway.MAX_TIMEOUT_S)
 
 
 def test_backend_field_types():
