@@ -25,11 +25,16 @@ itself, as json does, and hands only NaN, the infinities and subclasses to
 a JSON encoder, so a tool's ``required`` flags and integer leaves build no
 encoder object.
 
-``parse_catalogue`` runs with Python's cyclic garbage collector paused
-(``no_gc``) and then restores the caller's GC state. A 5,000-tool catalogue
-allocates about 17 containers per tool and no reference cycle, and each 700
-allocations would otherwise start a collection that walks the catalogue
-built so far.
+``parse_catalogue`` checks every tool object, in file order, and builds no
+``Tool``: the ``Catalogue`` keeps the checked JSON objects and builds a tool
+from its object on first read, so a ``generate`` that reads 42 tools of a
+5,000-tool catalogue builds 42. The parse runs with Python's cyclic garbage
+collector paused (``no_gc``) and then restores the caller's GC state. The
+decoded JSON of a catalogue of four-parameter tools holds 6 containers per
+tool (the tool object, its parameter map and one object per parameter) and
+no reference cycle, and each 700 allocations would otherwise start a
+collection that walks the catalogue decoded so far. A tool build allocates
+11 more containers at four parameters, with the caller's GC state.
 """
 
 from __future__ import annotations
@@ -220,29 +225,55 @@ class Tool:
         return dump_json(self.to_dict())
 
 
-@dataclass
 class Catalogue:
-    """Immutable collection of tools with a name index. Safe for concurrent reads.
+    """A checked catalogue: its JSON tool objects, in file order, and a name
+    index. Safe for concurrent reads.
+
+    A ``Tool`` is built from its entry on first read (``get``) and kept;
+    ``tools`` builds every one, in catalogue order, on first access and is a
+    plain list after that. Every entry was checked by ``parse_catalogue``, so
+    a build checks nothing. The built-tool map takes no lock: a build is a
+    pure function of its entry, and two threads that build one tool at once
+    keep the first.
 
     It holds no retrieval state: a command builds its ``retrieval.ToolIndex`` once.
     """
 
-    tools: list[Tool]
-    index: dict[str, int]
+    def __init__(self, entries: list[dict], index: dict[str, int]):
+        self.entries = entries  # the checked JSON tool objects; index maps name -> row
+        self.index = index
+        self._built: dict[str, Tool] = {}
 
     def __len__(self) -> int:
-        return len(self.tools)
+        return len(self.entries)
 
     def __contains__(self, name: str) -> bool:
         return name in self.index
 
     def get(self, name: str) -> Tool:
-        if name not in self.index:
-            raise KeyError(f"unknown tool: {name!r}")
-        return self.tools[self.index[name]]
+        tool = self._built.get(name)
+        if tool is None:
+            tool = self._built.setdefault(name, _build_tool(self.entries[self.row(name)]))
+        return tool
+
+    def row(self, name: str) -> int:
+        """The tool's position in the catalogue; a KeyError when it is unknown."""
+        try:
+            return self.index[name]
+        except KeyError:
+            raise KeyError(f"unknown tool: {name!r}") from None
+
+    @cached_property
+    def tools(self) -> list[Tool]:
+        """Every tool, in catalogue order; the tools ``get`` built are reused."""
+        built = self._built
+        for name, entry in zip(self.index, self.entries):
+            if name not in built:
+                built.setdefault(name, _build_tool(entry))
+        return [built[name] for name in self.index]
 
     def names(self) -> list[str]:
-        return [t.name for t in self.tools]
+        return list(self.index)
 
     def render(self, names: list[str]) -> str:
         """The named tools, in order, as an indented JSON array.
@@ -257,31 +288,10 @@ class Catalogue:
             self.get(n).json_text.replace("\n", "\n  ") for n in names) + "\n]"
 
 
-def _parse_param(tool_name: str, pname: str, raw: object) -> ParamSpec:
-    if not isinstance(raw, dict):
-        raise CatalogueError(f"tool {tool_name!r}: parameter {pname!r} must be an object")
-    for key in _PARAM_KEYS:
-        if key not in raw:
-            raise CatalogueError(f"tool {tool_name!r}: parameter {pname!r} missing key {key!r}")
-    type_tag = raw["type"]
-    if type_tag not in TYPE_TAGS:
-        raise CatalogueError(
-            f"tool {tool_name!r}: parameter {pname!r} has unknown type {type_tag!r}"
-        )
-    description = raw["description"]
-    if not isinstance(description, str) or not description:
-        raise CatalogueError(f"tool {tool_name!r}: parameter {pname!r} description must be non-empty")
-    required = raw["required"]
-    if not isinstance(required, bool):
-        raise CatalogueError(f"tool {tool_name!r}: parameter {pname!r} required must be boolean")
-    # every key of _PARAM_KEYS is present, so any further key is an extra
-    extra = ({k: v for k, v in raw.items() if k not in _PARAM_KEYS}
-             if len(raw) > len(_PARAM_KEYS) else {})
-    return ParamSpec(type_tag, description, required, extra)
-
-
-def parse_tool(raw: object) -> Tool:
-    """Validate one tool object from the on-disk representation."""
+def _check_tool(raw: object) -> str:
+    """The name of one on-disk tool object, once it and each of its
+    parameters pass every schema check; else a CatalogueError naming the
+    first fault."""
     if not isinstance(raw, dict):
         raise CatalogueError("tool entry must be a JSON object")
     for key in _TOOL_KEYS:
@@ -290,16 +300,38 @@ def parse_tool(raw: object) -> Tool:
     name = raw["name"]
     if not isinstance(name, str) or not name:
         raise CatalogueError("tool name must be a non-empty string")
-    description = raw["description"]
-    if not isinstance(description, str):
+    if not isinstance(raw["description"], str):
         raise CatalogueError(f"tool {name!r}: description must be a string")
-    params_raw = raw["parameters"]
-    if not isinstance(params_raw, dict):
+    params = raw["parameters"]
+    if not isinstance(params, dict):
         raise CatalogueError(f"tool {name!r}: parameters must be an object")
-    params = {pname: _parse_param(name, pname, praw) for pname, praw in params_raw.items()}
-    extra = ({k: v for k, v in raw.items() if k not in _TOOL_KEYS}
-             if len(raw) > len(_TOOL_KEYS) else {})
-    return Tool(name=name, description=description, params=params, extra=extra)
+    for pname, param in params.items():
+        if not isinstance(param, dict):
+            raise CatalogueError(f"tool {name!r}: parameter {pname!r} must be an object")
+        for key in _PARAM_KEYS:
+            if key not in param:
+                raise CatalogueError(f"tool {name!r}: parameter {pname!r} missing key {key!r}")
+        if param["type"] not in TYPE_TAGS:
+            raise CatalogueError(
+                f"tool {name!r}: parameter {pname!r} has unknown type {param['type']!r}")
+        description = param["description"]
+        if not isinstance(description, str) or not description:
+            raise CatalogueError(f"tool {name!r}: parameter {pname!r} description must be non-empty")
+        if not isinstance(param["required"], bool):
+            raise CatalogueError(f"tool {name!r}: parameter {pname!r} required must be boolean")
+    return name
+
+
+def _build_tool(entry: dict) -> Tool:
+    """The ``Tool`` of an entry that ``_check_tool`` passed; checks nothing.
+    Every key of ``_PARAM_KEYS`` and ``_TOOL_KEYS`` is present, so any
+    further key is an extra."""
+    params = {}
+    for pname, p in entry["parameters"].items():
+        extra = {k: v for k, v in p.items() if k not in _PARAM_KEYS} if len(p) > 3 else {}
+        params[pname] = ParamSpec(p["type"], p["description"], p["required"], extra)
+    extra = {k: v for k, v in entry.items() if k not in _TOOL_KEYS} if len(entry) > 3 else {}
+    return Tool(entry["name"], entry["description"], params, extra)
 
 
 def load_catalogue(path: str | Path) -> Catalogue:
@@ -327,11 +359,11 @@ def parse_catalogue(text: str | bytes) -> Catalogue:
         raise CatalogueError("catalogue must contain at least one tool")
     index: dict[str, int] = {}
     for i, entry in enumerate(raw):
-        raw[i] = tool = parse_tool(entry)  # each raw entry is freed once parsed
-        if tool.name in index:
-            raise CatalogueError(f"duplicate tool name: {tool.name!r}")
-        index[tool.name] = i
-    return Catalogue(tools=raw, index=index)
+        name = _check_tool(entry)
+        if name in index:
+            raise CatalogueError(f"duplicate tool name: {name!r}")
+        index[name] = i
+    return Catalogue(raw, index)
 
 
 def required_args(tool: Tool) -> list[str]:

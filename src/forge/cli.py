@@ -31,7 +31,7 @@ from .engine import (
     synthesize_dialogue,
 )
 from .export import compute_stats, export, slice_dialogue
-from .gateway import BackendConfig, GatewayError, Transcript
+from .gateway import MAX_CONCURRENCY, BackendConfig, GatewayError, Transcript
 from .harness import EvalTask, VotingConfig, run_benchmark
 from .metrics import REPORT_METRICS, Reference, format_metric, grade_corpus, score_corpus
 from .retrieval import (Embedder, HashEmbedder, RemoteEmbedder, ToolIndex, VectorIndex,
@@ -124,11 +124,14 @@ def load_traces(path: str | Path) -> list[DialogueTrace]:
 def _integers(raw: dict, floors: dict[str, int | None]) -> dict[str, int]:
     """The keys of ``floors`` that ``raw`` sets. Each must be a JSON integer
     no smaller than its floor; a floor of None leaves the range check to the
-    class that takes the value."""
+    class that takes the value. ``concurrency`` is also capped at
+    ``MAX_CONCURRENCY``."""
     found = {key: typed(key, raw[key], int, "an integer") for key in floors if key in raw}
     for key, value in found.items():
         if floors[key] is not None and value < floors[key]:
             raise ValueError(f"{key} must be >= {floors[key]}")
+        if key == "concurrency" and value > MAX_CONCURRENCY:
+            raise ValueError(f"concurrency must be <= {MAX_CONCURRENCY}")
     return found
 
 

@@ -94,6 +94,11 @@ _MAX_BACKOFF_S = 5.0
 # the longest ``BackendConfig.timeout``, one day: the transport fails on a
 # far larger one (1e10 s overflows time_t, a 400-digit integer a float)
 MAX_TIMEOUT_S = 86400
+# the largest config ``concurrency``, the width of a command's ``fan_out``:
+# a pool starts a thread per item up to its width while at most
+# MAX_IN_FLIGHT remote calls run, and past sys.maxsize // 2 the width
+# overflows the reorder window's ``islice``
+MAX_CONCURRENCY = 1024
 
 # the one ``requests.adapters.HTTPAdapter`` and the headers every request
 # carries besides its own (requests' defaults), both made by the first remote call
@@ -350,7 +355,8 @@ def post_json(cfg: BackendConfig, body: dict, decode):
     (a refused or dropped connection, a body cut short) is retried. A body
     that ``parse_json`` cannot read (not UTF-8 JSON, nested too deep, or
     holding a lone surrogate), or a reply ``decode`` cannot read (KeyError,
-    IndexError, TypeError, ValueError), is a GatewayError and is not retried.
+    IndexError, TypeError, ValueError, or OverflowError for a number past
+    float range), is a GatewayError and is not retried.
     """
     import requests  # imported here, so a scripted run never loads it
     from requests.models import PreparedRequest
@@ -389,7 +395,7 @@ def post_json(cfg: BackendConfig, body: dict, decode):
             raise GatewayError(f"{url} returned HTTP {resp.status_code}: {resp.text[:200]}")
         try:
             return decode(parse_json(resp.content))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise GatewayError(f"{url} returned a malformed reply: {fault(exc)}") from exc
     if isinstance(last_error, GatewayTimeout):
         raise last_error

@@ -11,6 +11,12 @@ Two embedder backends:
   ``BackendConfig`` (30 s timeout, 3 retries); each text is one call of
   ``gateway.post_json``, the package's one remote call.
 
+A tool's embedding text has one format (``_text``), read from a built
+``Tool`` (``tool_text``) or from a checked catalogue entry (``entry_text``):
+a ``ToolIndex`` embeds every entry and builds no ``Tool``, and a distractor
+query names its members from the index keys, so only the tools a dialogue
+reads are built (``catalogue.Catalogue.get``).
+
 Similarity is the inner product of L2-normalized vectors (cosine). A
 command builds each index it queries once, before the first dialogue, and
 every retrieval function takes the index: no cache or lock sits behind a
@@ -55,6 +61,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Protocol
 
 import numpy as np
@@ -121,16 +128,30 @@ class DistractorSet:
         return cls(seed=typed("distractors seed", d["seed"], str, "a string"), members=scored)
 
 
-def tool_text(tool: Tool) -> str:
-    """Canonical text rendering of a tool for embedding.
+# how ``_text`` reads a parameter's description: from a built tool's
+# ``ParamSpec`` and from a checked catalogue entry's parameter object
+_SPEC_DESCRIPTION = attrgetter("description")
+_ENTRY_DESCRIPTION = itemgetter("description")
 
-    Name, description, then one "param: description" line per parameter in
-    declaration order.
-    """
-    lines = [tool.name, tool.description]
-    for pname, spec in tool.params.items():
-        lines.append(f"{pname}: {spec.description}")
+
+def _text(name: str, description: str, params: dict, describe) -> str:
+    """The embedding text of a tool: name, description, then one
+    "param: description" line per parameter in declaration order, each
+    description read by ``describe(spec)``."""
+    lines = [name, description]
+    for pname, spec in params.items():
+        lines.append(f"{pname}: {describe(spec)}")
     return "\n".join(lines)
+
+
+def tool_text(tool: Tool) -> str:
+    """Canonical text rendering of a tool for embedding (``_text``)."""
+    return _text(tool.name, tool.description, tool.params, _SPEC_DESCRIPTION)
+
+
+def entry_text(entry: dict) -> str:
+    """``tool_text`` of a checked catalogue entry, read without building its ``Tool``."""
+    return _text(entry["name"], entry["description"], entry["parameters"], _ENTRY_DESCRIPTION)
 
 
 class HashEmbedder:
@@ -257,10 +278,11 @@ class VectorIndex:
 
 class ToolIndex(VectorIndex):
     """A catalogue's tools embedded once: a ``VectorIndex`` over their
-    ``tool_text`` rows, keyed by tool name, that carries its catalogue."""
+    ``tool_text`` rows, keyed by tool name, that carries its catalogue. It
+    reads each catalogue entry's text and builds no ``Tool``."""
 
     def __init__(self, cat: Catalogue, emb: Embedder):
-        super().__init__([tool_text(t) for t in cat.tools], emb, cat.names())
+        super().__init__(list(map(entry_text, cat.entries)), emb, cat.names())
         self.cat = cat
 
 
@@ -270,10 +292,9 @@ def nearest_distractors(tools: ToolIndex, seed: str, k: int) -> DistractorSet:
     Exact over the whole catalogue; ties broken by ascending tool name. An
     unknown seed is a KeyError.
     """
-    cat = tools.cat
-    row = cat.index[cat.get(seed).name]  # an unknown seed fails in cat.get
+    row = tools.cat.row(seed)
     top = tools.top(tools.rows([row])[0], k, exclude=row)
-    return DistractorSet(seed=seed, members=tuple((cat.tools[row].name, s) for row, s in top))
+    return DistractorSet(seed=seed, members=tuple((tools.keys[row], s) for row, s in top))
 
 
 def search_catalogue(tools: ToolIndex, query: str, k: int) -> list[tuple[str, float]]:

@@ -1,7 +1,7 @@
 """The traced benchmark run requires every binding in ``bench/run.py``'s
 ``EXPECTED`` to fire; a binding that no longer names a forge function can
 never fire, so it is caught here rather than in a traced run. A short
-traced run of two workloads checks that they do fire."""
+traced run of each workload checks that they do fire."""
 
 import importlib
 import inspect
@@ -56,16 +56,17 @@ def test_traced_methods_name_forge_functions():
 
 def test_traced_bench_smoke(tmp_path):
     """``bench/run.py --trace 1`` passes its gate, every ``EXPECTED`` binding
-    firing, on ``pipeline-deep`` and ``bench-dynamic-loopback``, and a
-    ``--corrupt`` run fails it. The three runs go at once, from a copy of
-    ``bench/`` beside a link to the forge under test, so their work files
-    stay in ``tmp_path``."""
+    firing, on ``pipeline-deep``, ``bench-dynamic-loopback`` and
+    ``gen-wide-5k`` (the one catalogue wide enough that a command reads few
+    of its tools), and a ``--corrupt`` run fails it. The four runs go at
+    once, from a copy of ``bench/`` beside a link to the forge under test,
+    so their work files stay in ``tmp_path``."""
     shutil.copytree(BENCH, tmp_path / "bench",
                     ignore=shutil.ignore_patterns(".work", "__pycache__"))
     shutil.copy(BENCH.parent / "BENCHMARK.json", tmp_path)
     (tmp_path / "src").symlink_to(Path(forge.__file__).resolve().parents[1])
     runs = {"pipeline-deep": ["--trace", "1"], "bench-dynamic-loopback": ["--trace", "1"],
-            "pipeline-deep --corrupt": ["--corrupt"]}
+            "gen-wide-5k": ["--trace", "1"], "pipeline-deep --corrupt": ["--corrupt"]}
     procs = {label: subprocess.Popen(
         [sys.executable, "bench/run.py", "--workload", label.split()[0], "--seed", "3",
          "--seconds", "0.01", *extra], cwd=tmp_path, text=True,

@@ -2,6 +2,8 @@ import ast
 import contextlib
 import gc
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from forge import catalogue
 from forge.catalogue import (TYPE_TAGS, CatalogueError, dump_json, load_catalogue, parse_json,
                              parse_catalogue, required_args)
+from forge.retrieval import HashEmbedder, ToolIndex, nearest_distractors
 
 from conftest import CATALOGUE_TOOLS, SEED_TOOL, json_encoder_garbage
 
@@ -232,7 +235,7 @@ def _wide_catalogue(n_tools: int) -> list[dict]:
 
 
 def test_parse_catalogue_runs_no_gc_collection():
-    """A 5,000-tool parse allocates about 17 containers per tool and makes no
+    """A 5,000-tool parse allocates about 6 containers per tool and makes no
     cycle: with the collector paused it starts no collection."""
     text = json.dumps(_wide_catalogue(5000))
     starts = []
@@ -326,6 +329,78 @@ def test_extra_fields_preserved_on_round_trip():
     tools[0] = {**tools[0], "x-vendor": {"team": "scm"}}
     cat = parse_catalogue(json.dumps(tools))
     assert json.loads(render_all(cat))[0]["x-vendor"] == {"team": "scm"}
+
+
+# ---------------------------------------------------------------------------
+# a tool is built from its checked entry on first read
+
+
+def _count_builds(monkeypatch) -> list[str]:
+    """The names of the ``Tool`` objects constructed from now on, in order."""
+    built, init = [], catalogue.Tool.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.name)
+
+    monkeypatch.setattr(catalogue.Tool, "__init__", counting)
+    return built
+
+
+def test_a_distractor_query_builds_only_the_tools_it_reads(monkeypatch):
+    """Loading 5,000 tools, indexing them and drawing one seed's k
+    distractors, then reading the seed and each distractor as a dialogue
+    does, builds those k + 1 tools and no other."""
+    built = _count_builds(monkeypatch)
+    cat = parse_catalogue(json.dumps(_wide_catalogue(5000)))
+    tools = ToolIndex(cat, HashEmbedder(64))
+    dset = nearest_distractors(tools, "tool_17", 5)
+    for name in ["tool_17", *dset.names(), "tool_17"]:
+        cat.get(name)
+    assert sorted(built) == sorted(["tool_17", *dset.names()])
+
+
+def test_tools_builds_once_in_catalogue_order():
+    """``tools`` is every tool in catalogue order, equal to a fresh build,
+    reusing those ``get`` built; after its first access it is a plain list."""
+    text = json.dumps(CATALOGUE_TOOLS)
+    cat = parse_catalogue(text)
+    seed = cat.get(SEED_TOOL)
+    assert cat.tools is cat.tools and isinstance(cat.tools, list)
+    assert [t.name for t in cat.tools] == cat.names() == [t["name"] for t in CATALOGUE_TOOLS]
+    assert cat.tools[cat.index[SEED_TOOL]] is seed
+    assert all(cat.get(t.name) is t for t in cat.tools)
+    fresh = parse_catalogue(text)
+    assert cat.tools == [fresh.get(name) for name in fresh.names()]
+
+
+def test_get_from_eight_threads_returns_equal_tools():
+    """Eight threads that read one catalogue's tools at once, switching
+    every microsecond, all get the one tool each name keeps, and it equals
+    a fresh build: the built-tool map needs no lock."""
+    cat, fresh = (parse_catalogue(json.dumps(CATALOGUE_TOOLS)) for _ in range(2))
+    names = cat.names()
+    start, got = threading.Barrier(8), [None] * 8
+
+    def read(i):
+        start.wait()
+        got[i] = [cat.get(name) for name in (names if i % 2 else names[::-1])]
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, tools in enumerate(got):
+        for tool in tools:
+            assert tool is cat.get(tool.name) and tool == fresh.get(tool.name)
+        assert sorted(tool.name for tool in tools) == sorted(names), i
 
 
 # ---------------------------------------------------------------------------

@@ -1274,6 +1274,7 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("generate", {"regen_attempts": 0}, "regen_attempts must be"),
     ("generate", {"t_max": "3"}, "t_max must be an integer"),
     ("generate", {"concurrency": "2"}, "concurrency must be an integer"),
+    ("generate", {"concurrency": 10**30}, "concurrency must be <= 1024"),
     ("generate", {"k": None}, "k must be an integer"),
     ("generate", {"rng_seed": "abc"}, "rng_seed must be an integer"),
     ("generate", {"rng_seed": 1.9}, "rng_seed must be an integer"),
@@ -1301,6 +1302,7 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("generate", {"embedder": {"kind": "remote", "endpoint": "localhost:8080/v1/embeddings",
                                "dimension": 16}}, "http or https URL"),
     ("bench", {"concurrency": -3}, "concurrency must be"),
+    ("bench", {"concurrency": 10**30}, "concurrency must be <= 1024"),
     ("bench", {"n_samples": "3"}, "n_samples must be an integer"),
     ("bench", {"rng_seed": "abc"}, "rng_seed must be an integer"),
     ("bench", {"rng_seed": None}, "rng_seed must be an integer"),
@@ -1310,7 +1312,8 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("distractors", [SEED_TOOL, "--k", "0"], "k must be"),
     ("distractors", ["no_such_tool"], "no_such_tool"),
 ], ids=["remote-embedder-no-endpoint", "embedder-dimension-0", "k-0", "persona-k-0",
-        "concurrency-0", "regen-attempts-0", "t-max-string", "concurrency-string", "k-null",
+        "concurrency-0", "regen-attempts-0", "t-max-string", "concurrency-string",
+        "concurrency-past-ceiling", "k-null",
         "rng-seed-not-a-number", "rng-seed-float", "rng-seed-true", "rng-seed-padded-string",
         "embedder-not-object", "embedder-dimension-string", "embedder-dimension-float",
         "embedder-dimension-true", "backends-array", "catalogue-number", "out-dir-number",
@@ -1318,7 +1321,7 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
         "timeout-string", "timeout-0", "timeout-1e10", "timeout-huge-int",
         "endpoint-no-scheme", "api-key-env-number",
         "model-id-array", "embedder-endpoint-no-scheme", "bench-concurrency-negative",
-        "bench-n-samples-string",
+        "bench-concurrency-past-ceiling", "bench-n-samples-string",
         "bench-rng-seed-string", "bench-rng-seed-null", "validate-embedder-kind",
         "export-embedder-dimension-0", "distractors-dim-0", "distractors-k-0",
         "distractors-unknown-seed"])

@@ -426,6 +426,37 @@ def test_index_rows_are_bitwise_embeds(dimension, texts):
     assert bits(index.top(query, 5)) == bits(scan_personas(texts, query, 5, emb))
 
 
+_PARAM = {"type": "string", "description": "the value", "required": True}
+
+
+@pytest.mark.parametrize("entries", [
+    [{"name": "plain", "description": "one thing", "parameters": {"a": _PARAM}},
+     {"name": "bare", "description": "", "parameters": {}, "x-vendor": {"team": "scm"}}],
+    [{"name": "extra", "description": "alpha beta", "x-vendor": {"team": ["scm"]},
+      "parameters": {"a": {**_PARAM, "enum": ["x", "y"]},
+                     "b": {**_PARAM, "default": None, "description": "beta value"}}},
+     {"name": "extra2", "description": "alpha gamma", "tags": [],
+      "parameters": {"c": {**_PARAM, "x-note": {"description": "not this one"}}}}],
+    [{"parameters": {"b": {"required": False, "description": "second", "type": "integer"},
+                     "a": {"description": "first", "type": "string", "required": True}},
+      "description": "reordered keys", "name": "reordered"},
+     {"description": "reordered too", "name": "other", "parameters": {}}],
+    [{"name": "naïve_größe", "description": "Größe der Ware, 日本語 K\u212a — ünïcödé",
+      "parameters": {"größe": {**_PARAM, "description": "Maß in cm ☃"},
+                     "日本": {**_PARAM, "description": "地域 \U0001f600"}}},
+     {"name": "ascii", "description": "Grosse der Ware", "parameters": {"g": _PARAM}}],
+], ids=["extra-tool-key", "extra-param-keys", "reordered-keys", "non-ascii"])
+def test_tool_index_rows_are_bitwise_embeds_of_built_tools(entries):
+    """A ``ToolIndex`` reads its texts from the catalogue's entries without
+    building a tool; each row is still bitwise ``embed(tool_text(tool))``."""
+    cat = parse_catalogue(json.dumps(entries))
+    emb = HashEmbedder(16)
+    tools = ToolIndex(cat, emb)
+    assert tools.texts == [tool_text(cat.get(name)) for name in cat.names()]
+    assert rows_bytes(tools) == [emb.embed(tool_text(cat.get(name))).tobytes()
+                                 for name in cat.names()]
+
+
 @pytest.mark.parametrize("past", [0, 3, 64, 100], ids=lambda row: f"row{row}")
 def test_index_with_a_count_past_the_bound_keeps_float64_rows(monkeypatch, past):
     """A hash row with a count at the bound cannot be restored from float32:
@@ -484,7 +515,9 @@ def test_remote_embed_rejects_wrong_dimension(embedding_server):
     ([{"embedding": [1.0] * 16}], "list indices"),
     ({"data": [{"embedding": [float("nan")] * 16}]}, "finite values"),
     (b'{"data": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth"),
-], ids=["no-data", "top-level-array", "nan", "nested-past-recursion-limit"])
+    ({"data": [{"embedding": [1, 10**400]}]}, "int too large to convert to float"),
+], ids=["no-data", "top-level-array", "nan", "nested-past-recursion-limit",
+        "int-past-float-range"])
 def test_remote_embed_malformed_reply_is_gateway_error(loopback, payload, message):
     """A reply the embedder cannot read is a GatewayError, the failure that
     costs one dialogue, and is not retried."""
