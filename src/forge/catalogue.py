@@ -25,26 +25,31 @@ itself, as json does, and hands only NaN, the infinities and subclasses to
 a JSON encoder, so a tool's ``required`` flags and integer leaves build no
 encoder object.
 
-``parse_catalogue`` checks every tool object, in file order, and builds no
-``Tool``: the ``Catalogue`` keeps the checked JSON objects and builds a tool
-from its object on first read, so a ``generate`` that reads 42 tools of a
-5,000-tool catalogue builds 42. The parse runs with Python's cyclic garbage
-collector paused (``no_gc``) and then restores the caller's GC state. The
-decoded JSON of a catalogue of four-parameter tools holds 6 containers per
-tool (the tool object, its parameter map and one object per parameter) and
-no reference cycle, and each 700 allocations would otherwise start a
-collection that walks the catalogue decoded so far. A tool build allocates
-11 more containers at four parameters, with the caller's GC state.
+``parse_catalogue`` reads the top-level array one tool object at a time
+with json's own C scanner (``_scan``, the one ``json.loads`` uses): it
+checks each object, in file order, records its name, its start offset in
+the decoded text and its embedding text (``tool_text``'s format, ``_text``),
+and drops it. The ``Catalogue`` keeps the decoded text, the offsets, the
+name index and the texts, so its memory is about the file's text plus the
+embedding texts, with no container per tool, and a ``Tool`` is decoded from
+its offset and built on first read: a ``generate`` that reads 42 tools of a
+5,000-tool catalogue builds 42. At any fault the read stops and the text is
+decoded whole (``parse_json``) and checked as one list, so every
+``CatalogueError`` message, and which of two faults wins, is that of a whole
+decode. The parse holds one tool's containers at a time and keeps none, so
+it starts no collection of Python's cyclic GC and needs no pause.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,6 +87,13 @@ def fault(exc: Exception) -> str:
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
+def _encode_surrogates(value, text: str, start: int = 0, end: int = sys.maxsize) -> None:
+    """A UnicodeEncodeError if ``value``, decoded from ``text[start:end]``,
+    holds a lone surrogate; only a text that holds a surrogate escape can."""
+    if _SURROGATE_ESCAPE.search(text, start, end):
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+
+
 def parse_json(text: str | bytes):
     """``json.loads``, whose only failure is a ValueError: JSON nested past
     the recursion limit raises one with RecursionError's message. Bytes (as
@@ -93,14 +105,24 @@ def parse_json(text: str | bytes):
         text = text.decode("utf-8-sig")
     try:
         value = json.loads(text)
-        if _SURROGATE_ESCAPE.search(text):
-            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        _encode_surrogates(value, text)
     except RecursionError as exc:
         raise ValueError(str(exc)) from exc
     except UnicodeEncodeError as exc:
         raise ValueError(f"JSON text holds a lone surrogate {exc.object[exc.start]!r}, "
                          "which UTF-8 cannot encode") from None
     return value
+
+
+# json's C scanner, the one json.loads runs: _scan(text, i) decodes the JSON
+# value that starts at text[i] and returns it with its end offset (a
+# StopIteration where no value starts). Threads share it as json.loads shares
+# its one decoder: the key memo it clears after each value only dedupes keys.
+_scan = json.JSONDecoder().scan_once
+# a catalogue array's opening bracket, and each separator after a tool
+# object (group 1: "," or "]"), with JSON's four whitespace characters around
+_OPEN = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*")
+_NEXT = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
 
 
 # the C string escaper ``json.dumps(..., ensure_ascii=False)`` uses, and one
@@ -155,29 +177,6 @@ def _dump(value, pad: str) -> str:
     return _scalar(value)
 
 
-def no_gc(fn):
-    """``fn`` run with the cyclic garbage collector paused; the caller's GC
-    state is restored after it, so the GC is re-enabled only if it was on.
-
-    Its one caller is ``parse_catalogue``, which keeps every container it
-    allocates and makes no reference cycle; an index block frees what it
-    makes, so a pause there would save no collection. The pause is
-    process-wide and not safe for overlapping calls (A disables, B reads
-    "off", A re-enables, B disables for good), so a function that can make
-    a remote call or run dialogue work is never wrapped.
-    """
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
-
-
 class ParamSpec(NamedTuple):
     """One parameter of a tool: (type, description, required), plus the
     file's extra keys.
@@ -226,26 +225,30 @@ class Tool:
 
 
 class Catalogue:
-    """A checked catalogue: its JSON tool objects, in file order, and a name
-    index. Safe for concurrent reads.
+    """A checked catalogue, in file order: its decoded JSON text, each tool
+    object's start offset in it, a name index and each tool's embedding
+    text (``texts``, what ``tool_text`` gives for the tool). Safe for
+    concurrent reads.
 
-    A ``Tool`` is built from its entry on first read (``get``) and kept;
-    ``tools`` builds every one, in catalogue order, on first access and is a
-    plain list after that. Every entry was checked by ``parse_catalogue``, so
-    a build checks nothing. The built-tool map takes no lock: a build is a
-    pure function of its entry, and two threads that build one tool at once
-    keep the first.
+    A ``Tool`` is decoded from its offset and built on first read (``get``)
+    and kept; ``tools`` builds every one, in catalogue order, on first access
+    and is a plain list after that. Every tool object was checked by
+    ``parse_catalogue``, so a build checks nothing. The built-tool map takes
+    no lock: a build is a pure function of the text, and two threads that
+    build one tool at once keep the first.
 
     It holds no retrieval state: a command builds its ``retrieval.ToolIndex`` once.
     """
 
-    def __init__(self, entries: list[dict], index: dict[str, int]):
-        self.entries = entries  # the checked JSON tool objects; index maps name -> row
-        self.index = index
+    def __init__(self, text: str, starts: array, index: dict[str, int], texts: list[str]):
+        self.text = text  # tool row i's JSON object starts at text[starts[i]]
+        self.starts = starts
+        self.index = index  # name -> row
+        self.texts = texts
         self._built: dict[str, Tool] = {}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.starts)
 
     def __contains__(self, name: str) -> bool:
         return name in self.index
@@ -253,7 +256,7 @@ class Catalogue:
     def get(self, name: str) -> Tool:
         tool = self._built.get(name)
         if tool is None:
-            tool = self._built.setdefault(name, _build_tool(self.entries[self.row(name)]))
+            tool = self._built.setdefault(name, _build_tool(self.text, self.starts[self.row(name)]))
         return tool
 
     def row(self, name: str) -> int:
@@ -267,9 +270,9 @@ class Catalogue:
     def tools(self) -> list[Tool]:
         """Every tool, in catalogue order; the tools ``get`` built are reused."""
         built = self._built
-        for name, entry in zip(self.index, self.entries):
+        for name, row in self.index.items():
             if name not in built:
-                built.setdefault(name, _build_tool(entry))
+                built.setdefault(name, _build_tool(self.text, self.starts[row]))
         return [built[name] for name in self.index]
 
     def names(self) -> list[str]:
@@ -322,16 +325,40 @@ def _check_tool(raw: object) -> str:
     return name
 
 
-def _build_tool(entry: dict) -> Tool:
-    """The ``Tool`` of an entry that ``_check_tool`` passed; checks nothing.
-    Every key of ``_PARAM_KEYS`` and ``_TOOL_KEYS`` is present, so any
-    further key is an extra."""
+def _build_tool(text: str, start: int) -> Tool:
+    """The ``Tool`` of the JSON tool object that starts at ``text[start]``,
+    one that ``_check_tool`` passed; checks nothing. Every key of
+    ``_PARAM_KEYS`` and ``_TOOL_KEYS`` is present, so any further key is an
+    extra."""
+    entry = _scan(text, start)[0]
     params = {}
     for pname, p in entry["parameters"].items():
         extra = {k: v for k, v in p.items() if k not in _PARAM_KEYS} if len(p) > 3 else {}
         params[pname] = ParamSpec(p["type"], p["description"], p["required"], extra)
     extra = {k: v for k, v in entry.items() if k not in _TOOL_KEYS} if len(entry) > 3 else {}
     return Tool(entry["name"], entry["description"], params, extra)
+
+
+# how ``_text`` reads a parameter's description: from a built tool's
+# ``ParamSpec`` and from a checked JSON tool object's parameter object
+_SPEC_DESCRIPTION = attrgetter("description")
+_ENTRY_DESCRIPTION = itemgetter("description")
+
+
+def _text(name: str, description: str, params: dict, describe) -> str:
+    """The embedding text of a tool: name, description, then one
+    "param: description" line per parameter in declaration order, each
+    description read by ``describe(spec)``."""
+    lines = [name, description]
+    for pname, spec in params.items():
+        lines.append(f"{pname}: {describe(spec)}")
+    return "\n".join(lines)
+
+
+def tool_text(tool: Tool) -> str:
+    """Canonical text rendering of a tool for embedding (``_text``); the
+    catalogue's ``texts`` hold it for every tool."""
+    return _text(tool.name, tool.description, tool.params, _SPEC_DESCRIPTION)
 
 
 def load_catalogue(path: str | Path) -> Catalogue:
@@ -344,11 +371,17 @@ def load_catalogue(path: str | Path) -> Catalogue:
     return parse_catalogue(data)
 
 
-@no_gc
 def parse_catalogue(text: str | bytes) -> Catalogue:
     """Parse and validate a tool catalogue's JSON text or bytes: CatalogueError
     on JSON that ``parse_json`` cannot read, schema violations, duplicate tool
-    names or an empty catalogue. Pure function of its input."""
+    names or an empty catalogue. Pure function of its input.
+
+    The text is read one tool object at a time (``_read_tools``); at the
+    read's first fault it is decoded whole and checked as one list, which
+    raises the CatalogueError that a whole decode finds first."""
+    cat = _read_tools(text, sys.getrecursionlimit() // 2)
+    if cat is not None:
+        return cat
     try:
         raw = parse_json(text)
     except ValueError as exc:
@@ -357,13 +390,58 @@ def parse_catalogue(text: str | bytes) -> Catalogue:
         raise CatalogueError("catalogue must be a JSON array of tool objects")
     if not raw:
         raise CatalogueError("catalogue must contain at least one tool")
-    index: dict[str, int] = {}
-    for i, entry in enumerate(raw):
+    names: set[str] = set()
+    for entry in raw:
         name = _check_tool(entry)
-        if name in index:
+        if name in names:
             raise CatalogueError(f"duplicate tool name: {name!r}")
-        index[name] = i
-    return Catalogue(raw, index)
+        names.add(name)
+    # the whole text decodes and passes: only the depth bound stopped the read
+    return _read_tools(text, sys.maxsize)
+
+
+def _read_tools(text: str | bytes, max_depth: int) -> Catalogue | None:
+    """The catalogue of a JSON array of valid tool objects, read one object
+    at a time; None at any fault.
+
+    Each object is decoded from its offset (``_scan``), checked and dropped.
+    The read accepts exactly the texts that ``parse_json`` decodes to such
+    an array, save one case: it decodes each object one array level and a
+    few frames shallower than ``json.loads``, so near the recursion limit it
+    could accept an object that the whole decode refuses. An object that
+    could nest ``max_depth`` deep (its text is 2 * ``max_depth`` characters
+    or longer and holds ``max_depth`` brackets or more) is therefore a
+    fault here too.
+    """
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8-sig")  # as parse_json decodes it
+        step = _OPEN.match(text)
+        if step is None:
+            return None
+        starts, index, texts = array("q"), {}, []
+        while True:
+            start = step.end()
+            value, end = _scan(text, start)  # a StopIteration where no value starts
+            if end - start >= 2 * max_depth and (
+                    text.count("[", start, end) + text.count("{", start, end) >= max_depth):
+                return None
+            _encode_surrogates(value, text, start, end)
+            name = _check_tool(value)
+            if name in index:
+                return None
+            index[name] = len(starts)
+            starts.append(start)
+            texts.append(_text(name, value["description"], value["parameters"],
+                               _ENTRY_DESCRIPTION))
+            step = _NEXT.match(text, end)
+            if step is None or step[1] == "]":
+                break
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if step is None or step.end() != len(text):
+        return None
+    return Catalogue(text, starts, index, texts)
 
 
 def required_args(tool: Tool) -> list[str]:

@@ -11,11 +11,12 @@ Two embedder backends:
   ``BackendConfig`` (30 s timeout, 3 retries); each text is one call of
   ``gateway.post_json``, the package's one remote call.
 
-A tool's embedding text has one format (``_text``), read from a built
-``Tool`` (``tool_text``) or from a checked catalogue entry (``entry_text``):
-a ``ToolIndex`` embeds every entry and builds no ``Tool``, and a distractor
-query names its members from the index keys, so only the tools a dialogue
-reads are built (``catalogue.Catalogue.get``).
+A tool's embedding text has one format, ``catalogue.tool_text`` (importable
+from here too): ``parse_catalogue`` writes every tool's text into the
+catalogue's ``texts`` as it reads the file, a ``ToolIndex`` embeds that list
+and builds no ``Tool``, and a distractor query names its members from the
+index keys, so only the tools a dialogue reads are built
+(``catalogue.Catalogue.get``).
 
 Similarity is the inner product of L2-normalized vectors (cosine). A
 command builds each index it queries once, before the first dialogue, and
@@ -61,13 +62,12 @@ import random
 import zlib
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
 from typing import Protocol
 
 import numpy as np
 
 from . import gateway
-from .catalogue import Catalogue, Tool, typed
+from .catalogue import Catalogue, tool_text, typed
 
 # every byte outside ASCII a-z0-9 becomes a space; each byte of a multi-byte
 # UTF-8 sequence is >= 0x80, so the tokens are those of re "[a-z0-9]+"
@@ -126,32 +126,6 @@ class DistractorSet:
             raise ValueError("distractor score must be a number within float range, "
                              "got a larger integer") from None
         return cls(seed=typed("distractors seed", d["seed"], str, "a string"), members=scored)
-
-
-# how ``_text`` reads a parameter's description: from a built tool's
-# ``ParamSpec`` and from a checked catalogue entry's parameter object
-_SPEC_DESCRIPTION = attrgetter("description")
-_ENTRY_DESCRIPTION = itemgetter("description")
-
-
-def _text(name: str, description: str, params: dict, describe) -> str:
-    """The embedding text of a tool: name, description, then one
-    "param: description" line per parameter in declaration order, each
-    description read by ``describe(spec)``."""
-    lines = [name, description]
-    for pname, spec in params.items():
-        lines.append(f"{pname}: {describe(spec)}")
-    return "\n".join(lines)
-
-
-def tool_text(tool: Tool) -> str:
-    """Canonical text rendering of a tool for embedding (``_text``)."""
-    return _text(tool.name, tool.description, tool.params, _SPEC_DESCRIPTION)
-
-
-def entry_text(entry: dict) -> str:
-    """``tool_text`` of a checked catalogue entry, read without building its ``Tool``."""
-    return _text(entry["name"], entry["description"], entry["parameters"], _ENTRY_DESCRIPTION)
 
 
 class HashEmbedder:
@@ -278,11 +252,11 @@ class VectorIndex:
 
 class ToolIndex(VectorIndex):
     """A catalogue's tools embedded once: a ``VectorIndex`` over their
-    ``tool_text`` rows, keyed by tool name, that carries its catalogue. It
-    reads each catalogue entry's text and builds no ``Tool``."""
+    ``tool_text`` rows, keyed by tool name, that carries its catalogue. Its
+    ``texts`` are the catalogue's own list, so it builds no ``Tool``."""
 
     def __init__(self, cat: Catalogue, emb: Embedder):
-        super().__init__(list(map(entry_text, cat.entries)), emb, cat.names())
+        super().__init__(cat.texts, emb, cat.names())
         self.cat = cat
 
 

@@ -195,6 +195,43 @@ def random_corpus(rng: random.Random, max_dialogues: int = 50):
 
 
 # ---------------------------------------------------------------------------
+# catalogue oracle
+
+
+def whole_decode_catalogue(text: str | bytes):
+    """The catalogue parse as one whole decode: ``parse_json`` of the text,
+    then ``_check_tool`` of each tool object in file order, then the
+    duplicate check. Returns (names, tool objects, embedding texts) or
+    raises the CatalogueError of the first fault.
+
+    Unlike the other oracles it calls into the package: the decoder and the
+    schema check own every message, and what it checks is how the text is
+    read. Each embedding text is transcribed: name, description, then one
+    "param: description" line per parameter.
+    """
+    from forge.catalogue import CatalogueError, _check_tool, parse_json
+
+    try:
+        raw = parse_json(text)
+    except ValueError as exc:
+        raise CatalogueError(f"malformed catalogue JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise CatalogueError("catalogue must be a JSON array of tool objects")
+    if not raw:
+        raise CatalogueError("catalogue must contain at least one tool")
+    names = []
+    for entry in raw:
+        name = _check_tool(entry)
+        if name in names:
+            raise CatalogueError(f"duplicate tool name: {name!r}")
+        names.append(name)
+    texts = ["\n".join([e["name"], e["description"]]
+                       + [f"{p}: {spec['description']}" for p, spec in e["parameters"].items()])
+             for e in raw]
+    return names, raw, texts
+
+
+# ---------------------------------------------------------------------------
 # retrieval and voting oracles
 
 

@@ -4,6 +4,7 @@ import gc
 import json
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from forge.catalogue import (TYPE_TAGS, CatalogueError, dump_json, load_catalogu
 from forge.retrieval import HashEmbedder, ToolIndex, nearest_distractors
 
 from conftest import CATALOGUE_TOOLS, SEED_TOOL, json_encoder_garbage
+from oracles import whole_decode_catalogue
 
 
 def write_catalogue(tmp_path, tools):
@@ -157,26 +159,33 @@ def test_parse_json_reads_text_utf8_can_encode(text, value):
     assert parse_json(text) == value
 
 
+# what decodes JSON text, and what a decode too deep raises
+_DECODER_NAMES = {"loads", "JSONDecoder", "make_scanner", "scan_once", "raw_decode",
+                  "RecursionError"}
+
+
 def test_parse_json_is_the_one_decoder_of_outside_json():
-    """In ``src/forge``, only ``parse_json`` calls ``json.loads`` or names
-    RecursionError, and nothing calls a reply's ``.json()``: what malformed
-    JSON raises is decided in one place."""
+    """In ``src/forge``, only ``parse_json`` and the catalogue's array reader
+    (``_read_tools`` and its scanner ``_scan``) call ``json.loads``, name a
+    JSON decoder or scanner or name RecursionError, and nothing calls a
+    reply's ``.json()``: the reader hands every fault to ``parse_json``, so
+    what malformed JSON raises is decided in one place."""
     found = []
     for path in sorted(Path(catalogue.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        exempt = {id(node) for top in tree.body
-                  if path.name == "catalogue.py" and isinstance(top, ast.FunctionDef)
-                  and top.name == "parse_json" for node in ast.walk(top)}
+        exempt = {id(node) for top in tree.body if path.name == "catalogue.py" and (
+                      isinstance(top, ast.FunctionDef) and top.name in ("parse_json", "_read_tools")
+                      or isinstance(top, ast.Assign) and ast.unparse(top.targets) == "_scan")
+                  for node in ast.walk(top)}
         for node in ast.walk(tree):
             if id(node) in exempt:
                 continue
-            if (isinstance(node, ast.Attribute) and node.attr == "loads"
-                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
-                found.append(f"{path.name}:{node.lineno}: json.loads")
-            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in _DECODER_NAMES:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
                 found.append(f"{path.name}:{node.lineno}: from json import")
-            elif isinstance(node, ast.Name) and node.id == "RecursionError":
-                found.append(f"{path.name}:{node.lineno}: RecursionError")
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "json"):
                 found.append(f"{path.name}:{node.lineno}: .json()")
@@ -235,8 +244,8 @@ def _wide_catalogue(n_tools: int) -> list[dict]:
 
 
 def test_parse_catalogue_runs_no_gc_collection():
-    """A 5,000-tool parse allocates about 6 containers per tool and makes no
-    cycle: with the collector paused it starts no collection."""
+    """A 5,000-tool parse holds one tool object's containers at a time and
+    keeps none: with the collector on it starts no collection."""
     text = json.dumps(_wide_catalogue(5000))
     starts = []
 
@@ -253,22 +262,18 @@ def test_parse_catalogue_runs_no_gc_collection():
     assert len(cat) == 5000 and starts == []
 
 
-def test_only_the_catalogue_parse_pauses_the_gc():
-    """In ``src/forge`` only ``catalogue.py`` imports ``gc`` or names
-    ``no_gc``, and there ``no_gc`` decorates ``parse_catalogue`` alone: an
-    index block frees what it makes, so a pause there saves no collection."""
+def test_no_module_names_gc():
+    """No module in ``src/forge`` imports or names ``gc``: the catalogue
+    parse keeps no container per tool and an index block frees what it
+    makes, so a GC pause would save no collection anywhere."""
     found = []
     for path in sorted(Path(catalogue.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        home = path.name == "catalogue.py"
-        decorators = {id(dec) for fn in tree.body if home and isinstance(fn, ast.FunctionDef)
-                      and fn.name == "parse_catalogue" for dec in fn.decorator_list}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias)
                     else node.module if isinstance(node, ast.ImportFrom) else None)
-            if name == "gc" and not home or name == "no_gc" and id(node) not in decorators:
+            if name in ("gc", "no_gc"):
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
 
@@ -280,8 +285,8 @@ def test_only_the_catalogue_parse_pauses_the_gc():
 ], ids=["valid", "duplicate-last-tool", "nested-past-recursion-limit"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_parse_catalogue_restores_the_callers_gc_state(text, enabled):
-    """The pause re-enables the collector only if the caller had it on, also
-    when a CatalogueError leaves the paused region."""
+    """The parse leaves the collector as the caller had it, also when a
+    CatalogueError ends it."""
     (gc.enable if enabled else gc.disable)()
     try:
         with contextlib.suppress(CatalogueError):
@@ -490,3 +495,187 @@ def test_render_edge_cases():
                                                ensure_ascii=False, indent=2)
     with pytest.raises(KeyError):
         cat.render(["missing"])
+
+
+# ---------------------------------------------------------------------------
+# the array reader against one whole decode (oracles.whole_decode_catalogue)
+
+
+def _oracle_tool(entry: dict) -> catalogue.Tool:
+    """The ``Tool`` of a checked tool object, transcribed: the three known
+    keys of the tool and of each parameter, every other key an extra."""
+    params = {p: catalogue.ParamSpec(spec["type"], spec["description"], spec["required"],
+                                     {k: v for k, v in spec.items()
+                                      if k not in ("type", "description", "required")})
+              for p, spec in entry["parameters"].items()}
+    extra = {k: v for k, v in entry.items() if k not in ("name", "description", "parameters")}
+    return catalogue.Tool(entry["name"], entry["description"], params, extra)
+
+
+def assert_reads_as_whole_decode(text):
+    """``parse_catalogue`` of ``text`` raises the oracle's CatalogueError
+    message, or gives its names, tools (``to_dict`` and ``json_text``, read
+    through ``get`` and through ``tools``) and embedding texts."""
+    try:
+        names, entries, texts = whole_decode_catalogue(text)
+    except CatalogueError as exc:
+        with pytest.raises(CatalogueError) as got:
+            parse_catalogue(text)
+        assert str(got.value) == str(exc)
+        return
+    cat = parse_catalogue(text)
+    assert cat.names() == names and cat.texts == texts and len(cat) == len(names)
+    expected = [_oracle_tool(e) for e in entries]
+    # repr tells -0.0 from 0.0 and compares NaN, which == does not
+    got = [cat.get(name) for name in reversed(names)][::-1]
+    for tools in (got, parse_catalogue(text).tools):
+        assert [repr(t.to_dict()) for t in tools] == [repr(t.to_dict()) for t in expected]
+        assert [t.json_text for t in tools] == [t.json_text for t in expected]
+
+
+_word = st.text(alphabet=st.sampled_from("abz_ é日\U0001f600\"\\\n"), max_size=6)
+_tool_object = st.fixed_dictionaries(
+    {"name": st.sampled_from(["t0", "t1", "t2", "té", "t\U0001f600"]),
+     "description": _word,
+     "parameters": st.dictionaries(_word, st.fixed_dictionaries(
+         {"type": st.sampled_from(TYPE_TAGS + ("float",)), "description": _word,
+          "required": st.booleans()},
+         optional={"enum": st.lists(_word, max_size=2), "x-n": st.integers() | st.floats()}),
+         max_size=3)},
+    optional={"x-vendor": st.dictionaries(_word, st.none() | _word, max_size=2)})
+# the layouts a catalogue file comes in
+_LAYOUTS = {
+    "default": json.dumps,
+    "indent": lambda v: json.dumps(v, indent=2),
+    "compact": lambda v: json.dumps(v, separators=(",", ":")),
+    "raw-utf8": lambda v: json.dumps(v, ensure_ascii=False),
+    "tab-indent": lambda v: json.dumps(v, indent="\t", ensure_ascii=False),
+    "padded": lambda v: "\t\r\n " + json.dumps(v) + "\r\n\t",
+    "wide-separators": lambda v: json.dumps(v, separators=(" ,\n\t ", " : ")),
+}
+# what a mutation inserts: JSON punctuation, whitespace, escapes, a BOM,
+# a whole duplicate tool object
+_INSERTS = [",", "]", "[", "{", "}", '"', ":", " ", "  ", "\t", "\r\n", "1", "-", "null",
+            "\\", "\\ud83d", "\\ude00", "\\u00e9", "﻿", "\x00", "é",
+            ', {"name": "t0", "description": "", "parameters": {}}']
+
+
+@st.composite
+def catalogue_texts(draw):
+    text = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](
+        draw(st.lists(_tool_object, max_size=4)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["delete", "insert", "truncate"]))
+        if kind == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+        elif kind == "insert":
+            text = text[:at] + draw(st.sampled_from(_INSERTS)) + text[at:]
+        else:
+            text = text[:at]
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(catalogue_texts())
+def test_reading_one_tool_at_a_time_equals_one_whole_decode(text):
+    assert_reads_as_whole_decode(text)
+
+
+_TWO = json.dumps(CATALOGUE_TOOLS[:2])
+_BOM_TEXT = "﻿" + _TWO
+
+
+@pytest.mark.parametrize("text", [
+    _TWO.replace("}, {", "},  {"),
+    _TWO.replace("}, {", "}\r\n,\t{"),
+    _BOM_TEXT,
+    _BOM_TEXT.encode("utf-8"),
+    json.dumps([CATALOGUE_TOOLS[0], {**CATALOGUE_TOOLS[1], "description": "caf\ud83d"}]),
+    json.dumps([CATALOGUE_TOOLS[0], {**CATALOGUE_TOOLS[1], "description": "\U0001f600"}]),
+    json.dumps([{**CATALOGUE_TOOLS[0], "description": 3}, CATALOGUE_TOOLS[1]])[:-1] + "}]",
+    json.dumps([{**CATALOGUE_TOOLS[0], "description": 3}, CATALOGUE_TOOLS[1]]),
+    _TWO[:-1] + ",]",
+    "[]",
+    " [ \n ] ",
+    json.dumps(CATALOGUE_TOOLS[0]),
+    _TWO + " x",
+    _TWO.encode("utf-8") + b"\xff",
+], ids=["two-spaces-after-a-comma", "whitespace-around-a-comma", "bom-str", "bom-bytes",
+        "lone-surrogate-in-tool-2", "surrogate-pair-in-tool-2",
+        "schema-fault-in-tool-1-then-malformed-json", "schema-fault-in-tool-1",
+        "trailing-comma", "empty-array", "empty-array-with-whitespace", "top-level-object",
+        "trailing-data", "bytes-not-utf8"])
+def test_reader_examples_read_as_whole_decode(text):
+    assert_reads_as_whole_decode(text)
+
+
+def test_a_schema_fault_loses_to_malformed_json_after_it():
+    """The first tool's schema fault is found first by the reader, but a
+    whole decode finds the malformed JSON at the end first, and its message wins."""
+    text = json.dumps([{**CATALOGUE_TOOLS[0], "description": 3}, CATALOGUE_TOOLS[1]])[:-1]
+    with pytest.raises(CatalogueError, match="^malformed catalogue JSON: Expecting"):
+        parse_catalogue(text)
+
+
+def _with_extra(value_text: str) -> str:
+    """Two tools, the second with an extra field whose JSON is ``value_text``."""
+    return json.dumps([CATALOGUE_TOOLS[0], {**CATALOGUE_TOOLS[1], "x-extra": "#"}]).replace(
+        '"#"', value_text)
+
+
+def _nested(depth: int) -> str:
+    return _with_extra("[" * depth + "]" * depth)
+
+
+def test_a_tool_nested_near_the_recursion_limit_reads_as_whole_decode():
+    """Around the deepest extra field that a whole decode reads from here,
+    where decoding a tool object alone (one array level and a few frames
+    shallower) and decoding it inside the array part, the catalogue reads
+    as the whole decode does."""
+    lo, hi = 1, sys.getrecursionlimit()  # the whole decode reads depth lo, not hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            whole_decode_catalogue(_nested(mid))
+            lo = mid
+        except CatalogueError:
+            hi = mid
+    for depth in range(lo - 2, lo + 10):
+        # names and texts only: a tool this deep is past what dump_json
+        # (json_text) and repr can write
+        outcomes = []
+        for parse in (whole_decode_catalogue, parse_catalogue):
+            try:
+                read = parse(_nested(depth))
+            except CatalogueError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((read[0], read[2]) if isinstance(read, tuple)
+                                else (read.names(), read.texts))
+        assert outcomes[0] == outcomes[1], depth
+
+
+def test_a_tool_past_the_bracket_bound_is_read_after_a_whole_decode():
+    """A valid tool holding more brackets than the reader's bound (half the
+    recursion limit) stops the read; the whole decode passes, and the
+    catalogue is read again without the bound."""
+    text = _with_extra("[" + ",".join(["[]"] * sys.getrecursionlimit()) + "]")
+    assert_reads_as_whole_decode(text)
+    assert parse_catalogue(text).get(CATALOGUE_TOOLS[1]["name"]).extra == {
+        "x-extra": [[]] * sys.getrecursionlimit()}
+
+
+def test_parse_catalogue_keeps_less_than_its_text():
+    """A 5,000-tool parse of a str keeps, and at its peak holds, fewer bytes
+    than the text has characters: offsets, names and embedding texts, with
+    no container per tool."""
+    text = json.dumps(_wide_catalogue(5000))
+    tracemalloc.start()
+    try:
+        cat = parse_catalogue(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cat) == 5000 and cat.text is text
+    assert kept <= peak <= len(text), (kept, peak, len(text))

@@ -457,6 +457,11 @@ def test_tool_index_rows_are_bitwise_embeds_of_built_tools(entries):
                                  for name in cat.names()]
 
 
+def test_tool_index_embeds_the_catalogue_texts(cat):
+    """A ``ToolIndex`` keeps the catalogue's own ``texts`` list, not a copy."""
+    assert ToolIndex(cat, HashEmbedder(16)).texts is cat.texts
+
+
 @pytest.mark.parametrize("past", [0, 3, 64, 100], ids=lambda row: f"row{row}")
 def test_index_with_a_count_past_the_bound_keeps_float64_rows(monkeypatch, past):
     """A hash row with a count at the bound cannot be restored from float32:
