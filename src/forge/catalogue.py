@@ -38,6 +38,15 @@ decoded whole (``parse_json``) and checked as one list, so every
 ``CatalogueError`` message, and which of two faults wins, is that of a whole
 decode. The parse holds one tool's containers at a time and keeps none, so
 it starts no collection of Python's cyclic GC and needs no pause.
+
+``MAX_DEPTH`` bounds how deep any JSON value from outside forge may nest,
+and ``parse_json`` owns the bound: deeper is a ValueError with one message,
+whatever the interpreter's recursion limit. A checked tool object nests
+only under its extra keys, so ``_check_tool`` walks only a tool that has
+one, and the bound, far below any interpreter's limit, makes the reader
+and a whole decode accept the same texts. Every value forge writes was read
+through ``parse_json`` or built by forge, so ``_dump``, which recurses two
+frames per level, never nears the limit.
 """
 
 from __future__ import annotations
@@ -94,20 +103,71 @@ def _encode_surrogates(value, text: str, start: int = 0, end: int = sys.maxsize)
         json.dumps(value, ensure_ascii=False).encode("utf-8")
 
 
-def parse_json(text: str | bytes):
-    """``json.loads``, whose only failure is a ValueError: JSON nested past
-    the recursion limit raises one with RecursionError's message. Bytes (as
-    every input file and remote reply arrives) must be UTF-8, a leading BOM
-    skipped. A value holding a lone surrogate (the escape ``"\\ud83d"``) is
-    refused: UTF-8 cannot encode it, so a fingerprint or prompt would fail."""
+# how many arrays and objects deep a JSON value from outside forge may nest
+MAX_DEPTH = 64
+
+
+def _too_deep(limit: int) -> str:
+    """The one message for JSON nested more than ``limit`` levels deep."""
+    return f"JSON nested deeper than {limit} levels"
+
+
+def _nested_past(value, limit: int) -> bool:
+    """Whether a JSON-decoded ``value`` nests more than ``limit`` arrays and
+    objects deep (a scalar is 0 deep, ``[]`` 1); walked one level at a time,
+    without recursion, listing only the containers of each level."""
+    level = [value] if type(value) is dict or type(value) is list else []
+    for _ in range(limit):
+        if not level:
+            return False
+        level = [c for v in level for c in (v.values() if type(v) is dict else v)
+                 if type(c) is dict or type(c) is list]
+    return bool(level)
+
+
+# a JSON string (or the rest of a text cut inside one), or a bracket
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]', re.DOTALL)
+
+
+def _opens_past(text: str, end: int, limit: int) -> bool:
+    """Whether ``text[:end]`` opens more than ``limit`` arrays and objects
+    that it has not closed, at any point."""
+    depth = 0
+    for token in _STRING_OR_BRACKET.finditer(text, 0, end):
+        bracket = token[0]
+        if bracket == "[" or bracket == "{":
+            depth += 1
+            if depth > limit:
+                return True
+        elif bracket == "]" or bracket == "}":
+            depth -= 1
+    return False
+
+
+def parse_json(text: str | bytes, max_depth: int = MAX_DEPTH):
+    """``json.loads``, whose only failure is a ValueError. Bytes (as every
+    input file and remote reply arrives) must be UTF-8, a leading BOM
+    skipped. A value nested more than ``max_depth`` deep is refused with one
+    message, as is a malformed text that nests that deep before its fault
+    and a text past the interpreter's own limit, so the rule is the same on
+    every interpreter. A value holding a lone surrogate (the escape
+    ``"\\ud83d"``) is refused: UTF-8 cannot encode it, so a fingerprint or
+    prompt would fail."""
     if isinstance(text, bytes):
         # what json.loads does with UTF-8, but strict: it passes encoded surrogates
         text = text.decode("utf-8-sig")
     try:
         value = json.loads(text)
+    except RecursionError:
+        raise ValueError(_too_deep(max_depth)) from None
+    except json.JSONDecodeError as exc:
+        if _opens_past(text, exc.pos, max_depth):
+            raise ValueError(_too_deep(max_depth)) from None
+        raise
+    if _nested_past(value, max_depth):
+        raise ValueError(_too_deep(max_depth))
+    try:
         _encode_surrogates(value, text)
-    except RecursionError as exc:
-        raise ValueError(str(exc)) from exc
     except UnicodeEncodeError as exc:
         raise ValueError(f"JSON text holds a lone surrogate {exc.object[exc.start]!r}, "
                          "which UTF-8 cannot encode") from None
@@ -293,8 +353,10 @@ class Catalogue:
 
 def _check_tool(raw: object) -> str:
     """The name of one on-disk tool object, once it and each of its
-    parameters pass every schema check; else a CatalogueError naming the
-    first fault."""
+    parameters pass every schema check and it fits under ``MAX_DEPTH``
+    inside the catalogue array; else a CatalogueError naming the first
+    fault. A tool without an extra key is 3 levels deep, so only a tool
+    with one is walked."""
     if not isinstance(raw, dict):
         raise CatalogueError("tool entry must be a JSON object")
     for key in _TOOL_KEYS:
@@ -308,9 +370,12 @@ def _check_tool(raw: object) -> str:
     params = raw["parameters"]
     if not isinstance(params, dict):
         raise CatalogueError(f"tool {name!r}: parameters must be an object")
+    extra = len(raw) > 3
     for pname, param in params.items():
         if not isinstance(param, dict):
             raise CatalogueError(f"tool {name!r}: parameter {pname!r} must be an object")
+        if len(param) > 3:
+            extra = True
         for key in _PARAM_KEYS:
             if key not in param:
                 raise CatalogueError(f"tool {name!r}: parameter {pname!r} missing key {key!r}")
@@ -322,6 +387,8 @@ def _check_tool(raw: object) -> str:
             raise CatalogueError(f"tool {name!r}: parameter {pname!r} description must be non-empty")
         if not isinstance(param["required"], bool):
             raise CatalogueError(f"tool {name!r}: parameter {pname!r} required must be boolean")
+    if extra and _nested_past(raw, MAX_DEPTH - 1):
+        raise CatalogueError(f"malformed catalogue JSON: {_too_deep(MAX_DEPTH)}")
     return name
 
 
@@ -379,7 +446,7 @@ def parse_catalogue(text: str | bytes) -> Catalogue:
     The text is read one tool object at a time (``_read_tools``); at the
     read's first fault it is decoded whole and checked as one list, which
     raises the CatalogueError that a whole decode finds first."""
-    cat = _read_tools(text, sys.getrecursionlimit() // 2)
+    cat = _read_tools(text)
     if cat is not None:
         return cat
     try:
@@ -396,22 +463,18 @@ def parse_catalogue(text: str | bytes) -> Catalogue:
         if name in names:
             raise CatalogueError(f"duplicate tool name: {name!r}")
         names.add(name)
-    # the whole text decodes and passes: only the depth bound stopped the read
-    return _read_tools(text, sys.maxsize)
+    raise AssertionError("the reader refused a catalogue that a whole decode accepts")
 
 
-def _read_tools(text: str | bytes, max_depth: int) -> Catalogue | None:
+def _read_tools(text: str | bytes) -> Catalogue | None:
     """The catalogue of a JSON array of valid tool objects, read one object
     at a time; None at any fault.
 
     Each object is decoded from its offset (``_scan``), checked and dropped.
     The read accepts exactly the texts that ``parse_json`` decodes to such
-    an array, save one case: it decodes each object one array level and a
-    few frames shallower than ``json.loads``, so near the recursion limit it
-    could accept an object that the whole decode refuses. An object that
-    could nest ``max_depth`` deep (its text is 2 * ``max_depth`` characters
-    or longer and holds ``max_depth`` brackets or more) is therefore a
-    fault here too.
+    an array: ``_check_tool`` holds each tool to the depth bound, far below
+    the interpreter's limit, so a tool object decodes alone exactly when
+    it decodes inside the whole array.
     """
     try:
         if isinstance(text, bytes):
@@ -423,11 +486,8 @@ def _read_tools(text: str | bytes, max_depth: int) -> Catalogue | None:
         while True:
             start = step.end()
             value, end = _scan(text, start)  # a StopIteration where no value starts
-            if end - start >= 2 * max_depth and (
-                    text.count("[", start, end) + text.count("{", start, end) >= max_depth):
-                return None
+            name = _check_tool(value)  # the depth bound too
             _encode_surrogates(value, text, start, end)
-            name = _check_tool(value)
             if name in index:
                 return None
             index[name] = len(starts)

@@ -25,7 +25,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .catalogue import Catalogue, dump_json, fault, parse_json, typed
+from .catalogue import MAX_DEPTH, Catalogue, dump_json, fault, parse_json, typed
 from .gateway import (BackendConfig, ChatMessage, CompletionRequest, GatewayError, complete,
                       fan_out)
 from .prompts import get_prompt, render
@@ -258,13 +258,20 @@ def serialize_assistant_turn(turn: AssistantTurn) -> str:
     return f"<think>{turn.thought}</think> {turn.public_text()}"
 
 
+# a rejected line holds a call's args four levels deeper than the reply that
+# carried them ("dialogue", "messages", message, "tool_calls", call; a corpus
+# line three), so a reply may nest only as deep as every line reads back
+CALL_REPLY_DEPTH = MAX_DEPTH - 4
+
+
 def parse_assistant_output(raw: str) -> AssistantTurn:
     """Split raw assistant output into thought and payload.
 
     The payload is a tool-call list when it starts with '[', otherwise
     natural-language content. Raises AssistantFormatError on a missing
     think block, an empty payload, or a bracket-led payload that fails to
-    parse as a list of {"name", "args"} objects.
+    parse as a list of {"name", "args"} objects or nests deeper than
+    ``CALL_REPLY_DEPTH``.
     """
     if not raw:
         raise AssistantFormatError("empty assistant output")
@@ -280,7 +287,7 @@ def parse_assistant_output(raw: str) -> AssistantTurn:
         raise AssistantFormatError("assistant payload is empty")
     if remainder.startswith("["):
         try:
-            entries = parse_json(remainder)
+            entries = parse_json(remainder, CALL_REPLY_DEPTH)
         except ValueError as exc:
             raise AssistantFormatError(f"unparseable tool-call JSON: {exc}") from exc
         if not isinstance(entries, list) or not entries:

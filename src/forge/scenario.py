@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalogue import TAG_TYPES, Tool, dump_json, parse_json, required_args, typed
+from .catalogue import MAX_DEPTH, TAG_TYPES, Tool, dump_json, parse_json, required_args, typed
 from .gateway import BackendConfig, CompletionRequest, complete, prompt_request
 from .prompts import get_prompt, render
 from .retrieval import (
@@ -184,19 +184,23 @@ def _value_matches(type_tag: str, value: object) -> bool:
             and isinstance(value, bool) == (type_tag == "boolean"))
 
 
+# a scenario line holds the gold args one level deeper than the slots reply
+SLOTS_REPLY_DEPTH = MAX_DEPTH - 1
+
+
 def _extract_json_object(text: str) -> dict | None:
     cleaned = text.strip()
     if cleaned.startswith("```"):
         cleaned = re.sub(r"^```[a-zA-Z]*\n?", "", cleaned)
         cleaned = re.sub(r"\n?```$", "", cleaned).strip()
     try:
-        obj = parse_json(cleaned)
+        obj = parse_json(cleaned, SLOTS_REPLY_DEPTH)
     except ValueError:
         match = re.search(r"\{.*\}", cleaned, re.DOTALL)
         if not match:
             return None
         try:
-            obj = parse_json(match.group(0))
+            obj = parse_json(match.group(0), SLOTS_REPLY_DEPTH)
         except ValueError:
             return None
     return obj if isinstance(obj, dict) else None

@@ -362,9 +362,12 @@ _SLOT_SAMPLES = {"string": "sample-value", "integer": 42, "number": 2.5,
 
 
 def script_minimal_dialogue(transcript: Transcript, tools: ToolIndex, personas: VectorIndex,
-                            tool_name: str, root_seed: int = ROOT_SEED) -> DialogueTrace:
+                            tool_name: str, root_seed: int = ROOT_SEED,
+                            gold_args: dict | None = None) -> DialogueTrace:
     """Register a one-pair scripted dialogue for a seed tool: vague opening,
-    immediate commitment, immediate call. Returns the expected trace."""
+    immediate commitment, immediate call. The gold args (by default a
+    sample value of each required parameter's type) are the slots reply and
+    the call's args. Returns the expected trace."""
     from forge.catalogue import required_args
 
     catalogue = tools.cat
@@ -375,7 +378,8 @@ def script_minimal_dialogue(transcript: Transcript, tools: ToolIndex, personas: 
     persona = sample_persona(personas, tools.rows([catalogue.index[tool_name]])[0], 10,
                              split_seed(rng_seed, "persona"))
     transcript.register(goal_request(tool, persona, rng_seed, 0), GENERIC_GOAL, "m-goal")
-    gold_args = {p: _SLOT_SAMPLES[tool.params[p].type_tag] for p in required_args(tool)}
+    if gold_args is None:
+        gold_args = {p: _SLOT_SAMPLES[tool.params[p].type_tag] for p in required_args(tool)}
     if gold_args:
         transcript.register(slots_request(tool, persona, rng_seed, 0),
                             json.dumps(gold_args), "m-goal")
@@ -533,31 +537,35 @@ def build_replay_world(tmp_path: Path | None = None) -> SimpleNamespace:
     )
 
     if tmp_path is not None:
-        tmp_path.mkdir(parents=True, exist_ok=True)
-        (tmp_path / "catalogue.json").write_text(
-            json.dumps(CATALOGUE_TOOLS), encoding="utf-8")
-        (tmp_path / "personas.json").write_text(
-            json.dumps([TEST_PERSONA]), encoding="utf-8")
-        transcript.save(tmp_path / "transcripts.json")
-        config = {
-            "catalogue": "catalogue.json",
-            "personas": "personas.json",
-            "rng_seed": ROOT_SEED,
-            "k": 5,
-            "out_dir": "out",
-            "backends": {
-                role: {"kind": "scripted", "model_id": f"m-{short}",
-                       "transcript": "transcripts.json"}
-                for role, short in (
-                    ("goal", "goal"), ("user_proxy", "user"), ("assistant", "asst"),
-                    ("relevancy", "rel"), ("critique", "crit"),
-                )
-            },
-        }
-        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        world.config_path = tmp_path / "config.json"
+        world.config_path = write_pipeline_files(tmp_path, CATALOGUE_TOOLS, transcript)
         world.tmp_path = tmp_path
     return world
+
+
+def write_pipeline_files(tmp_path: Path, tools: list[dict], transcript: Transcript) -> Path:
+    """Write ``tools`` as the catalogue, the test persona, ``transcript``
+    and a pipeline config whose every backend replays it; the config's path."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    (tmp_path / "catalogue.json").write_text(json.dumps(tools), encoding="utf-8")
+    (tmp_path / "personas.json").write_text(json.dumps([TEST_PERSONA]), encoding="utf-8")
+    transcript.save(tmp_path / "transcripts.json")
+    config = {
+        "catalogue": "catalogue.json",
+        "personas": "personas.json",
+        "rng_seed": ROOT_SEED,
+        "k": 5,
+        "out_dir": "out",
+        "backends": {
+            role: {"kind": "scripted", "model_id": f"m-{short}",
+                   "transcript": "transcripts.json"}
+            for role, short in (
+                ("goal", "goal"), ("user_proxy", "user"), ("assistant", "asst"),
+                ("relevancy", "rel"), ("critique", "crit"),
+            )
+        },
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return tmp_path / "config.json"
 
 
 @pytest.fixture

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from forge import catalogue
-from forge.catalogue import (TYPE_TAGS, CatalogueError, dump_json, load_catalogue, parse_json,
-                             parse_catalogue, required_args)
+from forge.catalogue import (MAX_DEPTH, TYPE_TAGS, CatalogueError, dump_json, load_catalogue,
+                             parse_json, parse_catalogue, required_args)
 from forge.retrieval import HashEmbedder, ToolIndex, nearest_distractors
 
 from conftest import CATALOGUE_TOOLS, SEED_TOOL, json_encoder_garbage
@@ -119,8 +119,11 @@ def _with_param(**change):
     (_with_param(description=""), "tool 't': parameter 'p' description must be non-empty"),
     (_with_param(required="yes"), "tool 't': parameter 'p' required must be boolean"),
     ([_TOOL, _TOOL], "duplicate tool name: 't'"),
-    ("[" * 5000, "malformed catalogue JSON: maximum recursion depth exceeded while "
-                 "decoding a JSON array from a unicode string"),
+    ("[" * 5000, "malformed catalogue JSON: JSON nested deeper than 64 levels"),
+    ([{**_TOOL, "x-extra": json.loads("[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1))}],
+     "malformed catalogue JSON: JSON nested deeper than 64 levels"),
+    ("[" * (MAX_DEPTH + 1), "malformed catalogue JSON: JSON nested deeper than 64 levels"),
+    ("[" * MAX_DEPTH, "malformed catalogue JSON: Expecting value: line 1 column 65 (char 64)"),
     ("[" + "1" * 5000 + "]", "malformed catalogue JSON: Exceeds the limit (4300 digits) for "
                              "integer string conversion: value has 5000 digits; use "
                              "sys.set_int_max_str_digits() to increase the limit"),
@@ -128,9 +131,13 @@ def _with_param(**change):
         "empty-name", "description-not-string", "parameters-not-object", "param-not-object",
         "param-missing-type", "param-missing-description", "param-missing-required",
         "unknown-type", "list-type", "empty-param-description", "required-not-boolean",
-        "duplicate-name", "nested-past-recursion-limit", "integer-past-digit-limit"])
+        "duplicate-name", "nested-past-recursion-limit", "nested-past-max-depth",
+        "cut-short-past-max-depth", "cut-short-at-max-depth", "integer-past-digit-limit"])
 def test_catalogue_error_messages(entries, message):
-    """Each fault's message; a str row is the file text itself."""
+    """Each fault's message; a str row is the file text itself. A text cut
+    short after opening more than ``MAX_DEPTH`` levels reports the depth,
+    the first fault in reading order, as a 5,000-deep one does on every
+    interpreter."""
     with pytest.raises(CatalogueError) as exc:
         parse_catalogue(entries if isinstance(entries, str) else json.dumps(entries))
     assert str(exc.value) == message
@@ -274,6 +281,20 @@ def test_no_module_names_gc():
                     else node.name if isinstance(node, ast.alias)
                     else node.module if isinstance(node, ast.ImportFrom) else None)
             if name in ("gc", "no_gc"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+def test_no_module_names_getrecursionlimit():
+    """No module in ``src/forge`` reads the recursion limit: how deep a JSON
+    value may nest is ``MAX_DEPTH``, the same on every interpreter."""
+    found = []
+    for path in sorted(Path(catalogue.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "getrecursionlimit":
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
 
@@ -624,46 +645,49 @@ def _with_extra(value_text: str) -> str:
         '"#"', value_text)
 
 
-def _nested(depth: int) -> str:
-    return _with_extra("[" * depth + "]" * depth)
+def _nested(depth: int, under: str) -> str:
+    """A catalogue ``depth`` levels deep through an extra field of its
+    second tool (``under="tool"``, inside the array and the tool) or of that
+    tool's parameter (``"parameter"``, also inside ``parameters`` and it)."""
+    if under == "tool":
+        return _with_extra("[" * (depth - 2) + "]" * (depth - 2))
+    tool = CATALOGUE_TOOLS[1]
+    (pname, param), = tool["parameters"].items()
+    text = json.dumps([CATALOGUE_TOOLS[0], {**tool, "parameters": {pname: {**param, "x": "#"}}}])
+    return text.replace('"#"', "[" * (depth - 4) + "]" * (depth - 4))
 
 
-def test_a_tool_nested_near_the_recursion_limit_reads_as_whole_decode():
-    """Around the deepest extra field that a whole decode reads from here,
-    where decoding a tool object alone (one array level and a few frames
-    shallower) and decoding it inside the array part, the catalogue reads
-    as the whole decode does."""
-    lo, hi = 1, sys.getrecursionlimit()  # the whole decode reads depth lo, not hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            whole_decode_catalogue(_nested(mid))
-            lo = mid
-        except CatalogueError:
-            hi = mid
-    for depth in range(lo - 2, lo + 10):
-        # names and texts only: a tool this deep is past what dump_json
-        # (json_text) and repr can write
-        outcomes = []
-        for parse in (whole_decode_catalogue, parse_catalogue):
-            try:
-                read = parse(_nested(depth))
-            except CatalogueError as exc:
-                outcomes.append(str(exc))
-            else:
-                outcomes.append((read[0], read[2]) if isinstance(read, tuple)
-                                else (read.names(), read.texts))
-        assert outcomes[0] == outcomes[1], depth
-
-
-def test_a_tool_past_the_bracket_bound_is_read_after_a_whole_decode():
-    """A valid tool holding more brackets than the reader's bound (half the
-    recursion limit) stops the read; the whole decode passes, and the
-    catalogue is read again without the bound."""
-    text = _with_extra("[" + ",".join(["[]"] * sys.getrecursionlimit()) + "]")
+@pytest.mark.parametrize("under", ["tool", "parameter"])
+def test_a_catalogue_max_depth_deep_is_read_and_renders(under):
+    """A tool whose extra field, or whose parameter's, makes the catalogue
+    exactly ``MAX_DEPTH`` deep is read one tool at a time as a whole decode
+    reads it, and its ``json_text`` renders."""
+    text = _nested(MAX_DEPTH, under)
     assert_reads_as_whole_decode(text)
-    assert parse_catalogue(text).get(CATALOGUE_TOOLS[1]["name"]).extra == {
-        "x-extra": [[]] * sys.getrecursionlimit()}
+    tool = parse_catalogue(text).get(CATALOGUE_TOOLS[1]["name"])
+    assert json.loads(tool.json_text) == json.loads(text)[1]
+
+
+@pytest.mark.parametrize("under", ["tool", "parameter"])
+def test_a_catalogue_one_level_past_max_depth_is_refused_by_both_reads(under):
+    message = f"malformed catalogue JSON: JSON nested deeper than {MAX_DEPTH} levels"
+    for parse in (whole_decode_catalogue, parse_catalogue):
+        with pytest.raises(CatalogueError) as exc:
+            parse(_nested(MAX_DEPTH + 1, under))
+        assert str(exc.value) == message
+
+
+def test_a_wide_tool_is_read_in_one_pass(monkeypatch):
+    """A tool holding 1,000 sibling ``[]`` (its extra field 2 levels deep)
+    is read one tool at a time, never decoded whole."""
+    text = _with_extra("[" + ",".join(["[]"] * 1000) + "]")
+    assert_reads_as_whole_decode(text)
+
+    def whole_decode(text):
+        raise AssertionError("the catalogue was decoded whole")
+
+    monkeypatch.setattr(catalogue, "parse_json", whole_decode)
+    assert parse_catalogue(text).get(CATALOGUE_TOOLS[1]["name"]).extra == {"x-extra": [[]] * 1000}
 
 
 def test_parse_catalogue_keeps_less_than_its_text():

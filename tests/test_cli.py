@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from forge import cli, engine, gateway, harness, retrieval, scenario
+from forge.catalogue import MAX_DEPTH, parse_catalogue, parse_json
 from forge.cli import load_pipeline_config, main
 from forge.engine import (
     AssistantTurn,
@@ -39,14 +40,17 @@ from conftest import (
     RAW_U3,
     ROOT_SEED,
     SEED_TOOL,
+    TEST_PERSONA,
     build_replay_world,
     chat,
     chat_reply,
     chat_request,
     child_env,
     json_encoder_garbage,
+    script_minimal_dialogue,
     static_candidate,
     transcript_responder,
+    write_pipeline_files,
 )
 
 
@@ -958,13 +962,22 @@ def _run_with_assistant_reply(world, capsys, command: str, reply: str) -> tuple:
     return code, stdout, stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+def _call_reply(depth: int) -> str:
+    """A call of the seed tool whose reply nests ``depth`` levels deep."""
+    value = "[" * (depth - 3) + "]" * (depth - 3)
+    return f'<think>x</think> [{{"name": "{SEED_TOOL}", "args": {{"nodeId": {value}}}}}]'
+
+
 @pytest.mark.parametrize("command", ["generate", "bench"])
 def test_nested_assistant_reply_is_one_unparseable_reply(tmp_path, capsys, command):
-    """A tool-call reply nested past the recursion limit, or holding an
-    integer past Python's digit limit, costs what a bare ``[`` reply costs:
-    the generate dialogue, or the bench turn, which keeps the raw text."""
-    bare = "<think>x</think> ["
-    replies = {bare: "", RAW_NESTED_CALLS: "maximum recursion depth",
+    """A tool-call reply nested past the recursion limit, or one level past
+    what ``parse_assistant_output`` accepts (``CALL_REPLY_DEPTH``), or
+    holding an integer past Python's digit limit, costs what a bare ``[``
+    reply costs: the generate dialogue, or the bench turn, which keeps the
+    raw text."""
+    bare, deeper = "<think>x</think> [", _call_reply(engine.CALL_REPLY_DEPTH + 1)
+    replies = {bare: "", RAW_NESTED_CALLS: "JSON nested deeper than 60 levels",
+               deeper: "JSON nested deeper than 60 levels",
                RAW_LONG_INT_CALLS: "Exceeds the limit (4300 digits)"}
     runs = {reply: _run_with_assistant_reply(build_replay_world(tmp_path / str(i)), capsys,
                                              command, reply)
@@ -985,12 +998,64 @@ def test_nested_assistant_reply_is_one_unparseable_reply(tmp_path, capsys, comma
             assert json.dumps(bare).encode("utf-8") in files["traces.jsonl"]
             nested_files["traces.jsonl"] = nested_files["traces.jsonl"].replace(
                 json.dumps(reply).encode("utf-8"), json.dumps(bare).encode("utf-8"))
-            if reply == RAW_LONG_INT_CALLS:  # the lexical metrics read its digits as a word
+            if reply in (RAW_LONG_INT_CALLS, deeper):  # the lexical metrics read its words
                 got, want = ({k: v for k, v in json.loads(f["report.json"]).items()
                               if k not in ("ttr", "ngd")} for f in (nested_files, files))
                 assert got == want
                 nested_files["report.json"] = files["report.json"]
         assert nested_files == files
+
+
+def _deepest_call_run(tmp_path, verdict: str):
+    """(out dir, config path) of a ``generate`` whose one dialogue's call
+    reply nests ``CALL_REPLY_DEPTH`` levels, as deep as
+    ``parse_assistant_output`` accepts, and whose judges give ``verdict``."""
+    tools = [dict(t) for t in CATALOGUE_TOOLS]
+    tool = tools[1]["name"]  # its one required parameter, orderId, now takes an array
+    tools[1]["parameters"] = {"orderId": {**tools[1]["parameters"]["orderId"], "type": "array"}}
+    emb, transcript = retrieval.HashEmbedder(), Transcript()
+    cat = parse_catalogue(json.dumps(tools))
+    args = {"orderId": json.loads("[" * (engine.CALL_REPLY_DEPTH - 3)
+                                  + "]" * (engine.CALL_REPLY_DEPTH - 3))}
+    trace = script_minimal_dialogue(transcript, retrieval.ToolIndex(cat, emb),
+                                    retrieval.VectorIndex([TEST_PERSONA], emb), tool,
+                                    gold_args=args)
+    assert trace.messages[-1].tool_calls[0].args == args
+    for replies in transcript.replies.values():
+        if replies == ["PASS"]:
+            replies[0] = verdict
+    config = write_pipeline_files(tmp_path, tools, transcript)
+    assert run(["generate", "--config", config, "--seed-tools", tool]) == 0
+    return tmp_path / "out", config
+
+
+def _lines_read_back_at_depth(path, depth: int) -> None:
+    """Every line of ``path`` nests exactly ``depth`` levels and reads back."""
+    lines = path.read_bytes().splitlines()
+    assert lines
+    for line in lines:
+        parse_json(line)
+        with pytest.raises(ValueError, match=f"JSON nested deeper than {depth - 1} levels"):
+            parse_json(line, depth - 1)
+
+
+def test_the_deepest_call_reply_round_trips(tmp_path, capsys):
+    """The deepest call reply forge accepts fits every line that holds it:
+    an accepted corpus line, one level under ``MAX_DEPTH``, which validate,
+    export and score read, and a rejected line, exactly ``MAX_DEPTH`` deep."""
+    out, config = _deepest_call_run(tmp_path / "accepted", "PASS")
+    assert "accepted=1 rejected=0" in capsys.readouterr().out
+    _lines_read_back_at_depth(out / "corpus.jsonl", MAX_DEPTH - 1)
+    corpus, scenarios = out / "corpus.jsonl", out / "scenarios.jsonl"
+    assert run(["validate", corpus, "--config", config, "--scenarios", scenarios,
+                "--out", out / "reports.jsonl"]) == 0
+    assert '"accept"' in (out / "reports.jsonl").read_text(encoding="utf-8")
+    assert run(["export", corpus, "--config", config, "--scenarios", scenarios,
+                "--out-dir", out / "sft"]) == 0
+    assert run(["score", corpus, "--refs", scenarios, "--out", out / "report.json"]) == 0
+    out, _ = _deepest_call_run(tmp_path / "rejected", "FAIL off topic")
+    assert "accepted=0 rejected=1" in capsys.readouterr().out
+    _lines_read_back_at_depth(out / "rejected.jsonl", MAX_DEPTH)
 
 
 def test_bench_dynamic_failed_task_costs_one_task(world, capsys):
@@ -1354,6 +1419,15 @@ def test_bad_input_is_config_error(world, capsys, command, change, message):
 
 
 _LONG_INT_CATALOGUE = "[" + "1" * 5000 + "]"
+
+
+def _deep_catalogue(depth: int) -> str:
+    """The sample catalogue, ``depth`` levels deep through an extra field
+    of its first tool."""
+    return json.dumps([{**CATALOGUE_TOOLS[0], "x-extra": "#"}, *CATALOGUE_TOOLS[1:]]).replace(
+        '"#"', "[" * (depth - 2) + "]" * (depth - 2))
+
+
 # a description holding "\xff" (y with diaeresis), written as Latin-1
 _NOT_UTF8_CATALOGUE = json.dumps(CATALOGUE_TOOLS).replace(
     '"description": "', '"description": "\xff', 1).encode("latin-1")
@@ -1365,19 +1439,28 @@ _NOT_UTF8_CATALOGUE = json.dumps(CATALOGUE_TOOLS).replace(
     ("generate", "[" * 5000),
     ("bench", "[" * 5000),
     ("lint", "[" * 5000),
+    ("generate", _deep_catalogue(MAX_DEPTH + 1)),
+    ("bench", _deep_catalogue(MAX_DEPTH + 1)),
+    ("lint", _deep_catalogue(MAX_DEPTH + 1)),
+    ("generate", _deep_catalogue(600)),
+    ("lint", _deep_catalogue(600)),
     ("generate", _LONG_INT_CATALOGUE),
     ("bench", _LONG_INT_CATALOGUE),
     ("lint", _LONG_INT_CATALOGUE),
     ("generate", _NOT_UTF8_CATALOGUE),
     ("lint", _NOT_UTF8_CATALOGUE),
 ], ids=["generate", "bench", "generate-nested", "bench-nested", "lint-nested",
-        "generate-long-int", "bench-long-int", "lint-long-int", "generate-not-utf8",
+        "generate-past-max-depth", "bench-past-max-depth", "lint-past-max-depth",
+        "generate-tool-600-deep", "lint-tool-600-deep", "generate-long-int", "bench-long-int",
+        "lint-long-int", "generate-not-utf8",
         "lint-not-utf8"])
 def test_invalid_catalogue_is_exit_1(world, capsys, command, text):
-    """A catalogue that exists but fails its own checks, is nested past the
-    recursion limit, holds an integer past Python's digit limit or is not
-    UTF-8, is invalid input, not a config error, even when a config file
-    names it; no output file is written."""
+    """A catalogue that exists but fails its own checks, is nested deeper
+    than ``MAX_DEPTH`` (past the recursion limit, or with one tool 600 deep,
+    which loaded before the bound and could not be rendered), holds an
+    integer past Python's digit limit or is not UTF-8, is invalid input, not
+    a config error, even when a config file names it; no output file is
+    written."""
     path = world.tmp_path / "catalogue.json"
     argv = {"bench": lambda: ["bench", "run", _bench_config(world)],
             "generate": lambda: ["generate", "--config", world.config_path],
@@ -1392,8 +1475,8 @@ def test_invalid_catalogue_is_exit_1(world, capsys, command, text):
     if text == _NOT_UTF8_CATALOGUE:
         assert err.startswith("invalid input: malformed catalogue JSON: 'utf-8' codec "
                               "can't decode byte 0xff")
-    if text == "[" * 5000:
-        assert err.startswith("invalid input: malformed catalogue JSON: maximum recursion depth")
+    if isinstance(text, str) and "[" * (MAX_DEPTH - 1) in text:  # each nested case
+        assert err == "invalid input: malformed catalogue JSON: JSON nested deeper than 64 levels\n"
     if text == _LONG_INT_CATALOGUE:
         assert err.startswith("invalid input: malformed catalogue JSON: Exceeds the limit "
                               "(4300 digits)")
@@ -1480,11 +1563,12 @@ def _unreadable_input(world, case: str):
     if case == "config-not-object":
         config.write_text("[]", encoding="utf-8")
         return generate, config
-    if case in ("config-nested", "bench-config-nested"):
+    if case.endswith(("config-nested", "config-past-max-depth")):
         argv, path = generate, config
-        if case == "bench-config-nested":
+        if case.startswith("bench"):
             argv, path = ["bench", "run", _bench_config(world)], tmp / "bench.json"
-        path.write_text('{"a": ' * 5000 + "1" + "}" * 5000, encoding="utf-8")
+        depth = 5000 if case.endswith("nested") else MAX_DEPTH + 1
+        path.write_text('{"a": ' * depth + "1" + "}" * depth, encoding="utf-8")
         return argv, path
     if case in ("generate-outdir-file", "bench-outdir-file"):
         blocker = tmp / "blocker.txt"
@@ -1646,7 +1730,8 @@ DISTRACTOR_CASES = {"distractor-seed-number": "distractors seed must be a string
     "transcript-reply-number", "personas-not-array",
     "validate-corpus-missing", "export-corpus-missing", "stats-corpus-missing",
     "score-refs-missing", "bench-exclusions-missing", "bench-gold-missing",
-    "config-not-object", "config-nested", "bench-config-nested", "bench-exclusions-not-array",
+    "config-not-object", "config-nested", "bench-config-nested", "config-past-max-depth",
+    "bench-config-past-max-depth", "bench-exclusions-not-array",
     "bench-catalogue-missing",
     "bench-report-not-object", "bench-report-ngd-number", "bench-report-metric-text",
     "bench-report-metric-bool", "bench-report-ngd-value-text",
@@ -1671,9 +1756,10 @@ def test_unreadable_input_is_config_error(world, capsys, case):
     if case == "score-renamed-scenario-id":
         assert (f"scenario scenario_id must be {world.scenario.scenario_id!r}, "
                 "got 'custom-0'") in err
-    if case in ("config-nested", "bench-config-nested"):
-        what = "bench config" if case == "bench-config-nested" else "config"
-        assert err.startswith(f"config error: cannot load {what} {path}: maximum recursion")
+    if case.endswith(("config-nested", "config-past-max-depth")):
+        what = "bench config" if case.startswith("bench") else "config"
+        assert err == (f"config error: cannot load {what} {path}: "
+                       "JSON nested deeper than 64 levels\n")
     if case == "critique-transcript-missing":
         assert not (world.tmp_path / "out").exists()
     if case in DISTRACTOR_CASES:

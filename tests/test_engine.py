@@ -77,8 +77,8 @@ def test_parse_unparseable_call_json():
 def test_parse_nested_call_json_is_unparseable():
     """JSON nested past the recursion limit, or holding an integer past
     Python's digit limit, is one unparseable reply."""
-    with pytest.raises(AssistantFormatError, match="unparseable tool-call JSON: maximum "
-                                                   "recursion depth exceeded"):
+    with pytest.raises(AssistantFormatError, match="unparseable tool-call JSON: JSON nested "
+                                                   "deeper than 60 levels"):
         parse_assistant_output(RAW_NESTED_CALLS)
     with pytest.raises(AssistantFormatError, match=r"unparseable tool-call JSON: Exceeds "
                                                    r"the limit \(4300 digits\)"):

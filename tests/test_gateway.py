@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from forge import gateway
-from forge.catalogue import dump_json
+from forge.catalogue import MAX_DEPTH, dump_json
 from forge.engine import AssistantTurn, ToolCall, UserTurn, assistant_request, user_request
 from forge.gateway import (
     MAX_IN_FLIGHT,
@@ -367,13 +367,16 @@ def test_remote_reply_without_text_is_gateway_error(stub, text):
 
 
 @pytest.mark.parametrize("body, message", [
-    (b'{"choices": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth"),
+    (b'{"choices": ' + b"[" * 5000 + b"]" * 5000 + b"}", "JSON nested deeper than 64 levels"),
+    (b'{"choices": ' + b"[" * MAX_DEPTH + b"]" * MAX_DEPTH + b"}",
+     "JSON nested deeper than 64 levels"),
     (b'{"choices": [{"message": {"content": "caf\xe9"}}]}', "'utf-8' codec can't decode"),
     (b'{"choices": [{"message": {"content": "caf\\ud83d"}}]}',
      "JSON text holds a lone surrogate '\\\\ud83d', which UTF-8 cannot encode"),
     (b'{"choices": [{"message": {"content": "caf\xed\xa0\xbd"}}]}',
      "'utf-8' codec can't decode byte 0xed"),
-], ids=["nested-past-recursion-limit", "not-utf-8", "lone-surrogate", "encoded-surrogate"])
+], ids=["nested-past-recursion-limit", "nested-past-max-depth", "not-utf-8", "lone-surrogate",
+        "encoded-surrogate"])
 def test_remote_malformed_chat_reply_is_gateway_error(loopback, body, message):
     """A chat reply body that is not UTF-8 JSON, or whose content UTF-8
     cannot encode (a fingerprint could not hash it), is a GatewayError after

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from forge import retrieval
-from forge.catalogue import parse_catalogue
+from forge.catalogue import MAX_DEPTH, parse_catalogue
 from forge.gateway import ChatMessage, CompletionRequest, GatewayError, complete
 from forge.retrieval import (
     DistractorSet,
@@ -519,10 +519,12 @@ def test_remote_embed_rejects_wrong_dimension(embedding_server):
     ({"object": "list"}, "missing key 'data'"),
     ([{"embedding": [1.0] * 16}], "list indices"),
     ({"data": [{"embedding": [float("nan")] * 16}]}, "finite values"),
-    (b'{"data": ' + b"[" * 5000 + b"]" * 5000 + b"}", "maximum recursion depth"),
+    (b'{"data": ' + b"[" * 5000 + b"]" * 5000 + b"}", "JSON nested deeper than 64 levels"),
+    (b'{"data": ' + b"[" * MAX_DEPTH + b"]" * MAX_DEPTH + b"}",
+     "JSON nested deeper than 64 levels"),
     ({"data": [{"embedding": [1, 10**400]}]}, "int too large to convert to float"),
 ], ids=["no-data", "top-level-array", "nan", "nested-past-recursion-limit",
-        "int-past-float-range"])
+        "nested-past-max-depth", "int-past-float-range"])
 def test_remote_embed_malformed_reply_is_gateway_error(loopback, payload, message):
     """A reply the embedder cannot read is a GatewayError, the failure that
     costs one dialogue, and is not retried."""

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from forge.catalogue import MAX_DEPTH, ParamSpec, Tool
 from forge.gateway import Transcript
 from forge.retrieval import VectorIndex, tool_text
 from forge.scenario import (
     GoalLeakError,
+    SLOTS_REPLY_DEPTH,
     PersonaStore,
     Scenario,
     SlotTypeError,
@@ -189,6 +191,22 @@ def test_sample_gold_args_nested_reply_costs_one_attempt(cat):
         2: '{"orderId": "ORD-12"}',
     })
     assert sample_gold_args(gw, tool, "p", 5) == {"orderId": "ORD-12"}
+
+
+def test_a_slots_reply_may_nest_slots_reply_depth_levels():
+    """A slots reply nests at most ``SLOTS_REPLY_DEPTH`` levels, one fewer
+    than ``MAX_DEPTH``: a scenario line holds the gold args one level deeper.
+    One level more is one unreadable attempt."""
+    assert SLOTS_REPLY_DEPTH == MAX_DEPTH - 1
+    tool = Tool("t", "d", {"ids": ParamSpec("array", "the ids", True, {})})
+
+    def reply(depth):
+        return '{"ids": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+    deepest = json.loads(reply(SLOTS_REPLY_DEPTH))
+    gw = slots_backend(tool, "p", 5, {0: reply(SLOTS_REPLY_DEPTH + 1),
+                                      1: reply(SLOTS_REPLY_DEPTH)})
+    assert sample_gold_args(gw, tool, "p", 5) == deepest
 
 
 def test_sample_gold_args_requires_exact_key_set(cat):
