@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
@@ -55,9 +55,9 @@ class PipelineConfig:
     embedder: Embedder
     backends: dict[str, BackendConfig]
     judges: dict[str, BackendConfig] | None  # both validator judges, or None: functional only
-    k: int = 5
-    persona_k: int = 10
-    concurrency: int = 1
+    k: int
+    persona_k: int
+    concurrency: int
 
 
 @dataclass
@@ -70,7 +70,7 @@ class BenchConfig:
     engine: EngineConfig
     out_dir: Path
     exclusions: set[str] | None
-    concurrency: int = 1
+    concurrency: int
 
 
 def _load(what: str, path: str | Path, load):
@@ -82,13 +82,6 @@ def _load(what: str, path: str | Path, load):
         return load(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load {what} {path}: {fault(exc)}") from exc
-
-
-def _json_object(path: str | Path) -> dict:
-    raw = parse_json(Path(path).read_bytes())
-    if not isinstance(raw, dict):
-        raise ValueError("expected a JSON object")
-    return raw
 
 
 def _json_strings(path: str | Path) -> list[str]:
@@ -121,31 +114,56 @@ def load_traces(path: str | Path) -> list[DialogueTrace]:
     return _load("trace file", path, lambda p: _jsonl(p, DialogueTrace.from_dict))
 
 
-def _integers(raw: dict, floors: dict[str, int | None]) -> dict[str, int]:
-    """The keys of ``floors`` that ``raw`` sets. Each must be a JSON integer
-    no smaller than its floor; a floor of None leaves the range check to the
-    class that takes the value. ``concurrency`` is also capped at
-    ``MAX_CONCURRENCY``."""
-    found = {key: typed(key, raw[key], int, "an integer") for key in floors if key in raw}
-    for key, value in found.items():
-        if floors[key] is not None and value < floors[key]:
-            raise ValueError(f"{key} must be >= {floors[key]}")
-        if key == "concurrency" and value > MAX_CONCURRENCY:
-            raise ValueError(f"concurrency must be <= {MAX_CONCURRENCY}")
+# Each config object's one key table, read by ``_checked``. ``kind`` is the
+# JSON type (``typed``'s kind and noun), None where the class or checker taking
+# the value types it; a PATH or FILE (which must exist) resolves against the
+# config's directory. ``default`` is REQUIRED, a value (None: null means unset)
+# or UNSET: left out, for its class to default or its mode to require.
+REQUIRED, UNSET = object(), object()
+Key = namedtuple("Key", "kind default floor ceiling", defaults=(UNSET, None, None))
+INT, STR, OBJECT = (int, "an integer"), (str, "a string"), (dict, "a JSON object")
+PATH, FILE = (str, "a path string"), (str, "a path string naming an existing file")
+_RUN_KEYS = {"catalogue": Key(FILE, REQUIRED), "rng_seed": Key(INT, REQUIRED),
+             "t_max": Key(INT, EngineConfig.t_max), "concurrency": Key(INT, 1, 1, MAX_CONCURRENCY)}
+PIPELINE_KEYS = {**_RUN_KEYS, "personas": Key(PATH, None), "k": Key(INT, 5, 1),
+                 "persona_k": Key(INT, 10, 1), "out_dir": Key(PATH, "out"),
+                 "regen_attempts": Key(INT, EngineConfig.regen_attempts),
+                 "embedder": Key(None, {}), "backends": Key(OBJECT, {})}
+BENCH_KEYS = {**_RUN_KEYS, "mode": Key(STR, REQUIRED), "scenarios": Key(PATH, REQUIRED),
+              "gold_corpus": Key(PATH), "out_dir": Key(PATH, REQUIRED),
+              "exclusions": Key(PATH, None), "assistant": Key(None, REQUIRED),
+              "user_proxy": Key(None), "voter": Key(None), "judge": Key(None, None),
+              "n_samples": Key(INT, VotingConfig.n_samples),
+              "m_voters": Key(INT, VotingConfig.m_voters)}
+BACKEND_KEYS = {"kind": Key(None, REQUIRED), "transcript": Key(PATH), **dict.fromkeys(
+    ("model_id", "endpoint", "api_key_env", "retry_limit", "timeout"), Key(None))}
+EMBEDDER_KEYS = {"kind": Key(STR, "hash"), "dimension": Key(INT), "endpoint": Key(None),
+                 "model_id": Key(None, BackendConfig.model_id),
+                 "api_key_env": Key(None, BackendConfig.api_key_env)}
+
+
+def _checked(name: str, raw, keys: dict[str, Key], base: Path = Path()) -> dict:
+    """``raw``, the JSON object ``name``, checked and defaulted by its key table;
+    a key outside it is a ValueError naming it, an unset REQUIRED one a KeyError."""
+    if unknown := [key for key in typed(name, raw, dict, "a JSON object") if key not in keys]:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    found = {}
+    for key, (kind, default, floor, ceiling) in keys.items():
+        value = raw.get(key, default)
+        if value is REQUIRED:
+            raise KeyError(key)
+        if kind and value is not UNSET and not (value is None and default is None):
+            typed(key, value, kind[0], kind[1] + (" or null" if default is None else ""))
+            if floor is not None and value < floor:
+                raise ValueError(f"{key} must be >= {floor}")
+            if ceiling is not None and value > ceiling:
+                raise ValueError(f"{key} must be <= {ceiling}")
+            value = base / value if kind in (PATH, FILE) else value
+            if kind is FILE and not value.exists():
+                raise ValueError(f"{key} file does not exist: {value}")
+        if value is not UNSET:
+            found[key] = value
     return found
-
-
-def _path(base: Path, key: str, value) -> Path:
-    """A config path, relative to ``base``, the config file's directory
-    (pathlib keeps an absolute ``value`` as it is)."""
-    return base / typed(key, value, str, "a path string")
-
-
-def _catalogue(base: Path, raw: dict) -> Path:
-    path = _path(base, "catalogue", raw["catalogue"])
-    if not path.exists():
-        raise ValueError(f"catalogue file does not exist: {path}")
-    return path
 
 
 def _backends(specs: dict, base: Path) -> dict[str, BackendConfig]:
@@ -156,52 +174,41 @@ def _backends(specs: dict, base: Path) -> dict[str, BackendConfig]:
     backends = {}
     for role, spec in specs.items():
         try:
-            typed("backend", spec, dict, "a JSON object")
-            path = spec.get("transcript") and _path(base, "transcript", spec["transcript"])
-            if path and spec.get("kind") == "scripted" and path not in transcripts:
+            spec = _checked(role, spec, BACKEND_KEYS, base)
+            path = spec.pop("transcript", None)
+            if path and spec["kind"] == "scripted" and path not in transcripts:
                 transcripts[path] = _load("transcript", path, Transcript.load)
-            backends[role] = BackendConfig.from_dict(spec, transcripts.get(path))
+            backends[role] = BackendConfig(**spec, transcript=transcripts.get(path))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad backend config for role {role!r}: {fault(exc)}") from exc
     return backends
 
 
-def _embedder(spec) -> Embedder:
+def _embedder(raw) -> Embedder:
     """The embedder an ``embedder`` spec describes: ``hash`` (the default) or ``remote``."""
-    kind = typed("embedder", spec, dict, "a JSON object").get("kind", "hash")
-    dimension = _integers(spec, {"dimension": None})
-    if kind == "hash":
-        return HashEmbedder(**dimension)
-    if kind != "remote":
-        raise ValueError(f"unknown embedder kind: {kind!r}")
-    return RemoteEmbedder(spec["endpoint"], spec.get("model_id", ""), spec["dimension"],
-                          spec.get("api_key_env"))
+    spec = _checked("embedder", raw, EMBEDDER_KEYS)
+    if spec["kind"] == "hash":
+        return HashEmbedder(spec["dimension"]) if "dimension" in spec else HashEmbedder()
+    if spec["kind"] != "remote":
+        raise ValueError(f"unknown embedder kind: {spec['kind']!r}")
+    return RemoteEmbedder(spec["endpoint"], spec["model_id"], spec["dimension"],
+                          spec["api_key_env"])
 
 
 def _pipeline_config(path: str | Path, roles: tuple[str, ...]) -> PipelineConfig:
-    raw = _json_object(path)
     base = Path(path).parent
-    backends = _backends(typed("backends", raw.get("backends", {}), dict, "a JSON object"),
-                         base)
+    cfg = _checked("config", parse_json(Path(path).read_bytes()), PIPELINE_KEYS, base)
+    backends = cfg["backends"] = _backends(cfg["backends"], base)
     judges = {name: backends[name] for name in JUDGES if name in backends}
     for role in (*roles, *JUDGES) if judges else roles:  # both judges or neither
         if role not in backends:
             raise ValueError(f"no backend configured for role {role!r}")
-    return PipelineConfig(
-        catalogue=_catalogue(base, raw),
-        rng_seed=typed("rng_seed", raw["rng_seed"], int, "an integer"),
-        personas=_path(base, "personas", raw["personas"]) if raw.get("personas") else None,
-        engine=EngineConfig(**_integers(raw, {"t_max": None, "regen_attempts": None})),
-        out_dir=_path(base, "out_dir", raw.get("out_dir", "out")),
-        embedder=_embedder(raw.get("embedder", {})),
-        backends=backends, judges=judges or None,
-        **_integers(raw, {"k": 1, "persona_k": 1, "concurrency": 1}),
-    )
+    cfg["engine"] = EngineConfig(t_max=cfg.pop("t_max"), regen_attempts=cfg.pop("regen_attempts"))
+    return PipelineConfig(**cfg | {"embedder": _embedder(cfg["embedder"])}, judges=judges or None)
 
 
 def load_pipeline_config(path: str | Path, *roles: str) -> PipelineConfig:
-    """The pipeline config at ``path``, which must configure a backend for
-    each of ``roles``."""
+    """The pipeline config at ``path``, with a backend for each of ``roles``."""
     return _load("config", path, lambda p: _pipeline_config(p, roles))
 
 
@@ -209,20 +216,19 @@ def _bench_config(path: str | Path) -> BenchConfig:
     """The bench run a config describes, its scenario, gold and exclusions
     files loaded. The catalogue is only checked to exist: the command loads
     it outside ``_load``, so an invalid catalogue still exits 1."""
-    raw = _json_object(path)
-    base, mode = Path(path).parent, raw["mode"]
+    base = Path(path).parent
+    cfg = _checked("bench config", parse_json(Path(path).read_bytes()), BENCH_KEYS, base)
+    mode, scenarios_path = cfg["mode"], cfg["scenarios"]
     if mode not in ("static", "dynamic"):
         raise ValueError(f"unknown bench mode: {mode!r}")
-    rng_seed = typed("rng_seed", raw["rng_seed"], int, "an integer")
     roles = ("assistant",) if mode == "static" else ("assistant", "user_proxy", "voter")
-    optional = ("judge",) if raw.get("judge") else ()
-    backends = _backends({role: raw[role] for role in (*roles, *optional)}, base)
-    scenarios_path = _path(base, "scenarios", raw["scenarios"])
+    optional = ("judge",) if cfg["judge"] is not None else ()
+    backends = _backends({role: cfg[role] for role in (*roles, *optional)}, base)
     scenarios = load_scenarios(scenarios_path)
     if not scenarios:
         raise ValueError(f"scenario file {scenarios_path} holds no scenario")
     if mode == "static":
-        gold_path = _path(base, "gold_corpus", raw["gold_corpus"])
+        gold_path = cfg["gold_corpus"]
         golds = load_traces(gold_path)
         _check_turns(gold_path, golds)
         gold = _keyed(golds, lambda d: d.scenario_ref,
@@ -233,22 +239,19 @@ def _bench_config(path: str | Path) -> BenchConfig:
         tasks = [EvalTask(scenario=scn, gold_dialogue=gold[sid]) for sid, scn in scenarios.items()]
         voting = None
     else:
-        voting = VotingConfig(backends["user_proxy"], backends["voter"], rng_seed=rng_seed,
-                              **_integers(raw, {"n_samples": None, "m_voters": None}))
+        voting = VotingConfig(backends["user_proxy"], backends["voter"], rng_seed=cfg["rng_seed"],
+                              n_samples=cfg["n_samples"], m_voters=cfg["m_voters"])
         tasks = [EvalTask(scenario=scn) for scn in scenarios.values()]
     exclusions = None
-    if raw.get("exclusions"):
-        exclusions_path = _path(base, "exclusions", raw["exclusions"])
+    if (exclusions_path := cfg["exclusions"]) is not None:
         exclusions = set(_load("exclusions file", exclusions_path, _json_strings))
         if scenarios.keys() <= exclusions:
             raise ValueError(f"exclusions file {exclusions_path} excludes every scenario; "
                              "nothing to score")
     return BenchConfig(
-        catalogue=_catalogue(base, raw), scenarios=scenarios_path, tasks=tasks,
-        backends=backends, voting=voting,
-        engine=EngineConfig(**_integers(raw, {"t_max": None})),
-        out_dir=_path(base, "out_dir", raw["out_dir"]), exclusions=exclusions,
-        **_integers(raw, {"concurrency": 1}))
+        catalogue=cfg["catalogue"], scenarios=scenarios_path, tasks=tasks, backends=backends,
+        voting=voting, engine=EngineConfig(t_max=cfg["t_max"]), out_dir=cfg["out_dir"],
+        exclusions=exclusions, concurrency=cfg["concurrency"])
 
 
 def _out_files(*paths: str | Path | None) -> None:
@@ -473,8 +476,8 @@ def cmd_score(args) -> int:
     pairs = _join_scenarios(args.corpus, args.refs)
     if not pairs:
         raise ConfigError(f"corpus {args.corpus} holds no dialogue to score")
-    judge = _load("backend config", args.judge, lambda p: _backends(
-        {"judge": _json_object(p)}, Path(p).parent)["judge"]) if args.judge else None
+    judge = args.judge and _load("backend config", args.judge, lambda p: _backends(
+        {"judge": parse_json(Path(p).read_bytes())}, Path(p).parent)["judge"])
     _out_files(args.out, args.csv)
     grades = grade_corpus([trace for trace, _ in pairs], judge) if judge else None
     report = score_corpus([(trace, Reference(scn.seed_tool, scn.gold_args))
@@ -504,7 +507,9 @@ def cmd_bench_run(args) -> int:
 def _bench_report(path: str | Path) -> dict:
     """A ``report.json`` whose metrics are numbers or null, whose ``ngd`` is
     an object of such values and whose ``per_dialogue`` is an array."""
-    report = _json_object(path)
+    report = parse_json(Path(path).read_bytes())
+    if not isinstance(report, dict):
+        raise ValueError("expected a JSON object")
     ngd = report.get("ngd", {})
     if not isinstance(ngd, dict):
         raise ValueError(f"ngd must be a JSON object, got {ngd!r}")

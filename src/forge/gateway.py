@@ -217,12 +217,6 @@ class BackendConfig:
         if self.kind == "scripted" and self.transcript is None:
             raise ValueError("scripted backend requires a transcript")
 
-    @classmethod
-    def from_dict(cls, d: dict, transcript: "Transcript | None" = None) -> "BackendConfig":
-        """The backend a config spec describes; an unset key takes its default."""
-        keys = ("model_id", "endpoint", "api_key_env", "retry_limit", "timeout")
-        return cls(kind=d["kind"], transcript=transcript, **{k: d[k] for k in keys if k in d})
-
 
 def prompt_request(prompt: str, seed: int, temperature: float,
                    max_tokens: int) -> CompletionRequest:

@@ -7,6 +7,8 @@ import sys
 import threading
 import time
 from collections import Counter
+from itertools import dropwhile, takewhile
+from pathlib import Path
 
 import pytest
 
@@ -1376,6 +1378,17 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("distractors", [SEED_TOOL, "--dim", "0"], "dimension"),
     ("distractors", [SEED_TOOL, "--k", "0"], "k must be"),
     ("distractors", ["no_such_tool"], "no_such_tool"),
+    ("generate", {"concurency": 8}, "unknown key 'concurency'"),
+    ("validate", {"t_maxx": 2}, "unknown key 't_maxx'"),
+    ("export", {"embeder": {"kind": "remote"}}, "unknown key 'embeder'"),
+    ("backend", {"modle_id": "x"},
+     "bad backend config for role 'assistant': unknown key 'modle_id'"),
+    ("generate", {"embedder": {"dimensoin": 64}}, "unknown key 'dimensoin'"),
+    ("bench", {"n_sample": 3}, "unknown key 'n_sample'"),
+    ("bench", {"judge": []}, "judge must be a JSON object"),
+    ("bench", {"judge": {}}, "missing key 'kind'"),
+    ("generate", {"personas": 0}, "personas must be a path string"),
+    ("bench", {"exclusions": 0}, "exclusions must be a path string"),
 ], ids=["remote-embedder-no-endpoint", "embedder-dimension-0", "k-0", "persona-k-0",
         "concurrency-0", "regen-attempts-0", "t-max-string", "concurrency-string",
         "concurrency-past-ceiling", "k-null",
@@ -1389,9 +1402,13 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
         "bench-concurrency-past-ceiling", "bench-n-samples-string",
         "bench-rng-seed-string", "bench-rng-seed-null", "validate-embedder-kind",
         "export-embedder-dimension-0", "distractors-dim-0", "distractors-k-0",
-        "distractors-unknown-seed"])
+        "distractors-unknown-seed", "unknown-key", "validate-unknown-key",
+        "export-unknown-embedder-key", "backend-unknown-key", "embedder-unknown-key",
+        "bench-unknown-key", "bench-judge-array", "bench-judge-empty", "personas-0",
+        "bench-exclusions-0"])
 def test_bad_input_is_config_error(world, capsys, command, change, message):
-    """A bad config value exits 2, and the message names the config file."""
+    """A bad config value exits 2, and the message names the config file; a
+    key outside its object's table is refused by name on the whole line."""
     if command == "distractors":
         path, argv = None, ["distractors", world.tmp_path / "catalogue.json", *change]
     elif command == "bench":
@@ -1416,6 +1433,38 @@ def test_bad_input_is_config_error(world, capsys, command, change, message):
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert path is None or str(path) in err
+    if "unknown key" in message:
+        what = "bench config" if command == "bench" else "config"
+        assert err == f"config error: cannot load {what} {path}: {message}\n"
+
+
+def test_score_judge_unknown_key_is_config_error(world, capsys):
+    judge = world.tmp_path / "judge.json"
+    judge.write_text(json.dumps({"kind": "scripted", "model_id": "m-rubric",
+                                 "transcript": "transcripts.json", "temprature": 0}),
+                     encoding="utf-8")
+    assert run(["generate", "--config", world.config_path, "--seed-tools", SEED_TOOL]) == 0
+    out = world.tmp_path / "out"
+    capsys.readouterr()
+    assert run(["score", out / "corpus.jsonl", "--refs", out / "scenarios.jsonl",
+                "--judge", judge]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot load backend config {judge}: "
+        "bad backend config for role 'judge': unknown key 'temprature'\n")
+
+
+def test_null_leaves_a_key_unset_only_where_its_default_is_null(world):
+    """``personas``, ``exclusions`` and ``judge`` may be null, meaning unset;
+    a key with a value default may not."""
+    bench = cli._load("bench config", _bench_config(world, judge=None, exclusions=None),
+                      cli._bench_config)
+    assert bench.exclusions is None and "judge" not in bench.backends
+    cfg = json.loads(world.config_path.read_text(encoding="utf-8"))
+    world.config_path.write_text(json.dumps({**cfg, "personas": None}), encoding="utf-8")
+    assert load_pipeline_config(world.config_path).personas is None
+    world.config_path.write_text(json.dumps({**cfg, "persona_k": None}), encoding="utf-8")
+    with pytest.raises(cli.ConfigError, match="persona_k must be an integer, got None"):
+        load_pipeline_config(world.config_path)
 
 
 _LONG_INT_CATALOGUE = "[" + "1" * 5000 + "]"
@@ -1906,6 +1955,23 @@ def test_generate_errors_do_not_depend_on_concurrency(world, capsys):
 
 # ---------------------------------------------------------------------------
 # config loader details
+
+
+FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+
+@pytest.mark.parametrize("caption, table", [
+    ("Pipeline config keys", cli.PIPELINE_KEYS), ("Embedder spec keys", cli.EMBEDDER_KEYS),
+    ("Backend spec keys", cli.BACKEND_KEYS), ("Bench config keys", cli.BENCH_KEYS)])
+def test_docs_list_exactly_the_keys_of_each_config_table(caption, table):
+    """The key column of the table under ``caption`` in docs/formats.md is
+    the code's key table for that config object, no key more or less."""
+    lines = FORMATS_MD.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(caption))
+    rows = takewhile(lambda line: line.startswith("|"),
+                     dropwhile(lambda line: not line.startswith("|"), lines[start:]))
+    keys = [row.split("|")[1].strip().strip("`") for row in list(rows)[2:]]
+    assert sorted(keys) == sorted(table)
 
 
 def test_relative_paths_resolve_against_config_dir(world):
