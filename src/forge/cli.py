@@ -121,20 +121,22 @@ def load_traces(path: str | Path) -> list[DialogueTrace]:
 # or UNSET: left out, for its class to default or its mode to require.
 REQUIRED, UNSET = object(), object()
 Key = namedtuple("Key", "kind default floor ceiling", defaults=(UNSET, None, None))
-INT, STR, OBJECT = (int, "an integer"), (str, "a string"), (dict, "a JSON object")
+INT, STR = (int, "an integer"), (str, "a string")
 PATH, FILE = (str, "a path string"), (str, "a path string naming an existing file")
 _RUN_KEYS = {"catalogue": Key(FILE, REQUIRED), "rng_seed": Key(INT, REQUIRED),
              "t_max": Key(INT, EngineConfig.t_max), "concurrency": Key(INT, 1, 1, MAX_CONCURRENCY)}
 PIPELINE_KEYS = {**_RUN_KEYS, "personas": Key(PATH, None), "k": Key(INT, 5, 1),
                  "persona_k": Key(INT, 10, 1), "out_dir": Key(PATH, "out"),
                  "regen_attempts": Key(INT, EngineConfig.regen_attempts),
-                 "embedder": Key(None, {}), "backends": Key(OBJECT, {})}
+                 "embedder": Key(None, {}), "backends": Key(None, {})}
 BENCH_KEYS = {**_RUN_KEYS, "mode": Key(STR, REQUIRED), "scenarios": Key(PATH, REQUIRED),
               "gold_corpus": Key(PATH), "out_dir": Key(PATH, REQUIRED),
               "exclusions": Key(PATH, None), "assistant": Key(None, REQUIRED),
               "user_proxy": Key(None), "voter": Key(None), "judge": Key(None, None),
               "n_samples": Key(INT, VotingConfig.n_samples),
               "m_voters": Key(INT, VotingConfig.m_voters)}
+# the `backends` object's roles; which of them a command needs is its own rule
+ROLE_KEYS = dict.fromkeys(("goal", "slots", "user_proxy", "assistant", *JUDGES), Key(None))
 BACKEND_KEYS = {"kind": Key(None, REQUIRED), "transcript": Key(PATH), **dict.fromkeys(
     ("model_id", "endpoint", "api_key_env", "retry_limit", "timeout"), Key(None))}
 EMBEDDER_KEYS = {"kind": Key(STR, "hash"), "dimension": Key(INT), "endpoint": Key(None),
@@ -198,7 +200,7 @@ def _embedder(raw) -> Embedder:
 def _pipeline_config(path: str | Path, roles: tuple[str, ...]) -> PipelineConfig:
     base = Path(path).parent
     cfg = _checked("config", parse_json(Path(path).read_bytes()), PIPELINE_KEYS, base)
-    backends = cfg["backends"] = _backends(cfg["backends"], base)
+    backends = cfg["backends"] = _backends(_checked("backends", cfg["backends"], ROLE_KEYS), base)
     judges = {name: backends[name] for name in JUDGES if name in backends}
     for role in (*roles, *JUDGES) if judges else roles:  # both judges or neither
         if role not in backends:
@@ -345,7 +347,7 @@ def cmd_catalogue_lint(args) -> int:
 def cmd_distractors(args) -> int:
     cat = load_catalogue(args.catalogue)
     try:
-        emb = HashEmbedder(dimension=args.dim)
+        emb = _embedder({} if args.dim is None else {"dimension": args.dim})
         # the arguments are checked before the catalogue is embedded
         if args.seed not in cat:
             raise KeyError(f"unknown seed tool: {args.seed!r}")
@@ -551,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis = sub.add_parser("distractors", help="nearest distractors for a seed tool")
     p_dis.add_argument("catalogue")
     p_dis.add_argument("seed")
-    p_dis.add_argument("--k", type=int, default=5)
-    p_dis.add_argument("--dim", type=int, default=256)
+    p_dis.add_argument("--k", type=int, default=PIPELINE_KEYS["k"].default)
+    p_dis.add_argument("--dim", type=int)
     p_dis.set_defaults(func="cmd_distractors")
 
     p_gen = sub.add_parser("generate", help="synthesize and validate dialogues")

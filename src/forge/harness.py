@@ -211,7 +211,7 @@ def eval_dynamic(scn: Scenario, assistant: BackendConfig, cat: Catalogue,
 
 def run_benchmark(tasks: list[EvalTask], assistant: BackendConfig, cat: Catalogue,
                   vcfg: VotingConfig | None, judge: BackendConfig | None,
-                  ecfg: EngineConfig, concurrency: int = 1,
+                  ecfg: EngineConfig, concurrency: int,
                   exclusions: set[str] | None = None, on_trace=None,
                   ) -> tuple[MetricReport | None, list[dict]]:
     """Run every task, score the finished traces, return (report, failed).

@@ -228,7 +228,7 @@ def sample_gold_args(gw: BackendConfig, seed_tool: Tool, persona: str, rng_seed:
 
 def build_scenario(tools: ToolIndex, personas: VectorIndex, gw: BackendConfig,
                    seed_tool: str, k: int, rng_seed: int,
-                   persona_k: int = 10, slot_gw: BackendConfig | None = None) -> Scenario:
+                   persona_k: int, slot_gw: BackendConfig | None = None) -> Scenario:
     """Compose a full Scenario for one seed tool.
 
     Deterministic given (rng_seed, scripted transcripts): every random

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import inspect
 import json
 import shutil
 import subprocess
@@ -125,6 +126,23 @@ def test_distractors_lists_k_neighbours(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     assert all("\t" in line for line in lines)
+
+
+def test_each_table_default_has_one_owner(tmp_path, capsys):
+    """The Python API takes ``persona_k`` and ``concurrency`` from its caller,
+    and ``distractors`` reads its defaults from the pipeline ``k`` and the
+    hash embedder: neither repeats them."""
+    assert inspect.signature(scenario.build_scenario).parameters["persona_k"].default \
+        is inspect.Parameter.empty
+    assert inspect.signature(harness.run_benchmark).parameters["concurrency"].default \
+        is inspect.Parameter.empty
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(CATALOGUE_TOOLS), encoding="utf-8")
+    outputs = []
+    for options in ([], ["--k", "5", "--dim", "256"]):
+        assert run(["distractors", path, SEED_TOOL, *options]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out
 
 
 @pytest.mark.parametrize("argv", [["no_such_tool"], [SEED_TOOL, "--k", "0"]],
@@ -1332,6 +1350,10 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     assert "'critique'" in capsys.readouterr().err
 
 
+# a valid spec under a mistyped role: earlier versions loaded it and dropped the role
+SLOT_SPEC = {"kind": "scripted", "model_id": "m-goal", "transcript": "transcripts.json"}
+
+
 @pytest.mark.parametrize("command, change, message", [
     ("generate", {"embedder": {"kind": "remote"}}, "endpoint"),
     ("generate", {"embedder": {"kind": "hash", "dimension": 0}}, "dimension"),
@@ -1389,6 +1411,8 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
     ("bench", {"judge": {}}, "missing key 'kind'"),
     ("generate", {"personas": 0}, "personas must be a path string"),
     ("bench", {"exclusions": 0}, "exclusions must be a path string"),
+    *((command, {"backends": {"slot": SLOT_SPEC}}, "unknown key 'slot'")
+      for command in ("generate", "validate", "export")),
 ], ids=["remote-embedder-no-endpoint", "embedder-dimension-0", "k-0", "persona-k-0",
         "concurrency-0", "regen-attempts-0", "t-max-string", "concurrency-string",
         "concurrency-past-ceiling", "k-null",
@@ -1405,10 +1429,11 @@ def test_generate_one_judge_only_is_config_error(world, capsys):
         "distractors-unknown-seed", "unknown-key", "validate-unknown-key",
         "export-unknown-embedder-key", "backend-unknown-key", "embedder-unknown-key",
         "bench-unknown-key", "bench-judge-array", "bench-judge-empty", "personas-0",
-        "bench-exclusions-0"])
+        "bench-exclusions-0", "unknown-role", "validate-unknown-role", "export-unknown-role"])
 def test_bad_input_is_config_error(world, capsys, command, change, message):
     """A bad config value exits 2, and the message names the config file; a
-    key outside its object's table is refused by name on the whole line."""
+    key outside its object's table, a backend role included, is refused by
+    name on the whole line."""
     if command == "distractors":
         path, argv = None, ["distractors", world.tmp_path / "catalogue.json", *change]
     elif command == "bench":
@@ -1422,6 +1447,8 @@ def test_bad_input_is_config_error(world, capsys, command, change, message):
         cfg = json.loads(path.read_text(encoding="utf-8"))
         if command == "backend":
             cfg["backends"]["assistant"].update(change)
+        elif isinstance(change.get("backends"), dict):  # roles join the config's own
+            cfg["backends"].update(change["backends"])
         else:
             cfg.update(change)
         path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -1962,7 +1989,8 @@ FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
 @pytest.mark.parametrize("caption, table", [
     ("Pipeline config keys", cli.PIPELINE_KEYS), ("Embedder spec keys", cli.EMBEDDER_KEYS),
-    ("Backend spec keys", cli.BACKEND_KEYS), ("Bench config keys", cli.BENCH_KEYS)])
+    ("Backend spec keys", cli.BACKEND_KEYS), ("Bench config keys", cli.BENCH_KEYS),
+    ("Backend roles", cli.ROLE_KEYS)])
 def test_docs_list_exactly_the_keys_of_each_config_table(caption, table):
     """The key column of the table under ``caption`` in docs/formats.md is
     the code's key table for that config object, no key more or less."""

@@ -349,7 +349,7 @@ def test_benchmark_dynamic_turn_cap_is_engine_t_max(world):
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=891)
     traces = []
     run_benchmark([EvalTask(scenario=scn)], cand, world.cat, vcfg, None,
-                  EngineConfig(t_max=2), on_trace=traces.append)
+                  EngineConfig(t_max=2), concurrency=1, on_trace=traces.append)
     assert traces[0].pair_count() == 2
     assert traces[0].terminated_by == "turn_cap"
 
@@ -361,7 +361,8 @@ def test_dynamic_empty_reply_is_a_malformed_turn(world):
     scn, cand, vcfg = dynamic_fixture(world, steps, rng_seed=893)
     traces = []
     report, failed = run_benchmark([EvalTask(scenario=scn)], cand, world.cat,
-                                   vcfg, None, EngineConfig(t_max=4), on_trace=traces.append)
+                                   vcfg, None, EngineConfig(t_max=4), concurrency=1,
+                                   on_trace=traces.append)
     [trace] = traces
     assert failed == [] and trace.pair_count() == 2
     assert trace.messages[1].malformed and trace.messages[1].raw == ""
@@ -375,7 +376,8 @@ def test_blank_winning_candidate_costs_one_task(world):
     traces = []
     report, failed = run_benchmark([EvalTask(scenario=scn)],
                                    scripted_backend("m-cand", Transcript()),
-                                   world.cat, vcfg, None, EngineConfig(), on_trace=traces.append)
+                                   world.cat, vcfg, None, EngineConfig(), concurrency=1,
+                                   on_trace=traces.append)
     assert report is None and traces == []
     assert failed == [{"dialogue_id": f"{scn.scenario_id}#dynamic",
                        "error": "user proxy reply is blank"}]
@@ -405,7 +407,7 @@ def test_perfect_assistant_benchmark(world):
     cand = _static_multi_candidate(world, backends, reply_for=lambda scn: GOLD_CALL)
     traces = []
     report, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
-                              on_trace=traces.append)
+                              concurrency=1, on_trace=traces.append)
     assert report.acc == 1.0
     assert report.ftr == 0.0
     assert report.tar == 0.0
@@ -444,7 +446,7 @@ def test_mixed_benchmark_hand_computed(world):
         backends.append((scn, gold))
     cand = _static_multi_candidate(world, backends,
                                    reply_for=lambda scn: replies[scn.rng_seed])
-    report, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg)
+    report, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg, concurrency=1)
     assert report.acc == pytest.approx(1 / 3)
     assert report.ftr == pytest.approx(1 / 3)
     assert report.tar == pytest.approx(1 / 3)
@@ -455,13 +457,13 @@ def test_mixed_benchmark_hand_computed(world):
 def test_task_without_gold_requires_voting_config(world):
     with pytest.raises(ValueError, match="voting config"):
         run_benchmark([EvalTask(scenario=eval_scenario())], scripted_backend("x", Transcript()),
-                      world.cat, None, None, world.ecfg)
+                      world.cat, None, None, world.ecfg, concurrency=1)
 
 
 def test_empty_task_list_rejected(world):
     with pytest.raises(ValueError, match="empty corpus"):
         run_benchmark([], scripted_backend("x", Transcript()), world.cat,
-                      None, None, world.ecfg)
+                      None, None, world.ecfg, concurrency=1)
 
 
 def test_exclusions_drop_from_scoring_but_not_traces(world):
@@ -475,7 +477,7 @@ def test_exclusions_drop_from_scoring_but_not_traces(world):
     excluded_id = tasks[0].scenario.scenario_id
     traces = []
     report, _ = run_benchmark(tasks, cand, world.cat, None, None, world.ecfg,
-                              exclusions={excluded_id}, on_trace=traces.append)
+                              concurrency=1, exclusions={excluded_id}, on_trace=traces.append)
     assert len(traces) == 2
     assert len(report.per_dialogue) == 1
 
@@ -496,7 +498,7 @@ def test_scripted_judge_grades_inline_and_skips_exclusions(world, no_thread_pool
     grades.lookup = lambda fp, n: looked_up.append(fp) or Transcript.lookup(grades, fp, n)
     traces = []
     report, _ = run_benchmark(tasks, cand, world.cat, None,
-                              scripted_backend("m-rubric", grades), world.ecfg,
+                              scripted_backend("m-rubric", grades), world.ecfg, concurrency=1,
                               exclusions={tasks[2].scenario.scenario_id},
                               on_trace=traces.append)
     assert len(traces) == 3 and len(looked_up) == 2

@@ -251,7 +251,7 @@ def test_value_matches_type_tag(tag, value, matches):
 def test_build_scenario_full_scripted_run():
     world = build_replay_world()
     scn = build_scenario(world.tools, world.personas, world.backends["goal"],
-                         SEED_TOOL, 5, world.rng_seed)
+                         SEED_TOOL, 5, world.rng_seed, persona_k=10)
     assert scn.to_dict() == world.scenario.to_dict()
     assert len(scn.pool) == 6  # 1 gold + 5 distractors
     assert SEED_TOOL in scn.pool
@@ -261,8 +261,10 @@ def test_build_scenario_full_scripted_run():
 def test_build_scenario_replay_is_deterministic():
     w1 = build_replay_world()
     w2 = build_replay_world()
-    s1 = build_scenario(w1.tools, w1.personas, w1.backends["goal"], SEED_TOOL, 5, w1.rng_seed)
-    s2 = build_scenario(w2.tools, w2.personas, w2.backends["goal"], SEED_TOOL, 5, w2.rng_seed)
+    s1 = build_scenario(w1.tools, w1.personas, w1.backends["goal"], SEED_TOOL, 5, w1.rng_seed,
+                        persona_k=10)
+    s2 = build_scenario(w2.tools, w2.personas, w2.backends["goal"], SEED_TOOL, 5, w2.rng_seed,
+                        persona_k=10)
     assert s1.to_dict() == s2.to_dict()
 
 
@@ -270,7 +272,7 @@ def test_build_scenario_pool_clamps_to_catalogue(cat, emb):
     # only 6 tools exist, so k=50 yields all 5 non-seed tools
     world = build_replay_world()
     scn = build_scenario(world.tools, world.personas, world.backends["goal"],
-                         SEED_TOOL, 5, world.rng_seed)
+                         SEED_TOOL, 5, world.rng_seed, persona_k=10)
     assert len(scn.pool) == len(world.cat)
 
 
